@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import conditions
-from ._parallel import par_map
 from .conditions import (DEFAULT_LAMBDAS, DEFAULT_RADII, DEFAULT_TOL_DEG,
                          DEFAULT_TOL_W, ExcessPoint, WeierstrassScanReport,
                          direction_set, lagrangian_scale, paired_slope,
@@ -95,11 +94,18 @@ class DegeneracyFinding:
         return 0.5 * (self.t_lo + self.t_hi)
 
 
-def _certifies(pt: ExcessPoint, eta: np.ndarray, lam: float,
-               tol_deg: float) -> Tuple[bool, float, float]:
-    e1 = abs(pt.e_sum(eta))
-    e2 = abs(pt.e_sum(paired_slope(lam, eta)))
-    return (e1 <= tol_deg and e2 <= tol_deg), e1, e2
+def _certifies(pt: ExcessPoint, etas, lams: Sequence[float],
+               tol_deg: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degeneracy certification of every eta (rows of etas) paired under
+    every lam: (ok, |E(eta)|, |E(pair)|), each of shape (etas, lams)."""
+    etas = np.atleast_2d(np.asarray(etas, dtype=float))
+    lams = np.asarray(lams, dtype=float)
+    pairs = paired_slope(lams[None, :, None], etas[:, None, :])
+    vals = np.abs(pt.e_sum(np.concatenate(
+        (etas, pairs.reshape(-1, etas.shape[1])))))
+    e1 = np.repeat(vals[:len(etas), None], len(lams), axis=1)
+    e2 = vals[len(etas):].reshape(len(etas), len(lams))
+    return (e1 <= tol_deg) & (e2 <= tol_deg), e1, e2
 
 
 def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
@@ -138,12 +144,12 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
 
     pairs = [(eta, float(lam)) for eta in directions for lam in lam_grid]
 
-    def scan_point(t: float):
+    per_point = []
+    for t in grid:
         side = "left" if t >= p.t1 - BREAK_TOL else "right"
-        pt = ExcessPoint(p, cand, t, side)
-        return [_certifies(pt, eta, lam, td) for eta, lam in pairs]
-
-    per_point = par_map(scan_point, grid)
+        cert = _certifies(ExcessPoint(p, cand, t, side), directions,
+                          lam_grid, td)
+        per_point.append(list(zip(*(a.ravel().tolist() for a in cert))))
 
     # group maximal certified runs by their exact grid extent
     extents = {}
@@ -177,13 +183,13 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
         theta = grid[i0]
         sides = []
         if theta < p.t1 - BREAK_TOL:
-            ok, _, _ = _certifies(ExcessPoint(p, cand, theta, "right"),
-                                  eta, lam, td)
+            ok = _certifies(ExcessPoint(p, cand, theta, "right"),
+                            eta, [lam], td)[0].item()
             if ok:
                 sides.append("right")
         if theta > p.t0 + BREAK_TOL:
-            ok, _, _ = _certifies(ExcessPoint(p, cand, theta, "left"),
-                                  eta, lam, td)
+            ok = _certifies(ExcessPoint(p, cand, theta, "left"),
+                            eta, [lam], td)[0].item()
             if ok:
                 sides.append("left")
         side = "both" if len(sides) == 2 else (sides[0] if sides else "right")
@@ -210,15 +216,6 @@ class Verdict:
     note: str = ""
 
 
-def _interval_d_values(p: DelayProblem, cand: CandidateExtremal,
-                       ts: Sequence[float], lam: float,
-                       eta: np.ndarray) -> List[float]:
-    def d_at(t: float) -> float:
-        pt = ExcessPoint(p, cand, float(t), "right")
-        return pt.m_x(lam, eta) + pt.m_y(lam, eta)
-    return list(par_map(d_at, list(ts)))
-
-
 def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
                       finding: DegeneracyFinding,
                       n_points: int = DEFAULT_INTERVAL_POINTS,
@@ -243,31 +240,38 @@ def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
     td = _resolve_tol_deg(p, cand, tol_deg)
     ts = [float(t) for t in
           np.linspace(finding.t_lo, finding.t_hi, n_points + 2)[1:-1]]
-    pts = [ExcessPoint(p, cand, t, "right") for t in ts]
-    for t, pt in zip(ts, pts):
-        ok, e1, e2 = _certifies(pt, eta, lam, td)
-        if not ok:
-            raise AnalysisError(
-                f"interval not degenerate for the finding's direction at "
-                f"t={t}: |E sums| = ({e1}, {e2}) exceed {td}")
-
-    loc = (finding.t_lo, finding.t_hi)
     scale_list = sorted({float(s) for s in scales} | {1.0}, reverse=True)
     if any(s <= 0 for s in scale_list):
         raise AnalysisError("scales must be positive")
+    s_etas = np.array([s * eta for s in scale_list])
+    pts = [ExcessPoint(p, cand, t, "right") for t in ts]
 
+    # certification per point (rows) and scale (columns, in scale_list order)
+    ok, e1, e2 = (np.array(a)[..., 0] for a in
+                  zip(*(_certifies(pt, s_etas, [lam], td) for pt in pts)))
+    unit = scale_list.index(1.0)
+    if not ok[:, unit].all():
+        i = int(np.argmin(ok[:, unit]))
+        raise AnalysisError(
+            f"interval not degenerate for the finding's direction at "
+            f"t={ts[i]}: |E sums| = ({e1[i, unit]}, {e2[i, unit]}) "
+            f"exceed {td}")
+    certified = ok.all(axis=0)
+
+    # D(t) = M_x + M_y at every certified scale
+    d_vals = iter(np.array([pt.m_sum(lam, s_etas[certified])
+                            for pt in pts]).T.tolist())
     outcomes = []
-    for s in scale_list:
-        s_eta = s * eta
-        certified = all(_certifies(pt, s_eta, lam, td)[0] for pt in pts)
-        if not certified:
+    for s, cert in zip(scale_list, certified.tolist()):
+        if not cert:
             outcomes.append((s, False, False, 0.0, 0.0))
             continue
-        d_vals = _interval_d_values(p, cand, ts, lam, s_eta)
-        worst = max(d_vals, key=abs)
-        tol_s = _eq_tol(tol_eq, max(abs(v) for v in d_vals))
+        d_s = next(d_vals)
+        worst = max(d_s, key=abs)
+        tol_s = _eq_tol(tol_eq, max(abs(v) for v in d_s))
         outcomes.append((s, True, abs(worst) > tol_s, worst, tol_s))
 
+    loc = (finding.t_lo, finding.t_hi)
     s1 = next(o for o in outcomes if o[0] == 1.0)
     verdict_i = Verdict(
         theorem="5.1(i)",
@@ -317,15 +321,14 @@ def _point_quantity(p: DelayProblem, cand: CandidateExtremal, theta: float,
     check_sides = ("right", "left") if side == "both" else (side,)
     for s in check_sides:
         pt = ExcessPoint(p, cand, theta, s)
-        ok, e1, e2 = _certifies(pt, eta, lam, td)
+        ok, e1, e2 = (a.item() for a in _certifies(pt, eta, [lam], td))
         if not ok:
             raise AnalysisError(
                 f"degeneracy not certified at theta={theta} from the {s}: "
                 f"|E sums| = ({e1}, {e2}) exceed {td}")
 
     if side in ("right", "left"):
-        pt = ExcessPoint(p, cand, theta, side)
-        m_sum = pt.m_x(lam, eta) + pt.m_y(lam, eta)
+        m_sum = float(ExcessPoint(p, cand, theta, side).m_sum(lam, eta)[0])
         bracket = (lam * m_sum
                    + conditions.q2_sum_slope(p, cand, theta, side, lam, eta))
         tol = _eq_tol(tol_eq, bracket)
@@ -335,10 +338,8 @@ def _point_quantity(p: DelayProblem, cand: CandidateExtremal, theta: float,
         return bracket, tol, violated, desc
 
     # interior two-sided point: equality of the M sum
-    pt_r = ExcessPoint(p, cand, theta, "right")
-    pt_l = ExcessPoint(p, cand, theta, "left")
-    m_r = pt_r.m_x(lam, eta) + pt_r.m_y(lam, eta)
-    m_l = pt_l.m_x(lam, eta) + pt_l.m_y(lam, eta)
+    m_r, m_l = (float(ExcessPoint(p, cand, theta, s).m_sum(lam, eta)[0])
+                for s in ("right", "left"))
     tol = _eq_tol(tol_eq, m_r)
     if abs(m_r - m_l) > tol:
         raise AnalysisError(
@@ -513,14 +514,13 @@ def remark_6_1_equivalence(p: DelayProblem, cand: CandidateExtremal,
 
     pt = ExcessPoint(p, cand, theta, side)
     samples = xi_sample_set(p.dim, radii, seed)
-    wmin = min(pt.e_sum(x) for x in samples)
+    wmin = min(pt.e_sum(samples).tolist())
     if wmin < -tw:
         raise AnalysisError(
             f"pointwise excess condition fails at theta={theta} "
             f"(min {wmin} < -{tw}); the equivalence applies to candidates "
             f"that satisfy it")
-    e1 = pt.e_sum(eta)
-    e2 = pt.e_sum(paired_slope(lam_bar, eta))
+    e1, e2 = pt.e_sum([eta, paired_slope(lam_bar, eta)]).tolist()
     q1 = lam_bar * e1 + (1.0 - lam_bar) * e2
     zero_q1 = abs(q1) <= td
     zero_e = abs(e1) <= td and abs(e2) <= td
@@ -568,8 +568,10 @@ class AnalysisReport:
     """Evidence from every pipeline stage plus the final conclusion.
 
     overall is NOT_EXTREMAL when the Euler stage rejects the candidate
-    (later stages are skipped), otherwise the worst conclusion across the
-    scan and the verdict list.
+    (later stages are skipped), ERROR when the Euler stage or the excess
+    scan could not run (its message is in stage_errors; nothing later
+    runs), otherwise the worst conclusion across the scan and the verdict
+    list.
     """
 
     euler: Optional[EulerStage]
@@ -601,7 +603,7 @@ def euler_stage(p: DelayProblem, cand: CandidateExtremal,
             side = "right" if d_up >= d_down else "left"
         return float(np.max(np.abs(conditions.euler_residual(p, cand, t, side))))
 
-    vals = par_map(residual_at, ts)
+    vals = [residual_at(t) for t in ts]
     worst = int(np.argmax(vals))
     return EulerStage(grid_size=config.euler_grid,
                       max_residual=float(vals[worst]),
@@ -635,7 +637,6 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
     verdicts: List[Verdict] = []
     findings: List[DegeneracyFinding] = []
     expansion: List[IncrementRecord] = []
-    scan = None
 
     try:
         euler = euler_stage(p, cand, config)
@@ -660,15 +661,18 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
             xi_samples=xi_sample_set(p.dim, config.radii, config.seed),
             tol_w=config.tol_w, tol_deg=config.tol_deg)
     except (ValueError, ArithmeticError) as exc:
-        errors.append(("weierstrass", str(exc)))
+        return AnalysisReport(
+            euler=euler, weierstrass=None, findings=(), verdicts=(),
+            expansion_checks=(), overall="ERROR", notes=tuple(notes),
+            stage_errors=(("weierstrass", str(exc)),))
 
     overall_rank = 0
-    if scan is not None and scan.has_violation:
+    if scan.has_violation:
         overall_rank = _RANK["FAILS_STRONG"]
         notes.append(
             "pointwise excess condition violated; degeneracy analysis "
             "skipped (its hypotheses require the condition to hold)")
-    elif scan is not None:
+    else:
         try:
             findings = detect_degeneracy(
                 p, cand,

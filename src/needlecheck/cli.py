@@ -5,8 +5,7 @@ prints exactly one JSON document to stdout.  Exit code 0 means the tested
 conditions hold, 2 means a necessary condition failed (evidence is in the
 report), 1 means the tool itself could not complete.  Reports carry no
 timestamps and all sampling is seeded, so identical configs produce
-byte-identical output; the NEEDLECHECK_THREADS environment variable caps
-internal parallelism without affecting the bytes.
+byte-identical output.
 """
 
 import dataclasses
@@ -174,15 +173,16 @@ def excess(config: str, point: float, side: str, xi: Tuple[float, ...],
             if a.tol_w is None else a.tol_w
         q1_x, q1_y = conditions.q_k(p, cand, point, side, lam, eta, 1)
         q2_x, q2_y = conditions.q_k(p, cand, point, side, lam, eta, 2)
+        e_x, e_y = (pt.excess(s, [eta, pair]).tolist() for s in ("x", "y"))
+        m_x, m_y = (float(pt.m(s, lam, eta)[0]) for s in ("x", "y"))
         result = {
             "t": point, "side": side, "xi": eta, "lambda": lam,
             "paired_xi": pair,
-            "e_x": pt.e_x(eta), "e_y": pt.e_y(eta), "e_sum": pt.e_sum(eta),
-            "e_sum_paired": pt.e_sum(pair),
+            "e_x": e_x[0], "e_y": e_y[0], "e_sum": e_x[0] + e_y[0],
+            "e_sum_paired": e_x[1] + e_y[1],
             "q1": {"x": q1_x, "y": q1_y, "sum": q1_x + q1_y},
             "q2": {"x": q2_x, "y": q2_y, "sum": q2_x + q2_y},
-            "m": {"x": pt.m_x(lam, eta), "y": pt.m_y(lam, eta),
-                  "sum": pt.m_x(lam, eta) + pt.m_y(lam, eta)},
+            "m": {"x": m_x, "y": m_y, "sum": m_x + m_y},
             "tol_w": tw,
         }
         failed = (q1_x + q1_y) < -tw

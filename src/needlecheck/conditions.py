@@ -1,7 +1,8 @@
 """First- and second-order condition functionals along a candidate.
 
-Everything here is built from point evaluations of the Lagrangian and its
-symbolic partials along the candidate, in the paired form characteristic of
+Everything here is built from evaluations of the Lagrangian and its
+symbolic partials along the candidate, one batched call per point and slot
+over a stack of slopes, in the paired form characteristic of
 the delayed problem: each quantity at t combines the direct term at t with
 the delay-shifted term at t+h, and the shifted term vanishes for t+h > t1
 by the extended-zero convention, which collapses the two regimes
@@ -15,15 +16,14 @@ xdot(t-h) replaced by xdot(t-h)+xi (ydot slot, evaluated at nu = t+h).
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import problem as problem_mod
 from . import quadrature
-from ._parallel import par_map
 from .needle import NeedleSpec, check_eps
-from .problem import CandidateExtremal, DelayProblem, along, partials_vec
+from .problem import (CandidateExtremal, DelayProblem, along, eval_L,
+                      partials_vec, shift_slopes)
 from .trajectory import BREAK_TOL, Trajectory
 
 DEFAULT_RADII = (0.25, 0.5, 1.0, 2.0)
@@ -47,78 +47,65 @@ def paired_slope(lam: float, xi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Weierstrass excess and the Q_k / M functionals
 
-class ExcessPoint:
-    """Cached base quantities at one (t, side): the argument assignments and
-    unperturbed values shared by every xi at this point."""
+# slot -> (slope block it perturbs, state block of its M functional)
+SLOTS = {"x": ("dx", "x"), "y": ("dy", "y")}
 
-    __slots__ = ("p", "cand", "t", "side", "nu", "env_t", "env_nu",
-                 "L_t", "L_nu", "Ldx_t", "Ldy_nu")
+
+def _dot(g: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """g^T xi for each slope of the stack xis (m, n); g is one vector (n,)
+    or one per slope (n, m).  Summed elementwise in component order, so a
+    slope's value depends neither on the stack it came in nor on the BLAS
+    kernel that a matrix product would pick."""
+    out = np.zeros(len(xis))
+    for i in range(xis.shape[1]):
+        out = out + g[i] * xis[:, i]
+    return out
+
+
+class ExcessPoint:
+    """Cached base quantities at one (t, side), per slot: the argument
+    vector, L and its slope gradient, shared by every xi at this point.
+    Slot "x" perturbs xdot(t) at t; slot "y" perturbs xdot(t-h) at
+    nu = t+h.  Every method takes a stack of slopes (m, n), or one slope
+    (n,), and returns one value per slope."""
+
+    __slots__ = ("p", "args", "L", "grad")
 
     def __init__(self, p: DelayProblem, cand: CandidateExtremal,
                  t: float, side: str):
         self.p = p
-        self.cand = cand
-        self.t = float(t)
-        self.side = side
-        self.nu = self.t + p.h
-        self.env_t = along(p, cand, self.t, side)
-        self.env_nu = along(p, cand, self.nu, side)
-        self.L_t = problem_mod.eval_L_env(p, self.t, self.env_t)
-        self.L_nu = problem_mod.eval_L_env(p, self.nu, self.env_nu)
-        self.Ldx_t = partials_vec(p, "dx", self.t, self.env_t)
-        self.Ldy_nu = partials_vec(p, "dy", self.nu, self.env_nu)
+        self.args = {"x": along(p, cand, float(t), side),
+                     "y": along(p, cand, float(t) + p.h, side)}
+        self.L = {s: eval_L(p, a) for s, a in self.args.items()}
+        self.grad = {s: partials_vec(p, SLOTS[s][0], a)
+                     for s, a in self.args.items()}
 
-    def _perturbed(self, env: Dict[str, float], block: str,
-                   xi: np.ndarray) -> Dict[str, float]:
-        out = dict(env)
-        for i in range(self.p.dim):
-            out[f"{block}{i + 1}"] = env[f"{block}{i + 1}"] + float(xi[i])
-        return out
+    def _shifted(self, slot: str, xis: np.ndarray) -> np.ndarray:
+        return shift_slopes(self.p, self.args[slot], SLOTS[slot][0], xis)
 
-    def e_x(self, xi: np.ndarray) -> float:
-        """Excess in the xdot slot at t."""
-        if self.t > self.p.t1:
-            return 0.0
-        env = self._perturbed(self.env_t, "dx", xi)
-        L_pert = problem_mod.eval_L_env(self.p, self.t, env)
-        return L_pert - self.L_t - float(np.dot(self.Ldx_t, xi))
+    def excess(self, slot: str, xis) -> np.ndarray:
+        """L(..., slope+xi, ...) - L - Lslope^T xi in one slot; 0 beyond t1."""
+        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+        L_pert = eval_L(self.p, self._shifted(slot, xis))
+        return L_pert - self.L[slot] - _dot(self.grad[slot], xis)
 
-    def e_y(self, xi: np.ndarray) -> float:
-        """Excess in the ydot slot at nu = t+h (0 beyond t1)."""
-        if self.nu > self.p.t1:
-            return 0.0
-        env = self._perturbed(self.env_nu, "dy", xi)
-        L_pert = problem_mod.eval_L_env(self.p, self.nu, env)
-        return L_pert - self.L_nu - float(np.dot(self.Ldy_nu, xi))
+    def e_sum(self, xis) -> np.ndarray:
+        return self.excess("x", xis) + self.excess("y", xis)
 
-    def e_sum(self, xi: np.ndarray) -> float:
-        return self.e_x(xi) + self.e_y(xi)
+    def m(self, slot: str, lam: float, xis) -> np.ndarray:
+        """lam*[Lz(xi)-Lz]^T xi + (1-lam)*[Lz(pair)-Lz]^T xi, with z the
+        slot's state block (x at t, y at nu) and its slope perturbed."""
+        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+        state = SLOTS[slot][1]
+        base = partials_vec(self.p, state, self.args[slot])[:, None]
+        moved = partials_vec(self.p, state, self._shifted(
+            slot, np.concatenate((xis, paired_slope(lam, xis)))))
+        at_xi, at_pair = np.split(moved, 2, axis=1)
+        return lam * _dot(at_xi - base, xis) \
+            + (1.0 - lam) * _dot(at_pair - base, xis)
 
-    def m_x(self, lam: float, xi: np.ndarray) -> float:
-        """lam*[Lx(t,xi)-Lx(t)]^T xi + (1-lam)*[Lx(t,pair)-Lx(t)]^T xi."""
-        if self.t > self.p.t1:
-            return 0.0
-        base = partials_vec(self.p, "x", self.t, self.env_t)
-        at_xi = partials_vec(self.p, "x", self.t,
-                             self._perturbed(self.env_t, "dx", xi))
-        pair = paired_slope(lam, xi)
-        at_pair = partials_vec(self.p, "x", self.t,
-                               self._perturbed(self.env_t, "dx", pair))
-        return lam * float(np.dot(at_xi - base, xi)) \
-            + (1.0 - lam) * float(np.dot(at_pair - base, xi))
-
-    def m_y(self, lam: float, xi: np.ndarray) -> float:
-        """The y analogue at nu = t+h, perturbing the ydot slot."""
-        if self.nu > self.p.t1:
-            return 0.0
-        base = partials_vec(self.p, "y", self.nu, self.env_nu)
-        at_xi = partials_vec(self.p, "y", self.nu,
-                             self._perturbed(self.env_nu, "dy", xi))
-        pair = paired_slope(lam, xi)
-        at_pair = partials_vec(self.p, "y", self.nu,
-                               self._perturbed(self.env_nu, "dy", pair))
-        return lam * float(np.dot(at_xi - base, xi)) \
-            + (1.0 - lam) * float(np.dot(at_pair - base, xi))
+    def m_sum(self, lam: float, xis) -> np.ndarray:
+        return self.m("x", lam, xis) + self.m("y", lam, xis)
 
 
 def excess_E(p: DelayProblem, cand: CandidateExtremal, t: float, side: str,
@@ -128,13 +115,9 @@ def excess_E(p: DelayProblem, cand: CandidateExtremal, t: float, side: str,
     slot="xdot": L(t, ..., xdot+xi, ...) - L(t) - Ldx(t)^T xi.
     slot="ydot": the same at nu = t+h in the delayed slot; 0 for nu > t1.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    pt = ExcessPoint(p, cand, t, side)
-    if slot == "xdot":
-        return pt.e_x(xi)
-    if slot == "ydot":
-        return pt.e_y(xi)
-    raise ConditionsError(f"slot must be 'xdot' or 'ydot', got {slot!r}")
+    if slot not in ("xdot", "ydot"):
+        raise ConditionsError(f"slot must be 'xdot' or 'ydot', got {slot!r}")
+    return float(ExcessPoint(p, cand, t, side).excess(slot[0], xi)[0])
 
 
 def q_k(p: DelayProblem, cand: CandidateExtremal, t: float, side: str,
@@ -148,8 +131,8 @@ def q_k(p: DelayProblem, cand: CandidateExtremal, t: float, side: str,
     pt = ExcessPoint(p, cand, t, side)
     pair = paired_slope(lam, xi)
     w = lam ** k
-    q_x = w * pt.e_x(xi) + (1.0 - w) * pt.e_x(pair)
-    q_y = w * pt.e_y(xi) + (1.0 - w) * pt.e_y(pair)
+    q_x, q_y = (float(w * e[0] + (1.0 - w) * e[1])
+                for e in (pt.excess(s, [xi, pair]) for s in SLOTS))
     return q_x, q_y
 
 
@@ -159,25 +142,23 @@ def m_term(p: DelayProblem, cand: CandidateExtremal, t: float, side: str,
     differences are contracted with xi."""
     if not 0.0 < lam < 1.0:
         raise ConditionsError(f"lambda must be in (0,1), got {lam}")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    pt = ExcessPoint(p, cand, t, side)
-    if slot == "x":
-        return pt.m_x(lam, xi)
-    if slot == "y":
-        return pt.m_y(lam, xi)
-    raise ConditionsError(f"slot must be 'x' or 'y', got {slot!r}")
+    if slot not in SLOTS:
+        raise ConditionsError(f"slot must be 'x' or 'y', got {slot!r}")
+    return float(ExcessPoint(p, cand, t, side).m(slot, lam, xi)[0])
 
 
 # ---------------------------------------------------------------------------
 # first variation and the Euler residual
 
-def _force_momentum(p: DelayProblem, cand: CandidateExtremal, t: float,
+def _force_momentum(p: DelayProblem, cand: CandidateExtremal,
+                    ts: Sequence[float],
                     side: str) -> Tuple[np.ndarray, np.ndarray]:
-    """(Lx(t)+Ly(t+h), Ldx(t)+Ldy(t+h)) along the candidate."""
-    env_t = along(p, cand, t, side)
-    env_th = along(p, cand, t + p.h, side)
-    force = partials_vec(p, "x", t, env_t) + partials_vec(p, "y", t + p.h, env_th)
-    rho = partials_vec(p, "dx", t, env_t) + partials_vec(p, "dy", t + p.h, env_th)
+    """(Lx(t)+Ly(t+h), Ldx(t)+Ldy(t+h)) along the candidate, one column per
+    time of ts: two (n, len(ts)) arrays."""
+    at_t = np.stack([along(p, cand, t, side) for t in ts], axis=1)
+    at_th = np.stack([along(p, cand, t + p.h, side) for t in ts], axis=1)
+    force = partials_vec(p, "x", at_t) + partials_vec(p, "y", at_th)
+    rho = partials_vec(p, "dx", at_t) + partials_vec(p, "dy", at_th)
     return force, rho
 
 
@@ -207,13 +188,11 @@ def first_variation(p: DelayProblem, cand: CandidateExtremal,
         raise ConditionsError("variation must vanish at t1")
 
     def g(ts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(ts)
-        for j, t in enumerate(ts):
-            t = float(t)
-            force, rho = _force_momentum(p, cand, t, "right")
-            out[j] = float(np.dot(force, delta.value(t))
-                           + np.dot(rho, delta.deriv(t, "right")))
-        return out
+        ts = ts.tolist()
+        force, rho = _force_momentum(p, cand, ts, "right")
+        return np.array([float(np.dot(force[:, j], delta.value(t))
+                               + np.dot(rho[:, j], delta.deriv(t, "right")))
+                         for j, t in enumerate(ts)])
 
     breaks = _variation_breaks(p, cand.traj, delta)
     return quadrature.integrate(g, p.t0, p.t1, breaks)
@@ -237,12 +216,11 @@ def needle_first_variation(p: DelayProblem, cand: CandidateExtremal,
 
     def branch(anchor: float) -> Callable[[np.ndarray], np.ndarray]:
         def g(ts: np.ndarray) -> np.ndarray:
-            out = np.empty_like(ts)
-            for j, t in enumerate(ts):
-                t = float(t)
-                force, rho = _force_momentum(p, cand, t, "right")
-                out[j] = float(np.dot(force, xi) * (t - anchor) + np.dot(rho, xi))
-            return out
+            ts = ts.tolist()
+            force, rho = _force_momentum(p, cand, ts, "right")
+            return np.array([float(np.dot(force[:, j], xi) * (t - anchor)
+                                   + np.dot(rho[:, j], xi))
+                             for j, t in enumerate(ts)])
         return g
 
     breaks = _variation_breaks(p, cand.traj)
@@ -281,15 +259,13 @@ def euler_residual(p: DelayProblem, cand: CandidateExtremal, t: float,
             f"no room for the FD stencil at t={t} from the {side}")
     s = min(_EULER_FD_STEP * (1.0 + abs(t)), available / 2.0)
 
-    def rho(u: float) -> np.ndarray:
-        return _force_momentum(p, cand, u, side)[1]
-
     if side == "right":
-        drho = (-3.0 * rho(t) + 4.0 * rho(t + s) - rho(t + 2.0 * s)) / (2.0 * s)
+        force, rho = _force_momentum(p, cand, [t, t + s, t + 2.0 * s], side)
+        drho = (-3.0 * rho[:, 0] + 4.0 * rho[:, 1] - rho[:, 2]) / (2.0 * s)
     else:
-        drho = (3.0 * rho(t) - 4.0 * rho(t - s) + rho(t - 2.0 * s)) / (2.0 * s)
-    force = _force_momentum(p, cand, t, side)[0]
-    return drho - force
+        force, rho = _force_momentum(p, cand, [t, t - s, t - 2.0 * s], side)
+        drho = (3.0 * rho[:, 0] - 4.0 * rho[:, 1] + rho[:, 2]) / (2.0 * s)
+    return drho - force[:, 0]
 
 
 def _one_sided_t_slope(p: DelayProblem, cand: CandidateExtremal, theta: float,
@@ -334,7 +310,7 @@ def e_sum_slope(p: DelayProblem, cand: CandidateExtremal, theta: float,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
 
     def f(t: float) -> float:
-        return ExcessPoint(p, cand, t, side).e_sum(xi)
+        return float(ExcessPoint(p, cand, t, side).e_sum(xi)[0])
     return _one_sided_t_slope(p, cand, theta, side, f)
 
 
@@ -407,13 +383,12 @@ def lagrangian_scale(p: DelayProblem, cand: CandidateExtremal,
                      samples: int = 16) -> float:
     """Coarse |L| scale along the candidate, used to scale tolerances."""
     ts = np.linspace(p.t0, p.t1, samples)
+    # L on the candidate and with every slope raised by 1
+    xis = np.outer([0.0, 1.0], np.ones(p.dim))
     vals = []
     for t in ts:
-        env = along(p, cand, float(t), "right" if t < p.t1 else "left")
-        vals.append(abs(problem_mod.eval_L_env(p, float(t), env)))
-        vals.append(abs(problem_mod.eval_L_env(
-            p, float(t), {**env, **{f"dx{i+1}": env[f"dx{i+1}"] + 1.0
-                                    for i in range(p.dim)}})))
+        args = along(p, cand, float(t), "right" if t < p.t1 else "left")
+        vals.extend(np.abs(eval_L(p, shift_slopes(p, args, "dx", xis))).tolist())
     return max(vals) if vals else 0.0
 
 
@@ -457,12 +432,13 @@ def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
         for side in sides:
             tasks.append((t, side))
 
+    stack = np.array(xi_samples)
+    unit = [abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12 for x in xi_samples]
+
     def run(task: Tuple[float, str]) -> ScanEntry:
         t, side = task
-        pt = ExcessPoint(p, cand, t, side)
-        vals = [pt.e_sum(x) for x in xi_samples]
-        unit_vals = [v for v, x in zip(vals, xi_samples)
-                     if abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12]
+        vals = ExcessPoint(p, cand, t, side).e_sum(stack).tolist()
+        unit_vals = [v for v, u in zip(vals, unit) if u]
         degen = tuple(tuple(float(c) for c in x)
                       for v, x in zip(vals, xi_samples) if abs(v) <= td)
         min_all = min(vals)
@@ -474,7 +450,7 @@ def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
             violation=min_all < -tw,
             degenerate_directions=degen)
 
-    entries = tuple(par_map(run, tasks))
+    entries = tuple(run(task) for task in tasks)
     overall = min(e.min_excess for e in entries)
     return WeierstrassScanReport(
         entries=entries, tol_w=tw, tol_deg=td, overall_min=overall,

@@ -483,12 +483,16 @@ def _tokenize(source: str) -> List[_Token]:
     return tokens
 
 
+# variable blocks after t, in argument order; y = x(t-h), dy = xdot(t-h)
+BLOCKS = ("x", "y", "dx", "dy")
+
+
 def admitted_variables(dim: int) -> Tuple[str, ...]:
     """Symbol set {t, x1..xn, y1..yn, dx1..dxn, dy1..dyn} for dimension n."""
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     names = ["t"]
-    for prefix in ("x", "y", "dx", "dy"):
+    for prefix in BLOCKS:
         names.extend(f"{prefix}{i}" for i in range(1, dim + 1))
     return tuple(names)
 

@@ -5,15 +5,26 @@ with boundary data x = phi on [t0-h, t0], x(t1) = x1, under the convention
 that L and all its partials are identically zero for t > t1.  The convention
 is implemented by gating on t at evaluation time, never by editing the AST,
 so the partials stay mutually consistent beyond t1.
+
+This module alone knows the argument layout.  An argument array has the
+rows (t, x1..xn, y1..yn, dx1..dxn, dy1..dyn), the admitted-variable order
+of the Lagrangian, where y = x(t-h) and dy = xdot(t-h); any trailing axes
+are batch axes, one evaluation per column.  `along` builds the vector of
+one point and `shift_slopes` stacks slope perturbations of it.  `eval_L`
+and `partials_vec` run the compiled Lagrangian, or each compiled partial,
+once over the whole batch.  Values at t > t1 are exactly 0.  Any other
+non-finite value is a domain error: the tree walk reruns at the first bad
+column, so the EvalDomainError names the offending subexpression.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .exprs import Const, EvalDomainError, ExprAst, LagrangianExpr, eval_expr
+from .exprs import (BLOCKS, EvalDomainError, ExprAst, LagrangianExpr,
+                    eval_expr)
 from .trajectory import (BREAK_TOL, HistorySpec, Trajectory, splice_history)
 from . import quadrature
 
@@ -85,82 +96,59 @@ class CandidateExtremal:
 
 
 # ---------------------------------------------------------------------------
-# point evaluation with the extended-zero convention
+# the evaluator
 
-def _call_scalar(expr: ExprAst, env: Dict[str, float]) -> float:
-    """Fast compiled evaluation; falls back to the tree walk to localize
-    the offending subexpression on a domain error."""
-    fn = expr.compiled()
-    args = [env[v] for v in expr.variables]
-    try:
-        with np.errstate(all="ignore"):
-            out = float(fn(*args))
-    except (ZeroDivisionError, ValueError, OverflowError):
-        return eval_expr(expr, env)  # raises EvalDomainError with context
-    if not math.isfinite(out):
-        eval_expr(expr, env)  # raises with context when truly invalid
+def _rows(p: DelayProblem, block: str) -> slice:
+    """Rows of one argument block in the layout."""
+    if block not in BLOCKS:
+        raise ProblemError(f"unknown partial block {block!r}")
+    k = BLOCKS.index(block)
+    return slice(1 + k * p.dim, 1 + (k + 1) * p.dim)
+
+
+def _evaluate(p: DelayProblem, expr: ExprAst, args: np.ndarray) -> np.ndarray:
+    """expr at an argument array (the layout, plus batch axes), gated to
+    exactly 0 where t > t1.  Returns the batch shape args.shape[1:]."""
+    with np.errstate(all="ignore"):
+        vals = np.where(args[0] > p.t1, 0.0, expr.compiled()(*args))
+    if not np.isfinite(vals).all():
+        bad = int(np.argmax(~np.isfinite(vals.ravel())))
+        column = args.reshape(len(args), -1)[:, bad]
+        eval_expr(expr, dict(zip(expr.variables, column.tolist())))
         raise EvalDomainError("non-finite value", str(expr))
+    return vals
+
+
+def eval_L(p: DelayProblem, args: np.ndarray) -> np.ndarray:
+    """The Lagrangian at an argument array."""
+    return _evaluate(p, p.lagrangian.body, args)
+
+
+def partials_vec(p: DelayProblem, block: str, args: np.ndarray) -> np.ndarray:
+    """Gradient block (one of x|y|dx|dy) at an argument array, with the n
+    partials on a new leading axis: shape (n,) + args.shape[1:]."""
+    return np.array([_evaluate(p, p.lagrangian.partial(v), args)
+                     for v in p.lagrangian.variables[_rows(p, block)]])
+
+
+def shift_slopes(p: DelayProblem, args: np.ndarray, block: str,
+                 xis: np.ndarray) -> np.ndarray:
+    """One copy of the argument vector args per row of the slope stack xis
+    (m, n), with that row added to the dx or dy block: shape (1+4n, m)."""
+    out = np.repeat(args[:, None], len(xis), axis=1)
+    out[_rows(p, block)] += xis.T
     return out
 
 
-def point_env(p: DelayProblem, t: float, x: np.ndarray, y: np.ndarray,
-              dx: np.ndarray, dy: np.ndarray) -> Dict[str, float]:
-    env = {"t": float(t)}
-    for i in range(p.dim):
-        env[f"x{i + 1}"] = float(x[i])
-        env[f"y{i + 1}"] = float(y[i])
-        env[f"dx{i + 1}"] = float(dx[i])
-        env[f"dy{i + 1}"] = float(dy[i])
-    return env
-
-
-def eval_L_extended(p: DelayProblem, t: float, x, y, dx, dy) -> float:
-    """L(t, x, y, dx, dy) for t <= t1; exactly 0 for t > t1."""
-    if t > p.t1:
-        return 0.0
-    env = point_env(p, t, np.atleast_1d(np.asarray(x, dtype=float)),
-                    np.atleast_1d(np.asarray(y, dtype=float)),
-                    np.atleast_1d(np.asarray(dx, dtype=float)),
-                    np.atleast_1d(np.asarray(dy, dtype=float)))
-    return _call_scalar(p.lagrangian.body, env)
-
-
-def eval_L_env(p: DelayProblem, t: float, env: Dict[str, float]) -> float:
-    """L at a prebuilt argument assignment, gated beyond t1."""
-    if t > p.t1:
-        return 0.0
-    return _call_scalar(p.lagrangian.body, env)
-
-
-def eval_partial_env(p: DelayProblem, var: str, t: float,
-                     env: Dict[str, float]) -> float:
-    """One symbolic partial at a prebuilt assignment, gated beyond t1."""
-    if t > p.t1:
-        return 0.0
-    return _call_scalar(p.lagrangian.partial(var), env)
-
-
-def partials_vec(p: DelayProblem, block: str, t: float,
-                 env: Dict[str, float]) -> np.ndarray:
-    """Gradient block (one of x|y|dx|dy) as a length-n vector, gated beyond t1."""
-    if block not in ("x", "y", "dx", "dy"):
-        raise ProblemError(f"unknown partial block {block!r}")
-    if t > p.t1:
-        return np.zeros(p.dim)
-    return np.array([
-        _call_scalar(p.lagrangian.partial(f"{block}{i + 1}"), env)
-        for i in range(p.dim)])
-
-
 def along(p: DelayProblem, cand: CandidateExtremal, t: float,
-          side: str = "right") -> Dict[str, float]:
-    """Argument assignment (t, x(t), x(t-h), xdot(t), xdot(t-h)) along the
+          side: str = "right") -> np.ndarray:
+    """Argument vector (t, x(t), x(t-h), xdot(t), xdot(t-h)) along the
     candidate, with one-sided derivatives from the given side.
 
     Valid for t in [t0, t1+h].  For t > t1 the trajectory lookups clamp to
     t1: the values are irrelevant there because every Lagrangian term is
     gated to zero by the extended-zero convention; clamping just keeps the
-    assignment finite and deterministic.
+    vector finite and deterministic.
     """
     if t < p.t0 - BREAK_TOL or t > p.t1 + p.h + BREAK_TOL:
         raise ProblemError(
@@ -178,11 +166,8 @@ def along(p: DelayProblem, cand: CandidateExtremal, t: float,
             eff = "right"
         return traj.deriv(tt, eff)
 
-    x = traj.value(te)
-    y = traj.value(ts)
-    dx = _deriv(te, side)
-    dy = _deriv(ts, side)
-    return point_env(p, t, x, y, dx, dy)
+    return np.concatenate(([float(t)], traj.value(te), traj.value(ts),
+                           _deriv(te, side), _deriv(ts, side)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +183,7 @@ def _lagrangian_panel_values(p: DelayProblem, traj: Trajectory,
     dxs = seg_t.deriv_arr(ts)
     ys = seg_y.value_arr(ts - p.h)
     dys = seg_y.deriv_arr(ts - p.h)
-    fn = p.lagrangian.body.compiled()
-    with np.errstate(all="ignore"):
-        vals = np.asarray(fn(ts, *xs, *ys, *dxs, *dys), dtype=float)
-    if vals.shape != ts.shape:
-        vals = np.broadcast_to(vals, ts.shape).copy()
-    # extended-zero convention: nothing contributes beyond t1
-    vals = np.where(ts > p.t1, 0.0, vals)
-    if not np.all(np.isfinite(vals)):
-        bad = float(ts[int(np.argmax(~np.isfinite(vals)))])
-        raise EvalDomainError(f"non-finite Lagrangian sample at t={bad}",
-                              p.lagrangian.source)
-    return vals
+    return eval_L(p, np.vstack((ts, xs, ys, dxs, dys)))
 
 
 def integrate_L(p: DelayProblem, traj: Trajectory, lo: float, hi: float,
@@ -241,13 +215,3 @@ def eval_S(p: DelayProblem, traj: Trajectory, order: Optional[int] = None) -> fl
             f"trajectory domain [{traj.a}, {traj.b}] does not cover "
             f"[{p.t0 - p.h}, {p.t1}]")
     return integrate_L(p, traj, p.t0, p.t1, order=order)
-
-
-def lagrangian_is_state_independent(p: DelayProblem) -> bool:
-    """True when every x/y partial is the constant-zero AST."""
-    for block in ("x", "y"):
-        for i in range(1, p.dim + 1):
-            node = p.lagrangian.partial(f"{block}{i}").root
-            if not (isinstance(node, Const) and node.value == 0.0):
-                return False
-    return True

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from needlecheck import analysis
 from needlecheck.analysis import (
     DEFAULT_SCALES,
     AnalysisError,
@@ -163,6 +164,21 @@ def test_interval_check_small_ball_escape(quartic_well):
     assert v2.conclusion == "CONSISTENT"
     assert "not certified in small ball" in v2.note
     assert "0.5" in v2.note
+
+
+@pytest.mark.parametrize("scales", [(2.0, 1.0, 0.5), (0.5, 2.0)])
+def test_interval_check_scale_order(quartic_well, scales):
+    # 2*eta is not degenerate here; the interval check must still gate on
+    # the finding's own direction, wherever scale 1 falls in the scale list
+    p, cand = quartic_well
+    finding = DegeneracyFinding(
+        kind="interval", t_lo=0.2, t_hi=1.8, side="both",
+        direction=np.array([1.0]), lam=0.5, evidence=(0.0, 0.0),
+        tol_deg=1e-9, certified_pairs=(((1.0,), 0.5),))
+    v1, v2 = theorem_5_1_check(p, cand, finding, scales=scales)
+    assert v1 == theorem_5_1_check(p, cand, finding)[0]
+    assert v2.conclusion == "CONSISTENT"
+    assert v2.note == "degeneracy not certified in small ball (scales 0.5, 2)"
 
 
 def test_interval_check_rejects_corrupted_finding(sample_problem, sample_cand):
@@ -348,6 +364,32 @@ def test_full_report_stops_on_non_extremal():
     assert report.weierstrass is None
     assert report.findings == () and report.verdicts == ()
     assert any("not an extremal" in n for n in report.notes)
+
+
+def test_full_report_stops_on_scan_error():
+    # slope -1 and below take 1 + dx1 outside the domain of ^1.5
+    p = make_problem("(1 + dx1)^1.5")
+    report = full_report(p, make_candidate(p))
+    assert report.overall == "ERROR"
+    assert report.euler.extremal and report.weierstrass is None
+    assert report.findings == () and report.verdicts == ()
+    assert report.expansion_checks == ()
+    (stage, msg), = report.stage_errors
+    assert stage == "weierstrass" and "'(1 + dx1)^1.5'" in msg
+
+
+def test_full_report_keeps_evidence_after_a_later_stage_error(
+        sample_problem, sample_cand, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AnalysisError("stage failed")
+    monkeypatch.setattr(analysis, "theorem_5_1_check", fail)
+    monkeypatch.setattr(analysis, "verify_expansion", fail)
+    report = full_report(sample_problem, sample_cand)
+    assert [v.theorem for v in report.verdicts] == ["6.1(ii)", "6.2(ii)"]
+    assert report.overall == "FAILS_WEAK"
+    assert len(report.findings) == 1 and report.expansion_checks == ()
+    assert [s for s, _ in report.stage_errors] == [
+        "theorem5", "increment[right]", "increment[left]"]
 
 
 def test_full_report_flags_excess_violation():

@@ -28,8 +28,9 @@ from needlecheck.conditions import (
     weierstrass_scan,
     xi_sample_set,
 )
+from needlecheck.exprs import eval_expr
 from needlecheck.needle import NeedleSpec
-from needlecheck.problem import eval_S
+from needlecheck.problem import CandidateExtremal, eval_S
 from needlecheck.trajectory import Trajectory
 
 from conftest import SAMPLE_L, make_candidate, make_problem
@@ -63,6 +64,70 @@ def test_excess_side_independent_at_smooth_points(sample_problem, sample_cand):
     pt_l = ExcessPoint(p, cand, 1.3, "left")
     xi = np.array([0.8])
     assert pt_r.e_sum(xi) == pytest.approx(pt_l.e_sum(xi), abs=1e-13)
+
+
+LAYOUT_L = ("sin(x1)*dx1^2 + exp(0.2*y2)*dy2^2 + dx1*dy3 + dx2*dy1"
+            " + (1 + y1^2)*dy3^2 + x3*dx3^2 + exp(t)*dx2*dx3 + y3*dy1")
+
+
+def _oracle_slot(p, traj, t, side, xis, lam, slope, state):
+    """Excess and M in one slot, rebuilt by the tree walk on named dicts."""
+    if t > p.t1:
+        return np.zeros(len(xis)), np.zeros(len(xis))
+    env = {"t": t}
+    for block, comps in (("x", traj.value(t)), ("y", traj.value(t - p.h)),
+                         ("dx", traj.deriv(t, side)),
+                         ("dy", traj.deriv(t - p.h, side))):
+        env.update({f"{block}{i + 1}": float(c) for i, c in enumerate(comps)})
+    lag = p.lagrangian
+
+    def at(xi, name=None):
+        moved = dict(env, **{f"{slope}{i + 1}": env[f"{slope}{i + 1}"] + xi[i]
+                             for i in range(p.dim)})
+        if name is None:
+            return eval_expr(lag.body, moved)
+        return np.array([eval_expr(lag.partial(f"{name}{i + 1}"), moved)
+                         for i in range(p.dim)])
+
+    zero = np.zeros(p.dim)
+    excess, m = [], []
+    for xi in xis:
+        excess.append(at(xi) - at(zero) - float(np.dot(at(zero, slope), xi)))
+        pair = paired_slope(lam, xi)
+        m.append(lam * np.dot(at(xi, state) - at(zero, state), xi)
+                 + (1 - lam) * np.dot(at(pair, state) - at(zero, state), xi))
+    return np.array(excess), np.array(m)
+
+
+def test_batched_slots_match_tree_walk_on_named_arguments():
+    # dim 3 and a breakpoint at 1.5 (and at 0, where history meets the
+    # interior), so a slot or block offset mix-up changes the values
+    p = make_problem(LAYOUT_L, dim=3, phi=["0.5*t", "sin(t)", "t^2"],
+                     x1=[2.25, 0.375, 0.75])
+    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
+        (0.0, 1.5, ["t", "0.3*t^2", "-t"]),
+        (1.5, 3.0, ["1.5 + 0.5*(t - 1.5)", "0.675 - 0.2*(t - 1.5)",
+                    "-1.5 + (t - 1.5)^2"])]))
+    xis = np.random.default_rng(5).uniform(-1.5, 1.5, (7, 3))
+    lam = 0.3
+    # smooth paired points (0.2, 1.7); 1.5 puts the x slot on the
+    # candidate breakpoint and 0.5 puts the y slot (at t+h) there; at 1.0
+    # the delayed argument x(t-h) sits where history meets the interior;
+    # at 2.5 the y slot is beyond t1
+    for t in (0.2, 0.5, 1.0, 1.5, 1.7, 2.5):
+        for side in ("right", "left"):
+            pt = ExcessPoint(p, cand, t, side)
+            for slot, slope, state, u in (("x", "dx", "x", t),
+                                          ("y", "dy", "y", t + p.h)):
+                want_e, want_m = _oracle_slot(p, cand.traj, u, side, xis,
+                                              lam, slope, state)
+                np.testing.assert_allclose(pt.excess(slot, xis), want_e,
+                                           rtol=1e-13, atol=1e-13)
+                np.testing.assert_allclose(pt.m(slot, lam, xis), want_m,
+                                           rtol=1e-13, atol=1e-13)
+                if u > p.t1:
+                    assert not pt.excess(slot, xis).any()
+                    assert not pt.m(slot, lam, xis).any()
 
 
 def test_q_k_closed_forms(sample_problem, sample_cand):

@@ -9,12 +9,11 @@ from needlecheck.problem import (
     DelayProblem,
     ProblemError,
     along,
-    eval_L_env,
-    eval_L_extended,
+    eval_L,
     eval_S,
     integrate_L,
-    lagrangian_is_state_independent,
     partials_vec,
+    shift_slopes,
 )
 from needlecheck.trajectory import HistorySpec, Trajectory, constant_history
 
@@ -52,29 +51,41 @@ def test_candidate_admissibility():
 
 def test_extended_zero_past_t1(sample_problem):
     p = sample_problem
-    x = np.array([0.3])
     for t in (3.0 + 1e-6, 3.5, 10.0):
-        assert eval_L_extended(p, t, x, x, x, x) == 0.0
-        env = {"t": t, "x1": 0.3, "y1": 0.3, "dx1": 0.3, "dy1": 0.3}
-        assert eval_L_env(p, t, env) == 0.0
+        args = np.array([t, 0.3, 0.3, 0.3, 0.3])  # (t, x1, y1, dx1, dy1)
+        assert eval_L(p, args) == 0.0
         for block in ("x", "y", "dx", "dy"):
-            np.testing.assert_array_equal(partials_vec(p, block, t, env),
+            np.testing.assert_array_equal(partials_vec(p, block, args),
                                           np.zeros(1))
     # exactly at t1 the integrand is still live
-    env1 = {"t": 3.0, "x1": 0.0, "y1": 0.0, "dx1": 1.0, "dy1": 0.0}
-    assert eval_L_env(p, 3.0, env1) == pytest.approx(1.0, abs=1e-15)
+    assert eval_L(p, np.array([3.0, 0.0, 0.0, 1.0, 0.0])) == \
+        pytest.approx(1.0, abs=1e-15)
+    # the gate is per column of a batch
+    batch = np.array([[2.0, 3.0, 3.5], [0.0] * 3, [0.0] * 3, [1.0] * 3,
+                      [0.0] * 3])
+    np.testing.assert_array_equal(eval_L(p, batch), [1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(partials_vec(p, "dx", batch),
+                                  [[2.0, 2.0, 0.0]])
 
 
 def test_along_reads_the_delayed_slot():
     p = make_problem(SAMPLE_L)
     cand = make_candidate(p, ["0.1*t*(3 - t)"])
-    env = along(p, cand, 0.5, "right")
-    assert env["x1"] == pytest.approx(0.125, abs=1e-14)
-    assert env["y1"] == 0.0            # reads history
-    assert env["dy1"] == 0.0
-    env = along(p, cand, 1.5, "right")
-    assert env["y1"] == pytest.approx(0.125, abs=1e-14)   # x(0.5)
-    assert env["dy1"] == pytest.approx(0.2, abs=1e-13)    # xdot(0.5)
+    t, x1, y1, dx1, dy1 = along(p, cand, 0.5, "right")
+    assert t == 0.5
+    assert x1 == pytest.approx(0.125, abs=1e-14)
+    assert dx1 == pytest.approx(0.2, abs=1e-13)
+    assert y1 == 0.0            # reads history
+    assert dy1 == 0.0
+    t, x1, y1, dx1, dy1 = along(p, cand, 1.5, "right")
+    assert y1 == pytest.approx(0.125, abs=1e-14)   # x(0.5)
+    assert dy1 == pytest.approx(0.2, abs=1e-13)    # xdot(0.5)
+    # slope shifts land in the named block only, one column per slope
+    shifted = shift_slopes(p, along(p, cand, 1.5, "right"), "dy",
+                           np.array([[1.0], [-2.0]]))
+    np.testing.assert_array_equal(shifted[:4], np.repeat(
+        along(p, cand, 1.5, "right")[:4, None], 2, axis=1))
+    np.testing.assert_allclose(shifted[4], [1.2, -1.8], atol=1e-13)
 
 
 def test_integrate_clips_to_problem_window(sample_problem, sample_cand):
@@ -129,7 +140,3 @@ def test_cost_matches_trapezoid_oracle():
     got = eval_S(p, cand.traj)
     assert got == pytest.approx(oracle, abs=1e-9)
 
-
-def test_state_independence_probe():
-    assert not lagrangian_is_state_independent(make_problem(SAMPLE_L))
-    assert lagrangian_is_state_independent(make_problem("dx1^2 + dy1^2"))
