@@ -350,12 +350,12 @@ def _point_quantity(p: DelayProblem, cand: CandidateExtremal, theta: float,
     # maps are minimized, so their one-sided time derivatives must vanish
     fermat_tol = 100.0 * tol
     for d in (eta, paired_slope(lam, eta)):
-        for fd_side in ("right", "left"):
-            slope = conditions.e_sum_slope(p, cand, theta, fd_side, d)
+        for slope_side in ("right", "left"):
+            slope = conditions.e_sum_slope(p, cand, theta, slope_side, d)
             if abs(slope) > fermat_tol:
                 raise AnalysisError(
                     f"excess sum map not stationary at theta={theta} from "
-                    f"the {fd_side} (slope {slope}): interior-minimum "
+                    f"the {slope_side} (slope {slope}): interior-minimum "
                     f"hypothesis fails")
     desc = "M_x + M_y at the interior degenerate point (= 0 required)"
     return m_r, tol, abs(m_r) > tol, desc
@@ -586,24 +586,10 @@ class AnalysisReport:
 
 def euler_stage(p: DelayProblem, cand: CandidateExtremal,
                  config: AnalysisSettings) -> EulerStage:
-    kinks = conditions.momentum_kinks(p, cand)
-    ts = [float(t) for t in np.linspace(p.t0, p.t1, config.euler_grid)]
-
-    def residual_at(t: float) -> float:
-        if t <= p.t0 + BREAK_TOL:
-            side = "right"
-        elif t >= p.t1 - BREAK_TOL:
-            side = "left"
-        else:
-            # step into the roomier smooth piece around t
-            d_up = min((k - t for k in kinks if k > t + BREAK_TOL),
-                       default=p.t1 - t)
-            d_down = min((t - k for k in kinks if k < t - BREAK_TOL),
-                         default=t - p.t0)
-            side = "right" if d_up >= d_down else "left"
-        return float(np.max(np.abs(conditions.euler_residual(p, cand, t, side))))
-
-    vals = [residual_at(t) for t in ts]
+    ts = np.linspace(p.t0, p.t1, config.euler_grid)
+    # one batch: every grid point from the right, the endpoint t1 from the left
+    sides = ["right" if t < p.t1 - BREAK_TOL else "left" for t in ts]
+    vals = np.max(np.abs(conditions.euler_residual(p, cand, ts, sides)), axis=0)
     worst = int(np.argmax(vals))
     return EulerStage(grid_size=config.euler_grid,
                       max_residual=float(vals[worst]),

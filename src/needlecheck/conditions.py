@@ -23,7 +23,7 @@ import numpy as np
 from . import quadrature
 from .needle import NeedleSpec, check_eps
 from .problem import (CandidateExtremal, DelayProblem, along, eval_L,
-                      partials_vec, shift_slopes)
+                      partials_vec, shift_slopes, time_rate)
 from .trajectory import BREAK_TOL, Trajectory
 
 DEFAULT_RADII = (0.25, 0.5, 1.0, 2.0)
@@ -31,8 +31,6 @@ DEFAULT_LAMBDAS = (0.5, 0.25, 0.75)
 # absolute scale floors; both tolerances scale as tol*(1+|L| scale)
 DEFAULT_TOL_W = 1e-9
 DEFAULT_TOL_DEG = 1e-9
-
-_EULER_FD_STEP = 1e-5
 
 
 class ConditionsError(ValueError):
@@ -150,15 +148,27 @@ def m_term(p: DelayProblem, cand: CandidateExtremal, t: float, side: str,
 # ---------------------------------------------------------------------------
 # first variation and the Euler residual
 
+def _path(p: DelayProblem, cand: CandidateExtremal, ts: Sequence[float],
+          side, shift: float = 0.0, rate: bool = False) -> np.ndarray:
+    """along() at each time of ts plus shift, from the side (one side, or
+    one per time): one column per time.  With rate, the time derivatives
+    of those argument vectors."""
+    sides = [side] * len(ts) if isinstance(side, str) else side
+    return np.stack([along(p, cand, t + shift, s, rate)
+                     for t, s in zip(ts, sides)], axis=1)
+
+
 def _force_momentum(p: DelayProblem, cand: CandidateExtremal,
-                    ts: Sequence[float],
-                    side: str) -> Tuple[np.ndarray, np.ndarray]:
+                    ts: Sequence[float], side,
+                    rate: bool = False) -> Tuple[np.ndarray, np.ndarray]:
     """(Lx(t)+Ly(t+h), Ldx(t)+Ldy(t+h)) along the candidate, one column per
-    time of ts: two (n, len(ts)) arrays."""
-    at_t = np.stack([along(p, cand, t, side) for t in ts], axis=1)
-    at_th = np.stack([along(p, cand, t + p.h, side) for t in ts], axis=1)
+    time of ts: two (n, len(ts)) arrays.  With rate, the exact time
+    derivative of the momentum Ldx(t)+Ldy(t+h) replaces it."""
+    at_t, at_th = _path(p, cand, ts, side), _path(p, cand, ts, side, p.h)
+    r_t = _path(p, cand, ts, side, rate=True) if rate else None
+    r_th = _path(p, cand, ts, side, p.h, rate=True) if rate else None
     force = partials_vec(p, "x", at_t) + partials_vec(p, "y", at_th)
-    rho = partials_vec(p, "dx", at_t) + partials_vec(p, "dy", at_th)
+    rho = partials_vec(p, "dx", at_t, r_t) + partials_vec(p, "dy", at_th, r_th)
     return force, rho
 
 
@@ -229,89 +239,54 @@ def needle_first_variation(p: DelayProblem, cand: CandidateExtremal,
     return inner + (spec.lam / (spec.lam - 1.0)) * outer
 
 
-def momentum_kinks(p: DelayProblem, cand: CandidateExtremal) -> List[float]:
-    """Points where the combined momentum map t -> Ldx(t)+Ldy(t+h) may kink:
-    candidate breakpoints, their +-h shifts, and the regime switch t1-h."""
-    pts = {p.t0, p.t1, p.t1 - p.h}
-    for bp in cand.traj.breakpoints:
-        pts.update((bp, bp - p.h, bp + p.h))
-    return sorted(x for x in pts if p.t0 - BREAK_TOL <= x <= p.t1 + BREAK_TOL)
+def euler_residual(p: DelayProblem, cand: CandidateExtremal, t,
+                   side="right") -> np.ndarray:
+    """d/dt[Ldx(t)+Ldy(t+h)] - [Lx(t)+Ly(t+h)] at one time t, shape (n,),
+    or at each time of an array t, shape (n, len(t)), one batch; side is
+    one side or one per time.  The time derivative is exact: the chain rule
+    through the symbolic second partials of L and the candidate's exact
+    one-sided first and second derivatives.  The extended-zero convention
+    supplies the single-term regime on (t1-h, t1] with the same formula."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    force, drho = _force_momentum(p, cand, ts, side, rate=True)
+    return drho - force if np.ndim(t) else (drho - force)[:, 0]
 
 
-def euler_residual(p: DelayProblem, cand: CandidateExtremal, t: float,
-                   side: str = "right") -> np.ndarray:
-    """d/dt[Ldx(t)+Ldy(t+h)] - [Lx(t)+Ly(t+h)] with the time derivative by
-    one-sided 3-point FD of the momentum map, stencil kept inside the smooth
-    piece around t.  The extended-zero convention supplies the single-term
-    regime on (t1-h, t1] with the same formula."""
-    if side not in ("left", "right"):
-        raise ConditionsError(f"side must be 'left' or 'right', got {side!r}")
-    kinks = momentum_kinks(p, cand)
-    lo, hi = p.t0, p.t1
-    for k in kinks:
-        if k < t - BREAK_TOL:
-            lo = max(lo, k)
-        elif k > t + BREAK_TOL:
-            hi = min(hi, k)
-    available = (hi - t) if side == "right" else (t - lo)
-    if available <= 1e-13:
-        raise ConditionsError(
-            f"no room for the FD stencil at t={t} from the {side}")
-    s = min(_EULER_FD_STEP * (1.0 + abs(t)), available / 2.0)
-
-    if side == "right":
-        force, rho = _force_momentum(p, cand, [t, t + s, t + 2.0 * s], side)
-        drho = (-3.0 * rho[:, 0] + 4.0 * rho[:, 1] - rho[:, 2]) / (2.0 * s)
-    else:
-        force, rho = _force_momentum(p, cand, [t, t - s, t - 2.0 * s], side)
-        drho = (3.0 * rho[:, 0] - 4.0 * rho[:, 1] + rho[:, 2]) / (2.0 * s)
-    return drho - force[:, 0]
-
-
-def _one_sided_t_slope(p: DelayProblem, cand: CandidateExtremal, theta: float,
-                       side: str, f: Callable[[float], float]) -> float:
-    """One-sided 3-point FD in t of a scalar map along the candidate,
-    stepping into the given side and staying inside the smooth piece
-    bounded by the nearest momentum kink."""
-    if side not in ("left", "right"):
-        raise ConditionsError(f"side must be 'left' or 'right', got {side!r}")
-    kinks = momentum_kinks(p, cand)
-    if side == "right":
-        ahead = [k for k in kinks if k > theta + BREAK_TOL]
-        available = (min(ahead) if ahead else p.t1) - theta
-        sign = 1.0
-    else:
-        behind = [k for k in kinks if k < theta - BREAK_TOL]
-        available = theta - (max(behind) if behind else p.t0)
-        sign = -1.0
-    s = min(1e-4, available / 8.0)
-    if s <= 1e-13:
-        raise ConditionsError(
-            f"no smooth piece on the {side} of t={theta} wide enough "
-            f"for the FD stencil")
-    f0 = f(theta)
-    f1 = f(theta + sign * s)
-    f2 = f(theta + sign * 2.0 * s)
-    return sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * s)
+def _e_sum_rates(p: DelayProblem, cand: CandidateExtremal, theta: float,
+                 side: str, xis) -> np.ndarray:
+    """Exact one-sided d/dt at theta of the excess sum map
+    t -> E_x(t) + E_y(t), for each slope of the stack xis (m, n).  The
+    slope shift is fixed in t, so the shifted arguments move at the base
+    rate and the chain rule runs through base and shifted columns alike."""
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    out = np.zeros(len(xis))
+    for block, nu in (("dx", theta), ("dy", theta + p.h)):
+        base, base_rate = (along(p, cand, nu, side, r) for r in (False, True))
+        # column 0 is the unshifted base, the others carry one slope each
+        args = shift_slopes(p, base, block,
+                            np.vstack((np.zeros(p.dim), xis)))
+        rate = np.repeat(base_rate[:, None], len(args[0]), axis=1)
+        dL = time_rate(p, (), args, rate)
+        dgrad = partials_vec(p, block, args[:, :1], rate[:, :1])[:, 0]
+        out += dL[1:] - dL[0] - _dot(dgrad, xis)
+    return out
 
 
 def q2_sum_slope(p: DelayProblem, cand: CandidateExtremal, theta: float,
                  side: str, lam: float, xi: np.ndarray) -> float:
     """One-sided d/dt at theta of the Q_2 sum map t -> Q_2_x(t) + Q_2_y(t)."""
-    def f(t: float) -> float:
-        q2_x, q2_y = q_k(p, cand, t, side, lam, xi, 2)
-        return q2_x + q2_y
-    return _one_sided_t_slope(p, cand, theta, side, f)
+    if not 0.0 < lam < 1.0:
+        raise ConditionsError(f"lambda must be in (0,1), got {lam}")
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    at_xi, at_pair = _e_sum_rates(p, cand, theta, side,
+                                  [xi, paired_slope(lam, xi)])
+    return float(lam ** 2 * at_xi + (1.0 - lam ** 2) * at_pair)
 
 
 def e_sum_slope(p: DelayProblem, cand: CandidateExtremal, theta: float,
                 side: str, xi: np.ndarray) -> float:
     """One-sided d/dt at theta of the excess sum map t -> E_x(t) + E_y(t)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-
-    def f(t: float) -> float:
-        return float(ExcessPoint(p, cand, t, side).e_sum(xi)[0])
-    return _one_sided_t_slope(p, cand, theta, side, f)
+    return float(_e_sum_rates(p, cand, theta, side, xi)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -632,6 +632,11 @@ class ExprAst:
     def __str__(self):
         return str(self.root)
 
+    @property
+    def is_zero(self) -> bool:
+        """Folded to the constant 0, as a partial in an absent variable is."""
+        return isinstance(self.root, Const) and self.root.value == 0.0
+
     def compiled(self) -> Callable:
         """Numpy-broadcast callable with positional args in variables order."""
         if self._compiled is None:
@@ -672,38 +677,44 @@ def differentiate(expr: ExprAst, var: str) -> ExprAst:
 
 
 class LagrangianExpr:
-    """Parsed Lagrangian with symbolic partials for every non-time argument.
+    """Parsed Lagrangian with its symbolic partials.
 
-    partials[v] for v in x1..xn, y1..yn, dx1..dxn, dy1..dyn are generated
-    once at construction and agree with central finite differences of the
-    body (mixed tolerance 1e-6), which the test suite enforces.
+    partial(*names) differentiates the body in the admitted variables
+    names (t included), in order.  Each partial is built once, so it
+    compiles once; partials holds them, keyed by the name for a first
+    partial and by the name tuple otherwise.  The 4n first partials in
+    x1..dyn are built at construction, so a body that cannot be
+    differentiated fails there.  They agree with central finite
+    differences of the body (mixed tolerance 1e-6), which the test suite
+    enforces.
     """
 
     __slots__ = ("dim", "source", "body", "partials")
 
-    def __init__(self, dim: int, source: str, body: ExprAst,
-                 partials: Dict[str, ExprAst]):
+    def __init__(self, dim: int, source: str, body: ExprAst):
         self.dim = dim
         self.source = source
         self.body = body
-        self.partials = partials
+        self.partials: Dict[object, ExprAst] = {}
+        for var in self.variables[1:]:
+            self.partial(var)
 
     @property
     def variables(self) -> Tuple[str, ...]:
         return self.body.variables
 
-    def partial(self, var: str) -> ExprAst:
-        return self.partials[var]
+    def partial(self, *names: str) -> ExprAst:
+        key = names if len(names) > 1 else names[0]
+        if key not in self.partials:
+            inner = self.partial(*names[:-1]) if len(names) > 1 else self.body
+            self.partials[key] = differentiate(inner, names[-1])
+        return self.partials[key]
 
 
 def parse_lagrangian(source: str, dim: int) -> LagrangianExpr:
     """Parse L(t, x, y, dx, dy) text and build all 4n symbolic partials."""
-    variables = admitted_variables(dim)
-    body = parse_expr(source, variables, dim=dim)
-    partials = {}
-    for var in variables[1:]:
-        partials[var] = differentiate(body, var)
-    return LagrangianExpr(dim, source, body, partials)
+    body = parse_expr(source, admitted_variables(dim), dim=dim)
+    return LagrangianExpr(dim, source, body)
 
 
 # ---------------------------------------------------------------------------

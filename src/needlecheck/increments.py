@@ -3,8 +3,8 @@
 delta_S_direct builds the varied trajectory and integrates the Lagrangian
 difference with quadrature; it never touches the excess functionals.
 expansion_prediction assembles the predicted first and second order
-coefficients exclusively from the excess machinery (Q_1, M, and a finite
-difference of Q_2 in t); it never integrates the cost.  verify_expansion
+coefficients exclusively from the excess machinery (Q_1, M, and the time
+derivative of Q_2 by the chain rule); it never integrates the cost.  verify_expansion
 runs a geometric eps sweep of the direct increment, fits
 c1*eps + c2*eps^2, and compares the fit against the prediction.  Agreement
 of the two paths is the point: each would miss a bug in the other.
@@ -53,7 +53,8 @@ def expansion_prediction(p: DelayProblem, cand: CandidateExtremal,
 
     c1 is the Q_1 sum at theta.  c2 is +-(1/2) * (lam * M sum + d/dt Q_2 sum),
     with + for right needles and - for left needles: the sweep toward t0
-    flips the sign of the whole second-order bracket.  Built entirely from
+    flips the sign of the whole second-order bracket.  d/dt Q_2 sum is the
+    exact one-sided chain rule from the needle's side.  Built entirely from
     the excess functionals; the cost integral is never evaluated here.
     """
     window_for(p, spec)  # validates theta against the side's regime

@@ -10,9 +10,11 @@ This module alone knows the argument layout.  An argument array has the
 rows (t, x1..xn, y1..yn, dx1..dxn, dy1..dyn), the admitted-variable order
 of the Lagrangian, where y = x(t-h) and dy = xdot(t-h); any trailing axes
 are batch axes, one evaluation per column.  `along` builds the vector of
-one point and `shift_slopes` stacks slope perturbations of it.  `eval_L`
-and `partials_vec` run the compiled Lagrangian, or each compiled partial,
-once over the whole batch.  Values at t > t1 are exactly 0.  Any other
+one point, or its time derivative, and `shift_slopes` stacks slope
+perturbations of it.  `eval_L` and `partials_vec` run the compiled
+Lagrangian, or each compiled partial, once over the whole batch;
+`time_rate` contracts higher partials with a rate array to give exact time
+derivatives by the chain rule.  Values at t > t1 are exactly 0.  Any other
 non-finite value is a domain error: the tree walk reruns at the first bad
 column, so the EvalDomainError names the offending subexpression.
 """
@@ -124,11 +126,34 @@ def eval_L(p: DelayProblem, args: np.ndarray) -> np.ndarray:
     return _evaluate(p, p.lagrangian.body, args)
 
 
-def partials_vec(p: DelayProblem, block: str, args: np.ndarray) -> np.ndarray:
+def time_rate(p: DelayProblem, names: Tuple[str, ...], args: np.ndarray,
+              rate: np.ndarray) -> np.ndarray:
+    """d/dt of the partial of L in names (L itself for no names) along a
+    path through args whose time derivative is rate (same shape), by the
+    chain rule: the sum over arguments v of d_v(partial) * rate_v.  An
+    argument contributes exactly 0 where its rate is 0, and everywhere if
+    the partial does not depend on it; its partial is then not evaluated,
+    so neither a partial that is singular in a frozen argument nor an
+    unbounded rate of an absent one can spoil the sum."""
+    out = np.zeros(args.shape[1:])
+    for v, v_rate in zip(p.lagrangian.variables, rate):
+        d_v = p.lagrangian.partial(*names, v)
+        live = v_rate != 0.0
+        if np.any(live) and not d_v.is_zero:
+            out[live] += v_rate[live] * _evaluate(p, d_v, args[..., live])
+    return out
+
+
+def partials_vec(p: DelayProblem, block: str, args: np.ndarray,
+                 rate: Optional[np.ndarray] = None) -> np.ndarray:
     """Gradient block (one of x|y|dx|dy) at an argument array, with the n
-    partials on a new leading axis: shape (n,) + args.shape[1:]."""
-    return np.array([_evaluate(p, p.lagrangian.partial(v), args)
-                     for v in p.lagrangian.variables[_rows(p, block)]])
+    partials on a new leading axis: shape (n,) + args.shape[1:].  Given the
+    path's rate array, the time derivative of the block along it instead."""
+    names = p.lagrangian.variables[_rows(p, block)]
+    if rate is None:
+        return np.array([_evaluate(p, p.lagrangian.partial(v), args)
+                         for v in names])
+    return np.array([time_rate(p, (v,), args, rate) for v in names])
 
 
 def shift_slopes(p: DelayProblem, args: np.ndarray, block: str,
@@ -141,9 +166,11 @@ def shift_slopes(p: DelayProblem, args: np.ndarray, block: str,
 
 
 def along(p: DelayProblem, cand: CandidateExtremal, t: float,
-          side: str = "right") -> np.ndarray:
+          side: str = "right", rate: bool = False) -> np.ndarray:
     """Argument vector (t, x(t), x(t-h), xdot(t), xdot(t-h)) along the
-    candidate, with one-sided derivatives from the given side.
+    candidate, with one-sided derivatives from the given side; with rate,
+    its exact time derivative (1, xdot(t), xdot(t-h), xddot(t), xddot(t-h))
+    from the same side.
 
     Valid for t in [t0, t1+h].  For t > t1 the trajectory lookups clamp to
     t1: the values are irrelevant there because every Lagrangian term is
@@ -158,16 +185,21 @@ def along(p: DelayProblem, cand: CandidateExtremal, t: float,
     ts = te - p.h
 
     # one-sided limits fall back to the interior side at the domain ends
-    def _deriv(tt: float, want: str) -> np.ndarray:
-        eff = want
+    def one_sided(lookup, tt: float) -> np.ndarray:
+        eff = side
         if tt >= traj.b - BREAK_TOL:
             eff = "left"
         elif tt <= traj.a + BREAK_TOL:
             eff = "right"
-        return traj.deriv(tt, eff)
+        return lookup(tt, eff)
 
+    if rate:
+        return np.concatenate(([1.0], one_sided(traj.deriv, te),
+                               one_sided(traj.deriv, ts),
+                               one_sided(traj.second_deriv, te),
+                               one_sided(traj.second_deriv, ts)))
     return np.concatenate(([float(t)], traj.value(te), traj.value(ts),
-                           _deriv(te, side), _deriv(ts, side)))
+                           one_sided(traj.deriv, te), one_sided(traj.deriv, ts)))
 
 
 # ---------------------------------------------------------------------------

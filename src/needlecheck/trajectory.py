@@ -29,7 +29,7 @@ class Segment:
     """One smooth piece: per-component value expressions in t on [t_start, t_end]."""
 
     __slots__ = ("t_start", "t_end", "value_exprs", "deriv_exprs",
-                 "_value_fns", "_deriv_fns")
+                 "_compiled")
 
     def __init__(self, t_start: float, t_end: float, value_exprs: Tuple[ExprAst, ...]):
         if not t_end > t_start:
@@ -39,27 +39,30 @@ class Segment:
         self.t_end = float(t_end)
         self.value_exprs = tuple(value_exprs)
         self.deriv_exprs = tuple(differentiate(e, "t") for e in value_exprs)
-        self._value_fns = None
-        self._deriv_fns = None
+        self._compiled = {}
 
     @property
     def dim(self) -> int:
         return len(self.value_exprs)
 
     def _fns(self, which: str):
-        if which == "value":
-            if self._value_fns is None:
-                self._value_fns = tuple(e.compiled() for e in self.value_exprs)
-            return self._value_fns
-        if self._deriv_fns is None:
-            self._deriv_fns = tuple(e.compiled() for e in self.deriv_exprs)
-        return self._deriv_fns
+        """Compiled components of the value, deriv or second derivative,
+        built on first use."""
+        if which not in self._compiled:
+            exprs_ = self.value_exprs if which == "value" else self.deriv_exprs
+            if which == "second":
+                exprs_ = tuple(differentiate(e, "t") for e in exprs_)
+            self._compiled[which] = tuple(e.compiled() for e in exprs_)
+        return self._compiled[which]
 
     def value(self, t: float) -> np.ndarray:
         return np.array([float(f(t)) for f in self._fns("value")])
 
     def deriv(self, t: float) -> np.ndarray:
         return np.array([float(f(t)) for f in self._fns("deriv")])
+
+    def second(self, t: float) -> np.ndarray:
+        return np.array([float(f(t)) for f in self._fns("second")])
 
     def value_arr(self, ts: np.ndarray) -> np.ndarray:
         """Shape (dim, len(ts)) array of values at the given times."""
@@ -178,21 +181,13 @@ class Trajectory:
         return self.segments[idx].deriv(t_eff)
 
     def second_deriv(self, t: float, side: str = "right") -> np.ndarray:
-        """One-sided second derivative: 3-point one-sided FD of deriv,
-        step min(1e-4, segment length / 8), stencil kept inside the segment."""
+        """One-sided second derivative from the given side: the symbolic
+        derivative of the segment's derivative, so exact per segment.  A
+        C1 candidate may have an unbounded one at a segment end; it is inf."""
         idx = self.segment_index(t, side)
-        seg = self.segments[idx]
         t_eff, _ = self._snap(t)
-        seg_len = seg.t_end - seg.t_start
-        available = (seg.t_end - t_eff) if side == "right" else (t_eff - seg.t_start)
-        s = min(1e-4, seg_len / 8.0, available / 2.0)
-        if s <= 1e-13:
-            raise TrajectoryError(
-                f"segment too short for the FD stencil at t={t} ({side})")
-        g = seg.deriv
-        if side == "right":
-            return (-3.0 * g(t_eff) + 4.0 * g(t_eff + s) - g(t_eff + 2.0 * s)) / (2.0 * s)
-        return (3.0 * g(t_eff) - 4.0 * g(t_eff - s) + g(t_eff - 2.0 * s)) / (2.0 * s)
+        with np.errstate(all="ignore"):
+            return self.segments[idx].second(np.float64(t_eff))
 
     # -- structure -----------------------------------------------------------
 

@@ -328,6 +328,42 @@ def test_euler_stage_on_sample(sample_problem, sample_cand):
     assert stage.max_residual <= 1e-8
 
 
+SINH = "0.5*(exp(t) - exp(-t))"
+
+
+@pytest.mark.parametrize("k", [1.0, 1e3, 1e6])
+def test_euler_stage_passes_the_sinh_extremal_at_any_scale(k):
+    # x = sinh t solves x'' = x, the Euler equation of k*(dx1^2 + x1^2)
+    # (no delayed terms), so it is an extremal whatever the factor k
+    p = make_problem(f"{k!r}*(dx1^2 + x1^2)", phi=[SINH], x1=[np.sinh(3.0)])
+    stage = euler_stage(p, make_candidate(p, [SINH]), AnalysisSettings())
+    assert stage.extremal
+    assert stage.max_residual <= 1e-8
+
+
+@pytest.mark.parametrize("lag", ["dx1^2 + x1^1.5", "dx1^2 + (x1 + dx1)^1.5"])
+def test_euler_stage_skips_partials_of_frozen_arguments(lag):
+    # along the zero candidate only t moves; d/dx1 and d/ddx1 of
+    # Ldx1 = 2*dx1 + 1.5*(x1 + dx1)^0.5 are infinite there, and with rate 0
+    # they must contribute exactly 0 rather than 0*inf
+    p = make_problem(lag)
+    stage = euler_stage(p, make_candidate(p), AnalysisSettings())
+    assert stage.max_residual == 0.0
+    assert stage.extremal
+
+
+def test_euler_stage_reports_an_unbounded_second_derivative():
+    # x = t^1.5 is C1 with xddot = 0.75/sqrt(t), unbounded at t0 = 0: the
+    # residual 2*xddot there is inf.  The delayed slot at t0 + h carries
+    # dy = xdot(t0) with the same infinite rate, but Ldy = 0 does not
+    # depend on dy, so it must add nothing rather than 0*inf = nan
+    p = make_problem("dx1^2", x1=[3.0 ** 1.5])
+    stage = euler_stage(p, make_candidate(p, ["t^1.5"]), AnalysisSettings())
+    assert stage.max_residual == np.inf
+    assert stage.argmax_t == 0.0
+    assert not stage.extremal
+
+
 def test_settings_defaults():
     s = AnalysisSettings()
     assert s.euler_grid == 100

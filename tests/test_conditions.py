@@ -20,7 +20,6 @@ from needlecheck.conditions import (
     excess_E,
     first_variation,
     m_term,
-    momentum_kinks,
     needle_first_variation,
     paired_slope,
     q2_sum_slope,
@@ -217,11 +216,6 @@ def test_needle_first_variation_zero_on_extremal(sample_problem, sample_cand):
         assert abs(needle_first_variation(p, cand, spec, 0.25)) <= 1e-10
 
 
-def test_momentum_kinks(sample_problem, sample_cand):
-    got = momentum_kinks(sample_problem, sample_cand)
-    np.testing.assert_allclose(got, [0.0, 1.0, 2.0, 3.0], atol=1e-12)
-
-
 def test_euler_residual_zero_on_extremal(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
     for t in (0.0, 0.5, 1.5, 2.5):
@@ -236,25 +230,104 @@ def test_euler_residual_nonzero_on_perturbed_candidate():
     p = make_problem(SAMPLE_L)
     cand = make_candidate(p, ["0.1*t*(3 - t)"])
     r = euler_residual(p, cand, 1.5, "right")
-    assert r[0] == pytest.approx(-0.22, abs=1e-6)
+    assert r[0] == pytest.approx(-0.22, abs=1e-12)
 
 
 def test_slope_helpers_on_time_weighted_lagrangian():
     # L = t*dx1^2 along zero: e_sum(t) = t*xi^2, Q2_sum(t) = t*(lam^2*xi^2
-    # + (1-lam^2)*pair^2); both are linear in t so the FD slope is exact.
+    # + (1-lam^2)*pair^2); the chain rule gives the t coefficients exactly.
     p = make_problem("t*dx1^2")
     cand = make_candidate(p)
     assert e_sum_slope(p, cand, 1.0, "right", np.array([1.0])) == \
-        pytest.approx(1.0, abs=1e-8)
+        pytest.approx(1.0, rel=1e-14)
     assert e_sum_slope(p, cand, 1.0, "left", np.array([2.0])) == \
-        pytest.approx(4.0, abs=1e-7)
+        pytest.approx(4.0, rel=1e-14)
     assert q2_sum_slope(p, cand, 1.0, "right", 0.5, np.array([1.0])) == \
-        pytest.approx(1.0, abs=1e-8)
+        pytest.approx(1.0, rel=1e-14)
     lam = 0.25
     pair = lam / (lam - 1.0)
     want = lam ** 2 + (1.0 - lam ** 2) * pair ** 2
     assert q2_sum_slope(p, cand, 1.0, "right", lam, np.array([1.0])) == \
-        pytest.approx(want, abs=1e-8)
+        pytest.approx(want, rel=1e-14)
+
+
+CHAIN_L = "t*x1*dy1^2 + sin(y1)*dx1^2 + x1^2*dx1*dy1 + exp(0.1*t)*dx1^2"
+# C1 history on [-1, 0], then two interior pieces: the derivative jumps at
+# t0 = 0 and at 1.3, and the second derivative jumps at both as well
+CHAIN_PIECES = (("-1", "0", "0.2*t + 0.1*t^2"),
+                ("0", "1.3", "0.5*t^2 - 0.3*t"),
+                ("1.3", "3", "0.455 + 0.8*(t - 1.3) - 0.2*(t - 1.3)^2"))
+
+
+def _sympy_time_slopes(theta, side, lam, xi):
+    """(e_sum slope, Q_2 sum slope, Euler residual) at theta from the side,
+    by sympy's derivative of the composed map t -> f(t, x(t), x(t-h),
+    xdot(t), xdot(t-h)) on the pieces governing the one-sided limits."""
+    sp = pytest.importorskip("sympy")
+    s = sp.Symbol("s")
+    names = ("t", "x1", "y1", "dx1", "dy1")
+    sym = {n: sp.Symbol(n) for n in names}
+    body = sp.sympify(CHAIN_L.replace("^", "**"), locals=sym, rational=True)
+    pieces = [(sp.Rational(a), sp.Rational(b),
+               sp.sympify(f.replace("^", "**"), locals={"t": s}, rational=True))
+              for a, b, f in CHAIN_PIECES]
+    theta = sp.Rational(repr(theta))
+
+    def piece(u):
+        for a, b, f in pieces:
+            if (a <= u < b) if side == "right" else (a < u <= b):
+                return f
+        return pieces[0][2] if u == pieces[0][0] else pieces[-1][2]
+
+    def args(shift):
+        """Argument map of the slot evaluated at s + shift."""
+        now = piece(theta + shift).subs(s, s + shift)
+        delayed = piece(theta + shift - 1).subs(s, s + shift - 1)
+        return {sym["t"]: s + shift, sym["x1"]: now, sym["y1"]: delayed,
+                sym["dx1"]: sp.diff(now, s), sym["dy1"]: sp.diff(delayed, s)}
+
+    # the y slot sits at nu = t + h and vanishes beyond t1 = 3
+    slots = [("dx1", "x1", args(0))]
+    if theta + 1 <= 3:
+        slots.append(("dy1", "y1", args(1)))
+
+    def slope(f):
+        return float(sp.diff(f, s).subs(s, theta).evalf(30))
+
+    def e_sum(z):
+        return sum(body.xreplace({**a, sym[v]: a[sym[v]] + z})
+                   - body.xreplace(a) - sp.diff(body, sym[v]).xreplace(a) * z
+                   for v, _, a in slots)
+
+    xi, lam = sp.Rational(repr(xi)), sp.Rational(repr(lam))
+    pair = lam / (lam - 1) * xi
+    momentum = sum(sp.diff(body, sym[v]).xreplace(a) for v, _, a in slots)
+    force = sum(sp.diff(body, sym[w]).xreplace(a) for _, w, a in slots)
+    return (slope(e_sum(xi)),
+            slope(lam ** 2 * e_sum(xi) + (1 - lam ** 2) * e_sum(pair)),
+            slope(momentum) - float(force.subs(s, theta).evalf(30)))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("theta", [0.3, 0.7, 1.0, 1.3, 2.3, 2.5])
+def test_time_slopes_match_sympy_chain_rule(theta, side):
+    # 0.7 is a smooth paired point; the breakpoint 1.3 is at the x slot for
+    # theta 1.3, at the y slot (t+h) for 0.3 and at x(t-h) for 2.3; at 1.0
+    # x(t-h) sits where history meets the interior; 2.3 and 2.5 are in the
+    # tail, where the y slot is gated off
+    p = make_problem(CHAIN_L, phi=[CHAIN_PIECES[0][2]],
+                     x1=[0.455 + 0.8 * 1.7 - 0.2 * 1.7 ** 2])
+    cand = CandidateExtremal.from_interior(
+        p, Trajectory.from_segments([(float(a), float(b), [f])
+                                     for a, b, f in CHAIN_PIECES[1:]]))
+    lam, xi = 0.3, 0.8
+    want_e, want_q2, want_r = _sympy_time_slopes(theta, side, lam, xi)
+    rel = pytest.approx
+    assert e_sum_slope(p, cand, theta, side, np.array([xi])) == \
+        rel(want_e, rel=1e-12)
+    assert q2_sum_slope(p, cand, theta, side, lam, np.array([xi])) == \
+        rel(want_q2, rel=1e-12)
+    assert euler_residual(p, cand, theta, side)[0] == rel(want_r, rel=1e-12)
 
 
 def test_direction_set_deterministic_unit_norm():

@@ -178,6 +178,18 @@ def test_parse_lagrangian_builds_all_partials():
     assert eval_expr(lag.partial("dy1"), pt) == pytest.approx(-4.0, abs=1e-14)
 
 
+def test_higher_partials_are_built_once():
+    lag = parse_lagrangian("t*x1*dx1^2 + exp(0.1*t)*dy1", 1)
+    pt = {"t": 2.0, "x1": 3.0, "y1": 0.0, "dx1": 0.5, "dy1": 1.0}
+    # d/dt of Ldx1 = 2*t*x1*dx1 is 2*x1*dx1; d/ddy1 then d/dt is 0.1*exp(0.1*t)
+    assert eval_expr(lag.partial("dx1", "t"), pt) == 3.0
+    assert eval_expr(lag.partial("dy1", "t"), pt) == \
+        pytest.approx(0.1 * np.exp(0.2), rel=1e-15)
+    assert eval_expr(lag.partial("dx1", "x1", "dx1"), pt) == 2.0 * 2.0
+    assert lag.partial("dx1", "t") is lag.partial("dx1", "t")
+    assert lag.partial("dx1") is lag.partials["dx1"]
+
+
 def test_parse_lagrangian_rejects_out_of_range_index():
     with pytest.raises(IndexOutOfRangeError):
         parse_lagrangian("dx2^2", 1)

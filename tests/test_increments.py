@@ -11,6 +11,7 @@ import pytest
 
 import needlecheck.conditions
 import needlecheck.problem
+import needlecheck.trajectory
 from needlecheck.increments import (
     IncrementError,
     default_eps_max,
@@ -107,6 +108,8 @@ def test_direct_path_ignores_excess_machinery(sample_problem, sample_cand,
     monkeypatch.setattr(needlecheck.conditions, "m_term", boom)
     monkeypatch.setattr(needlecheck.conditions, "excess_E", boom)
     monkeypatch.setattr(needlecheck.conditions, "q2_sum_slope", boom)
+    monkeypatch.setattr(needlecheck.problem, "time_rate", boom)
+    monkeypatch.setattr(needlecheck.trajectory.Trajectory, "second_deriv", boom)
     got = delta_S_direct(p, cand, RIGHT, 0.25)
     assert abs(got - (-0.5 * 0.25 ** 2)) <= 1e-12
 
