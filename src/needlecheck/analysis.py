@@ -96,15 +96,16 @@ class DegeneracyFinding:
 
 def _certifies(pt: ExcessPoint, etas, lams: Sequence[float],
                tol_deg: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Degeneracy certification of every eta (rows of etas) paired under
-    every lam: (ok, |E(eta)|, |E(pair)|), each of shape (etas, lams)."""
+    """Degeneracy certification at every time of pt of every eta (rows of
+    etas) paired under every lam: (ok, |E(eta)|, |E(pair)|), each of shape
+    (times, etas, lams)."""
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     lams = np.asarray(lams, dtype=float)
     pairs = paired_slope(lams[None, :, None], etas[:, None, :])
     vals = np.abs(pt.e_sum(np.concatenate(
         (etas, pairs.reshape(-1, etas.shape[1])))))
-    e1 = np.repeat(vals[:len(etas), None], len(lams), axis=1)
-    e2 = vals[len(etas):].reshape(len(etas), len(lams))
+    e1 = np.repeat(vals[:, :len(etas), None], len(lams), axis=2)
+    e2 = vals[:, len(etas):].reshape(len(vals), len(etas), len(lams))
     return (e1 <= tol_deg) & (e2 <= tol_deg), e1, e2
 
 
@@ -143,30 +144,20 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
     td = _resolve_tol_deg(p, cand, tol_deg)
 
     pairs = [(eta, float(lam)) for eta in directions for lam in lam_grid]
+    sides = ["left" if t >= p.t1 - BREAK_TOL else "right" for t in grid]
+    ok, e1, e2 = (a.reshape(len(grid), len(pairs)) for a in _certifies(
+        ExcessPoint(p, cand, grid, sides), directions, lam_grid, td))
 
-    per_point = []
-    for t in grid:
-        side = "left" if t >= p.t1 - BREAK_TOL else "right"
-        cert = _certifies(ExcessPoint(p, cand, t, side), directions,
-                          lam_grid, td)
-        per_point.append(list(zip(*(a.ravel().tolist() for a in cert))))
-
-    # group maximal certified runs by their exact grid extent
+    # maximal certified runs of each pair, grouped by their exact grid
+    # extent; edges[k, i] is +1 where a run of pair k starts at grid index
+    # i and -1 where one ends just before it
+    edges = np.diff(np.pad(ok.T.astype(np.int8), ((0, 0), (1, 1))), axis=1)
     extents = {}
-    for k, (eta, lam) in enumerate(pairs):
-        i = 0
-        while i < len(grid):
-            if not per_point[i][k][0]:
-                i += 1
-                continue
-            j = i
-            worst1 = worst2 = 0.0
-            while j < len(grid) and per_point[j][k][0]:
-                worst1 = max(worst1, per_point[j][k][1])
-                worst2 = max(worst2, per_point[j][k][2])
-                j += 1
-            extents.setdefault((i, j - 1), []).append((eta, lam, worst1, worst2))
-            i = j
+    for (k, i), (_, j) in zip(np.argwhere(edges == 1).tolist(),
+                              np.argwhere(edges == -1).tolist()):
+        eta, lam = pairs[k]
+        extents.setdefault((i, j - 1), []).append(
+            (eta, lam, float(e1[i:j, k].max()), float(e2[i:j, k].max())))
 
     findings = []
     for (i0, i1), certified in sorted(extents.items()):
@@ -244,11 +235,10 @@ def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
     if any(s <= 0 for s in scale_list):
         raise AnalysisError("scales must be positive")
     s_etas = np.array([s * eta for s in scale_list])
-    pts = [ExcessPoint(p, cand, t, "right") for t in ts]
+    pts = ExcessPoint(p, cand, ts, "right")
 
     # certification per point (rows) and scale (columns, in scale_list order)
-    ok, e1, e2 = (np.array(a)[..., 0] for a in
-                  zip(*(_certifies(pt, s_etas, [lam], td) for pt in pts)))
+    ok, e1, e2 = (a[..., 0] for a in _certifies(pts, s_etas, [lam], td))
     unit = scale_list.index(1.0)
     if not ok[:, unit].all():
         i = int(np.argmin(ok[:, unit]))
@@ -259,8 +249,7 @@ def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
     certified = ok.all(axis=0)
 
     # D(t) = M_x + M_y at every certified scale
-    d_vals = iter(np.array([pt.m_sum(lam, s_etas[certified])
-                            for pt in pts]).T.tolist())
+    d_vals = iter(pts.m_sum(lam, s_etas[certified]).T.tolist())
     outcomes = []
     for s, cert in zip(scale_list, certified.tolist()):
         if not cert:
@@ -328,7 +317,7 @@ def _point_quantity(p: DelayProblem, cand: CandidateExtremal, theta: float,
                 f"|E sums| = ({e1}, {e2}) exceed {td}")
 
     if side in ("right", "left"):
-        m_sum = float(ExcessPoint(p, cand, theta, side).m_sum(lam, eta)[0])
+        m_sum = float(ExcessPoint(p, cand, theta, side).m_sum(lam, eta)[0, 0])
         bracket = (lam * m_sum
                    + conditions.q2_sum_slope(p, cand, theta, side, lam, eta))
         tol = _eq_tol(tol_eq, bracket)
@@ -338,7 +327,7 @@ def _point_quantity(p: DelayProblem, cand: CandidateExtremal, theta: float,
         return bracket, tol, violated, desc
 
     # interior two-sided point: equality of the M sum
-    m_r, m_l = (float(ExcessPoint(p, cand, theta, s).m_sum(lam, eta)[0])
+    m_r, m_l = (float(ExcessPoint(p, cand, theta, s).m_sum(lam, eta)[0, 0])
                 for s in ("right", "left"))
     tol = _eq_tol(tol_eq, m_r)
     if abs(m_r - m_l) > tol:
@@ -514,13 +503,13 @@ def remark_6_1_equivalence(p: DelayProblem, cand: CandidateExtremal,
 
     pt = ExcessPoint(p, cand, theta, side)
     samples = xi_sample_set(p.dim, radii, seed)
-    wmin = min(pt.e_sum(samples).tolist())
+    wmin = min(pt.e_sum(samples)[0].tolist())
     if wmin < -tw:
         raise AnalysisError(
             f"pointwise excess condition fails at theta={theta} "
             f"(min {wmin} < -{tw}); the equivalence applies to candidates "
             f"that satisfy it")
-    e1, e2 = pt.e_sum([eta, paired_slope(lam_bar, eta)]).tolist()
+    e1, e2 = pt.e_sum([eta, paired_slope(lam_bar, eta)])[0].tolist()
     q1 = lam_bar * e1 + (1.0 - lam_bar) * e2
     zero_q1 = abs(q1) <= td
     zero_e = abs(e1) <= td and abs(e2) <= td

@@ -173,8 +173,8 @@ def excess(config: str, point: float, side: str, xi: Tuple[float, ...],
             if a.tol_w is None else a.tol_w
         q1_x, q1_y = conditions.q_k(p, cand, point, side, lam, eta, 1)
         q2_x, q2_y = conditions.q_k(p, cand, point, side, lam, eta, 2)
-        e_x, e_y = (pt.excess(s, [eta, pair]).tolist() for s in ("x", "y"))
-        m_x, m_y = (float(pt.m(s, lam, eta)[0]) for s in ("x", "y"))
+        e_x, e_y = (pt.excess(s, [eta, pair])[0].tolist() for s in ("x", "y"))
+        m_x, m_y = (float(pt.m(s, lam, eta)[0, 0]) for s in ("x", "y"))
         result = {
             "t": point, "side": side, "xi": eta, "lambda": lam,
             "paired_xi": pair,

@@ -17,6 +17,7 @@ identical inputs give bit-identical outputs.  Hot paths use compiled()
 to obtain a numpy-broadcast callable with the same operation order.
 """
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -645,8 +646,14 @@ class ExprAst:
 
 
 def _compile(root: Node, params: Iterable[str]) -> Callable:
-    params = tuple(params)
-    body = root.emit()
+    return _compile_source(tuple(params), root.emit())
+
+
+# Distinct expression objects often emit the same source: trajectory
+# segments rebuilt by split_at or a needle variation share their
+# derivatives, so most compiles of a run repeat an earlier one.
+@functools.lru_cache(maxsize=1024)
+def _compile_source(params: Tuple[str, ...], body: str) -> Callable:
     src = f"def _compiled({', '.join(params)}):\n    return {body}\n"
     namespace = dict(_NUMPY_FUNCS)
     exec(src, namespace)  # noqa: S102 - generated from the validated AST only

@@ -6,22 +6,27 @@ that L and all its partials are identically zero for t > t1.  The convention
 is implemented by gating on t at evaluation time, never by editing the AST,
 so the partials stay mutually consistent beyond t1.
 
-This module alone knows the argument layout.  An argument array has the
-rows (t, x1..xn, y1..yn, dx1..dxn, dy1..dyn), the admitted-variable order
-of the Lagrangian, where y = x(t-h) and dy = xdot(t-h); any trailing axes
-are batch axes, one evaluation per column.  `along` builds the vector of
-one point, or its time derivative, and `shift_slopes` stacks slope
-perturbations of it.  `eval_L` and `partials_vec` run the compiled
-Lagrangian, or each compiled partial, once over the whole batch;
-`time_rate` contracts higher partials with a rate array to give exact time
-derivatives by the chain rule.  Values at t > t1 are exactly 0.  Any other
-non-finite value is a domain error: the tree walk reruns at the first bad
-column, so the EvalDomainError names the offending subexpression.
+This module alone knows the argument layout.  An argument set is a
+sequence of the rows (t, x1..xn, y1..yn, dx1..dxn, dy1..dyn), the
+admitted-variable order of the Lagrangian, where y = x(t-h) and
+dy = xdot(t-h).  The rows broadcast to one batch shape, one evaluation per
+cell; a 2-D array (rows, T) is one such set.  `along` builds the set of an
+array of times, or its time derivative, and `shift_slopes` adds a stack of
+slope perturbations to it: the base rows stay (T, 1) views and only the
+perturbed block is (T, m), so a (1+4n, T, m) array is never built.  Callers
+that sweep a time grid against a slope stack split the grid into blocks
+to bound the cells of one call (conditions.ExcessPoint).  `eval_L` and
+`partials_vec` run the compiled Lagrangian, or each compiled partial, once
+over the whole batch; `time_rate` contracts higher partials with a rate
+set to give exact time derivatives by the chain rule.  Values at t > t1
+are exactly 0.  Any other non-finite value is a domain error: the tree
+walk reruns at the first bad cell of the broadcast rows, so the
+EvalDomainError names the offending subexpression.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -108,47 +113,60 @@ def _rows(p: DelayProblem, block: str) -> slice:
     return slice(1 + k * p.dim, 1 + (k + 1) * p.dim)
 
 
-def _evaluate(p: DelayProblem, expr: ExprAst, args: np.ndarray) -> np.ndarray:
-    """expr at an argument array (the layout, plus batch axes), gated to
-    exactly 0 where t > t1.  Returns the batch shape args.shape[1:]."""
+def _batch_shape(*row_sets) -> Tuple[int, ...]:
+    """The shape all rows of the given argument sets broadcast to."""
+    return np.broadcast_shapes(*(np.shape(r) for rows in row_sets
+                                 for r in rows))
+
+
+def _evaluate(p: DelayProblem, expr: ExprAst, args) -> np.ndarray:
+    """expr at an argument set (rows broadcasting to one batch shape),
+    gated to exactly 0 where t > t1.  Returns the batch shape."""
+    shape = _batch_shape(args)
     with np.errstate(all="ignore"):
-        vals = np.where(args[0] > p.t1, 0.0, expr.compiled()(*args))
+        vals = np.where(args[0] > p.t1, 0.0,
+                        np.broadcast_to(expr.compiled()(*args), shape))
     if not np.isfinite(vals).all():
         bad = int(np.argmax(~np.isfinite(vals.ravel())))
-        column = args.reshape(len(args), -1)[:, bad]
-        eval_expr(expr, dict(zip(expr.variables, column.tolist())))
+        cell = [float(np.broadcast_to(r, shape).flat[bad]) for r in args]
+        eval_expr(expr, dict(zip(expr.variables, cell)))
         raise EvalDomainError("non-finite value", str(expr))
     return vals
 
 
-def eval_L(p: DelayProblem, args: np.ndarray) -> np.ndarray:
-    """The Lagrangian at an argument array."""
+def eval_L(p: DelayProblem, args) -> np.ndarray:
+    """The Lagrangian at an argument set."""
     return _evaluate(p, p.lagrangian.body, args)
 
 
-def time_rate(p: DelayProblem, names: Tuple[str, ...], args: np.ndarray,
-              rate: np.ndarray) -> np.ndarray:
+def time_rate(p: DelayProblem, names: Tuple[str, ...], args,
+              rate) -> np.ndarray:
     """d/dt of the partial of L in names (L itself for no names) along a
-    path through args whose time derivative is rate (same shape), by the
-    chain rule: the sum over arguments v of d_v(partial) * rate_v.  An
-    argument contributes exactly 0 where its rate is 0, and everywhere if
-    the partial does not depend on it; its partial is then not evaluated,
-    so neither a partial that is singular in a frozen argument nor an
-    unbounded rate of an absent one can spoil the sum."""
-    out = np.zeros(args.shape[1:])
+    path through args whose time derivative is rate (an argument set of
+    the same layout), by the chain rule: the sum over arguments v of
+    d_v(partial) * rate_v.  An argument contributes exactly 0 where its
+    rate is 0, and everywhere if the partial does not depend on it; its
+    partial is then not evaluated, so neither a partial that is singular
+    in a frozen argument nor an unbounded rate of an absent one can spoil
+    the sum."""
+    shape = _batch_shape(args, rate)
+    cells = [np.broadcast_to(a, shape) for a in args]
+    out = np.zeros(shape)
     for v, v_rate in zip(p.lagrangian.variables, rate):
         d_v = p.lagrangian.partial(*names, v)
+        v_rate = np.broadcast_to(v_rate, shape)
         live = v_rate != 0.0
         if np.any(live) and not d_v.is_zero:
-            out[live] += v_rate[live] * _evaluate(p, d_v, args[..., live])
+            out[live] += v_rate[live] * _evaluate(
+                p, d_v, [c[live] for c in cells])
     return out
 
 
-def partials_vec(p: DelayProblem, block: str, args: np.ndarray,
-                 rate: Optional[np.ndarray] = None) -> np.ndarray:
-    """Gradient block (one of x|y|dx|dy) at an argument array, with the n
-    partials on a new leading axis: shape (n,) + args.shape[1:].  Given the
-    path's rate array, the time derivative of the block along it instead."""
+def partials_vec(p: DelayProblem, block: str, args,
+                 rate=None) -> np.ndarray:
+    """Gradient block (one of x|y|dx|dy) at an argument set, with the n
+    partials on a new leading axis: shape (n,) + batch shape.  Given the
+    path's rate set, the time derivative of the block along it instead."""
     names = p.lagrangian.variables[_rows(p, block)]
     if rate is None:
         return np.array([_evaluate(p, p.lagrangian.partial(v), args)
@@ -157,49 +175,56 @@ def partials_vec(p: DelayProblem, block: str, args: np.ndarray,
 
 
 def shift_slopes(p: DelayProblem, args: np.ndarray, block: str,
-                 xis: np.ndarray) -> np.ndarray:
-    """One copy of the argument vector args per row of the slope stack xis
-    (m, n), with that row added to the dx or dy block: shape (1+4n, m)."""
-    out = np.repeat(args[:, None], len(xis), axis=1)
-    out[_rows(p, block)] += xis.T
-    return out
+                 xis: np.ndarray) -> List[np.ndarray]:
+    """The argument set of args (rows, T) with each row of the slope stack
+    xis (m, n) added to the dx or dy block: the rows of that block are
+    (T, m), every other row a (T, 1) view of args."""
+    moved = _rows(p, block)
+    rows = [a[:, None] for a in args]
+    rows[moved] = [a[:, None] + xi for a, xi in zip(args[moved], xis.T)]
+    return rows
 
 
-def along(p: DelayProblem, cand: CandidateExtremal, t: float,
-          side: str = "right", rate: bool = False) -> np.ndarray:
-    """Argument vector (t, x(t), x(t-h), xdot(t), xdot(t-h)) along the
-    candidate, with one-sided derivatives from the given side; with rate,
-    its exact time derivative (1, xdot(t), xdot(t-h), xddot(t), xddot(t-h))
-    from the same side.
+def along(p: DelayProblem, cand: CandidateExtremal, ts, sides,
+          rate: bool = False) -> np.ndarray:
+    """Argument set (t, x(t), x(t-h), xdot(t), xdot(t-h)) along the
+    candidate at each time of ts, shape (1+4n, len(ts)), with one-sided
+    derivatives from each time's side (sides: one side, or one per time);
+    with rate, its exact time derivative (1, xdot(t), xdot(t-h), xddot(t),
+    xddot(t-h)) from the same sides.
 
     Valid for t in [t0, t1+h].  For t > t1 the trajectory lookups clamp to
     t1: the values are irrelevant there because every Lagrangian term is
     gated to zero by the extended-zero convention; clamping just keeps the
-    vector finite and deterministic.
+    set finite and deterministic.
     """
-    if t < p.t0 - BREAK_TOL or t > p.t1 + p.h + BREAK_TOL:
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    outside = (ts < p.t0 - BREAK_TOL) | (ts > p.t1 + p.h + BREAK_TOL)
+    if outside.any():
         raise ProblemError(
-            f"t={t} outside [{p.t0}, {p.t1 + p.h}] for along()")
+            f"t={float(ts[outside][0])} outside [{p.t0}, {p.t1 + p.h}] "
+            f"for along()")
     traj = cand.traj
-    te = min(t, p.t1)
-    ts = te - p.h
+    te = np.minimum(ts, p.t1)
+    td = te - p.h
+    sides = [sides] * ts.size if isinstance(sides, str) else sides
 
     # one-sided limits fall back to the interior side at the domain ends
-    def one_sided(lookup, tt: float) -> np.ndarray:
-        eff = side
-        if tt >= traj.b - BREAK_TOL:
-            eff = "left"
-        elif tt <= traj.a + BREAK_TOL:
-            eff = "right"
+    def one_sided(lookup, tt: np.ndarray) -> np.ndarray:
+        eff = ["left" if u >= traj.b - BREAK_TOL else
+               "right" if u <= traj.a + BREAK_TOL else s
+               for u, s in zip(tt.tolist(), sides)]
         return lookup(tt, eff)
 
     if rate:
-        return np.concatenate(([1.0], one_sided(traj.deriv, te),
-                               one_sided(traj.deriv, ts),
-                               one_sided(traj.second_deriv, te),
-                               one_sided(traj.second_deriv, ts)))
-    return np.concatenate(([float(t)], traj.value(te), traj.value(ts),
-                           one_sided(traj.deriv, te), one_sided(traj.deriv, ts)))
+        return np.vstack((np.ones((1, ts.size)),
+                          one_sided(traj.deriv_arr, te),
+                          one_sided(traj.deriv_arr, td),
+                          one_sided(traj.second_deriv_arr, te),
+                          one_sided(traj.second_deriv_arr, td)))
+    return np.vstack((ts[None], traj.value_arr(te), traj.value_arr(td),
+                      one_sided(traj.deriv_arr, te),
+                      one_sided(traj.deriv_arr, td)))
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,13 @@ class Segment:
 
     def value_arr(self, ts: np.ndarray) -> np.ndarray:
         """Shape (dim, len(ts)) array of values at the given times."""
-        return np.vstack([_broadcast(f(ts), ts) for f in self._fns("value")])
+        return self._arr("value", ts)
 
     def deriv_arr(self, ts: np.ndarray) -> np.ndarray:
-        return np.vstack([_broadcast(f(ts), ts) for f in self._fns("deriv")])
+        return self._arr("deriv", ts)
+
+    def _arr(self, which: str, ts: np.ndarray) -> np.ndarray:
+        return np.vstack([_broadcast(f(ts), ts) for f in self._fns(which)])
 
 
 def _broadcast(res, ts: np.ndarray) -> np.ndarray:
@@ -133,61 +136,86 @@ class Trajectory:
 
     # -- location -----------------------------------------------------------
 
-    def _snap(self, t: float) -> Tuple[float, Optional[int]]:
-        """Snap t onto a join if within BREAK_TOL; returns (t_eff, join index)."""
-        i = bisect_left(self._joins, t)
-        for j in (i - 1, i):
-            if 0 <= j < len(self._joins) and abs(self._joins[j] - t) <= BREAK_TOL:
-                return self._joins[j], j
-        return t, None
+    def _locate(self, t: float, side: Optional[str] = None) -> Tuple[float, int]:
+        """The segment-choice rule at t: (t_eff, segment index).
 
-    def _check_domain(self, t: float) -> None:
+        A time within BREAK_TOL of a join snaps onto it.  At a join the
+        segment is the one governing the one-sided limit from the side;
+        without a side it is the segment of the value, the right one except
+        at the domain end.  Elsewhere it is the segment containing t.
+        """
         if t < self.a - BREAK_TOL or t > self.b + BREAK_TOL:
             raise TrajectoryError(
                 f"t={t} outside trajectory domain [{self.a}, {self.b}]")
+        if side not in (None, "left", "right"):
+            raise TrajectoryError(f"side must be 'left' or 'right', got {side!r}")
+        joins = self._joins
+        i = bisect_left(joins, t)
+        for j in (i - 1, i):
+            if 0 <= j < len(joins) and abs(joins[j] - t) <= BREAK_TOL:
+                if side is None:
+                    return joins[j], min(j, len(self.segments) - 1)
+                if side == "right":
+                    if j == len(self.segments):
+                        raise TrajectoryError(f"no right limit at domain end t={t}")
+                    return joins[j], j
+                if j == 0:
+                    raise TrajectoryError(f"no left limit at domain start t={t}")
+                return joins[j], j - 1
+        return t, bisect_right(joins, t) - 1
 
     def segment_index(self, t: float, side: str) -> int:
         """Index of the smooth segment governing the one-sided limit at t."""
-        self._check_domain(t)
-        if side not in ("left", "right"):
-            raise TrajectoryError(f"side must be 'left' or 'right', got {side!r}")
-        t_eff, join = self._snap(t)
-        if join is not None:
-            if side == "right":
-                if join == len(self.segments):
-                    raise TrajectoryError(f"no right limit at domain end t={t}")
-                return join
-            if join == 0:
-                raise TrajectoryError(f"no left limit at domain start t={t}")
-            return join - 1
-        return bisect_right(self._joins, t_eff) - 1
+        return self._locate(t, side)[1]
+
+    def _lookup(self, which: str, ts, sides=None) -> np.ndarray:
+        """Shape (dim, len(ts)), each time located by _locate from its side
+        (None, one side, or one per time); one array call per segment used."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float)).tolist()
+        if sides is None or isinstance(sides, str):
+            sides = [sides] * len(ts)
+        located = [self._locate(t, s) for t, s in zip(ts, sides)]
+        t_eff = np.array([t for t, _ in located])
+        idx = np.array([k for _, k in located])
+        out = np.empty((self.dim, len(ts)))
+        for k in sorted({k for _, k in located}):
+            sel = idx == k
+            out[:, sel] = self.segments[k]._arr(which, t_eff[sel])
+        return out
 
     # -- evaluation ----------------------------------------------------------
 
     def value(self, t: float) -> np.ndarray:
         """x(t); at a breakpoint, the common (continuous) value."""
-        self._check_domain(t)
-        t_eff, join = self._snap(t)
-        if join is not None:
-            idx = join if join < len(self.segments) else join - 1
-        else:
-            idx = bisect_right(self._joins, t_eff) - 1
+        t_eff, idx = self._locate(t)
         return self.segments[idx].value(t_eff)
 
     def deriv(self, t: float, side: str = "right") -> np.ndarray:
         """One-sided derivative from the given side."""
-        idx = self.segment_index(t, side)
-        t_eff, _ = self._snap(t)
+        t_eff, idx = self._locate(t, side)
         return self.segments[idx].deriv(t_eff)
 
     def second_deriv(self, t: float, side: str = "right") -> np.ndarray:
         """One-sided second derivative from the given side: the symbolic
         derivative of the segment's derivative, so exact per segment.  A
         C1 candidate may have an unbounded one at a segment end; it is inf."""
-        idx = self.segment_index(t, side)
-        t_eff, _ = self._snap(t)
+        t_eff, idx = self._locate(t, side)
         with np.errstate(all="ignore"):
             return self.segments[idx].second(np.float64(t_eff))
+
+    def value_arr(self, ts) -> np.ndarray:
+        """x at each time of ts, by the rule of value: shape (dim, len(ts))."""
+        return self._lookup("value", ts)
+
+    def deriv_arr(self, ts, sides) -> np.ndarray:
+        """One-sided derivative at each time of ts, from its side (one side
+        or one per time): shape (dim, len(ts))."""
+        return self._lookup("deriv", ts, sides)
+
+    def second_deriv_arr(self, ts, sides) -> np.ndarray:
+        """second_deriv at each time of ts from its side: (dim, len(ts))."""
+        with np.errstate(all="ignore"):
+            return self._lookup("second", ts, sides)
 
     # -- structure -----------------------------------------------------------
 

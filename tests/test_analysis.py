@@ -17,7 +17,9 @@ from needlecheck.analysis import (
     theorem_6_1_check,
     theorem_6_2_check,
 )
-from needlecheck.conditions import ExcessPoint, paired_slope
+from needlecheck.conditions import (ExcessPoint, paired_slope,
+                                   weierstrass_scan)
+from needlecheck.exprs import ExprAst
 
 from conftest import SAMPLE_L, make_candidate, make_problem
 
@@ -99,6 +101,36 @@ def test_detect_validates_inputs(sample_problem, sample_cand):
     with pytest.raises(AnalysisError, match="nonzero"):
         detect_degeneracy(p, cand, t_grid=[1.0],
                           direction_samples=[np.array([0.0])])
+
+
+def test_grid_stages_make_the_same_kernel_calls_at_any_grid_size(monkeypatch):
+    # one block holds a 50- or a 200-point grid of the bundled problem, so
+    # the scan and degeneracy detection make the same compiled-kernel
+    # calls for both; a per-time evaluation would scale with the grid
+    calls = []
+    compiled = ExprAst.compiled
+
+    def counting(expr):
+        kernel = compiled(expr)
+
+        def count(*args):
+            calls.append(expr)
+            return kernel(*args)
+        return count
+
+    monkeypatch.setattr(ExprAst, "compiled", counting)
+    p = make_problem(SAMPLE_L)   # built here, so its segments count too
+    cand = make_candidate(p)
+
+    def kernel_calls(stage, t_end, n):
+        del calls[:]
+        stage(p, cand, t_grid=np.linspace(p.t0, t_end, n))
+        return len(calls)
+
+    for stage, t_end in ((weierstrass_scan, p.t1),
+                         (detect_degeneracy, p.t1 - p.h)):
+        assert kernel_calls(stage, t_end, 50) == \
+            kernel_calls(stage, t_end, 200) > 0
 
 
 def test_certification_closed_under_pairing(quartic_well):

@@ -229,19 +229,23 @@ segment = (0.0, 3.0, "0")
 """
 
 
-@pytest.mark.parametrize("argv", [("excess", "--point", "1", "--xi", "-2"),
-                                  ("verdict",)])
-def test_domain_error_at_a_slope_is_a_tool_error(tmp_path, argv):
+@pytest.mark.parametrize("argv, lag", [
     # slope -2 takes the base 1 + dx1 to -1, outside the domain of ^1.5
+    (("excess", "--point", "1", "--xi", "-2"), "(1 + dx1)^1.5"),
+    (("verdict",), "(1 + dx1)^1.5"),
+    # negative only for t > 2 at slope -2: late cells of the scan grid
+    (("weierstrass",), "(4 - t + dx1)^1.5"),
+], ids=["argv0", "argv1", "argv2"])
+def test_domain_error_at_a_slope_is_a_tool_error(tmp_path, argv, lag):
     cfg = tmp_path / "pow.cfg"
-    cfg.write_text(POW_CFG)
+    cfg.write_text(POW_CFG.replace("(1 + dx1)^1.5", lag))
     proc = run_cli(argv[0], str(cfg), *argv[1:])
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr
     payload = json.loads(proc.stdout.decode("utf-8"))
     assert payload["status"] == "error"
     assert "negative base" in payload["result"]["error"]
-    assert "'(1 + dx1)^1.5'" in payload["result"]["error"]
+    assert f"'{lag}'" in payload["result"]["error"]
 
 
 def test_reports_are_byte_identical():

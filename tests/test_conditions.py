@@ -27,6 +27,7 @@ from needlecheck.conditions import (
     weierstrass_scan,
     xi_sample_set,
 )
+from needlecheck.analysis import _certifies
 from needlecheck.exprs import eval_expr
 from needlecheck.needle import NeedleSpec
 from needlecheck.problem import CandidateExtremal, eval_S
@@ -120,13 +121,43 @@ def test_batched_slots_match_tree_walk_on_named_arguments():
                                           ("y", "dy", "y", t + p.h)):
                 want_e, want_m = _oracle_slot(p, cand.traj, u, side, xis,
                                               lam, slope, state)
-                np.testing.assert_allclose(pt.excess(slot, xis), want_e,
+                np.testing.assert_allclose(pt.excess(slot, xis)[0], want_e,
                                            rtol=1e-13, atol=1e-13)
-                np.testing.assert_allclose(pt.m(slot, lam, xis), want_m,
+                np.testing.assert_allclose(pt.m(slot, lam, xis)[0], want_m,
                                            rtol=1e-13, atol=1e-13)
                 if u > p.t1:
                     assert not pt.excess(slot, xis).any()
                     assert not pt.m(slot, lam, xis).any()
+
+
+def test_grid_matches_one_time_points_bit_for_bit():
+    # the grid path (blocks of times per kernel call) against one-time
+    # ExcessPoints, over a breakpoint (1.5), the tail past t1 - h = 2, t1
+    # itself, and both sides of every time; enough slopes that the times
+    # span several blocks
+    p = make_problem(LAYOUT_L, dim=3, phi=["0.5*t", "sin(t)", "t^2"],
+                     x1=[2.25, 0.375, 0.75])
+    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
+        (0.0, 1.5, ["t", "0.3*t^2", "-t"]),
+        (1.5, 3.0, ["1.5 + 0.5*(t - 1.5)", "0.675 - 0.2*(t - 1.5)",
+                    "-1.5 + (t - 1.5)^2"])]))
+    times = [(t, side) for t in (0.2, 0.5, 1.0, 1.5, 2.0, 2.3, 2.9, 3.0)
+             for side in ("right", "left")]
+    rng = np.random.default_rng(11)
+    xis = rng.uniform(-1.5, 1.5, (2400, 3))
+    etas, lams, lam = xis[:800], [0.5, 0.25], 0.3
+    grid = ExcessPoint(p, cand, [t for t, _ in times],
+                       [side for _, side in times])
+    assert len(grid._blocks(len(xis))) >= 3
+    e_sum, m_sum = grid.e_sum(xis), grid.m_sum(lam, xis)
+    cert = _certifies(grid, etas, lams, 2.0)
+    assert cert[0].any() and not cert[0].all()
+    for k, (t, side) in enumerate(times):
+        one = ExcessPoint(p, cand, t, side)
+        assert np.array_equal(e_sum[k], one.e_sum(xis)[0]), (t, side)
+        assert np.array_equal(m_sum[k], one.m_sum(lam, xis)[0]), (t, side)
+        for got, want in zip(cert, _certifies(one, etas, lams, 2.0)):
+            assert np.array_equal(got[k], want[0]), (t, side)
 
 
 def test_q_k_closed_forms(sample_problem, sample_cand):

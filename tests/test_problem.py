@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from needlecheck.exprs import parse_lagrangian
+from needlecheck.exprs import EvalDomainError, parse_lagrangian
 from needlecheck.problem import (
     CandidateExtremal,
     DelayProblem,
@@ -71,21 +71,45 @@ def test_extended_zero_past_t1(sample_problem):
 def test_along_reads_the_delayed_slot():
     p = make_problem(SAMPLE_L)
     cand = make_candidate(p, ["0.1*t*(3 - t)"])
-    t, x1, y1, dx1, dy1 = along(p, cand, 0.5, "right")
+    args = along(p, cand, [0.5, 1.5], "right")
+    assert args.shape == (5, 2)   # (t, x1, y1, dx1, dy1) x times
+    t, x1, y1, dx1, dy1 = args[:, 0]
     assert t == 0.5
     assert x1 == pytest.approx(0.125, abs=1e-14)
     assert dx1 == pytest.approx(0.2, abs=1e-13)
     assert y1 == 0.0            # reads history
     assert dy1 == 0.0
-    t, x1, y1, dx1, dy1 = along(p, cand, 1.5, "right")
+    t, x1, y1, dx1, dy1 = args[:, 1]
     assert y1 == pytest.approx(0.125, abs=1e-14)   # x(0.5)
     assert dy1 == pytest.approx(0.2, abs=1e-13)    # xdot(0.5)
-    # slope shifts land in the named block only, one column per slope
-    shifted = shift_slopes(p, along(p, cand, 1.5, "right"), "dy",
-                           np.array([[1.0], [-2.0]]))
-    np.testing.assert_array_equal(shifted[:4], np.repeat(
-        along(p, cand, 1.5, "right")[:4, None], 2, axis=1))
-    np.testing.assert_allclose(shifted[4], [1.2, -1.8], atol=1e-13)
+    # one side per time: at t = 1 the delayed slot sits on t0, where the
+    # history (slope 0) meets the interior (slope 0.3)
+    np.testing.assert_allclose(
+        along(p, cand, [1.0, 1.0], ["right", "left"])[4], [0.3, 0.0],
+        atol=1e-15)
+    # slope shifts land in the named block only, one column per slope; the
+    # other rows stay (T, 1) views of the base rows
+    shifted = shift_slopes(p, args, "dy", np.array([[1.0], [-2.0]]))
+    assert len(shifted) == 5
+    for row, base in zip(shifted[:4], args[:4]):
+        assert row.shape == (2, 1) and np.shares_memory(row, args)
+        np.testing.assert_array_equal(row[:, 0], base)
+    np.testing.assert_allclose(shifted[4], [[1.0, -2.0], [1.2, -1.8]],
+                               atol=1e-13)
+
+
+def test_domain_error_in_the_last_cell_of_broadcast_rows():
+    # rows of shapes (T, 1) and (1, m) broadcast to (3, 3); the base
+    # 4 - t + dx1 is negative only in the last cell (t = 2.5, dx1 = -2),
+    # so the tree walk must rerun there to name the subexpression
+    p = make_problem("dx1^2 + (4 - t + dx1)^1.5")
+    zero = np.zeros((1, 1))
+    rows = [np.array([[0.0], [1.0], [2.5]]), zero, zero,
+            np.array([[0.0, -1.0, -2.0]]), zero]
+    assert np.isfinite(eval_L(p, [r[:, :2] for r in rows])).all()
+    with pytest.raises(EvalDomainError, match="negative base") as err:
+        eval_L(p, rows)
+    assert err.value.subexpression == "(4 - t + dx1)^1.5"
 
 
 def test_integrate_clips_to_problem_window(sample_problem, sample_cand):
