@@ -14,20 +14,19 @@ from .analysis import (AnalysisError, AnalysisReport, AnalysisSettings,
                        full_report, remark_6_1_equivalence,
                        theorem_5_1_check, theorem_6_1_check,
                        theorem_6_2_check)
-from .conditions import (ConditionsError, euler_residual, excess_E,
-                         first_variation, m_term, needle_first_variation,
-                         q_k, weierstrass_scan)
+from .conditions import (ConditionsError, euler_residual, first_variation,
+                         m_term, needle_first_variation, q_k,
+                         weierstrass_scan)
 from .config import (ConfigError, RunConfig, build_candidate, build_problem,
                      load_config, parse_config)
 from .exprs import ExprError, parse_expr, parse_lagrangian
 from .increments import (IncrementRecord, delta_S_direct,
                          expansion_prediction, verify_expansion,
                          verify_needle_first_variation_zero)
-from .needle import NeedleSpec, NeedleError, needle_value, validity_window, vary
+from .needle import NeedleSpec, NeedleError, validity_window
 from .problem import CandidateExtremal, DelayProblem, ProblemError, eval_S
-from .quadrature import QuadratureError, fit_expansion, geometric_sweep, integrate
-from .trajectory import (HistorySpec, Segment, Trajectory, TrajectoryError,
-                         constant_history, splice_history)
+from .quadrature import QuadratureError, fit_expansion
+from .trajectory import HistorySpec, Segment, Trajectory, TrajectoryError
 
 __version__ = "0.1.0"
 
@@ -38,13 +37,11 @@ __all__ = [
     "IncrementRecord", "NeedleError", "NeedleSpec", "ProblemError",
     "QuadratureError", "RunConfig", "Segment", "Trajectory",
     "TrajectoryError", "Verdict", "build_candidate", "build_problem",
-    "constant_history", "delta_S_direct", "detect_degeneracy",
-    "euler_residual", "eval_S", "excess_E", "expansion_prediction",
-    "first_variation", "fit_expansion", "full_report", "geometric_sweep",
-    "integrate", "load_config", "m_term", "needle_first_variation",
-    "needle_value", "parse_config", "parse_expr", "parse_lagrangian",
-    "q_k", "remark_6_1_equivalence", "splice_history", "theorem_5_1_check",
-    "theorem_6_1_check", "theorem_6_2_check", "validity_window", "vary",
-    "verify_expansion", "verify_needle_first_variation_zero",
-    "weierstrass_scan",
+    "delta_S_direct", "detect_degeneracy", "euler_residual", "eval_S",
+    "expansion_prediction", "first_variation", "fit_expansion",
+    "full_report", "load_config", "m_term", "needle_first_variation",
+    "parse_config", "parse_expr", "parse_lagrangian", "q_k",
+    "remark_6_1_equivalence", "theorem_5_1_check", "theorem_6_1_check",
+    "theorem_6_2_check", "validity_window", "verify_expansion",
+    "verify_needle_first_variation_zero", "weierstrass_scan",
 ]

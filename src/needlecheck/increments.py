@@ -1,7 +1,9 @@
 """Cost increments under needle variations, two independent ways.
 
-delta_S_direct builds the varied trajectory and integrates the Lagrangian
-difference with quadrature; it never touches the excess functionals.
+delta_S_direct adds the needle's (q, q_dot) to the candidate at the
+quadrature nodes and integrates the Lagrangian difference, a whole eps
+sweep in one batched integrate_L call; it never touches the excess
+functionals.
 expansion_prediction assembles the predicted first and second order
 coefficients exclusively from the excess machinery (Q_1, M, and the time
 derivative of Q_2 by the chain rule); it never integrates the cost.  verify_expansion
@@ -10,13 +12,18 @@ c1*eps + c2*eps^2, and compares the fit against the prediction.  Agreement
 of the two paths is the point: each would miss a bug in the other.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import conditions, problem
-from .needle import NeedleSpec, check_eps, vary, window_for
+from .needle import (NeedleError, NeedleSpec, check_eps, perturbation,
+                     window_for)
 from .problem import CandidateExtremal, DelayProblem
+from .trajectory import BREAK_TOL
 from .quadrature import (DEFAULT_SWEEP_LEVELS, DEFAULT_SWEEP_RATIO, EpsSweep,
                          fit_expansion, geometric_sweep)
 
@@ -26,25 +33,36 @@ class IncrementError(ValueError):
 
 
 def delta_S_direct(p: DelayProblem, cand: CandidateExtremal, spec: NeedleSpec,
-                   eps: float, order: Optional[int] = None) -> float:
-    """S(candidate + needle) - S(candidate) by direct quadrature.
+                   eps, order: Optional[int] = None):
+    """S(candidate + needle) - S(candidate) by direct quadrature, for one
+    eps (a float) or for each level of an array of eps (an array).
 
     The integrand difference is supported on the needle support [c0, c2]
     (where the state and its slope change) and on its +h shift (where the
     delayed slots change).  eps < h keeps the two regions disjoint, so the
     difference is integrated only there, which avoids cancellation against
-    the unperturbed bulk of the cost.
+    the unperturbed bulk of the cost.  One integrate_L call gives every
+    level's four pieces, varied (the needle's (q, q_dot) added at the
+    nodes) and base, on the support and on its shift; a level is their fsum.
     """
-    check_eps(p, spec, eps)
-    varied = vary(cand, spec, eps)
-    c0, _, c2 = spec.corners(eps)
-    corners = spec.corners(eps)
-    extra = corners + tuple(c + p.h for c in corners)
-    pieces = []
-    for lo, hi in ((c0, c2), (c0 + p.h, c2 + p.h)):
-        pieces.append(problem.integrate_L(p, varied, lo, hi, extra, order))
-        pieces.append(-problem.integrate_L(p, cand.traj, lo, hi, extra, order))
-    return math.fsum(pieces)
+    if spec.dim != p.dim:
+        raise NeedleError(f"xi dimension {spec.dim} != problem dimension {p.dim}")
+    intervals = []
+    for e in np.atleast_1d(np.asarray(eps, dtype=float)).tolist():
+        check_eps(p, spec, e)
+        c0, _, c2 = corners = spec.corners(e)
+        if c0 < p.t0 - BREAK_TOL or c2 > p.t1 + BREAK_TOL:
+            raise NeedleError(
+                f"needle support [{c0}, {c2}] escapes ({p.t0}, {p.t1})")
+        extra = corners + tuple(c + p.h for c in corners)
+        bump = functools.partial(perturbation, spec, e)
+        for lo, hi in ((c0, c2), (c0 + p.h, c2 + p.h)):
+            intervals += [problem.Interval(lo, hi, extra, bump),
+                          problem.Interval(lo, hi, extra)]
+    pieces = problem.integrate_L(p, cand.traj, intervals, order)
+    deltas = [math.fsum((a, -b, c, -d))
+              for a, b, c, d in np.reshape(pieces, (-1, 4)).tolist()]
+    return deltas[0] if np.ndim(eps) == 0 else np.array(deltas)
 
 
 def expansion_prediction(p: DelayProblem, cand: CandidateExtremal,

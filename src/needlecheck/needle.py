@@ -7,6 +7,9 @@ needle mirrors this on [theta-eps, theta].  The two slopes are balanced so
 the perturbation vanishes at both support ends, keeping varied trajectories
 admissible.  Values are continuous; only the derivative is side-sensitive,
 so interval-edge conventions are realized through one-sided evaluation.
+
+`perturbation` gives the needle as numbers, for the quadrature oracle;
+`vary`, the symbolic varied trajectory, is the reference it is tested on.
 """
 
 from dataclasses import dataclass
@@ -116,71 +119,34 @@ def check_eps(p: DelayProblem, spec: NeedleSpec, eps: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# values and one-sided derivatives
+# the perturbation as numbers
 
-def q_plus(spec: NeedleSpec, eps: float, t: float) -> np.ndarray:
-    """Right-needle value at t (zero outside [theta, theta+eps])."""
-    if spec.side != "right":
-        raise NeedleError("q_plus requires a right-sided spec")
-    c0, c1, c2 = spec.corners(eps)
-    if t < c0 or t > c2:
-        return np.zeros(spec.dim)
-    if t <= c1:
-        return (t - c0) * spec.xi
-    return (t - c2) * spec.outer_slope
-
-
-def q_minus(spec: NeedleSpec, eps: float, t: float) -> np.ndarray:
-    """Left-needle value at t (zero outside [theta-eps, theta])."""
-    if spec.side != "left":
-        raise NeedleError("q_minus requires a left-sided spec")
-    c0, c1, c2 = spec.corners(eps)
-    if t < c0 or t > c2:
-        return np.zeros(spec.dim)
-    if t >= c1:
-        return (t - c2) * spec.xi
-    return (t - c0) * spec.outer_slope
-
-
-def needle_value(spec: NeedleSpec, eps: float, t: float) -> np.ndarray:
-    return q_plus(spec, eps, t) if spec.side == "right" else q_minus(spec, eps, t)
-
-
-def qdot(spec: NeedleSpec, eps: float, t: float, side: str = "right") -> np.ndarray:
-    """One-sided needle derivative: the inner slope xi, the outer slope
-    (lambda/(lambda-1))*xi, zero outside the support; one-sided at corners."""
-    if side not in ("right", "left"):
-        raise NeedleError(f"side must be 'left' or 'right', got {side!r}")
-    c0, c1, c2 = spec.corners(eps)
+def perturbation(spec: NeedleSpec, eps: float, ts,
+                 sides) -> Tuple[np.ndarray, np.ndarray]:
+    """(q, q_dot) at each time of ts, each of shape (n, len(ts)): slope *
+    (t - anchor) and slope on the inner branch (xi, anchored at theta) and
+    the outer one (outer_slope, at theta +- eps), zero outside the support.
+    Each time takes the branch of its one-sided limit from its side (one
+    side, or one per time); within _CORNER_TOL of a corner it snaps on."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    corners = spec.corners(eps)
+    edges = np.array(corners)
+    # piece 1 is [c0, c1], piece 2 is [c1, c2]; 0 and 3 lie outside
+    piece = np.where(np.asarray(sides) == "right",
+                     np.searchsorted(edges - _CORNER_TOL, ts, "right"),
+                     np.searchsorted(edges + _CORNER_TOL, ts, "left"))
+    inner, zero = (spec.theta, spec.xi), (0.0, np.zeros(spec.dim))
     if spec.side == "right":
-        inner_lo, inner_hi = c0, c1
-        outer_lo, outer_hi = c1, c2
-        inner_slope, outer_slope = spec.xi, spec.outer_slope
+        pieces = (zero, inner, (corners[2], spec.outer_slope), zero)
     else:
-        inner_lo, inner_hi = c1, c2
-        outer_lo, outer_hi = c0, c1
-        inner_slope, outer_slope = spec.xi, spec.outer_slope
-
-    def in_open(lo: float, hi: float) -> bool:
-        return lo + _CORNER_TOL < t < hi - _CORNER_TOL
-
-    # strictly interior to a branch: side does not matter
-    if in_open(inner_lo, inner_hi):
-        return inner_slope.copy()
-    if in_open(outer_lo, outer_hi):
-        return outer_slope.copy()
-    # at a corner (or outside): pick the slope governing the requested side
-    probe = t + (_CORNER_TOL if side == "right" else -_CORNER_TOL)
-    if inner_lo - _CORNER_TOL < probe < inner_hi + _CORNER_TOL \
-            and inner_lo <= probe <= inner_hi:
-        return inner_slope.copy()
-    if outer_lo <= probe <= outer_hi:
-        return outer_slope.copy()
-    return np.zeros(spec.dim)
+        pieces = (zero, (corners[0], spec.outer_slope), inner, zero)
+    anchor = np.array([a for a, _ in pieces])[piece]
+    slope = np.array([s for _, s in pieces])[piece].T
+    return (ts - anchor) * slope, slope
 
 
 # ---------------------------------------------------------------------------
-# varied trajectories and norms
+# the symbolic varied trajectory
 
 def _branch_expr(base: ExprAst, anchor: float, slope: float) -> ExprAst:
     """base(t) + slope*(t - anchor) as an expression in t."""
@@ -220,13 +186,3 @@ def vary(cand: CandidateExtremal, spec: NeedleSpec, eps: float) -> Trajectory:
         segments.append(Segment(seg.t_start, seg.t_end, exprs_out))
     return Trajectory(segments)
 
-
-def norms(spec: NeedleSpec, eps: float) -> Tuple[float, float]:
-    """(sup |q|, sup |q_dot|) over the whole interval:
-    lam*eps*|xi| and max{1, lam/(1-lam)}*|xi| in the Euclidean norm."""
-    if eps <= 0 or eps > 1.0:
-        raise NeedleError(f"norm estimates assume 0 < eps <= 1, got {eps}")
-    xi_norm = float(np.linalg.norm(spec.xi))
-    sup_q = spec.lam * eps * xi_norm
-    sup_qdot = max(1.0, spec.lam / (1.0 - spec.lam)) * xi_norm
-    return sup_q, sup_qdot

@@ -22,11 +22,15 @@ set to give exact time derivatives by the chain rule.  Values at t > t1
 are exactly 0.  Any other non-finite value is a domain error: the tree
 walk reruns at the first bad cell of the broadcast rows, so the
 EvalDomainError names the offending subexpression.
+
+`integrate_L`, the one L-quadrature, evaluates L once at the Gauss nodes
+of a batch of intervals, each with its own breaks and optional additive
+perturbation of the trajectory; `eval_S` is the batch [t0, t1].
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -230,39 +234,63 @@ def along(p: DelayProblem, cand: CandidateExtremal, ts, sides,
 # ---------------------------------------------------------------------------
 # cost functional
 
-def _lagrangian_panel_values(p: DelayProblem, traj: Trajectory,
-                             ts: np.ndarray, mid: float) -> np.ndarray:
-    """L along traj at node times ts, all lying in one smooth panel around mid
-    (no trajectory or delay-shift breakpoint strictly inside)."""
-    seg_t = traj.segments[traj.segment_index(mid, "right")]
-    seg_y = traj.segments[traj.segment_index(mid - p.h, "right")]
-    xs = seg_t.value_arr(ts)
-    dxs = seg_t.deriv_arr(ts)
-    ys = seg_y.value_arr(ts - p.h)
-    dys = seg_y.deriv_arr(ts - p.h)
-    return eval_L(p, np.vstack((ts, xs, ys, dxs, dys)))
+class Interval(NamedTuple):
+    """L over [lo, hi], clipped to [t0, t1], on panels split also at
+    breaks.  bump, if any, maps times and one side per time to an additive
+    (q, q_dot) of the trajectory, each (n, len(times)), zero off its support."""
+
+    lo: float
+    hi: float
+    breaks: Tuple[float, ...] = ()
+    bump: Optional[Callable] = None
 
 
-def integrate_L(p: DelayProblem, traj: Trajectory, lo: float, hi: float,
-                extra_breaks: Tuple[float, ...] = (),
-                order: Optional[int] = None) -> float:
-    """Integral of L along traj over [lo, hi] (clipped to [t0, t1]),
-    with panels split at trajectory breakpoints and their +h shifts."""
-    lo = max(lo, p.t0)
-    hi = min(hi, p.t1)
-    if hi <= lo:
-        return 0.0
-    breaks = list(extra_breaks)
-    for bp in traj.breakpoints:
-        breaks.append(bp)
-        breaks.append(bp + p.h)
-    panels = quadrature.panel_plan(lo, hi, breaks)
-    contributions = []
-    for p0, p1 in panels:
-        ts, ws = quadrature.panel_nodes(p0, p1, order)
-        vals = _lagrangian_panel_values(p, traj, ts, 0.5 * (p0 + p1))
-        contributions.append(float(np.dot(ws, vals)))
-    return math.fsum(contributions)
+def integrate_L(p: DelayProblem, traj: Trajectory,
+                intervals: Sequence[Interval],
+                order: Optional[int] = None) -> List[float]:
+    """Integral of L along traj, plus each interval's bump, over each
+    interval, from one evaluation of L at the nodes of all of them.
+
+    Panels split at the interval's breaks, traj's breakpoints and their +h
+    shifts.  A panel reads x, xdot from the segment around its midpoint
+    and y, ydot from the one around the midpoint - h.  A bump adds (q,
+    q_dot) at t to the x, dx rows and at t - h to the y, dy rows, only
+    where it is nonzero, from the side facing the panel's interior.  An
+    integral is the fsum of its panels' Gauss sums."""
+    own = [b for bp in traj.breakpoints for b in (bp, bp + p.h)]
+    panels = []
+    for k, iv in enumerate(intervals):
+        lo = max(iv.lo, p.t0)
+        panels += [(k, a, b) for a, b in quadrature.panel_plan(
+            lo, max(min(iv.hi, p.t1), lo), list(iv.breaks) + own)]
+    sums = [[] for _ in intervals]
+    if panels:
+        owner, p0, p1 = (np.array(c) for c in zip(*panels))
+        grid, weights = quadrature.panel_nodes(p0, p1, order)
+        mids = 0.5 * (p0 + p1)
+        t, td, m = grid.ravel(), grid.ravel() - p.h, grid.shape[1]
+        seg_x, seg_y = (np.repeat([traj.segment_index(c, "right")
+                                   for c in cs.tolist()], m)
+                        for cs in (mids, mids - p.h))
+        args = np.vstack((t, traj.on_segments("value", t, seg_x),
+                          traj.on_segments("value", td, seg_y),
+                          traj.on_segments("deriv", t, seg_x),
+                          traj.on_segments("deriv", td, seg_y)))
+        x_rows = np.r_[_rows(p, "x"), _rows(p, "dx")]
+        sides = np.where(t < np.repeat(mids, m), "right", "left")
+        at_node = np.repeat(owner, m)
+        for k, iv in enumerate(intervals):
+            if iv.bump is None:
+                continue
+            at = np.flatnonzero(at_node == k)
+            for times, rows in ((t, x_rows), (td, x_rows + p.dim)):
+                q = np.vstack(iv.bump(times[at], sides[at]))
+                live = q.any(0)
+                args[np.ix_(rows, at[live])] += q[:, live]
+        vals = eval_L(p, args).reshape(grid.shape)
+        for k, ws, v in zip(owner.tolist(), weights, vals):
+            sums[k].append(float(np.dot(ws, v)))
+    return [math.fsum(s) for s in sums]
 
 
 def eval_S(p: DelayProblem, traj: Trajectory, order: Optional[int] = None) -> float:
@@ -271,4 +299,4 @@ def eval_S(p: DelayProblem, traj: Trajectory, order: Optional[int] = None) -> fl
         raise ProblemError(
             f"trajectory domain [{traj.a}, {traj.b}] does not cover "
             f"[{p.t0 - p.h}, {p.t1}]")
-    return integrate_L(p, traj, p.t0, p.t1, order=order)
+    return integrate_L(p, traj, [Interval(p.t0, p.t1)], order)[0]

@@ -50,12 +50,13 @@ def panel_plan(a: float, b: float, breaks: Sequence[float]) -> List[Tuple[float,
     return list(zip(edges[:-1], edges[1:]))
 
 
-def panel_nodes(p0: float, p1: float,
+def panel_nodes(p0, p1,
                 order: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Mapped nodes and weights for one panel."""
+    """Mapped nodes and weights for one panel, shape (order,), or for each
+    panel of arrays of ends, shape (panels, order)."""
     x, w = gauss_rule(order or DEFAULT_ORDER)
-    half = 0.5 * (p1 - p0)
-    mid = 0.5 * (p0 + p1)
+    half = 0.5 * (np.asarray(p1) - p0)[..., None]
+    mid = 0.5 * (np.asarray(p0) + p1)[..., None]
     return mid + half * x, half * w
 
 
@@ -100,10 +101,11 @@ class EpsSweep:
             raise QuadratureError("eps grid degenerate (duplicate levels)")
 
 
-def geometric_sweep(f: Callable[[float], float], eps_max: float,
+def geometric_sweep(f: Callable[[np.ndarray], np.ndarray], eps_max: float,
                     levels: int = DEFAULT_SWEEP_LEVELS,
                     ratio: float = DEFAULT_SWEEP_RATIO) -> EpsSweep:
-    """Sample f on eps_k = eps_max * ratio^k, k = 0..levels-1."""
+    """Sample f on eps_k = eps_max * ratio^k, k = 0..levels-1; f takes the
+    array of all levels and returns one value per level."""
     if eps_max <= 0:
         raise QuadratureError(f"eps_max must be positive, got {eps_max}")
     if not 0 < ratio < 1:
@@ -111,7 +113,7 @@ def geometric_sweep(f: Callable[[float], float], eps_max: float,
     if levels < 4:
         raise QuadratureError(f"need at least 4 sweep levels, got {levels}")
     eps = tuple(eps_max * ratio ** k for k in range(levels))
-    values = tuple(float(f(e)) for e in eps)
+    values = tuple(float(v) for v in f(np.array(eps)))
     return EpsSweep(eps=eps, values=values)
 
 

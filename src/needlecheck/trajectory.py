@@ -61,9 +61,6 @@ class Segment:
     def deriv(self, t: float) -> np.ndarray:
         return np.array([float(f(t)) for f in self._fns("deriv")])
 
-    def second(self, t: float) -> np.ndarray:
-        return np.array([float(f(t)) for f in self._fns("second")])
-
     def value_arr(self, ts: np.ndarray) -> np.ndarray:
         """Shape (dim, len(ts)) array of values at the given times."""
         return self._arr("value", ts)
@@ -175,12 +172,18 @@ class Trajectory:
         if sides is None or isinstance(sides, str):
             sides = [sides] * len(ts)
         located = [self._locate(t, s) for t, s in zip(ts, sides)]
-        t_eff = np.array([t for t, _ in located])
-        idx = np.array([k for _, k in located])
-        out = np.empty((self.dim, len(ts)))
-        for k in sorted({k for _, k in located}):
+        return self.on_segments(which, np.array([t for t, _ in located]),
+                                np.array([k for _, k in located]))
+
+    def on_segments(self, which: str, ts: np.ndarray,
+                    idx: np.ndarray) -> np.ndarray:
+        """The "value", "deriv" or "second" rows at each time of ts from
+        the segment idx names for it: shape (dim, len(ts)), one array call
+        per segment used."""
+        out = np.empty((self.dim, ts.size))
+        for k in sorted(set(idx.tolist())):
             sel = idx == k
-            out[:, sel] = self.segments[k]._arr(which, t_eff[sel])
+            out[:, sel] = self.segments[k]._arr(which, ts[sel])
         return out
 
     # -- evaluation ----------------------------------------------------------
@@ -195,14 +198,6 @@ class Trajectory:
         t_eff, idx = self._locate(t, side)
         return self.segments[idx].deriv(t_eff)
 
-    def second_deriv(self, t: float, side: str = "right") -> np.ndarray:
-        """One-sided second derivative from the given side: the symbolic
-        derivative of the segment's derivative, so exact per segment.  A
-        C1 candidate may have an unbounded one at a segment end; it is inf."""
-        t_eff, idx = self._locate(t, side)
-        with np.errstate(all="ignore"):
-            return self.segments[idx].second(np.float64(t_eff))
-
     def value_arr(self, ts) -> np.ndarray:
         """x at each time of ts, by the rule of value: shape (dim, len(ts))."""
         return self._lookup("value", ts)
@@ -213,7 +208,10 @@ class Trajectory:
         return self._lookup("deriv", ts, sides)
 
     def second_deriv_arr(self, ts, sides) -> np.ndarray:
-        """second_deriv at each time of ts from its side: (dim, len(ts))."""
+        """One-sided second derivative at each time of ts from its side:
+        shape (dim, len(ts)).  It is the symbolic derivative of the
+        segment's derivative, so exact per segment; a C1 trajectory may
+        have an unbounded one at a segment end, where it is inf."""
         with np.errstate(all="ignore"):
             return self._lookup("second", ts, sides)
 

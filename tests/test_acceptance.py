@@ -19,8 +19,7 @@ from needlecheck.config import build_candidate, build_problem, parse_config
 from needlecheck.exprs import (admitted_variables, differentiate, eval_expr,
                                fd_partial, parse_expr)
 from needlecheck.increments import verify_expansion
-from needlecheck.needle import NeedleSpec, needle_value, norms, qdot, \
-    validity_window
+from needlecheck.needle import NeedleSpec, perturbation, validity_window
 from needlecheck.quadrature import integrate
 
 from conftest import make_candidate, make_problem
@@ -192,25 +191,34 @@ def test_needle_geometry_properties(bundled):
         outer_peak = (c1 - c2) * spec.outer_slope if side == "right" \
             else (c1 - c0) * spec.outer_slope
         assert float(np.max(np.abs(inner_peak - outer_peak))) <= 1e-13
-        assert float(np.max(np.abs(needle_value(spec, eps, c0)))) <= 1e-13
-        assert float(np.max(np.abs(needle_value(spec, eps, c2)))) <= 1e-13
+        from_left, _ = perturbation(spec, eps, [c0, c1, c2], "left")
+        from_right, _ = perturbation(spec, eps, [c0, c1, c2], "right")
+        assert float(np.max(np.abs(from_left - from_right))) <= 1e-13
+        assert float(np.max(np.abs(from_left[:, [0, 2]]))) <= 1e-13
 
         # integral of the slope over the support is exactly zero
         for comp in range(2):
             total = integrate(
-                lambda ts: np.array(
-                    [qdot(spec, eps, float(t))[comp] for t in ts]),
+                lambda ts: perturbation(spec, eps, ts, "right")[1][comp],
                 c0, c2, breaks=[c1])
             assert abs(total) <= 1e-13
 
         # support containment is exact
-        for t in (c0 - 0.05, c2 + 0.05, p.t0 - 0.5, p.t1 + 0.5):
-            assert float(np.max(np.abs(needle_value(spec, eps, t)))) == 0.0
+        outside = [c0 - 0.05, c2 + 0.05, p.t0 - 0.5, p.t1 + 0.5]
+        for one_side in ("right", "left"):
+            q, q_dot = perturbation(spec, eps, outside, one_side)
+            assert not q.any() and not q_dot.any()
 
-        # norm formulas hold exactly
-        sup_q, sup_qdot = norms(spec, eps)
-        assert sup_q == lam * eps * float(np.linalg.norm(xi))
-        assert sup_qdot == max(1.0, lam / (1.0 - lam)) * float(np.linalg.norm(xi))
+        # the sup norms, on the corners and a dense grid of the support
+        ts = np.concatenate(([c0, c1, c2], np.linspace(c0, c2, 1001)))
+        xi_norm = float(np.linalg.norm(xi))
+        for one_side in ("right", "left"):
+            q, q_dot = perturbation(spec, eps, ts, one_side)
+            sup_q = float(np.max(np.linalg.norm(q, axis=0)))
+            sup_qdot = float(np.max(np.linalg.norm(q_dot, axis=0)))
+            assert abs(sup_q - lam * eps * xi_norm) <= 1e-13
+            assert abs(sup_qdot - max(1.0, lam / (1.0 - lam)) * xi_norm) \
+                <= 1e-13 * sup_qdot
         checked += 1
 
 

@@ -6,6 +6,8 @@ Closed forms for the bundled problem along the zero candidate:
   right needle at theta=2.5 (tail, delayed slot gone): eps - eps^2/4
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,10 @@ from needlecheck.increments import (
     verify_expansion,
     verify_needle_first_variation_zero,
 )
-from needlecheck.needle import NeedleError, NeedleSpec
+from needlecheck.needle import NeedleError, NeedleSpec, vary
+from needlecheck.problem import CandidateExtremal, Interval, integrate_L
+from needlecheck.quadrature import geometric_sweep
+from needlecheck.trajectory import Trajectory
 
 from conftest import SAMPLE_L, make_candidate, make_problem
 
@@ -104,14 +109,15 @@ def test_direct_path_ignores_excess_machinery(sample_problem, sample_cand,
     def boom(*args, **kwargs):
         raise AssertionError("excess machinery invoked by the direct path")
 
-    monkeypatch.setattr(needlecheck.conditions, "q_k", boom)
-    monkeypatch.setattr(needlecheck.conditions, "m_term", boom)
-    monkeypatch.setattr(needlecheck.conditions, "excess_E", boom)
-    monkeypatch.setattr(needlecheck.conditions, "q2_sum_slope", boom)
+    for name in ("ExcessPoint", "q_k", "m_term", "excess_E", "q2_sum_slope"):
+        monkeypatch.setattr(needlecheck.conditions, name, boom)
     monkeypatch.setattr(needlecheck.problem, "time_rate", boom)
-    monkeypatch.setattr(needlecheck.trajectory.Trajectory, "second_deriv", boom)
-    got = delta_S_direct(p, cand, RIGHT, 0.25)
-    assert abs(got - (-0.5 * 0.25 ** 2)) <= 1e-12
+    monkeypatch.setattr(needlecheck.trajectory.Trajectory, "second_deriv_arr",
+                        boom)
+    sweep = geometric_sweep(lambda e: delta_S_direct(p, cand, RIGHT, e), 0.25)
+    assert len(sweep.eps) == 8
+    for eps, got in zip(sweep.eps, sweep.values):
+        assert abs(got - (-0.5 * eps ** 2)) <= 1e-12
 
 
 def test_prediction_path_never_integrates(sample_problem, sample_cand,
@@ -138,3 +144,68 @@ def test_needle_first_variation_check(sample_problem, sample_cand):
     chk2 = verify_needle_first_variation_zero(bent.problem, bent, RIGHT, 0.25)
     assert not chk2.passed
     assert abs(chk2.value) > 1e-3
+
+
+# -- the batched sweep against the symbolic varied trajectory ---------------
+
+# dim-2 problem whose candidate has breakpoints inside the supports and the
+# +h shifts of the needles below, and a transcendental component
+KINKS = (1.0013, 2.0017, 2.0993, 2.5004)
+NEEDLES = (
+    NeedleSpec(theta=1.0, lam=0.3, xi=np.array([0.7, -1.3]), side="right"),
+    NeedleSpec(theta=1.0021, lam=0.6, xi=np.array([-0.4, 1.1]), side="left"),
+    # tail regime: the shift of the support lies beyond t1
+    NeedleSpec(theta=2.5, lam=0.45, xi=np.array([1.2, 0.5]), side="right"),
+    # left needle past t1 - h: t1 clips the shifts of the two largest supports
+    NeedleSpec(theta=2.1, lam=0.25, xi=np.array([0.9, 0.8]), side="left"),
+)
+
+
+def _kinked_candidate(p):
+    """Continuous candidate on [0, 3], zero at both ends, whose slope jumps
+    at each of KINKS."""
+    edges = (0.0,) + KINKS + (3.0,)
+    jumps = ((0.2, -0.3), (-0.5, 0.4), (0.3, 0.25), (-0.15, -0.6))
+    specs = []
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        comps = ["0.3*t*(3 - t)", "0.1*sin(2*t)*t*(3 - t)"]
+        for c in range(2):
+            end = sum(j[c] * (3.0 - k) for j, k in zip(jumps, KINKS))
+            comps[c] += f" - {end!r}*t/3"
+            for j, k in zip(jumps[:i], KINKS):
+                comps[c] += f" + {j[c]!r}*(t - {k!r})"
+        specs.append((a, b, comps))
+    return CandidateExtremal.from_interior(p, Trajectory.from_segments(specs))
+
+
+def _symbolic_increment(p, cand, spec, eps):
+    """The increment from the symbolic varied trajectory: four single-interval
+    integrals (varied and base, on the support and on its shift), fsum."""
+    varied = vary(cand, spec, eps)
+    corners = spec.corners(eps)
+    extra = corners + tuple(c + p.h for c in corners)
+    pieces = []
+    for lo, hi in ((corners[0], corners[2]),
+                   (corners[0] + p.h, corners[2] + p.h)):
+        pieces.append(integrate_L(p, varied, [Interval(lo, hi, extra)])[0])
+        pieces.append(-integrate_L(p, cand.traj, [Interval(lo, hi, extra)])[0])
+    return math.fsum(pieces)
+
+
+def test_batched_sweep_matches_symbolic_needles_bit_for_bit():
+    p = make_problem("(1 + x1^2)*dx1^2 - (1 + y2)*dy1^2 + dx1*dy2"
+                     " + sin(x2)*dx2^2 + exp(0.2*y1)*dy2^2 + t*x1*y2", dim=2)
+    cand = _kinked_candidate(p)
+    for spec in NEEDLES:
+        eps = np.array(geometric_sweep(lambda e: e, default_eps_max(p, spec)).eps)
+        got = delta_S_direct(p, cand, spec, eps)
+        want = [_symbolic_increment(p, cand, spec, e) for e in eps.tolist()]
+        assert got.shape == (8,)
+        assert np.array_equal(got, want), spec
+        assert delta_S_direct(p, cand, spec, float(eps[3])) == want[3]
+        # panels so thin that their outer nodes lie within the corner
+        # tolerance: each node must keep its own panel's branch
+        tiny = np.array([6e-11, 4e-11])
+        assert np.array_equal(
+            delta_S_direct(p, cand, spec, tiny),
+            [_symbolic_increment(p, cand, spec, e) for e in tiny.tolist()])

@@ -1,4 +1,4 @@
-"""Needle geometry: validity windows, corner values, varied trajectories."""
+"""Needle geometry: validity windows, the numeric perturbation, varied trajectories."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,7 @@ from needlecheck.needle import (
     NeedleError,
     NeedleSpec,
     check_eps,
-    needle_value,
-    norms,
-    q_minus,
-    q_plus,
-    qdot,
+    perturbation,
     validity_window,
     vary,
     window_for,
@@ -78,23 +74,46 @@ def test_window_for_and_check_eps(prob):
         window_for(prob, NeedleSpec(theta=3.0, lam=0.5, xi=xi, side="right"))
 
 
+def _at(spec, eps, t, side="right"):
+    """(q, q_dot) at one time as two vectors."""
+    q, q_dot = perturbation(spec, eps, [t], side)
+    return q[:, 0], q_dot[:, 0]
+
+
+def test_perturbation_shapes():
+    spec = NeedleSpec(theta=1.0, lam=0.25, xi=np.array([3.0, -4.0]),
+                      side="right")
+    ts = np.linspace(0.5, 2.0, 7)
+    q, q_dot = perturbation(spec, 0.4, ts, "right")
+    assert q.shape == q_dot.shape == (2, 7)
+    q, q_dot = perturbation(spec, 0.4, ts, ["left"] * 7)
+    assert q.shape == q_dot.shape == (2, 7)
+    q, q_dot = perturbation(spec, 0.4, 1.1, "left")
+    assert q.shape == q_dot.shape == (2, 1)
+
+
 def test_right_needle_shape():
     spec = NeedleSpec(theta=1.0, lam=0.5, xi=np.array([2.0]), side="right")
     eps = 0.5
     c0, c1, c2 = spec.corners(eps)
-    np.testing.assert_allclose(q_plus(spec, eps, c0), [0.0], atol=0)
-    np.testing.assert_allclose(q_plus(spec, eps, c1), [spec.lam * eps * 2.0],
-                               atol=1e-15)
-    np.testing.assert_allclose(q_plus(spec, eps, c2), [0.0], atol=1e-15)
-    np.testing.assert_allclose(q_plus(spec, eps, c0 - 0.1), [0.0], atol=0)
-    np.testing.assert_allclose(q_plus(spec, eps, c2 + 0.1), [0.0], atol=0)
+    for side in ("right", "left"):
+        np.testing.assert_allclose(_at(spec, eps, c0, side)[0], [0.0], atol=0)
+        np.testing.assert_allclose(_at(spec, eps, c1, side)[0],
+                                   [spec.lam * eps * 2.0], atol=1e-15)
+        np.testing.assert_allclose(_at(spec, eps, c2, side)[0], [0.0],
+                                   atol=1e-15)
+        np.testing.assert_array_equal(_at(spec, eps, c0 - 0.1, side)[0], [0.0])
+        np.testing.assert_array_equal(_at(spec, eps, c2 + 0.1, side)[0], [0.0])
     # one-sided slopes at the three corners
-    np.testing.assert_allclose(qdot(spec, eps, c0, "right"), [2.0], atol=0)
-    np.testing.assert_allclose(qdot(spec, eps, c0, "left"), [0.0], atol=0)
-    np.testing.assert_allclose(qdot(spec, eps, c1, "left"), [2.0], atol=0)
-    np.testing.assert_allclose(qdot(spec, eps, c1, "right"), [-2.0], atol=0)
-    np.testing.assert_allclose(qdot(spec, eps, c2, "left"), [-2.0], atol=0)
-    np.testing.assert_allclose(qdot(spec, eps, c2, "right"), [0.0], atol=0)
+    np.testing.assert_array_equal(_at(spec, eps, c0, "right")[1], [2.0])
+    np.testing.assert_array_equal(_at(spec, eps, c0, "left")[1], [0.0])
+    np.testing.assert_array_equal(_at(spec, eps, c1, "left")[1], [2.0])
+    np.testing.assert_array_equal(_at(spec, eps, c1, "right")[1], [-2.0])
+    np.testing.assert_array_equal(_at(spec, eps, c2, "left")[1], [-2.0])
+    np.testing.assert_array_equal(_at(spec, eps, c2, "right")[1], [0.0])
+    # a time within the corner tolerance snaps onto the corner
+    np.testing.assert_array_equal(_at(spec, eps, c1 - 1e-13, "right")[1],
+                                  [-2.0])
 
 
 def test_left_needle_shape():
@@ -102,17 +121,22 @@ def test_left_needle_shape():
     eps = 0.4
     c0, c1, c2 = spec.corners(eps)
     assert (c0, c1, c2) == (1.1, 1.3, 1.5)
-    np.testing.assert_allclose(q_minus(spec, eps, c2), [0.0], atol=1e-15)
-    np.testing.assert_allclose(q_minus(spec, eps, c1), [-spec.lam * eps],
+    np.testing.assert_allclose(_at(spec, eps, c2)[0], [0.0], atol=1e-15)
+    np.testing.assert_allclose(_at(spec, eps, c1)[0], [-spec.lam * eps],
                                atol=1e-15)
-    np.testing.assert_allclose(q_minus(spec, eps, c0), [0.0], atol=1e-15)
+    np.testing.assert_allclose(_at(spec, eps, c0)[0], [0.0], atol=1e-15)
     # inner branch carries slope xi next to theta, outer next to theta-eps
-    np.testing.assert_allclose(qdot(spec, eps, c2, "left"), [1.0], atol=0)
-    np.testing.assert_allclose(qdot(spec, eps, c0, "right"), [-1.0], atol=0)
+    np.testing.assert_array_equal(_at(spec, eps, c2, "left")[1], [1.0])
+    np.testing.assert_array_equal(_at(spec, eps, c2, "right")[1], [0.0])
+    np.testing.assert_array_equal(_at(spec, eps, c1, "right")[1], [1.0])
+    np.testing.assert_array_equal(_at(spec, eps, c1, "left")[1], [-1.0])
+    np.testing.assert_array_equal(_at(spec, eps, c0, "right")[1], [-1.0])
+    np.testing.assert_array_equal(_at(spec, eps, c0, "left")[1], [0.0])
 
 
 def test_left_needle_mirrors_right():
-    # q_minus(theta, lam, xi) coincides with q_plus(theta-eps, 1-lam, paired xi)
+    # the left needle (theta, lam, xi) coincides with the right needle
+    # (theta-eps, 1-lam, paired xi), values and one-sided slopes alike
     rng = np.random.default_rng(5)
     for _ in range(25):
         theta = float(rng.uniform(1.0, 2.0))
@@ -124,21 +148,13 @@ def test_left_needle_mirrors_right():
         left = NeedleSpec(theta=theta, lam=lam, xi=xi, side="left")
         mirrored = NeedleSpec(theta=theta - eps, lam=1.0 - lam,
                               xi=(lam / (lam - 1.0)) * xi, side="right")
-        for t in np.linspace(theta - eps - 0.1, theta + 0.1, 37):
-            np.testing.assert_allclose(
-                q_minus(left, eps, float(t)),
-                q_plus(mirrored, eps, float(t)), atol=1e-13)
-
-
-def test_needle_value_dispatches_by_side():
-    r = NeedleSpec(theta=1.0, lam=0.5, xi=np.array([1.0]), side="right")
-    l = NeedleSpec(theta=1.0, lam=0.5, xi=np.array([1.0]), side="left")
-    np.testing.assert_allclose(needle_value(r, 0.2, 1.1), q_plus(r, 0.2, 1.1))
-    np.testing.assert_allclose(needle_value(l, 0.2, 0.9), q_minus(l, 0.2, 0.9))
-    with pytest.raises(NeedleError):
-        q_plus(l, 0.2, 1.0)
-    with pytest.raises(NeedleError):
-        q_minus(r, 0.2, 1.0)
+        ts = np.concatenate((np.linspace(theta - eps - 0.1, theta + 0.1, 37),
+                             left.corners(eps)))
+        for side in ("right", "left"):
+            q_l, q_dot_l = perturbation(left, eps, ts, side)
+            q_r, q_dot_r = perturbation(mirrored, eps, ts, side)
+            np.testing.assert_allclose(q_l, q_r, atol=1e-13)
+            np.testing.assert_allclose(q_dot_l, q_dot_r, rtol=1e-13)
 
 
 def test_vary_adds_needle_on_top_of_candidate(prob):
@@ -150,7 +166,7 @@ def test_vary_adds_needle_on_top_of_candidate(prob):
     for c in (c0, c1, c2):
         assert any(abs(b - c) <= 1e-12 for b in varied.breakpoints)
     for t in np.linspace(-1.0, 3.0, 101):
-        want = cand.traj.value(t) + needle_value(spec, eps, float(t))
+        want = cand.traj.value(t) + _at(spec, eps, float(t))[0]
         np.testing.assert_allclose(varied.value(t), want, atol=1e-13)
     # derivative matches the needle slopes inside the support
     np.testing.assert_allclose(varied.deriv(1.1, "right"), [1.0], atol=1e-13)
@@ -167,7 +183,7 @@ def test_vary_on_curved_candidate_keeps_continuity(prob):
         right_v = varied.segments[varied.segment_index(b, "right")].value(b)
         np.testing.assert_allclose(left_v, right_v, atol=1e-13)
     for t in np.linspace(0.0, 3.0, 61):
-        want = cand.traj.value(t) + needle_value(spec, eps, float(t))
+        want = cand.traj.value(t) + _at(spec, eps, float(t))[0]
         np.testing.assert_allclose(varied.value(t), want, atol=1e-13)
 
 
@@ -179,13 +195,16 @@ def test_vary_rejects_eps_outside_window(prob):
 
 
 def test_norm_formulas():
-    spec = NeedleSpec(theta=1.0, lam=0.25, xi=np.array([3.0, 4.0]), side="right")
-    sup_q, sup_qdot = norms(spec, 0.5)
-    assert sup_q == pytest.approx(0.25 * 0.5 * 5.0, abs=1e-15)
-    assert sup_qdot == pytest.approx(5.0, abs=1e-15)  # max{1, 1/3} * |xi|
-    steep = NeedleSpec(theta=1.0, lam=0.75, xi=np.array([1.0]), side="right")
-    assert norms(steep, 0.5)[1] == pytest.approx(3.0, abs=1e-15)
-    with pytest.raises(NeedleError):
-        norms(spec, 1.5)
-    with pytest.raises(NeedleError):
-        norms(spec, 0.0)
+    # sup |q| = lam*eps*|xi| and sup |q_dot| = max{1, lam/(1-lam)}*|xi|,
+    # Euclidean, on the corners and a dense grid of the support
+    for lam, xi, sup_qdot in ((0.25, [3.0, 4.0], 5.0), (0.75, [1.0], 3.0)):
+        spec = NeedleSpec(theta=1.0, lam=lam, xi=np.array(xi), side="right")
+        eps = 0.5
+        c0, c1, c2 = spec.corners(eps)
+        ts = np.concatenate(([c0, c1, c2], np.linspace(c0, c2, 1001)))
+        for side in ("right", "left"):
+            q, q_dot = perturbation(spec, eps, ts, side)
+            assert np.max(np.linalg.norm(q, axis=0)) == pytest.approx(
+                lam * eps * np.linalg.norm(xi), abs=1e-15)
+            assert np.max(np.linalg.norm(q_dot, axis=0)) == pytest.approx(
+                sup_qdot, abs=1e-15)

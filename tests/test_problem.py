@@ -11,6 +11,7 @@ from needlecheck.problem import (
     along,
     eval_L,
     eval_S,
+    Interval,
     integrate_L,
     partials_vec,
     shift_slopes,
@@ -114,28 +115,48 @@ def test_domain_error_in_the_last_cell_of_broadcast_rows():
 
 def test_integrate_clips_to_problem_window(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
-    inner = integrate_L(p, cand.traj, 2.5, 3.0)
-    past = integrate_L(p, cand.traj, 2.5, 8.0)
+    inner, past, empty = integrate_L(
+        p, cand.traj, [Interval(2.5, 3.0), Interval(2.5, 8.0),
+                       Interval(1.0, 1.0)])
     assert past == pytest.approx(inner, abs=1e-15)
-    assert integrate_L(p, cand.traj, 1.0, 1.0) == 0.0
+    assert empty == 0.0
+    assert integrate_L(p, cand.traj, [Interval(3.5, 8.0)]) == [0.0]
 
 
 def test_integral_invariant_under_spurious_breakpoints():
     p = make_problem(SAMPLE_L)
     cand = make_candidate(p, ["0.1*t*(3 - t)"])
-    base = integrate_L(p, cand.traj, 0.0, 3.0)
+    [base] = integrate_L(p, cand.traj, [Interval(0.0, 3.0)])
     split = cand.traj.split_at([0.37, 1.11, 1.9, 2.71])
-    again = integrate_L(p, split, 0.0, 3.0)
+    [again] = integrate_L(p, split, [Interval(0.0, 3.0)])
     assert abs(again - base) <= 1e-12 * (1.0 + abs(base))
 
 
 def test_integral_additivity():
     p = make_problem(SAMPLE_L)
     cand = make_candidate(p, ["0.1*t*(3 - t)"])
-    whole = integrate_L(p, cand.traj, 0.0, 3.0)
+    [whole] = integrate_L(p, cand.traj, [Interval(0.0, 3.0)])
     for c in (0.4, 1.0, 1.7, 2.0, 2.9):
-        parts = integrate_L(p, cand.traj, 0.0, c) + integrate_L(p, cand.traj, c, 3.0)
-        assert abs(parts - whole) <= 1e-13 * (1.0 + abs(whole))
+        parts = integrate_L(p, cand.traj,
+                            [Interval(0.0, c), Interval(c, 3.0)])
+        assert abs(sum(parts) - whole) <= 1e-13 * (1.0 + abs(whole))
+
+
+def test_intervals_integrate_alone_or_batched_alike():
+    # a batch returns, per interval, what that interval integrates to alone
+    p = make_problem(SAMPLE_L)
+    cand = make_candidate(p, ["0.1*t*(3 - t)"])
+
+    def bump(ts, sides):
+        q = np.where((ts > 0.5) & (ts < 0.8), (ts - 0.5) * (0.8 - ts), 0.0)
+        return q[None], np.zeros((1, ts.size))
+
+    batch = [Interval(0.0, 3.0), Interval(0.2, 1.7, (0.5, 0.8), bump),
+             Interval(1.4, 1.9, (1.5, 1.8), bump), Interval(2.0, 2.0, (), bump)]
+    alone = [integrate_L(p, cand.traj, [iv])[0] for iv in batch]
+    assert integrate_L(p, cand.traj, batch) == alone
+    assert alone[0] == eval_S(p, cand.traj)
+    assert alone[3] == 0.0
 
 
 def test_cost_zero_on_zero_candidate(sample_problem, sample_cand):

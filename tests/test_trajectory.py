@@ -63,9 +63,9 @@ def test_no_limit_past_domain_ends():
 
 def test_second_deriv_one_sided():
     traj = Trajectory([_seg(0.0, 1.0, "t^2"), _seg(1.0, 3.0, "2*t - 1")])
-    np.testing.assert_array_equal(traj.second_deriv(0.5, "right"), [2.0])
-    np.testing.assert_array_equal(traj.second_deriv(1.0, "left"), [2.0])
-    np.testing.assert_array_equal(traj.second_deriv(1.0, "right"), [0.0])
+    np.testing.assert_array_equal(
+        traj.second_deriv_arr([0.5, 1.0, 1.0], ["right", "left", "right"]),
+        [[2.0, 2.0, 0.0]])
 
 
 def test_split_at_preserves_values():
