@@ -15,8 +15,7 @@ from .analysis import (AnalysisError, AnalysisReport, AnalysisSettings,
                        theorem_5_1_check, theorem_6_1_check,
                        theorem_6_2_check)
 from .conditions import (ConditionsError, euler_residual, first_variation,
-                         m_term, needle_first_variation, q_k,
-                         weierstrass_scan)
+                         needle_first_variation, weierstrass_scan)
 from .config import (ConfigError, RunConfig, build_candidate, build_problem,
                      load_config, parse_config)
 from .exprs import ExprError, parse_expr, parse_lagrangian
@@ -39,8 +38,8 @@ __all__ = [
     "TrajectoryError", "Verdict", "build_candidate", "build_problem",
     "delta_S_direct", "detect_degeneracy", "euler_residual", "eval_S",
     "expansion_prediction", "first_variation", "fit_expansion",
-    "full_report", "load_config", "m_term", "needle_first_variation",
-    "parse_config", "parse_expr", "parse_lagrangian", "q_k",
+    "full_report", "load_config", "needle_first_variation",
+    "parse_config", "parse_expr", "parse_lagrangian",
     "remark_6_1_equivalence", "theorem_5_1_check", "theorem_6_1_check",
     "theorem_6_2_check", "validity_window", "verify_expansion",
     "verify_needle_first_variation_zero", "weierstrass_scan",

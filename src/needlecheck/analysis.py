@@ -25,7 +25,7 @@ import numpy as np
 from . import conditions
 from .conditions import (DEFAULT_LAMBDAS, DEFAULT_RADII, DEFAULT_TOL_DEG,
                          DEFAULT_TOL_W, ExcessPoint, WeierstrassScanReport,
-                         direction_set, lagrangian_scale, paired_slope,
+                         direction_set, paired_slope, resolve_tols,
                          xi_sample_set)
 from .increments import IncrementRecord, verify_expansion
 from .needle import NeedleSpec
@@ -42,13 +42,6 @@ _RANK = {"CONSISTENT": 0, "FAILS_STRONG": 1, "FAILS_WEAK": 2}
 
 class AnalysisError(ValueError):
     pass
-
-
-def _resolve_tol_deg(p: DelayProblem, cand: CandidateExtremal,
-                     tol_deg: Optional[float]) -> float:
-    if tol_deg is not None:
-        return tol_deg
-    return DEFAULT_TOL_DEG * (1.0 + lagrangian_scale(p, cand))
 
 
 def _eq_tol(tol_eq: Optional[float], magnitude: float) -> float:
@@ -141,7 +134,7 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
     for lam in lam_grid:
         if not 0.0 < lam < 1.0:
             raise AnalysisError(f"lambda grid entry {lam} outside (0,1)")
-    td = _resolve_tol_deg(p, cand, tol_deg)
+    td, = resolve_tols(p, cand, (tol_deg, DEFAULT_TOL_DEG))
 
     pairs = [(eta, float(lam)) for eta in directions for lam in lam_grid]
     sides = ["left" if t >= p.t1 - BREAK_TOL else "right" for t in grid]
@@ -172,17 +165,12 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
                 certified_pairs=pairs_out))
             continue
         theta = grid[i0]
-        sides = []
-        if theta < p.t1 - BREAK_TOL:
-            ok = _certifies(ExcessPoint(p, cand, theta, "right"),
-                            eta, [lam], td)[0].item()
-            if ok:
-                sides.append("right")
-        if theta > p.t0 + BREAK_TOL:
-            ok = _certifies(ExcessPoint(p, cand, theta, "left"),
-                            eta, [lam], td)[0].item()
-            if ok:
-                sides.append("left")
+        sides = [s for s, inside in (("right", theta < p.t1 - BREAK_TOL),
+                                     ("left", theta > p.t0 + BREAK_TOL))
+                 if inside]
+        ok = _certifies(ExcessPoint(p, cand, [theta] * len(sides), sides),
+                        eta, [lam], td)[0][:, 0, 0]
+        sides = [s for s, c in zip(sides, ok.tolist()) if c]
         side = "both" if len(sides) == 2 else (sides[0] if sides else "right")
         findings.append(DegeneracyFinding(
             kind="point", t_lo=theta, t_hi=theta, side=side,
@@ -228,7 +216,7 @@ def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
     if n_points < 3:
         raise AnalysisError(f"need at least 3 interior points, got {n_points}")
     eta, lam = finding.direction, finding.lam
-    td = _resolve_tol_deg(p, cand, tol_deg)
+    td, = resolve_tols(p, cand, (tol_deg, DEFAULT_TOL_DEG))
     ts = [float(t) for t in
           np.linspace(finding.t_lo, finding.t_hi, n_points + 2)[1:-1]]
     scale_list = sorted({float(s) for s in scales} | {1.0}, reverse=True)
@@ -299,61 +287,82 @@ def _tail_note(p: DelayProblem, theta: float) -> str:
 
 
 def _point_quantity(p: DelayProblem, cand: CandidateExtremal, theta: float,
-                    side: str, lam: float, eta: np.ndarray, td: float,
+                    side: str, lam: float, etas: np.ndarray, td: float,
                     tol_eq: Optional[float]):
-    """Shared engine for the 6.1-style point checks.
+    """Shared engine of the 6.1-style point checks, for every direction of
+    the stack etas (k, n) at once, on one ExcessPoint with a row per side.
 
-    Returns (value, tol, violated, quantity description).  Raises
-    AnalysisError when the degeneracy certification or the smoothness
-    hypotheses fail at this (theta, side, eta).
+    Returns (quantity description, one (value, tol, violated, failure) per
+    direction).  failure is None when the direction certifies, else the
+    message of the first hypothesis that fails at it, in this order:
+    degeneracy certification from each side, then, at a two-sided point,
+    agreement of the one-sided M sums and stationarity of both excess-sum
+    maps.  Each quantity is evaluated only at the directions that passed
+    every check before it.
     """
-    check_sides = ("right", "left") if side == "both" else (side,)
-    for s in check_sides:
-        pt = ExcessPoint(p, cand, theta, s)
-        ok, e1, e2 = (a.item() for a in _certifies(pt, eta, [lam], td))
-        if not ok:
-            raise AnalysisError(
-                f"degeneracy not certified at theta={theta} from the {s}: "
-                f"|E sums| = ({e1}, {e2}) exceed {td}")
+    rows = ("right", "left") if side == "both" else (side,)
+    pt = ExcessPoint(p, cand, [theta] * len(rows), rows)
+    ok, e1, e2 = (a[..., 0].T.tolist()
+                  for a in _certifies(pt, etas, [lam], td))
+    failure = [next((f"degeneracy not certified at theta={theta} from the "
+                     f"{s}: |E sums| = ({a}, {b}) exceed {td}"
+                     for s, c, a, b in zip(rows, *cols) if not c), None)
+               for cols in zip(ok, e1, e2)]
+    out = [(math.nan, math.nan, False)] * len(etas)
 
-    if side in ("right", "left"):
-        m_sum = float(ExcessPoint(p, cand, theta, side).m_sum(lam, eta)[0, 0])
-        bracket = (lam * m_sum
-                   + conditions.q2_sum_slope(p, cand, theta, side, lam, eta))
-        tol = _eq_tol(tol_eq, bracket)
-        violated = (bracket < -tol) if side == "right" else (bracket > tol)
+    def live() -> List[int]:
+        return [j for j, f in enumerate(failure) if f is None]
+
+    js = live()
+    m_sums = pt.m_sum(lam, etas[js]).T.tolist() if js else []
+    if side == "both":
+        # interior two-sided point: equality of the M sum
+        for j, (m_r, m_l) in zip(js, m_sums):
+            tol = _eq_tol(tol_eq, m_r)
+            out[j] = (m_r, tol, abs(m_r) > tol)
+            if abs(m_r - m_l) > tol:
+                failure[j] = (
+                    f"one-sided M sums disagree at theta={theta} "
+                    f"({m_r} vs {m_l}): two-sided smoothness hypothesis fails")
+        js = live()
+    # excess-sum rates per side: rows 0..len(js)-1 at the live etas, the
+    # rest at their paired slopes
+    rate = pt.e_sum_rate(np.concatenate(
+        (etas[js], paired_slope(lam, etas[js])))).T.tolist() if js else []
+    for i, j in enumerate(js):
+        at_eta, at_pair = rate[i], rate[len(js) + i]
+        if side != "both":
+            bracket = lam * m_sums[i][0] + (
+                lam ** 2 * at_eta[0] + (1.0 - lam ** 2) * at_pair[0])
+            tol = _eq_tol(tol_eq, bracket)
+            violated = (bracket < -tol) if side == "right" else (bracket > tol)
+            out[j] = (bracket, tol, violated)
+            continue
+        # interior-minimum stationarity cross-check: at a degenerate interior
+        # point of a candidate satisfying the excess condition, both excess-
+        # sum maps are minimized, so their one-sided time derivatives vanish
+        fermat_tol = 100.0 * out[j][1]
+        failure[j] = next((
+            f"excess sum map not stationary at theta={theta} from the {s} "
+            f"(slope {v}): interior-minimum hypothesis fails"
+            for d in (at_eta, at_pair) for s, v in zip(rows, d)
+            if abs(v) > fermat_tol), None)
+    if side == "both":
+        desc = "M_x + M_y at the interior degenerate point (= 0 required)"
+    else:
         desc = (f"lam*(M_x+M_y) + d/dt(Q_2 sum) from the {side} "
                 f"({'>= 0' if side == 'right' else '<= 0'} required)")
-        return bracket, tol, violated, desc
-
-    # interior two-sided point: equality of the M sum
-    m_r, m_l = (float(ExcessPoint(p, cand, theta, s).m_sum(lam, eta)[0, 0])
-                for s in ("right", "left"))
-    tol = _eq_tol(tol_eq, m_r)
-    if abs(m_r - m_l) > tol:
-        raise AnalysisError(
-            f"one-sided M sums disagree at theta={theta} "
-            f"({m_r} vs {m_l}): two-sided smoothness hypothesis fails")
-    # interior-minimum stationarity cross-check: at a degenerate interior
-    # point of a candidate satisfying the excess condition, both excess-sum
-    # maps are minimized, so their one-sided time derivatives must vanish
-    fermat_tol = 100.0 * tol
-    for d in (eta, paired_slope(lam, eta)):
-        for slope_side in ("right", "left"):
-            slope = conditions.e_sum_slope(p, cand, theta, slope_side, d)
-            if abs(slope) > fermat_tol:
-                raise AnalysisError(
-                    f"excess sum map not stationary at theta={theta} from "
-                    f"the {slope_side} (slope {slope}): interior-minimum "
-                    f"hypothesis fails")
-    desc = "M_x + M_y at the interior degenerate point (= 0 required)"
-    return m_r, tol, abs(m_r) > tol, desc
+    return desc, [o + (None,) if f is None else (math.nan, math.nan, False, f)
+                  for o, f in zip(out, failure)]
 
 
 def _validate_point_args(p: DelayProblem, theta: float, side: str,
-                         lam: float, eta: np.ndarray) -> np.ndarray:
-    if side not in ("right", "left", "both"):
-        raise AnalysisError(f"side must be 'right', 'left' or 'both', got {side!r}")
+                         lam: float, eta: np.ndarray,
+                         sides: Tuple[str, ...] = ("right", "left", "both")
+                         ) -> np.ndarray:
+    if side not in sides:
+        names = ", ".join(map(repr, sides[:-1])) + f" or {sides[-1]!r}"
+        raise AnalysisError(f"side must be {names}, got {side!r}")
     if not 0.0 < lam < 1.0:
         raise AnalysisError(f"lambda must be in (0,1), got {lam}")
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -383,9 +392,11 @@ def theorem_6_1_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
     hypotheses are not met and an error is raised instead of a verdict.
     """
     eta = _validate_point_args(p, theta, side, lam_bar, eta)
-    td = _resolve_tol_deg(p, cand, tol_deg)
-    value, tol, violated, desc = _point_quantity(
-        p, cand, theta, side, lam_bar, eta, td, tol_eq)
+    td, = resolve_tols(p, cand, (tol_deg, DEFAULT_TOL_DEG))
+    desc, [(value, tol, violated, failure)] = _point_quantity(
+        p, cand, theta, side, lam_bar, eta[None], td, tol_eq)
+    if failure is not None:
+        raise AnalysisError(failure)
     label = "6.1(ii)" if side == "both" else "6.1(i)"
     return Verdict(
         theorem=label,
@@ -413,19 +424,19 @@ def theorem_6_2_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
         raise AnalysisError("scales list must be nonempty")
     if any(s <= 0 for s in scale_list):
         raise AnalysisError("scales must be positive")
-    td = _resolve_tol_deg(p, cand, tol_deg)
-    # the unscaled direction must certify; that is the precondition shared
-    # with the pointwise check
-    base = _point_quantity(p, cand, theta, side, lam_bar, eta, td, tol_eq)
-
-    outcomes = []
-    for s in scale_list:
-        try:
-            value, tol, violated, _ = _point_quantity(
-                p, cand, theta, side, lam_bar, s * eta, td, tol_eq)
-            outcomes.append((s, True, violated, value, tol))
-        except AnalysisError:
-            outcomes.append((s, False, False, math.nan, math.nan))
+    td, = resolve_tols(p, cand, (tol_deg, DEFAULT_TOL_DEG))
+    # one engine call: the unscaled direction, then the ladder; the
+    # unscaled direction must certify, the precondition shared with the
+    # pointwise check
+    desc, results = _point_quantity(
+        p, cand, theta, side, lam_bar,
+        np.array([eta] + [s * eta for s in scale_list]), td, tol_eq)
+    base = results[0]
+    if base[3] is not None:
+        raise AnalysisError(base[3])
+    outcomes = [(s, failure is None, violated, value, tol)
+                for s, (value, tol, violated, failure)
+                in zip(scale_list, results[1:])]
 
     label = "6.2(ii)" if side == "both" else "6.2(i)"
     parts = []
@@ -450,7 +461,7 @@ def theorem_6_2_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
         conclusion = "CONSISTENT"
     return Verdict(
         theorem=label, conclusion=conclusion,
-        quantity=base[3] + " across the scale ladder",
+        quantity=desc + " across the scale ladder",
         value=evidence[3], tolerance=evidence[4],
         location=(theta, theta), note=summary)
 
@@ -490,16 +501,10 @@ def remark_6_1_equivalence(p: DelayProblem, cand: CandidateExtremal,
     it vanishes iff both vanish.  This gives a one-evaluation test for
     degeneracy in place of two.
     """
-    if side not in ("right", "left"):
-        raise AnalysisError(f"side must be 'right' or 'left', got {side!r}")
-    if not 0.0 < lam_bar < 1.0:
-        raise AnalysisError(f"lambda must be in (0,1), got {lam_bar}")
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if float(np.max(np.abs(eta))) == 0.0:
-        raise AnalysisError("direction eta must be nonzero")
-    scale = lagrangian_scale(p, cand)
-    tw = DEFAULT_TOL_W * (1.0 + scale) if tol_w is None else tol_w
-    td = DEFAULT_TOL_DEG * (1.0 + scale) if tol_deg is None else tol_deg
+    eta = _validate_point_args(p, theta, side, lam_bar, eta,
+                               sides=("right", "left"))
+    tw, td = resolve_tols(p, cand, (tol_w, DEFAULT_TOL_W),
+                          (tol_deg, DEFAULT_TOL_DEG))
 
     pt = ExcessPoint(p, cand, theta, side)
     samples = xi_sample_set(p.dim, radii, seed)

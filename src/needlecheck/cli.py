@@ -164,16 +164,18 @@ def excess(config: str, point: float, side: str, xi: Tuple[float, ...],
            lam: float) -> None:
     """Excess, Q and M values at one point and slope direction."""
     def body(cfg, p, cand):
+        if not 0.0 < lam < 1.0:
+            raise AnalysisError(f"--lambda must be in (0, 1), got {lam}")
         eta = _xi_or_default(xi, p)
         pt = conditions.ExcessPoint(p, cand, point, side)
         pair = conditions.paired_slope(lam, eta)
-        scale = conditions.lagrangian_scale(p, cand)
-        a = cfg.analysis
-        tw = conditions.DEFAULT_TOL_W * (1.0 + scale) \
-            if a.tol_w is None else a.tol_w
-        q1_x, q1_y = conditions.q_k(p, cand, point, side, lam, eta, 1)
-        q2_x, q2_y = conditions.q_k(p, cand, point, side, lam, eta, 2)
+        tw, = conditions.resolve_tols(
+            p, cand, (cfg.analysis.tol_w, conditions.DEFAULT_TOL_W))
         e_x, e_y = (pt.excess(s, [eta, pair])[0].tolist() for s in ("x", "y"))
+        # Q_k per slot: lam^k * E(xi) + (1 - lam^k) * E(pair)
+        q1_x, q1_y = (lam * e[0] + (1.0 - lam) * e[1] for e in (e_x, e_y))
+        q2_x, q2_y = (lam ** 2 * e[0] + (1.0 - lam ** 2) * e[1]
+                      for e in (e_x, e_y))
         m_x, m_y = (float(pt.m(s, lam, eta)[0, 0]) for s in ("x", "y"))
         result = {
             "t": point, "side": side, "xi": eta, "lambda": lam,

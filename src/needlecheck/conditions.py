@@ -8,11 +8,18 @@ the delay-shifted term at t+h, and the shifted term vanishes for t+h > t1
 by the extended-zero convention, which collapses the two regimes
 (t <= t1-h paired, t > t1-h single-term) into one code path.
 
+ExcessPoint is the one way to evaluate the excess machinery: a scan grid,
+a degeneracy grid and a single point (one row per side) are all grids of
+times, and every stack of slopes (scaled directions, their paired slopes)
+is evaluated at once.  It gives the slot excesses, their sum, the M
+functionals and the exact time rate of the excess sum; Q_k is
+lam^k * E(xi) + (1-lam^k) * E(pair) per slot, combined by the caller from
+the excesses it holds.
+
 The slope-slot perturbation notation: a value "at (t, xi)" evaluates the
 functional with xdot(t) replaced by xdot(t)+xi (xdot slot) or with
 xdot(t-h) replaced by xdot(t-h)+xi (ydot slot, evaluated at nu = t+h).
 """
-
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -71,28 +78,31 @@ _BLOCK_CELLS = 2 ** 14
 
 class ExcessPoint:
     """The excess machinery over an array of times ts, each with its side
-    (sides: one side, or one per time).  Caches per slot the argument set,
-    L and its slope gradient, shared by every slope.  Slot "x" perturbs
+    (sides: one side, or one per time); a point is a grid of one row, or of
+    two, ExcessPoint(p, cand, [theta, theta], ["right", "left"]).  Caches
+    per slot the argument set, L and its slope gradient, shared by every
+    slope, and on first use of e_sum_rate the rate sets.  Slot "x" perturbs
     xdot(t) at t; slot "y" perturbs xdot(t-h) at nu = t+h.  Every method
     takes a stack of slopes (m, n), or one slope (n,), and returns shape
     (len(ts), m): one row per time, one value per slope.  The times are
     swept in blocks of at most _BLOCK_CELLS cells per kernel call."""
 
-    __slots__ = ("p", "args", "L", "grad")
+    __slots__ = ("p", "cand", "ts", "sides", "args", "L", "grad", "_rates")
 
     def __init__(self, p: DelayProblem, cand: CandidateExtremal, ts, sides):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        self.p = p
-        self.args = {"x": along(p, cand, ts, sides),
-                     "y": along(p, cand, ts + p.h, sides)}
+        self.ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        self.p, self.cand, self.sides = p, cand, sides
+        self.args = {"x": along(p, cand, self.ts, sides),
+                     "y": along(p, cand, self.ts + p.h, sides)}
         self.L = {s: eval_L(p, a) for s, a in self.args.items()}
         self.grad = {s: partials_vec(p, SLOTS[s][0], a)
                      for s, a in self.args.items()}
+        self._rates = None
 
     def _blocks(self, width: int) -> List[slice]:
         """Slices of the times, each at most _BLOCK_CELLS / width long."""
         step = max(1, _BLOCK_CELLS // max(1, width))
-        return [slice(i, i + step) for i in range(0, len(self.L["x"]), step)]
+        return [slice(i, i + step) for i in range(0, len(self.ts), step)]
 
     def _shifted(self, slot: str, b: slice, xis: np.ndarray) -> list:
         return shift_slopes(self.p, self.args[slot][:, b], SLOTS[slot][0],
@@ -128,44 +138,29 @@ class ExcessPoint:
     def m_sum(self, lam: float, xis) -> np.ndarray:
         return self.m("x", lam, xis) + self.m("y", lam, xis)
 
-
-def excess_E(p: DelayProblem, cand: CandidateExtremal, t: float, side: str,
-             xi: np.ndarray, slot: str) -> float:
-    """Weierstrass excess in one slope slot.
-
-    slot="xdot": L(t, ..., xdot+xi, ...) - L(t) - Ldx(t)^T xi.
-    slot="ydot": the same at nu = t+h in the delayed slot; 0 for nu > t1.
-    """
-    if slot not in ("xdot", "ydot"):
-        raise ConditionsError(f"slot must be 'xdot' or 'ydot', got {slot!r}")
-    return float(ExcessPoint(p, cand, t, side).excess(slot[0], xi)[0, 0])
-
-
-def q_k(p: DelayProblem, cand: CandidateExtremal, t: float, side: str,
-        lam: float, xi: np.ndarray, k: int) -> Tuple[float, float]:
-    """Q_k pair: lam^k * E(xi) + (1-lam^k) * E(pair) in each slot."""
-    if k not in (1, 2):
-        raise ConditionsError(f"k must be 1 or 2, got {k}")
-    if not 0.0 < lam < 1.0:
-        raise ConditionsError(f"lambda must be in (0,1), got {lam}")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    pt = ExcessPoint(p, cand, t, side)
-    pair = paired_slope(lam, xi)
-    w = lam ** k
-    q_x, q_y = (float(w * e[0] + (1.0 - w) * e[1])
-                for e in (pt.excess(s, [xi, pair])[0] for s in SLOTS))
-    return q_x, q_y
-
-
-def m_term(p: DelayProblem, cand: CandidateExtremal, t: float, side: str,
-           lam: float, xi: np.ndarray, slot: str) -> float:
-    """M functional in one slot, literally: both slope-perturbed gradient
-    differences are contracted with xi."""
-    if not 0.0 < lam < 1.0:
-        raise ConditionsError(f"lambda must be in (0,1), got {lam}")
-    if slot not in SLOTS:
-        raise ConditionsError(f"slot must be 'x' or 'y', got {slot!r}")
-    return float(ExcessPoint(p, cand, t, side).m(slot, lam, xi)[0, 0])
+    def e_sum_rate(self, xis) -> np.ndarray:
+        """Exact one-sided d/dt of the excess sum map t -> E_x(t) + E_y(t)
+        at each time, from its side.  The slope shift is fixed in t, so the
+        shifted arguments move at the base rate and the chain rule runs
+        through base and shifted columns alike."""
+        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+        if self._rates is None:
+            self._rates = {
+                "x": along(self.p, self.cand, self.ts, self.sides, rate=True),
+                "y": along(self.p, self.cand, self.ts + self.p.h, self.sides,
+                           rate=True)}
+        # column 0 is the unshifted base, the others carry one slope each
+        stack = np.vstack((np.zeros(self.p.dim), xis))
+        out = np.zeros((len(self.ts), len(xis)))
+        for slot, rate in self._rates.items():
+            for b in self._blocks(len(stack)):
+                args = self._shifted(slot, b, stack)
+                r = [v[:, None] for v in rate[:, b]]
+                dL = time_rate(self.p, (), args, r)
+                dgrad = partials_vec(self.p, SLOTS[slot][0],
+                                     [a[:, :1] for a in args], r)
+                out[b] += dL[:, 1:] - dL[:, :1] - _dot(dgrad, xis)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,41 +256,6 @@ def euler_residual(p: DelayProblem, cand: CandidateExtremal, t,
     return drho - force if np.ndim(t) else (drho - force)[:, 0]
 
 
-def _e_sum_rates(p: DelayProblem, cand: CandidateExtremal, theta: float,
-                 side: str, xis) -> np.ndarray:
-    """Exact one-sided d/dt at theta of the excess sum map
-    t -> E_x(t) + E_y(t), for each slope of the stack xis (m, n).  The
-    slope shift is fixed in t, so the shifted arguments move at the base
-    rate and the chain rule runs through base and shifted columns alike."""
-    xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    out = np.zeros(len(xis))
-    for block, nu in (("dx", theta), ("dy", theta + p.h)):
-        base, rate = (along(p, cand, nu, side, r) for r in (False, True))
-        # column 0 is the unshifted base, the others carry one slope each
-        args = shift_slopes(p, base, block, np.vstack((np.zeros(p.dim), xis)))
-        dL = time_rate(p, (), args, rate)[0]
-        dgrad = partials_vec(p, block, [a[:, :1] for a in args], rate)
-        out += dL[1:] - dL[0] - _dot(dgrad[:, 0, 0], xis)
-    return out
-
-
-def q2_sum_slope(p: DelayProblem, cand: CandidateExtremal, theta: float,
-                 side: str, lam: float, xi: np.ndarray) -> float:
-    """One-sided d/dt at theta of the Q_2 sum map t -> Q_2_x(t) + Q_2_y(t)."""
-    if not 0.0 < lam < 1.0:
-        raise ConditionsError(f"lambda must be in (0,1), got {lam}")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    at_xi, at_pair = _e_sum_rates(p, cand, theta, side,
-                                  [xi, paired_slope(lam, xi)])
-    return float(lam ** 2 * at_xi + (1.0 - lam ** 2) * at_pair)
-
-
-def e_sum_slope(p: DelayProblem, cand: CandidateExtremal, theta: float,
-                side: str, xi: np.ndarray) -> float:
-    """One-sided d/dt at theta of the excess sum map t -> E_x(t) + E_y(t)."""
-    return float(_e_sum_rates(p, cand, theta, side, xi)[0])
-
-
 # ---------------------------------------------------------------------------
 # direction sampling and the Weierstrass scan
 
@@ -372,6 +332,17 @@ def lagrangian_scale(p: DelayProblem, cand: CandidateExtremal,
                  .max(initial=0.0))
 
 
+def resolve_tols(p: DelayProblem, cand: CandidateExtremal,
+                 *given: Tuple[Optional[float], float]) -> List[float]:
+    """The one tolerance rule: each (tol, floor) pair resolves to tol when
+    it is set, else to floor * (1 + |L| scale along the candidate).  The
+    scale is computed once, and only when some tol is unset."""
+    scale = lagrangian_scale(p, cand) \
+        if any(tol is None for tol, _ in given) else 0.0
+    return [floor * (1.0 + scale) if tol is None else tol
+            for tol, floor in given]
+
+
 def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
                      t_grid: Optional[Sequence[float]] = None,
                      xi_samples: Optional[Sequence[np.ndarray]] = None,
@@ -393,9 +364,8 @@ def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
     for x in xi_samples:
         if float(np.max(np.abs(x))) == 0.0:
             raise ConditionsError("xi samples must exclude 0")
-    scale = lagrangian_scale(p, cand)
-    tw = DEFAULT_TOL_W * (1.0 + scale) if tol_w is None else tol_w
-    td = DEFAULT_TOL_DEG * (1.0 + scale) if tol_deg is None else tol_deg
+    tw, td = resolve_tols(p, cand, (tol_w, DEFAULT_TOL_W),
+                          (tol_deg, DEFAULT_TOL_DEG))
 
     bps = set(cand.traj.breakpoints)
     tasks = []

@@ -5,9 +5,10 @@ quadrature nodes and integrates the Lagrangian difference, a whole eps
 sweep in one batched integrate_L call; it never touches the excess
 functionals.
 expansion_prediction assembles the predicted first and second order
-coefficients exclusively from the excess machinery (Q_1, M, and the time
-derivative of Q_2 by the chain rule); it never integrates the cost.  verify_expansion
-runs a geometric eps sweep of the direct increment, fits
+coefficients exclusively from one conditions.ExcessPoint at theta (Q_1 from
+the slot excesses at xi and its pair, the M sum, and the time derivative
+of Q_2 from the exact excess-sum rates); it never integrates the cost.
+verify_expansion runs a geometric eps sweep of the direct increment, fits
 c1*eps + c2*eps^2, and compares the fit against the prediction.  Agreement
 of the two paths is the point: each would miss a bug in the other.
 """
@@ -76,14 +77,16 @@ def expansion_prediction(p: DelayProblem, cand: CandidateExtremal,
     the excess functionals; the cost integral is never evaluated here.
     """
     window_for(p, spec)  # validates theta against the side's regime
-    theta, side, lam, xi = spec.theta, spec.side, spec.lam, spec.xi
-    q1_x, q1_y = conditions.q_k(p, cand, theta, side, lam, xi, 1)
-    c1 = q1_x + q1_y
-    m_sum = (conditions.m_term(p, cand, theta, side, lam, xi, "x")
-             + conditions.m_term(p, cand, theta, side, lam, xi, "y"))
-    bracket = lam * m_sum + conditions.q2_sum_slope(p, cand, theta, side, lam, xi)
-    half = 0.5 if side == "right" else -0.5
-    return c1, half * bracket
+    lam, slopes = spec.lam, [spec.xi, spec.outer_slope]
+    pt = conditions.ExcessPoint(p, cand, spec.theta, spec.side)
+    (ex0, ex1), (ey0, ey1) = (pt.excess(s, slopes)[0].tolist()
+                              for s in ("x", "y"))
+    c1 = (lam * ex0 + (1.0 - lam) * ex1) + (lam * ey0 + (1.0 - lam) * ey1)
+    m_sum = float(pt.m_sum(lam, spec.xi)[0, 0])
+    r_xi, r_pair = pt.e_sum_rate(slopes)[0].tolist()
+    q2_rate = lam ** 2 * r_xi + (1.0 - lam ** 2) * r_pair
+    half = 0.5 if spec.side == "right" else -0.5
+    return c1, half * (lam * m_sum + q2_rate)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ from needlecheck.analysis import (
 from needlecheck.conditions import (ExcessPoint, paired_slope,
                                    weierstrass_scan)
 from needlecheck.exprs import ExprAst
+from needlecheck.problem import CandidateExtremal
+from needlecheck.trajectory import Trajectory
 
 from conftest import SAMPLE_L, make_candidate, make_problem
 
@@ -267,6 +269,62 @@ def test_point_check_argument_validation(sample_problem, sample_cand):
         theorem_6_1_check(p, cand, 2.5, "right", 0.5, np.array([1.0]))
 
 
+def test_point_check_one_sided_bracket_closed_form():
+    # L = (t - 1)*dx1^2 along zero: E sum = (t - 1) xi^2 vanishes at 1 for
+    # every slope, M = 0, and d/dt(Q_2 sum) = lam^2 xi^2 + (1 - lam^2) pair^2
+    # = 2 lam^2 xi^2 / (1 - lam) from either side
+    p = make_problem("(t - 1)*dx1^2")
+    cand = make_candidate(p)
+    lam, xi = 0.25, 1.5
+    want = 2.0 * lam ** 2 * xi ** 2 / (1.0 - lam)
+    vr = theorem_6_1_check(p, cand, 1.0, "right", lam, np.array([xi]))
+    vl = theorem_6_1_check(p, cand, 1.0, "left", lam, np.array([xi]))
+    assert vr.value == pytest.approx(want, rel=1e-12)
+    assert vl.value == pytest.approx(want, rel=1e-12)
+    assert (vr.conclusion, vl.conclusion) == ("CONSISTENT", "FAILS_STRONG")
+    v2 = theorem_6_2_check(p, cand, 1.0, "left", lam, np.array([xi]),
+                           scales=(1.0, 0.5))
+    assert v2.conclusion == "FAILS_WEAK"
+    assert v2.value == pytest.approx(0.25 * want, rel=1e-12)
+
+
+def test_point_check_two_sided_hypotheses():
+    # one-sided M sums that differ across the candidate's kink at 1
+    p = make_problem(SAMPLE_L + " + x1*dx1^3")
+    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
+        (0.0, 1.0, ["0.3*t*(1 - t)"]), (1.0, 3.0, ["0.2*(t - 1)*(3 - t)"])]))
+    with pytest.raises(AnalysisError, match="M sums disagree at theta=1.0"):
+        theorem_6_1_check(p, cand, 1.0, "both", 0.5, np.array([1.0]))
+    # E sum = (t - 1)(xi^2 + xi^3): its rate xi^2 (1 + xi) vanishes at
+    # eta = -1 and not at the paired slope 1
+    p = make_problem("(t - 1)*(dx1^2 + dx1^3)")
+    cand = make_candidate(p)
+    with pytest.raises(AnalysisError, match=r"not stationary at theta=1.0 "
+                                            r"from the right \(slope 2.0\)"):
+        theorem_6_1_check(p, cand, 1.0, "both", 0.5, np.array([-1.0]))
+    with pytest.raises(AnalysisError, match="not stationary"):
+        theorem_6_2_check(p, cand, 1.0, "both", 0.5, np.array([-1.0]))
+
+
+def test_point_certified_from_one_side_only():
+    # L = dx1^4 along a candidate whose slope d drops from 1 to 0 at t = 1:
+    # the excess 6 d^2 xi^2 + 4 d xi^3 + xi^4 at |xi| = 0.01 is 1e-8 from
+    # the right and about 6e-4 from the left
+    p = make_problem("dx1^4")
+    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
+        (0.0, 1.0, ["t"]), (1.0, 3.0, ["1 - 0.25*(t - 1)^2"])]))
+    eta = np.array([0.01])
+    [finding] = detect_degeneracy(p, cand, t_grid=[0.5, 1.0, 1.5],
+                                  direction_samples=[eta, -eta],
+                                  lam_grid=[0.5], tol_deg=1e-6)
+    assert (finding.kind, finding.theta, finding.side) == ("point", 1.0,
+                                                           "right")
+    theorem_6_1_check(p, cand, 1.0, "right", 0.5, eta, tol_deg=1e-6)
+    with pytest.raises(AnalysisError,
+                       match="not certified at theta=1.0 from the left"):
+        theorem_6_1_check(p, cand, 1.0, "both", 0.5, eta, tol_deg=1e-6)
+
+
 def test_small_ball_check_fails_weak(sample_problem, sample_cand):
     v = theorem_6_2_check(sample_problem, sample_cand, 1.0, "both", 0.5,
                           np.array([1.0]))
@@ -290,6 +348,47 @@ def test_small_ball_check_decertifies(quartic_well):
     v61 = theorem_6_1_check(p, cand, 1.0, "both", 0.5, np.array([1.0]))
     assert v61.conclusion == "FAILS_STRONG"
     assert v61.value == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_small_ball_check_is_one_engine_call_at_any_ladder_length(
+        monkeypatch):
+    # the whole ladder rides on one ExcessPoint: the midpoint of the
+    # bundled interval certifies at every scale, from both sides, so every
+    # stage runs at every scale, and the kernel calls must not grow with
+    # the number of scales
+    calls, points = [], []
+    compiled = ExprAst.compiled
+
+    def counting(expr):
+        kernel = compiled(expr)
+
+        def count(*args):
+            calls.append(expr)
+            return kernel(*args)
+        return count
+
+    class Counted(ExcessPoint):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            points.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ExprAst, "compiled", counting)
+    monkeypatch.setattr(analysis, "ExcessPoint", Counted)
+    p = make_problem(SAMPLE_L)
+    cand = make_candidate(p)
+
+    def engine_use(scales):
+        del calls[:], points[:]
+        v = theorem_6_2_check(p, cand, 1.0, "both", 0.5, np.array([1.0]),
+                              scales=scales)
+        assert v.conclusion == "FAILS_WEAK"
+        return len(points), len(calls)
+
+    two = engine_use((1.0, 0.5))
+    assert two[0] == 1
+    assert engine_use((1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)) == two
 
 
 def test_small_ball_check_one_sided_label(sample_problem, sample_cand):
@@ -349,6 +448,21 @@ def test_equivalence_preconditions(sample_problem, sample_cand):
     cand = make_candidate(p)
     with pytest.raises(AnalysisError, match="excess condition"):
         remark_6_1_equivalence(p, cand, 1.0, "right", 0.5, np.array([1.0]))
+
+
+def test_equivalence_validates_like_the_point_checks(sample_problem,
+                                                     sample_cand):
+    # a direction of the wrong dimension, and a right-sided theta = t1,
+    # where no right needle fits
+    with pytest.raises(AnalysisError, match="dimension"):
+        remark_6_1_equivalence(sample_problem, sample_cand, 1.0, "right",
+                               0.5, np.array([1.0, 2.0]))
+    with pytest.raises(AnalysisError, match="admissible range"):
+        remark_6_1_equivalence(sample_problem, sample_cand, 3.0, "right",
+                               0.5, np.array([1.0]))
+    with pytest.raises(AnalysisError, match="'right' or 'left', got 'both'"):
+        remark_6_1_equivalence(sample_problem, sample_cand, 1.0, "both",
+                               0.5, np.array([1.0]))
 
 
 # -- the pipeline -----------------------------------------------------------

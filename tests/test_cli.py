@@ -92,6 +92,26 @@ def test_excess_point_values():
     assert "tol_w" in r
 
 
+def test_excess_q_k_closed_forms():
+    # along zero at t = 1 with lam = 1/4: pair = -xi/3, E_x = xi^2 and
+    # E_y = -xi^2 at any slope, so Q1_x = lam/(1-lam) xi^2,
+    # Q2_x = 2 lam^2/(1-lam) xi^2, the y values their negatives, and
+    # m_x = m_y = -lam/(1-lam) xi^3
+    lam, xi = 0.25, 1.5
+    code, payload = run_json("excess", CFG, "--point", "1.0",
+                             f"--lambda={lam}", f"--xi={xi}")
+    assert code == 0
+    r = payload["result"]
+    q1, q2, m = (lam / (1 - lam) * xi ** 2, 2 * lam ** 2 / (1 - lam) * xi ** 2,
+                 -lam / (1 - lam) * xi ** 3)
+    assert r["e_sum_paired"] == pytest.approx(0.0, abs=1e-12)
+    for key, want in (("q1", q1), ("q2", q2)):
+        assert r[key]["x"] == pytest.approx(want, abs=1e-12)
+        assert r[key]["y"] == pytest.approx(-want, abs=1e-12)
+    assert r["m"]["x"] == pytest.approx(m, abs=1e-12)
+    assert r["m"]["y"] == pytest.approx(m, abs=1e-12)
+
+
 def test_degeneracy_reports_interval():
     code, payload = run_json("degeneracy", CFG)
     assert code == 0
@@ -212,6 +232,16 @@ def test_bad_xi_arity_is_a_tool_error():
                              "--xi", "1.0", "--xi", "2.0")
     assert code == 1
     assert "--xi" in payload["result"]["error"]
+
+
+@pytest.mark.parametrize("lam", ["0", "1", "1.5", "-0.5"])
+def test_excess_rejects_lambda_outside_the_open_unit_interval(lam):
+    proc = run_cli("excess", CFG, "--point", "1.0", f"--lambda={lam}")
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout.decode("utf-8"))
+    assert payload["status"] == "error"
+    assert "--lambda" in payload["result"]["error"]
 
 
 POW_CFG = """\

@@ -1,4 +1,5 @@
-"""Pointwise functionals: excess, Q_k, M, first variation, Euler residual.
+"""Pointwise functionals: excess, Q_k, M, excess-sum rates, first
+variation, Euler residual.
 
 Closed forms along the zero candidate of the bundled problem:
   E_x(xi) = xi^2, E_y(xi) = -xi^2 while t+h <= t1, 0 beyond;
@@ -15,21 +16,17 @@ from needlecheck.conditions import (
     DEFAULT_RADII,
     ExcessPoint,
     direction_set,
-    e_sum_slope,
     euler_residual,
-    excess_E,
     first_variation,
-    m_term,
     needle_first_variation,
     paired_slope,
-    q2_sum_slope,
-    q_k,
     weierstrass_scan,
     xi_sample_set,
 )
-from needlecheck.analysis import _certifies
+from needlecheck.analysis import (AnalysisError, _certifies,
+                                  remark_6_1_equivalence)
 from needlecheck.exprs import eval_expr
-from needlecheck.needle import NeedleSpec
+from needlecheck.needle import NeedleError, NeedleSpec
 from needlecheck.problem import CandidateExtremal, eval_S
 from needlecheck.trajectory import Trajectory
 
@@ -41,21 +38,30 @@ def test_paired_slope():
     np.testing.assert_allclose(paired_slope(0.25, np.array([3.0])), [-1.0])
 
 
+def _q(pt, lam, xi, k):
+    """(Q_k x, Q_k y) at the point pt: lam^k * E(xi) + (1 - lam^k) * E(pair)
+    in each slot, from the slot excesses at xi and its paired slope."""
+    w = lam ** k
+    return tuple(float(w * e[0] + (1.0 - w) * e[1])
+                 for e in (pt.excess(s, [xi, paired_slope(lam, xi)])[0]
+                           for s in ("x", "y")))
+
+
 def test_excess_closed_forms(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
     for t in (0.0, 0.7, 1.9):
+        pt = ExcessPoint(p, cand, t, "right")
         for xi in (0.5, 1.0, -2.0):
-            got_x = excess_E(p, cand, t, "right", np.array([xi]), "xdot")
-            got_y = excess_E(p, cand, t, "right", np.array([xi]), "ydot")
+            got_x = pt.excess("x", np.array([xi]))[0, 0]
+            got_y = pt.excess("y", np.array([xi]))[0, 0]
             assert got_x == pytest.approx(xi * xi, abs=1e-13)
             assert got_y == pytest.approx(-xi * xi, abs=1e-13)
     # delayed slot dies once t + h > t1
     for t in (2.2, 2.9):
-        assert excess_E(p, cand, t, "right", np.array([1.0]), "ydot") == 0.0
-        assert excess_E(p, cand, t, "right", np.array([1.0]), "xdot") == \
+        pt = ExcessPoint(p, cand, t, "right")
+        assert pt.excess("y", np.array([1.0]))[0, 0] == 0.0
+        assert pt.excess("x", np.array([1.0]))[0, 0] == \
             pytest.approx(1.0, abs=1e-13)
-    with pytest.raises(ConditionsError):
-        excess_E(p, cand, 1.0, "right", np.array([1.0]), "zdot")
 
 
 def test_excess_side_independent_at_smooth_points(sample_problem, sample_cand):
@@ -160,22 +166,61 @@ def test_grid_matches_one_time_points_bit_for_bit():
             assert np.array_equal(got[k], want[0]), (t, side)
 
 
+POINT_L = ("sin(x1)*dx1^2 + exp(0.2*y2)*dy2^2 + dx1*dy1 + (1 + y1^2)*dx2^2"
+           " - dy1^2 + 0.3*dx1 + x2*dx2*dy2 + t*dx2^3")
+
+
+def test_point_ladder_stacks_match_one_slope_points_bit_for_bit():
+    # the point checks stack a scale ladder and its paired slopes on one
+    # ExcessPoint with a row per side; each value must equal that of a
+    # one-row point at the one slope.  dim 2, L with a nonzero slope
+    # gradient, a candidate kinked at 1.5; theta at a smooth paired point,
+    # at the kink, with the y slot at the kink (0.5), and in the tail
+    p = make_problem(POINT_L, dim=2, phi=["0.5*t", "sin(t)"], x1=[1.0, 0.2])
+    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
+        (0.0, 1.5, ["t", "0.3*t^2"]),
+        (1.5, 3.0, ["1.5 - (t - 1.5)/3", "0.675 - 0.95*(t - 1.5)/3"])]))
+    eta, lam, td = np.array([0.8, -0.6]), 0.3, 1e-3
+    etas = np.array([s * eta for s in (2.0, 1.0, 0.5, 0.25, 0.125, 0.01)])
+    slopes = np.concatenate((etas, paired_slope(lam, etas)))
+    sides = ["right", "left"]
+    certified = []
+    for theta in (0.5, 0.7, 1.5, 2.5):
+        pt = ExcessPoint(p, cand, [theta, theta], sides)
+        cert = _certifies(pt, etas, [lam], td)
+        m_sum, rate = pt.m_sum(lam, etas), pt.e_sum_rate(slopes)
+        assert rate.any() and m_sum.any()
+        certified += cert[0].ravel().tolist()
+        for r, side in enumerate(sides):
+            one = ExcessPoint(p, cand, theta, side)
+            for j, xi in enumerate(slopes):
+                assert np.array_equal(rate[r, j], one.e_sum_rate(xi)[0, 0])
+                if j >= len(etas):
+                    continue
+                assert np.array_equal(m_sum[r, j], one.m_sum(lam, xi)[0, 0])
+                for got, want in zip(cert, _certifies(one, xi, [lam], td)):
+                    assert np.array_equal(got[r, j], want[0, 0])
+    assert any(certified) and not all(certified)
+
+
 def test_q_k_closed_forms(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
+    pt = ExcessPoint(p, cand, 1.0, "right")
     for lam in (0.5, 0.25, 0.75):
         for xi in (1.0, -1.5):
-            q1x, q1y = q_k(p, cand, 1.0, "right", lam, np.array([xi]), 1)
+            q1x, q1y = _q(pt, lam, np.array([xi]), 1)
             r = lam / (1.0 - lam)
             assert q1x == pytest.approx(r * xi * xi, abs=1e-12)
             assert q1y == pytest.approx(-r * xi * xi, abs=1e-12)
-            q2x, q2y = q_k(p, cand, 1.0, "right", lam, np.array([xi]), 2)
+            q2x, q2y = _q(pt, lam, np.array([xi]), 2)
             assert q2x == pytest.approx(2.0 * lam * lam / (1.0 - lam) * xi * xi,
                                         abs=1e-12)
             assert q2x == pytest.approx(-q2y, abs=1e-12)
-    with pytest.raises(ConditionsError):
-        q_k(p, cand, 1.0, "right", 0.5, np.array([1.0]), 3)
-    with pytest.raises(ConditionsError):
-        q_k(p, cand, 1.0, "right", 1.0, np.array([1.0]), 1)
+    # lambda = 1 has no paired slope: the consumers of Q_1 reject it
+    with pytest.raises(NeedleError):
+        NeedleSpec(theta=1.0, lam=1.0, xi=np.array([1.0]), side="right")
+    with pytest.raises(AnalysisError, match="lambda"):
+        remark_6_1_equivalence(p, cand, 1.0, "right", 1.0, np.array([1.0]))
 
 
 def test_q1_swap_identity(sample_problem, sample_cand):
@@ -186,25 +231,24 @@ def test_q1_swap_identity(sample_problem, sample_cand):
         lam = float(rng.uniform(0.05, 0.95))
         xi = np.array([float(rng.uniform(-2, 2)) or 1.0])
         t = float(rng.uniform(0.0, 2.9))
-        a = q_k(p, cand, t, "right", lam, xi, 1)
-        b = q_k(p, cand, t, "right", 1.0 - lam, paired_slope(lam, xi), 1)
+        pt = ExcessPoint(p, cand, t, "right")
+        a = _q(pt, lam, xi, 1)
+        b = _q(pt, 1.0 - lam, paired_slope(lam, xi), 1)
         assert a[0] == pytest.approx(b[0], abs=1e-13 * (1 + abs(a[0])))
         assert a[1] == pytest.approx(b[1], abs=1e-13 * (1 + abs(a[1])))
 
 
 def test_m_term_closed_forms(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
+    pt = ExcessPoint(p, cand, 1.0, "right")
     for lam, xi in ((0.5, 1.0), (0.25, 2.0), (0.75, -1.0)):
         want = -lam / (1.0 - lam) * xi ** 3
-        got_x = m_term(p, cand, 1.0, "right", lam, np.array([xi]), "x")
-        got_y = m_term(p, cand, 1.0, "right", lam, np.array([xi]), "y")
+        got_x = pt.m("x", lam, np.array([xi]))[0, 0]
+        got_y = pt.m("y", lam, np.array([xi]))[0, 0]
         assert got_x == pytest.approx(want, abs=1e-12)
         assert got_y == pytest.approx(want, abs=1e-12)
-    assert m_term(p, cand, 0.5, "right", 0.5, np.array([1.0]), "x") + \
-        m_term(p, cand, 0.5, "right", 0.5, np.array([1.0]), "y") == \
-        pytest.approx(-2.0, abs=1e-12)
-    with pytest.raises(ConditionsError):
-        m_term(p, cand, 1.0, "right", 0.5, np.array([1.0]), "q")
+    assert ExcessPoint(p, cand, 0.5, "right").m_sum(
+        0.5, np.array([1.0]))[0, 0] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_first_variation_zero_on_extremal(sample_problem, sample_cand):
@@ -264,21 +308,28 @@ def test_euler_residual_nonzero_on_perturbed_candidate():
     assert r[0] == pytest.approx(-0.22, abs=1e-12)
 
 
+def _q2_rate(pt, lam, xi):
+    """d/dt of the Q_2 sum at each time of pt, from the excess-sum rates."""
+    r_xi, r_pair = pt.e_sum_rate([xi, paired_slope(lam, xi)]).T
+    return lam ** 2 * r_xi + (1.0 - lam ** 2) * r_pair
+
+
 def test_slope_helpers_on_time_weighted_lagrangian():
     # L = t*dx1^2 along zero: e_sum(t) = t*xi^2, Q2_sum(t) = t*(lam^2*xi^2
     # + (1-lam^2)*pair^2); the chain rule gives the t coefficients exactly.
     p = make_problem("t*dx1^2")
     cand = make_candidate(p)
-    assert e_sum_slope(p, cand, 1.0, "right", np.array([1.0])) == \
+    pt = ExcessPoint(p, cand, [1.0, 1.0], ["right", "left"])
+    assert pt.e_sum_rate(np.array([1.0]))[0, 0] == \
         pytest.approx(1.0, rel=1e-14)
-    assert e_sum_slope(p, cand, 1.0, "left", np.array([2.0])) == \
+    assert pt.e_sum_rate(np.array([2.0]))[1, 0] == \
         pytest.approx(4.0, rel=1e-14)
-    assert q2_sum_slope(p, cand, 1.0, "right", 0.5, np.array([1.0])) == \
+    assert _q2_rate(pt, 0.5, np.array([1.0]))[0] == \
         pytest.approx(1.0, rel=1e-14)
     lam = 0.25
     pair = lam / (lam - 1.0)
     want = lam ** 2 + (1.0 - lam ** 2) * pair ** 2
-    assert q2_sum_slope(p, cand, 1.0, "right", lam, np.array([1.0])) == \
+    assert _q2_rate(pt, lam, np.array([1.0]))[0] == \
         pytest.approx(want, rel=1e-14)
 
 
@@ -354,10 +405,9 @@ def test_time_slopes_match_sympy_chain_rule(theta, side):
     lam, xi = 0.3, 0.8
     want_e, want_q2, want_r = _sympy_time_slopes(theta, side, lam, xi)
     rel = pytest.approx
-    assert e_sum_slope(p, cand, theta, side, np.array([xi])) == \
-        rel(want_e, rel=1e-12)
-    assert q2_sum_slope(p, cand, theta, side, lam, np.array([xi])) == \
-        rel(want_q2, rel=1e-12)
+    pt = ExcessPoint(p, cand, theta, side)
+    assert pt.e_sum_rate(np.array([xi]))[0, 0] == rel(want_e, rel=1e-12)
+    assert _q2_rate(pt, lam, np.array([xi]))[0] == rel(want_q2, rel=1e-12)
     assert euler_residual(p, cand, theta, side)[0] == rel(want_r, rel=1e-12)
 
 

@@ -109,8 +109,9 @@ def test_direct_path_ignores_excess_machinery(sample_problem, sample_cand,
     def boom(*args, **kwargs):
         raise AssertionError("excess machinery invoked by the direct path")
 
-    for name in ("ExcessPoint", "q_k", "m_term", "excess_E", "q2_sum_slope"):
-        monkeypatch.setattr(needlecheck.conditions, name, boom)
+    monkeypatch.setattr(needlecheck.conditions.ExcessPoint, "e_sum_rate",
+                        boom)
+    monkeypatch.setattr(needlecheck.conditions, "ExcessPoint", boom)
     monkeypatch.setattr(needlecheck.problem, "time_rate", boom)
     monkeypatch.setattr(needlecheck.trajectory.Trajectory, "second_deriv_arr",
                         boom)
@@ -133,6 +134,25 @@ def test_prediction_path_never_integrates(sample_problem, sample_cand,
     c1, c2 = expansion_prediction(p, cand, RIGHT)
     assert c1 == pytest.approx(0.0, abs=1e-9)
     assert c2 == pytest.approx(-0.5, abs=1e-7)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("lam", [0.25, 0.75])
+def test_prediction_closed_forms_on_time_weighted_lagrangian(lam, side):
+    # L = t*dx1^2 + 0.5*t*dy1^2 along zero: the excess sum at theta is
+    # g(theta) xi^2 with g(t) = t + 0.5*(t + h), M = 0, so
+    # c1 = g lam/(1-lam) xi^2 and c2 = +-g' lam^2/(1-lam) xi^2; L is linear
+    # in t, so the direct increment is exactly quadratic in eps
+    p = make_problem("t*dx1^2 + 0.5*t*dy1^2")
+    cand = make_candidate(p)
+    theta, xi = 1.0, 1.5
+    spec = NeedleSpec(theta=theta, lam=lam, xi=np.array([xi]), side=side)
+    c1, c2 = expansion_prediction(p, cand, spec)
+    sign = 1.0 if side == "right" else -1.0
+    assert c1 == pytest.approx(2.0 * lam / (1.0 - lam) * xi ** 2, rel=1e-12)
+    assert c2 == pytest.approx(sign * 1.5 * lam ** 2 / (1.0 - lam) * xi ** 2,
+                               rel=1e-12)
+    assert verify_expansion(p, cand, spec).passed
 
 
 def test_needle_first_variation_check(sample_problem, sample_cand):
