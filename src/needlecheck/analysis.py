@@ -13,7 +13,10 @@ for a single degenerate point (parts (i) one-sided inequality / (ii)
 interior equality), and 6.2 for the small-ball weak-minimum versions of
 6.1.  A verdict of FAILS_STRONG means the candidate cannot be a strong
 local minimum; FAILS_WEAK means it cannot even be a weak one; CONSISTENT
-means the tested necessary condition did not reject it.
+means the tested necessary condition did not reject it.  A full report is
+INCONCLUSIVE, short of a failure, when some of its evidence is missing or
+contradicts itself: a stage after the excess scan raised, or the needle
+cross-check disagrees with the predicted expansion.
 """
 
 import math
@@ -34,10 +37,12 @@ from .trajectory import BREAK_TOL
 
 DEFAULT_SCALES = (1.0, 0.5, 0.25, 0.125)
 DEFAULT_TOL_EQ = 1e-7
+DEFAULT_TOL_EULER = 1e-8
 DEFAULT_DEGENERACY_GRID = 200
 DEFAULT_INTERVAL_POINTS = 50
 
-_RANK = {"CONSISTENT": 0, "FAILS_STRONG": 1, "FAILS_WEAK": 2}
+_RANK = {"CONSISTENT": 0, "INCONCLUSIVE": 1, "FAILS_STRONG": 2,
+         "FAILS_WEAK": 3}
 
 
 class AnalysisError(ValueError):
@@ -370,12 +375,19 @@ def _validate_point_args(p: DelayProblem, theta: float, side: str,
         raise AnalysisError("direction eta must be nonzero")
     if eta.size != p.dim:
         raise AnalysisError(f"eta dimension {eta.size} != problem dimension {p.dim}")
+    check_point_range(p, theta, side)
+    return eta
+
+
+def check_point_range(p: DelayProblem, theta: float, side: str,
+                      name: str = "theta") -> None:
+    """The admissible range of a point: t0 <= theta < t1 from the right,
+    t0 < theta <= t1 from the left, t0 < theta < t1 for both sides."""
     lo_ok = theta > p.t0 + BREAK_TOL or side == "right"
     hi_ok = theta < p.t1 - BREAK_TOL or side == "left"
     if not (p.t0 - BREAK_TOL <= theta <= p.t1 + BREAK_TOL and lo_ok and hi_ok):
         raise AnalysisError(
-            f"theta={theta} outside the admissible range for side {side!r}")
-    return eta
+            f"{name}={theta} outside the admissible range for side {side!r}")
 
 
 def theorem_6_1_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
@@ -541,7 +553,7 @@ class AnalysisSettings:
     tol_w: Optional[float] = None
     tol_deg: Optional[float] = None
     tol_eq: Optional[float] = None
-    tol_euler: float = 1e-8
+    tol_euler: Optional[float] = None
     sweep_levels: int = 8
     sweep_ratio: float = 0.5
     quad_order: Optional[int] = None
@@ -565,7 +577,8 @@ class AnalysisReport:
     (later stages are skipped), ERROR when the Euler stage or the excess
     scan could not run (its message is in stage_errors; nothing later
     runs), otherwise the worst conclusion across the scan and the verdict
-    list.
+    list, and at least INCONCLUSIVE when a later stage raised or an
+    expansion cross-check disagrees with its prediction.
     """
 
     euler: Optional[EulerStage]
@@ -585,11 +598,12 @@ def euler_stage(p: DelayProblem, cand: CandidateExtremal,
     sides = ["right" if t < p.t1 - BREAK_TOL else "left" for t in ts]
     vals = np.max(np.abs(conditions.euler_residual(p, cand, ts, sides)), axis=0)
     worst = int(np.argmax(vals))
+    tol, = resolve_tols(p, cand, (config.tol_euler, DEFAULT_TOL_EULER))
     return EulerStage(grid_size=config.euler_grid,
                       max_residual=float(vals[worst]),
                       argmax_t=float(ts[worst]),
-                      tolerance=config.tol_euler,
-                      extremal=float(vals[worst]) <= config.tol_euler)
+                      tolerance=tol,
+                      extremal=float(vals[worst]) <= tol)
 
 
 def _expansion_spots(p: DelayProblem, cand: CandidateExtremal,
@@ -708,6 +722,8 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
 
     for v in verdicts:
         overall_rank = max(overall_rank, _RANK[v.conclusion])
+    if errors or not all(r.passed for r in expansion):
+        overall_rank = max(overall_rank, _RANK["INCONCLUSIVE"])
     overall = next(k for k, r in _RANK.items() if r == overall_rank)
     return AnalysisReport(
         euler=euler, weierstrass=scan, findings=tuple(findings),

@@ -2,8 +2,9 @@
 
 Every subcommand takes a config path (or the name of a bundled config) and
 prints exactly one JSON document to stdout.  Exit code 0 means the tested
-conditions hold, 2 means a necessary condition failed (evidence is in the
-report), 1 means the tool itself could not complete.  Reports carry no
+conditions hold, 2 means a necessary condition failed or a cross-check
+disagreed (evidence is in the report), 1 means the tool itself could not
+complete.  Reports carry no
 timestamps and all sampling is seeded, so identical configs produce
 byte-identical output.
 """
@@ -26,7 +27,7 @@ from .config import build_candidate, build_problem
 from .needle import NeedleSpec
 from .problem import CandidateExtremal, DelayProblem
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _ERRORS = (ValueError, ArithmeticError)
 
@@ -164,6 +165,7 @@ def excess(config: str, point: float, side: str, xi: Tuple[float, ...],
            lam: float) -> None:
     """Excess, Q and M values at one point and slope direction."""
     def body(cfg, p, cand):
+        analysis.check_point_range(p, point, side, name="--point")
         if not 0.0 < lam < 1.0:
             raise AnalysisError(f"--lambda must be in (0, 1), got {lam}")
         eta = _xi_or_default(xi, p)

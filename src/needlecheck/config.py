@@ -1,4 +1,4 @@
-"""Plain-text run configuration: parsing, validation, emission, builders.
+"""Plain-text run configuration: parsing, validation, builders.
 
 Format: `[section]` headers, `key = value` lines, `#` comments.  Values
 are numbers, double-quoted expression strings, or parenthesized tuples of
@@ -6,14 +6,13 @@ those.  The `history` key (problem section) and `segment` key (candidate
 section) may repeat; each holds `(t_start, t_end, "expr1", ...)` with one
 expression per component.  Everything else appears at most once.
 
-Parsing and emission round-trip: `parse_config(cfg.emit()) == cfg`, with
-analysis defaults filled in so a report always echoes the exact settings
-it ran with.
+Parsing fills in the analysis defaults, so a report always echoes the
+exact settings it ran with.
 """
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,61 +67,6 @@ class RunConfig:
     problem: ProblemConfig
     candidate: CandidateConfig
     analysis: AnalysisSettings
-
-    def emit(self) -> str:
-        """Canonical text form; `parse_config(cfg.emit()) == cfg`."""
-        out = ["[problem]"]
-        pc = self.problem
-        out.append(f"t0 = {_fmt(pc.t0)}")
-        out.append(f"t1 = {_fmt(pc.t1)}")
-        out.append(f"h = {_fmt(pc.h)}")
-        out.append(f"dim = {pc.dim}")
-        out.append(f"lagrangian = \"{pc.lagrangian}\"")
-        out.append(f"x1 = {_fmt_tuple(pc.x1)}")
-        for seg in pc.history:
-            out.append(f"history = {_fmt_segment(seg)}")
-        out.append("")
-        out.append("[candidate]")
-        for seg in self.candidate.segments:
-            out.append(f"segment = {_fmt_segment(seg)}")
-        out.append("")
-        out.append("[analysis]")
-        a = self.analysis
-        out.append(f"euler_grid = {a.euler_grid}")
-        out.append(f"scan_grid = {a.scan_grid}")
-        out.append(f"degeneracy_grid = {a.degeneracy_grid}")
-        out.append(f"interval_points = {a.interval_points}")
-        out.append(f"radii = {_fmt_tuple(a.radii)}")
-        out.append(f"lambdas = {_fmt_tuple(a.lambdas)}")
-        out.append(f"scales = {_fmt_tuple(a.scales)}")
-        if a.tol_w is not None:
-            out.append(f"tol_w = {_fmt(a.tol_w)}")
-        if a.tol_deg is not None:
-            out.append(f"tol_deg = {_fmt(a.tol_deg)}")
-        if a.tol_eq is not None:
-            out.append(f"tol_eq = {_fmt(a.tol_eq)}")
-        out.append(f"tol_euler = {_fmt(a.tol_euler)}")
-        out.append(f"sweep_levels = {a.sweep_levels}")
-        out.append(f"sweep_ratio = {_fmt(a.sweep_ratio)}")
-        if a.quad_order is not None:
-            out.append(f"quad_order = {a.quad_order}")
-        out.append(f"seed = {a.seed}")
-        out.append("")
-        return "\n".join(out)
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _fmt_tuple(vals: Sequence[float]) -> str:
-    return "(" + ", ".join(_fmt(v) for v in vals) + ")"
-
-
-def _fmt_segment(seg: SegmentSpec) -> str:
-    parts = [_fmt(seg.t_start), _fmt(seg.t_end)]
-    parts.extend(f"\"{e}\"" for e in seg.exprs)
-    return "(" + ", ".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +373,10 @@ def _check_analysis(a: AnalysisSettings, source: str,
             raise err(key, "grid size must be >= 1")
     if a.interval_points < 3:
         raise err("interval_points", "must be >= 3")
-    for key in ("tol_w", "tol_deg", "tol_eq"):
+    for key in ("tol_w", "tol_deg", "tol_eq", "tol_euler"):
         v = getattr(a, key)
         if v is not None and v <= 0:
             raise err(key, "tolerance must be positive")
-    if a.tol_euler <= 0:
-        raise err("tol_euler", "tolerance must be positive")
     if a.sweep_levels < 4:
         raise err("sweep_levels", "must be >= 4")
     if not 0.0 < a.sweep_ratio < 1.0:

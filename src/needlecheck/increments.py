@@ -9,8 +9,9 @@ coefficients exclusively from one conditions.ExcessPoint at theta (Q_1 from
 the slot excesses at xi and its pair, the M sum, and the time derivative
 of Q_2 from the exact excess-sum rates); it never integrates the cost.
 verify_expansion runs a geometric eps sweep of the direct increment, fits
-c1*eps + c2*eps^2, and compares the fit against the prediction.  Agreement
-of the two paths is the point: each would miss a bug in the other.
+it with a power series in eps, and compares the fitted first and second
+order coefficients against the prediction.  Agreement of the two paths
+is the point: each would miss a bug in the other.
 """
 
 import functools

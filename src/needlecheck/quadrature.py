@@ -15,6 +15,8 @@ import numpy as np
 DEFAULT_ORDER = 10
 DEFAULT_SWEEP_LEVELS = 8
 DEFAULT_SWEEP_RATIO = 0.5
+# eps^1 .. eps^4 in the sweep fit
+_FIT_TERMS = 4
 
 # panels thinner than this are dropped as duplicate breakpoints
 _PANEL_TOL = 1e-12
@@ -83,7 +85,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 # ---------------------------------------------------------------------------
-# eps sweeps and the c1*eps + c2*eps^2 fit
+# eps sweeps and the power-series fit
 
 @dataclass(frozen=True)
 class EpsSweep:
@@ -117,45 +119,29 @@ def geometric_sweep(f: Callable[[np.ndarray], np.ndarray], eps_max: float,
     return EpsSweep(eps=eps, values=values)
 
 
-def _lstsq_c1_c2(eps: np.ndarray, vals: np.ndarray) -> Tuple[float, float]:
-    # scale columns by eps_max so the normal system stays well conditioned
-    emax = float(np.max(eps))
-    u = eps / emax
-    A = np.column_stack([u, u * u])
-    coef, _, rank, _ = np.linalg.lstsq(A, vals, rcond=None)
-    if rank < 2:
-        raise QuadratureError("ill-conditioned expansion fit (degenerate eps grid)")
-    return float(coef[0] / emax), float(coef[1] / emax ** 2)
-
-
-def _fit_residual(eps: np.ndarray, vals: np.ndarray, c1: float, c2: float) -> float:
-    """Max relative deviation on the two smallest eps levels."""
-    idx = np.argsort(eps)[:2]
-    devs = []
-    for i in idx:
-        model = c1 * eps[i] + c2 * eps[i] ** 2
-        denom = max(abs(vals[i]), 1e-15)
-        devs.append(abs(vals[i] - model) / denom)
-    return max(devs)
-
-
 def fit_expansion(sweep: EpsSweep) -> Tuple[float, float, float]:
-    """Least-squares (c1, c2) for f(eps) = c1*eps + c2*eps^2 + o(eps^2).
+    """Least-squares (c1, c2, residual) for the sweep, from one fit of
+    f(eps) = c1*eps + c2*eps^2 + c3*eps^3 + c4*eps^4.
 
-    Residual is the max relative deviation on the two smallest levels; the
-    fit is retried without the largest eps when that improves the residual
-    tenfold (the largest level is the one most polluted by o(eps^2) terms).
+    A needle increment is a power series in eps with no constant term, and
+    its eps^3 term is genuine (the sinh needle has K xi^2 lam^2 eps^3 / 3),
+    so a model that stops at eps^2 would push it into c2.  Four terms absorb
+    the eps^3 and eps^4 parts and still leave the default 8 levels
+    overdetermined; at the allowed minimum of 4 levels the fit interpolates
+    and the residual is 0.  The columns are powers of u = eps/eps_max, so
+    they stay in (0, 1].  The residual is the largest relative deviation of
+    the fitted model over all levels.
     """
-    if len(sweep.eps) < 4:
-        raise QuadratureError(f"need >= 4 sweep levels, got {len(sweep.eps)}")
+    if len(sweep.eps) < _FIT_TERMS:
+        raise QuadratureError(f"need >= {_FIT_TERMS} sweep levels, "
+                              f"got {len(sweep.eps)}")
     eps = np.asarray(sweep.eps, dtype=float)
     vals = np.asarray(sweep.values, dtype=float)
-    c1, c2 = _lstsq_c1_c2(eps, vals)
-    residual = _fit_residual(eps, vals, c1, c2)
-    keep = eps < np.max(eps)
-    if np.count_nonzero(keep) >= 4:
-        c1b, c2b = _lstsq_c1_c2(eps[keep], vals[keep])
-        residual_b = _fit_residual(eps[keep], vals[keep], c1b, c2b)
-        if residual_b <= residual / 10.0:
-            return c1b, c2b, residual_b
-    return c1, c2, residual
+    emax = float(np.max(eps))
+    A = (eps / emax)[:, None] ** np.arange(1, _FIT_TERMS + 1)
+    coef, _, rank, _ = np.linalg.lstsq(A, vals, rcond=None)
+    if rank < _FIT_TERMS:
+        raise QuadratureError("ill-conditioned expansion fit (degenerate eps grid)")
+    residual = np.abs(vals - A @ coef) / np.maximum(np.abs(vals), 1e-15)
+    return (float(coef[0] / emax), float(coef[1] / emax ** 2),
+            float(np.max(residual)))

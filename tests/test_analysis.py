@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from needlecheck import analysis
+from needlecheck import analysis, increments
 from needlecheck.analysis import (
     DEFAULT_SCALES,
     AnalysisError,
@@ -487,6 +487,21 @@ def test_euler_stage_passes_the_sinh_extremal_at_any_scale(k):
     assert stage.max_residual <= 1e-8
 
 
+@pytest.mark.parametrize("k", [1.0, 1e6])
+def test_euler_tolerance_scales_with_the_lagrangian(k):
+    # a 1e-12 bump leaves residual 2k*1e-12*(t^2 - 3t - 2): the candidate is
+    # as close to an extremal at k = 1e6 as at k = 1, relative to |L|
+    p = make_problem(f"{k!r}*(dx1^2 + x1^2)", phi=[SINH], x1=[np.sinh(3.0)])
+    cand = make_candidate(p, [SINH + " + 1e-12*t*(3 - t)"])
+    stage = euler_stage(p, cand, AnalysisSettings())
+    assert 0.0 < stage.max_residual
+    assert stage.extremal
+    assert stage.tolerance > 1e-8 * k
+    # an explicit tolerance is used as given
+    fixed = euler_stage(p, cand, AnalysisSettings(tol_euler=1e-8))
+    assert fixed.tolerance == 1e-8 and fixed.extremal == (k == 1.0)
+
+
 @pytest.mark.parametrize("lag", ["dx1^2 + x1^1.5", "dx1^2 + (x1 + dx1)^1.5"])
 def test_euler_stage_skips_partials_of_frozen_arguments(lag):
     # along the zero candidate only t moves; d/dx1 and d/ddx1 of
@@ -572,6 +587,28 @@ def test_full_report_keeps_evidence_after_a_later_stage_error(
     assert len(report.findings) == 1 and report.expansion_checks == ()
     assert [s for s, _ in report.stage_errors] == [
         "theorem5", "increment[right]", "increment[left]"]
+
+
+def test_full_report_is_inconclusive_when_the_cross_check_fails(monkeypatch):
+    p = make_problem("dx1^2 + dy1^2")
+    real = increments.expansion_prediction
+    monkeypatch.setattr(increments, "expansion_prediction",
+                        lambda *a: (real(*a)[0], real(*a)[1] + 1.0))
+    report = full_report(p, make_candidate(p))
+    assert report.overall == "INCONCLUSIVE"
+    assert [r.passed for r in report.expansion_checks] == [False, False]
+    assert report.findings == () and report.verdicts == ()
+
+
+def test_full_report_is_inconclusive_after_a_later_stage_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AnalysisError("stage failed")
+    monkeypatch.setattr(analysis, "verify_expansion", fail)
+    p = make_problem("dx1^2 + dy1^2")
+    report = full_report(p, make_candidate(p))
+    assert report.overall == "INCONCLUSIVE"
+    assert [s for s, _ in report.stage_errors] == [
+        "increment[right]", "increment[left]"]
 
 
 def test_full_report_flags_excess_violation():

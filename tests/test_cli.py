@@ -35,7 +35,7 @@ def test_validate_bundled_config():
     code, payload = run_json("validate", CFG)
     assert code == 0
     assert sorted(payload) == PAYLOAD_KEYS
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert payload["tool"] == "needlecheck"
     assert payload["command"] == "validate"
     assert payload["status"] == "pass"
@@ -61,7 +61,7 @@ def test_euler_passes_on_extremal():
     assert r["extremal"] is True
     assert r["grid_size"] == 100
     assert abs(r["max_residual"]) <= 1e-8
-    assert r["tolerance"] == 1e-8
+    assert r["tolerance"] == 2e-8  # 1e-8 * (1 + |L| scale 1)
 
 
 def test_weierstrass_scan_clean():
@@ -110,6 +110,17 @@ def test_excess_q_k_closed_forms():
         assert r[key]["y"] == pytest.approx(-want, abs=1e-12)
     assert r["m"]["x"] == pytest.approx(m, abs=1e-12)
     assert r["m"]["y"] == pytest.approx(m, abs=1e-12)
+
+
+@pytest.mark.parametrize("point, side", [
+    ("3.0", "right"), ("0.0", "left"), ("3.5", "right")])
+def test_excess_rejects_a_point_outside_its_side_range(point, side):
+    # right needs t0 <= point < t1, left needs t0 < point <= t1
+    code, payload = run_json("excess", CFG, "--point", point, "--side", side,
+                             "--xi", "1.0")
+    assert code == 1 and payload["status"] == "error"
+    assert payload["result"]["error"] == (
+        f"--point={float(point)} outside the admissible range for side {side!r}")
 
 
 def test_degeneracy_reports_interval():
@@ -202,6 +213,22 @@ def test_verdict_full_pipeline():
     for v in r["verdicts"]:
         assert "tolerance" in v and "value" in v
     assert all(c["passed"] for c in r["expansion_checks"])
+
+
+def test_verdict_is_inconclusive_when_the_cross_check_fails(
+        tmp_path, monkeypatch, capsys):
+    from needlecheck import cli, increments
+    cfg = tmp_path / "convex.cfg"
+    cfg.write_text(POW_CFG.replace("(1 + dx1)^1.5", "dx1^2 + dy1^2"))
+    real = increments.expansion_prediction
+    monkeypatch.setattr(increments, "expansion_prediction",
+                        lambda *a: (real(*a)[0], real(*a)[1] + 1.0))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verdict", str(cfg)])
+    payload = json.loads(capsys.readouterr().out)
+    assert exit_.value.code == 2 and payload["exit_code"] == 2
+    assert payload["status"] == "fail"
+    assert payload["result"]["overall"] == "INCONCLUSIVE"
 
 
 def test_missing_config_is_a_tool_error():

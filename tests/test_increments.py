@@ -155,6 +155,59 @@ def test_prediction_closed_forms_on_time_weighted_lagrangian(lam, side):
     assert verify_expansion(p, cand, spec).passed
 
 
+def _convex5(seed):
+    # strictly convex dim-5 problem along zero: 4 a_i b_i > d_i^2 keeps every
+    # excess positive, and sin(t), exp(0.1*y1) make the increment a full
+    # power series in eps
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.5, 2.0, (2, 5)).tolist()
+    c, d = rng.uniform(0.0, 1.0, 5).tolist(), rng.uniform(-0.5, 0.5, 5).tolist()
+    ix = range(1, 6)
+    lag = " + ".join(
+        [f"(2 + sin(t))*{a[i - 1]!r}*dx{i}^2" for i in ix]
+        + [f"exp(0.1*y1)*{b[i - 1]!r}*dy{i}^2" for i in ix]
+        + [f"{c[i - 1]!r}*x{i}^2 + {d[i - 1]!r}*dx{i}*dy{i}" for i in ix])
+    p = make_problem(lag, dim=5)
+    return p, make_candidate(p)
+
+
+SINH = "0.5*(exp(t) - exp(-t))"
+
+
+@pytest.fixture(scope="module")
+def sinh_k1e3():
+    # x = sinh t is an exact extremal of k*(dx1^2 + x1^2), and a needle's
+    # Delta S = k xi^2 (eps lam/(1-lam) + lam^2 eps^3/3) has an eps^3 term
+    p = make_problem("1000.0*(dx1^2 + x1^2)", phi=[SINH], x1=[math.sinh(3.0)])
+    return p, make_candidate(p, [SINH])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_cross_check_passes_on_convex5(seed, side):
+    p, cand = _convex5(seed)
+    xi = needlecheck.conditions.direction_set(5, seed)[0]
+    spec = NeedleSpec(theta=1.0, lam=0.5, xi=xi, side=side)
+    rec = verify_expansion(p, cand, spec)
+    assert rec.passed, (rec.c1_fitted, rec.c2_fitted,
+                        rec.c1_predicted, rec.c2_predicted)
+
+
+@pytest.mark.parametrize("theta, side, lam, xi", [
+    (0.4, "right", 0.3, 1.2), (1.6, "right", 0.7, -0.6),
+    (0.5, "left", 0.25, -1.8), (1.3, "left", 0.6, 0.9),
+    (2.1, "right", 0.45, 1.5), (2.7, "right", 0.8, -1.0),
+    (2.2, "left", 0.2, -0.7), (2.75, "left", 0.55, 2.0)])
+def test_cross_check_passes_on_sinh_needles(sinh_k1e3, theta, side, lam, xi):
+    p, cand = sinh_k1e3
+    spec = NeedleSpec(theta=theta, lam=lam, xi=np.array([xi]), side=side)
+    rec = verify_expansion(p, cand, spec)
+    k2 = 1000.0 * xi * xi
+    assert rec.c1_predicted == pytest.approx(k2 * lam / (1.0 - lam), rel=1e-9)
+    assert rec.passed, (rec.c1_fitted, rec.c2_fitted,
+                        rec.c1_predicted, rec.c2_predicted)
+
+
 def test_needle_first_variation_check(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
     chk = verify_needle_first_variation_zero(p, cand, RIGHT, 0.25)

@@ -114,6 +114,16 @@ def test_fit_tolerates_cubic_tail():
     assert c2 == pytest.approx(1.0, abs=1e-3)
 
 
+def test_fit_separates_a_cubic_term_at_a_wide_sweep():
+    # a needle increment has genuine eps^3 terms; they must not leak into c2
+    # even where eps^3 is a quarter of eps^2
+    sweep = geometric_sweep(lambda e: e + e * e + e ** 3, eps_max=0.25)
+    c1, c2, residual = fit_expansion(sweep)
+    assert c1 == pytest.approx(1.0, abs=1e-9)
+    assert c2 == pytest.approx(1.0, abs=1e-9)
+    assert residual <= 1e-12
+
+
 def test_fit_requires_enough_levels():
     with pytest.raises(QuadratureError, match="levels"):
         fit_expansion(EpsSweep(eps=(0.1, 0.05, 0.025), values=(1.0, 0.5, 0.25)))
