@@ -20,8 +20,7 @@ from .config import (ConfigError, RunConfig, build_candidate, build_problem,
                      load_config, parse_config)
 from .exprs import ExprError, parse_expr, parse_lagrangian
 from .increments import (IncrementRecord, delta_S_direct,
-                         expansion_prediction, verify_expansion,
-                         verify_needle_first_variation_zero)
+                         expansion_prediction, verify_expansion)
 from .needle import NeedleSpec, NeedleError, validity_window
 from .problem import CandidateExtremal, DelayProblem, ProblemError, eval_S
 from .quadrature import QuadratureError, fit_expansion
@@ -42,5 +41,5 @@ __all__ = [
     "parse_config", "parse_expr", "parse_lagrangian",
     "remark_6_1_equivalence", "theorem_5_1_check", "theorem_6_1_check",
     "theorem_6_2_check", "validity_window", "verify_expansion",
-    "verify_needle_first_variation_zero", "weierstrass_scan",
+    "weierstrass_scan",
 ]

@@ -20,7 +20,7 @@ cross-check disagrees with the predicted expansion.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -200,6 +200,12 @@ class Verdict:
     note: str = ""
 
 
+def _check_scales(scales: Sequence[float]) -> None:
+    bad = [s for s in scales if not 0.0 < s < math.inf]
+    if bad:
+        raise AnalysisError(f"scales must be positive and finite, got {bad[0]}")
+
+
 def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
                       finding: DegeneracyFinding,
                       n_points: int = DEFAULT_INTERVAL_POINTS,
@@ -225,8 +231,7 @@ def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
     ts = [float(t) for t in
           np.linspace(finding.t_lo, finding.t_hi, n_points + 2)[1:-1]]
     scale_list = sorted({float(s) for s in scales} | {1.0}, reverse=True)
-    if any(s <= 0 for s in scale_list):
-        raise AnalysisError("scales must be positive")
+    _check_scales(scale_list)
     s_etas = np.array([s * eta for s in scale_list])
     pts = ExcessPoint(p, cand, ts, "right")
 
@@ -371,6 +376,8 @@ def _validate_point_args(p: DelayProblem, theta: float, side: str,
     if not 0.0 < lam < 1.0:
         raise AnalysisError(f"lambda must be in (0,1), got {lam}")
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    if not np.all(np.isfinite(eta)):
+        raise AnalysisError(f"direction eta must be finite, got {eta.tolist()}")
     if float(np.max(np.abs(eta))) == 0.0:
         raise AnalysisError("direction eta must be nonzero")
     if eta.size != p.dim:
@@ -434,8 +441,7 @@ def theorem_6_2_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
     scale_list = sorted({float(s) for s in scales}, reverse=True)
     if not scale_list:
         raise AnalysisError("scales list must be nonempty")
-    if any(s <= 0 for s in scale_list):
-        raise AnalysisError("scales must be positive")
+    _check_scales(scale_list)
     td, = resolve_tols(p, cand, (tol_deg, DEFAULT_TOL_DEG))
     # one engine call: the unscaled direction, then the ladder; the
     # unscaled direction must certify, the precondition shared with the
@@ -633,6 +639,12 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
     expansion: List[IncrementRecord] = []
 
     try:
+        # the |L| scale behind every unset tolerance, resolved once
+        tw, td, te = resolve_tols(
+            p, cand, (config.tol_w, DEFAULT_TOL_W),
+            (config.tol_deg, DEFAULT_TOL_DEG),
+            (config.tol_euler, DEFAULT_TOL_EULER))
+        config = replace(config, tol_w=tw, tol_deg=td, tol_euler=te)
         euler = euler_stage(p, cand, config)
     except (ValueError, ArithmeticError) as exc:
         return AnalysisReport(

@@ -100,6 +100,8 @@ def _xi_or_default(xi: Tuple[float, ...], p: DelayProblem) -> np.ndarray:
         if len(xi) != p.dim:
             raise AnalysisError(
                 f"--xi takes {p.dim} components for this problem, got {len(xi)}")
+        if not all(map(math.isfinite, xi)):
+            raise AnalysisError(f"--xi must be finite, got {list(xi)}")
         return np.asarray(xi, dtype=float)
     return conditions.direction_set(p.dim)[0]
 

@@ -16,6 +16,10 @@ functionals and the exact time rate of the excess sum; Q_k is
 lam^k * E(xi) + (1-lam^k) * E(pair) per slot, combined by the caller from
 the excesses it holds.
 
+Every first variation integrates the force Lx(t)+Ly(t+h) and momentum
+Ldx(t)+Ldy(t+h) against a variation's (q, q_dot): a trajectory's, or a
+needle's from needle.perturbation, the one place its geometry is defined.
+
 The slope-slot perturbation notation: a value "at (t, xi)" evaluates the
 functional with xdot(t) replaced by xdot(t)+xi (xdot slot) or with
 xdot(t-h) replaced by xdot(t-h)+xi (ydot slot, evaluated at nu = t+h).
@@ -23,12 +27,12 @@ xdot(t-h) replaced by xdot(t-h)+xi (ydot slot, evaluated at nu = t+h).
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import quadrature
-from .needle import NeedleSpec, check_eps
+from .needle import NeedleSpec, check_eps, perturbation
 from .problem import (CandidateExtremal, DelayProblem, along, eval_L,
                       partials_vec, shift_slopes, time_rate)
 from .trajectory import BREAK_TOL, Trajectory
@@ -189,6 +193,18 @@ def _variation_breaks(p: DelayProblem, *trajs: Trajectory) -> List[float]:
     return [x for x in pts if p.t0 < x < p.t1]
 
 
+def _variation_integral(p: DelayProblem, cand: CandidateExtremal, a: float,
+                        b: float, breaks, q_qdot) -> float:
+    """Integral over [a, b] of [Lx(t)+Ly(t+h)]^T q(t) + [Ldx(t)+Ldy(t+h)]^T
+    q_dot(t), with q_qdot(ts) giving (q, q_dot) at the nodes ts, each of
+    shape (n, len(ts)), and the panels split at breaks."""
+    def g(ts: np.ndarray) -> np.ndarray:
+        force, rho = _force_momentum(p, cand, ts, "right")
+        q, q_dot = q_qdot(ts)
+        return _dot(force, q.T) + _dot(rho, q_dot.T)
+    return quadrature.integrate(g, a, b, breaks)
+
+
 def first_variation(p: DelayProblem, cand: CandidateExtremal,
                     delta: Trajectory) -> float:
     """Integral of [Lx(t)+Ly(t+h)]^T dx(t) + [Ldx(t)+Ldy(t+h)]^T dxdot(t)
@@ -205,42 +221,22 @@ def first_variation(p: DelayProblem, cand: CandidateExtremal,
                 f"nonzero at t={float(t_chk)}")
     if float(np.max(np.abs(delta.value(p.t1)))) > 1e-9:
         raise ConditionsError("variation must vanish at t1")
-
-    def g(ts: np.ndarray) -> np.ndarray:
-        force, rho = _force_momentum(p, cand, ts, "right")
-        return _dot(force, delta.value_arr(ts).T) \
-            + _dot(rho, delta.deriv_arr(ts, "right").T)
-
-    breaks = _variation_breaks(p, cand.traj, delta)
-    return quadrature.integrate(g, p.t0, p.t1, breaks)
+    return _variation_integral(
+        p, cand, p.t0, p.t1, _variation_breaks(p, cand.traj, delta),
+        lambda ts: (delta.value_arr(ts), delta.deriv_arr(ts, "right")))
 
 
 def needle_first_variation(p: DelayProblem, cand: CandidateExtremal,
                            spec: NeedleSpec, eps: float) -> float:
-    """First variation evaluated on a needle, in the displayed two-branch
-    form: the inner branch weights the force term by (t - theta) and the
-    outer branch by (t - support edge), scaled by lambda/(lambda-1).
-    Zero (within quadrature tolerance) when the candidate is an extremal."""
+    """The first variation along the needle, the (q, q_dot) of
+    needle.perturbation, integrated over its support [c0, c2] split at the
+    inner corner.  Zero (within quadrature tolerance) when the candidate is
+    an extremal."""
     check_eps(p, spec, eps)
-    xi = spec.xi
     c0, c1, c2 = spec.corners(eps)
-    if spec.side == "right":
-        inner_lo, inner_hi, inner_anchor = c0, c1, spec.theta
-        outer_lo, outer_hi, outer_anchor = c1, c2, spec.theta + eps
-    else:
-        inner_lo, inner_hi, inner_anchor = c1, c2, spec.theta
-        outer_lo, outer_hi, outer_anchor = c0, c1, spec.theta - eps
-
-    def branch(anchor: float) -> Callable[[np.ndarray], np.ndarray]:
-        def g(ts: np.ndarray) -> np.ndarray:
-            force, rho = _force_momentum(p, cand, ts, "right")
-            return _dot(force, xi[None]) * (ts - anchor) + _dot(rho, xi[None])
-        return g
-
-    breaks = _variation_breaks(p, cand.traj)
-    inner = quadrature.integrate(branch(inner_anchor), inner_lo, inner_hi, breaks)
-    outer = quadrature.integrate(branch(outer_anchor), outer_lo, outer_hi, breaks)
-    return inner + (spec.lam / (spec.lam - 1.0)) * outer
+    return _variation_integral(
+        p, cand, c0, c2, _variation_breaks(p, cand.traj) + [c1],
+        lambda ts: perturbation(spec, eps, ts, "right"))
 
 
 def euler_residual(p: DelayProblem, cand: CandidateExtremal, t,

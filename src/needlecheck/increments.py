@@ -22,10 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import conditions, problem
-from .needle import (NeedleError, NeedleSpec, check_eps, perturbation,
-                     window_for)
+from .needle import NeedleSpec, check_eps, perturbation, window_for
 from .problem import CandidateExtremal, DelayProblem
-from .trajectory import BREAK_TOL
 from .quadrature import (DEFAULT_SWEEP_LEVELS, DEFAULT_SWEEP_RATIO, EpsSweep,
                          fit_expansion, geometric_sweep)
 
@@ -47,15 +45,10 @@ def delta_S_direct(p: DelayProblem, cand: CandidateExtremal, spec: NeedleSpec,
     level's four pieces, varied (the needle's (q, q_dot) added at the
     nodes) and base, on the support and on its shift; a level is their fsum.
     """
-    if spec.dim != p.dim:
-        raise NeedleError(f"xi dimension {spec.dim} != problem dimension {p.dim}")
     intervals = []
     for e in np.atleast_1d(np.asarray(eps, dtype=float)).tolist():
         check_eps(p, spec, e)
         c0, _, c2 = corners = spec.corners(e)
-        if c0 < p.t0 - BREAK_TOL or c2 > p.t1 + BREAK_TOL:
-            raise NeedleError(
-                f"needle support [{c0}, {c2}] escapes ({p.t0}, {p.t1})")
         extra = corners + tuple(c + p.h for c in corners)
         bump = functools.partial(perturbation, spec, e)
         for lo, hi in ((c0, c2), (c0 + p.h, c2 + p.h)):
@@ -142,22 +135,3 @@ def verify_expansion(p: DelayProblem, cand: CandidateExtremal,
                            c1_predicted=c1_pred, c2_predicted=c2_pred,
                            c1_fitted=c1_fit, c2_fitted=c2_fit,
                            fit_residual=residual, tolerance=tol, passed=passed)
-
-
-@dataclass(frozen=True)
-class FirstVariationCheck:
-    value: float
-    tolerance: float
-    passed: bool
-
-
-def verify_needle_first_variation_zero(
-        p: DelayProblem, cand: CandidateExtremal, spec: NeedleSpec,
-        eps: float, tol: Optional[float] = None) -> FirstVariationCheck:
-    """Check that the first variation along the needle vanishes, as it must
-    on an extremal; tolerance scales with the size of the cost."""
-    value = conditions.needle_first_variation(p, cand, spec, eps)
-    if tol is None:
-        tol = 1e-9 * (1.0 + abs(problem.eval_S(p, cand.traj)))
-    return FirstVariationCheck(value=value, tolerance=tol,
-                               passed=abs(value) <= tol)

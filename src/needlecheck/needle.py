@@ -12,6 +12,7 @@ so interval-edge conventions are realized through one-sided evaluation.
 `vary`, the symbolic varied trajectory, is the reference it is tested on.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -39,8 +40,12 @@ class NeedleSpec:
     def __post_init__(self):
         object.__setattr__(self, "xi",
                            np.atleast_1d(np.asarray(self.xi, dtype=float)))
+        if not math.isfinite(self.theta):
+            raise NeedleError(f"theta must be finite, got {self.theta}")
         if not 0.0 < self.lam < 1.0:
             raise NeedleError(f"lambda must be strictly inside (0,1), got {self.lam}")
+        if not np.all(np.isfinite(self.xi)):
+            raise NeedleError(f"xi must be finite, got {self.xi.tolist()}")
         if float(np.max(np.abs(self.xi))) == 0.0:
             raise NeedleError("xi must be nonzero")
         if self.side not in ("right", "left"):
@@ -111,11 +116,19 @@ def window_for(p: DelayProblem, spec: NeedleSpec) -> float:
 
 
 def check_eps(p: DelayProblem, spec: NeedleSpec, eps: float) -> None:
+    """xi has the problem's dimension, eps lies in the side's validity
+    window and the support inside [t0, t1]; else NeedleError."""
+    if spec.dim != p.dim:
+        raise NeedleError(f"xi dimension {spec.dim} != problem dimension {p.dim}")
     limit = window_for(p, spec)
     if not 0.0 < eps < limit:
         raise NeedleError(
             f"eps={eps} outside validity window (0, {limit}) for "
             f"{spec.side} needle at theta={spec.theta}")
+    c0, _, c2 = spec.corners(eps)
+    if c0 < p.t0 - BREAK_TOL or c2 > p.t1 + BREAK_TOL:
+        raise NeedleError(
+            f"needle support [{c0}, {c2}] escapes ({p.t0}, {p.t1})")
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +174,6 @@ def vary(cand: CandidateExtremal, spec: NeedleSpec, eps: float) -> Trajectory:
     p = cand.problem
     check_eps(p, spec, eps)
     c0, c1, c2 = spec.corners(eps)
-    if c0 < p.t0 - BREAK_TOL or c2 > p.t1 + BREAK_TOL:
-        raise NeedleError(
-            f"needle support [{c0}, {c2}] escapes ({p.t0}, {p.t1})")
-    if spec.dim != p.dim:
-        raise NeedleError(f"xi dimension {spec.dim} != problem dimension {p.dim}")
     split = cand.traj.split_at([c0, c1, c2])
     if spec.side == "right":
         inner = (c0, c1, spec.theta, spec.xi)

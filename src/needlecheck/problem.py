@@ -203,7 +203,8 @@ def along(p: DelayProblem, cand: CandidateExtremal, ts, sides,
     set finite and deterministic.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    outside = (ts < p.t0 - BREAK_TOL) | (ts > p.t1 + p.h + BREAK_TOL)
+    # written as a negation so that a NaN time counts as outside
+    outside = ~((ts >= p.t0 - BREAK_TOL) & (ts <= p.t1 + p.h + BREAK_TOL))
     if outside.any():
         raise ProblemError(
             f"t={float(ts[outside][0])} outside [{p.t0}, {p.t1 + p.h}] "

@@ -66,22 +66,23 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
               breaks: Sequence[float] = (), order: Optional[int] = None) -> float:
     """Composite Gauss-Legendre integral of f over [a, b] with panel splits.
 
-    f receives an array of node times and must return the sampled values
-    (scalar results broadcast).  Non-finite samples are reported with their
-    location.  Returns 0 when a == b.
+    f is called once, with the nodes of every panel as one flat array of
+    times, and must return the sampled values (scalar results broadcast).
+    Non-finite samples are reported with their location.  The integral is
+    the fsum of the panels' Gauss sums; 0 when a == b.
     """
-    contributions = []
-    for p0, p1 in panel_plan(a, b, breaks):
-        ts, ws = panel_nodes(p0, p1, order)
-        with np.errstate(all="ignore"):
-            vals = np.asarray(f(ts), dtype=float)
-        if vals.shape != ts.shape:
-            vals = np.broadcast_to(vals, ts.shape)
-        if not np.all(np.isfinite(vals)):
-            bad = float(ts[int(np.argmax(~np.isfinite(vals)))])
-            raise QuadratureError(f"non-finite integrand sample at t={bad}")
-        contributions.append(float(np.dot(ws, vals)))
-    return math.fsum(contributions)
+    panels = panel_plan(a, b, breaks)
+    if not panels:
+        return 0.0
+    grid, weights = panel_nodes(*np.array(panels).T, order)
+    ts = grid.ravel()
+    with np.errstate(all="ignore"):
+        vals = np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape)
+    if not np.all(np.isfinite(vals)):
+        bad = float(ts[int(np.argmax(~np.isfinite(vals)))])
+        raise QuadratureError(f"non-finite integrand sample at t={bad}")
+    return math.fsum(float(np.dot(ws, v))
+                     for ws, v in zip(weights, vals.reshape(grid.shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ class Trajectory:
         without a side it is the segment of the value, the right one except
         at the domain end.  Elsewhere it is the segment containing t.
         """
-        if t < self.a - BREAK_TOL or t > self.b + BREAK_TOL:
+        if not self.a - BREAK_TOL <= t <= self.b + BREAK_TOL:  # NaN too
             raise TrajectoryError(
                 f"t={t} outside trajectory domain [{self.a}, {self.b}]")
         if side not in (None, "left", "right"):

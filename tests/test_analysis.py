@@ -553,6 +553,24 @@ def test_full_report_on_sample(sample_problem, sample_cand):
     assert report.stage_errors == ()
 
 
+def test_full_report_resolves_the_lagrangian_scale_once(monkeypatch):
+    import importlib.resources as res
+
+    from needlecheck import conditions
+    from needlecheck.config import build_candidate, build_problem, parse_config
+
+    cfg = parse_config((res.files("needlecheck") / "configs" /
+                        "example_7_1.cfg").read_text(encoding="utf-8"))
+    p = build_problem(cfg)
+    calls = []
+    scale = conditions.lagrangian_scale
+    monkeypatch.setattr(conditions, "lagrangian_scale",
+                        lambda *a: calls.append(a) or scale(*a))
+    report = full_report(p, build_candidate(cfg, p), cfg.analysis)
+    assert report.overall == "FAILS_WEAK" and report.verdicts
+    assert len(calls) == 1
+
+
 def test_full_report_stops_on_non_extremal():
     p = make_problem(SAMPLE_L)
     cand = make_candidate(p, ["0.1*t*(3 - t)"])

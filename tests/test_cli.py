@@ -312,6 +312,48 @@ def test_reports_are_byte_identical():
     assert a.returncode == b.returncode == 2
 
 
+# a test id, then a command line with {} in place of the tested flag's value
+NUMERIC_FLAGS = [
+    ("excess-point", "excess", "--point={}"),
+    ("theorem6-point", "theorem6", "--point={}", "--side", "right"),
+    ("increment-theta-eps", "increment", "--theta={}", "--side", "left",
+     "--eps", "0.1"),
+    ("increment-theta-sweep", "increment", "--theta={}", "--side", "right",
+     "--sweep"),
+    ("excess-xi", "excess", "--point", "1", "--xi={}"),
+    ("theorem6-xi", "theorem6", "--point", "1", "--side", "right", "--xi={}"),
+    ("increment-xi", "increment", "--theta", "1", "--side", "right", "--eps",
+     "0.1", "--xi={}"),
+    ("excess-lambda", "excess", "--point", "1", "--lambda={}"),
+    ("theorem6-lambda", "theorem6", "--point", "1", "--side", "right",
+     "--lambda={}"),
+    ("increment-lambda", "increment", "--theta", "1", "--side", "right",
+     "--eps", "0.1", "--lambda={}"),
+    ("increment-eps", "increment", "--theta", "1", "--side", "right",
+     "--eps={}"),
+    ("theorem6-scales", "theorem6", "--point", "1", "--side", "right",
+     "--scales={}"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [a[1:] for a in NUMERIC_FLAGS],
+                         ids=[a[0] for a in NUMERIC_FLAGS])
+def test_non_finite_flag_is_a_tool_error(capsys, recwarn, argv, value):
+    # in process, so a traceback fails the test and a warning is recorded
+    from needlecheck.cli import main
+
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, CFG] + [f.format(value) for f in flags])
+    out, err = capsys.readouterr()
+    payload = json.loads(out)  # exactly one document
+    assert exit_info.value.code == payload["exit_code"] == 1
+    assert payload["status"] == "error"
+    assert value in payload["result"]["error"]
+    assert err == "" and not recwarn.list
+
+
 def test_verdict_matches_golden_bytes():
     # the golden file is the bundled verdict as first released; any change
     # to a reported number or field shows up here

@@ -26,7 +26,7 @@ from needlecheck.conditions import (
 from needlecheck.analysis import (AnalysisError, _certifies,
                                   remark_6_1_equivalence)
 from needlecheck.exprs import eval_expr
-from needlecheck.needle import NeedleError, NeedleSpec
+from needlecheck.needle import NeedleError, NeedleSpec, vary
 from needlecheck.problem import CandidateExtremal, eval_S
 from needlecheck.trajectory import Trajectory
 
@@ -289,6 +289,31 @@ def test_needle_first_variation_zero_on_extremal(sample_problem, sample_cand):
     for theta, side in ((0.5, "right"), (1.0, "right"), (1.5, "left"), (2.5, "right")):
         spec = NeedleSpec(theta=theta, lam=0.5, xi=np.array([1.0]), side=side)
         assert abs(needle_first_variation(p, cand, spec, 0.25)) <= 1e-10
+
+
+@pytest.mark.parametrize("theta, side", [
+    (0.7, "right"), (1.4, "left"),   # the delay shift of the support inside
+    (2.3, "right"), (2.8, "left"),   # the tail: the shift lies beyond t1
+])
+def test_needle_first_variation_is_first_variation_of_the_needle(
+        sample_problem, sample_cand, theta, side):
+    # the needle as a trajectory: the symbolic reference added to zero
+    p = sample_problem
+    bent = make_candidate(p, ["0.1*t*(3 - t)"])
+    spec = NeedleSpec(theta=theta, lam=0.35, xi=np.array([1.3]), side=side)
+    delta = vary(sample_cand, spec, 0.5)
+    want = first_variation(p, bent, delta)
+    got = needle_first_variation(p, bent, spec, 0.5)
+    assert abs(want) > 1e-3  # a non-extremal candidate
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_needle_first_variation_checks_the_needle_dimension():
+    p = make_problem("dx1^2 + dx2^2 + x1*dx2", dim=2)
+    cand = make_candidate(p, ["0.1*t*(3 - t)", "t*(3 - t)"])
+    spec = NeedleSpec(theta=1.0, lam=0.5, xi=np.array([1.0]), side="right")
+    with pytest.raises(NeedleError, match="dimension"):
+        needle_first_variation(p, cand, spec, 0.3)
 
 
 def test_euler_residual_zero_on_extremal(sample_problem, sample_cand):

@@ -20,7 +20,6 @@ from needlecheck.increments import (
     delta_S_direct,
     expansion_prediction,
     verify_expansion,
-    verify_needle_first_variation_zero,
 )
 from needlecheck.needle import NeedleError, NeedleSpec, vary
 from needlecheck.problem import CandidateExtremal, Interval, integrate_L
@@ -206,17 +205,6 @@ def test_cross_check_passes_on_sinh_needles(sinh_k1e3, theta, side, lam, xi):
     assert rec.c1_predicted == pytest.approx(k2 * lam / (1.0 - lam), rel=1e-9)
     assert rec.passed, (rec.c1_fitted, rec.c2_fitted,
                         rec.c1_predicted, rec.c2_predicted)
-
-
-def test_needle_first_variation_check(sample_problem, sample_cand):
-    p, cand = sample_problem, sample_cand
-    chk = verify_needle_first_variation_zero(p, cand, RIGHT, 0.25)
-    assert chk.passed and abs(chk.value) <= chk.tolerance
-    # a candidate that is not an extremal fails the check
-    bent = make_candidate(make_problem(SAMPLE_L), ["0.1*t*(3 - t)"])
-    chk2 = verify_needle_first_variation_zero(bent.problem, bent, RIGHT, 0.25)
-    assert not chk2.passed
-    assert abs(chk2.value) > 1e-3
 
 
 # -- the batched sweep against the symbolic varied trajectory ---------------

@@ -48,6 +48,18 @@ def test_breakpoint_panels_handle_kinks():
     assert integrate(g, 0.0, 1.0, breaks=[0.5]) == pytest.approx(0.25, abs=1e-15)
 
 
+def test_integrand_is_called_once_on_every_node():
+    calls = []
+
+    def f(t):
+        calls.append(t.shape)
+        return np.cos(t)
+
+    got = integrate(f, 0.0, 2.0, breaks=[0.5, 1.0, 1.5], order=6)
+    assert calls == [(4 * 6,)]
+    assert got == pytest.approx(np.sin(2.0), abs=1e-14)
+
+
 def test_panel_plan_filters_breaks():
     assert panel_plan(0.0, 1.0, []) == [(0.0, 1.0)]
     assert panel_plan(0.0, 1.0, [0.5, -3.0, 2.0, 0.5]) == [(0.0, 0.5), (0.5, 1.0)]
