@@ -111,8 +111,8 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
                       t_grid: Optional[Sequence[float]] = None,
                       direction_samples: Optional[Sequence[np.ndarray]] = None,
                       lam_grid: Sequence[float] = DEFAULT_LAMBDAS,
-                      tol_deg: Optional[float] = None,
-                      seed: int = 0) -> List[DegeneracyFinding]:
+                      tol_deg: Optional[float] = None
+                      ) -> List[DegeneracyFinding]:
     """Scan a time grid for paired-direction degeneracies of the excess sum.
 
     Contiguous grid runs certified by the same (eta, lam) merge into
@@ -128,7 +128,7 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
     if any(t < p.t0 - BREAK_TOL or t > p.t1 + BREAK_TOL for t in grid):
         raise AnalysisError("degeneracy grid escapes [t0, t1]")
     if direction_samples is None:
-        direction_samples = direction_set(p.dim, seed)
+        direction_samples = direction_set(p.dim)
     directions = [np.atleast_1d(np.asarray(d, dtype=float))
                   for d in direction_samples]
     if not directions or not lam_grid:
@@ -684,8 +684,7 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
                 p, cand,
                 t_grid=np.linspace(p.t0, p.t1 - p.h, config.degeneracy_grid),
                 direction_samples=direction_set(p.dim, config.seed),
-                lam_grid=config.lambdas, tol_deg=config.tol_deg,
-                seed=config.seed)
+                lam_grid=config.lambdas, tol_deg=config.tol_deg)
         except (ValueError, ArithmeticError) as exc:
             errors.append(("degeneracy", str(exc)))
 

@@ -206,7 +206,7 @@ def degeneracy(config: str) -> None:
             p, cand,
             t_grid=np.linspace(p.t0, p.t1 - p.h, a.degeneracy_grid),
             direction_samples=conditions.direction_set(p.dim, a.seed),
-            lam_grid=a.lambdas, tol_deg=a.tol_deg, seed=a.seed)
+            lam_grid=a.lambdas, tol_deg=a.tol_deg)
         return {"findings": findings, "count": len(findings)}, False
     _run("degeneracy", config, body)
 
@@ -221,7 +221,7 @@ def theorem5(config: str) -> None:
             p, cand,
             t_grid=np.linspace(p.t0, p.t1 - p.h, a.degeneracy_grid),
             direction_samples=conditions.direction_set(p.dim, a.seed),
-            lam_grid=a.lambdas, tol_deg=a.tol_deg, seed=a.seed)
+            lam_grid=a.lambdas, tol_deg=a.tol_deg)
         intervals = [f for f in findings if f.kind == "interval"]
         verdicts = []
         for finding in intervals:
@@ -324,16 +324,7 @@ def main(argv=None) -> None:
     except click.Abort:
         sys.exit(1)
     except click.ClickException as exc:
-        click.echo(json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "tool": "needlecheck",
-            "command": None,
-            "config": None,
-            "result": {"error": exc.format_message()},
-            "status": "error",
-            "exit_code": 1,
-        }, indent=2, sort_keys=True))
-        sys.exit(1)
+        _emit(None, None, {"error": exc.format_message()}, "error", 1)
 
 
 if __name__ == "__main__":

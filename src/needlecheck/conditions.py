@@ -108,13 +108,21 @@ class ExcessPoint:
         step = max(1, _BLOCK_CELLS // max(1, width))
         return [slice(i, i + step) for i in range(0, len(self.ts), step)]
 
+    def _slopes(self, xis) -> np.ndarray:
+        """xis as a stack (m, n) of slopes in the problem's dimension n."""
+        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+        if xis.ndim != 2 or xis.shape[1] != self.p.dim:
+            raise ConditionsError(f"slope stack of shape {xis.shape}, "
+                                  f"expected (m, {self.p.dim})")
+        return xis
+
     def _shifted(self, slot: str, b: slice, xis: np.ndarray) -> list:
         return shift_slopes(self.p, self.args[slot][:, b], SLOTS[slot][0],
                             xis)
 
     def excess(self, slot: str, xis) -> np.ndarray:
         """L(..., slope+xi, ...) - L - Lslope^T xi in one slot; 0 beyond t1."""
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+        xis = self._slopes(xis)
         out = np.empty((len(self.L[slot]), len(xis)))
         for b in self._blocks(len(xis)):
             L_pert = eval_L(self.p, self._shifted(slot, b, xis))
@@ -128,7 +136,7 @@ class ExcessPoint:
     def m(self, slot: str, lam: float, xis) -> np.ndarray:
         """lam*[Lz(xi)-Lz]^T xi + (1-lam)*[Lz(pair)-Lz]^T xi, with z the
         slot's state block (x at t, y at nu) and its slope perturbed."""
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+        xis = self._slopes(xis)
         state = SLOTS[slot][1]
         base = partials_vec(self.p, state, self.args[slot])
         both = np.concatenate((xis, paired_slope(lam, xis)))
@@ -147,7 +155,7 @@ class ExcessPoint:
         at each time, from its side.  The slope shift is fixed in t, so the
         shifted arguments move at the base rate and the chain rule runs
         through base and shifted columns alike."""
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+        xis = self._slopes(xis)
         if self._rates is None:
             self._rates = {
                 "x": along(self.p, self.cand, self.ts, self.sides, rate=True),
@@ -317,10 +325,9 @@ class WeierstrassScanReport:
         return [e for e in self.entries if e.violation]
 
 
-def lagrangian_scale(p: DelayProblem, cand: CandidateExtremal,
-                     samples: int = 16) -> float:
+def lagrangian_scale(p: DelayProblem, cand: CandidateExtremal) -> float:
     """Coarse |L| scale along the candidate, used to scale tolerances."""
-    ts = np.linspace(p.t0, p.t1, samples)
+    ts = np.linspace(p.t0, p.t1, 16)
     # L on the candidate and with every slope raised by 1
     xis = np.outer([0.0, 1.0], np.ones(p.dim))
     args = along(p, cand, ts, ["right" if t < p.t1 else "left" for t in ts])

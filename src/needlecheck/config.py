@@ -162,17 +162,7 @@ def _strip_comment(line: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# key catalogs
-
-_PROBLEM_KEYS = ("t0", "t1", "h", "dim", "lagrangian", "x1", "history")
-_CANDIDATE_KEYS = ("segment",)
-_ANALYSIS_INT_KEYS = ("euler_grid", "scan_grid", "degeneracy_grid",
-                      "interval_points", "sweep_levels", "quad_order", "seed")
-_ANALYSIS_FLOAT_KEYS = ("tol_w", "tol_deg", "tol_eq", "tol_euler",
-                        "sweep_ratio")
-_ANALYSIS_TUPLE_KEYS = ("radii", "lambdas", "scales")
-_REPEATABLE = {("problem", "history"), ("candidate", "segment")}
-
+# key table
 
 def _as_int(value: Value, key: str, err) -> int:
     if not isinstance(value, float) or value != int(value):
@@ -204,22 +194,39 @@ def _as_float_tuple(value: Value, key: str, err) -> Tuple[float, ...]:
 def _as_segment(value: Value, key: str, err) -> SegmentSpec:
     if not isinstance(value, tuple) or len(value) < 3:
         raise err(f"key '{key}' expects (t_start, t_end, \"expr\", ...)")
-    start, end = value[0], value[1]
-    if not isinstance(start, float) or not isinstance(end, float):
+    if not all(isinstance(v, float) for v in value[:2]):
         raise err(f"key '{key}': first two entries must be numbers")
-    comps = value[2:]
-    if not all(isinstance(c, str) for c in comps):
+    if not all(isinstance(c, str) for c in value[2:]):
         raise err(f"key '{key}': components must be quoted expressions")
-    return SegmentSpec(t_start=float(start), t_end=float(end),
-                       exprs=tuple(comps))
+    return SegmentSpec(t_start=value[0], t_end=value[1], exprs=value[2:])
+
+
+# section -> key -> converter.  Every [problem] and [candidate] key is
+# required (checked in this order); the [analysis] keys are the fields of
+# AnalysisSettings, which supplies the default of an absent one.
+_KEYS = {
+    "problem": {"t0": _as_float, "t1": _as_float, "h": _as_float,
+                "dim": _as_int, "lagrangian": _as_string,
+                "x1": _as_float_tuple, "history": _as_segment},
+    "candidate": {"segment": _as_segment},
+    "analysis": {"euler_grid": _as_int, "scan_grid": _as_int,
+                 "degeneracy_grid": _as_int, "interval_points": _as_int,
+                 "radii": _as_float_tuple, "lambdas": _as_float_tuple,
+                 "scales": _as_float_tuple, "tol_w": _as_float,
+                 "tol_deg": _as_float, "tol_eq": _as_float,
+                 "tol_euler": _as_float, "sweep_levels": _as_int,
+                 "sweep_ratio": _as_float, "quad_order": _as_int,
+                 "seed": _as_int},
+}
+# keys that may repeat; each keeps its (value, line) pairs in file order
+_REPEATABLE = (("problem", "history"), ("candidate", "segment"))
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
     """Parse and validate; errors carry source:line:column."""
     section = None
     seen: Dict[Tuple[str, str], int] = {}
-    values: Dict[Tuple[str, str], Value] = {}
-    repeated: Dict[Tuple[str, str], List[Tuple[Value, int]]] = {}
+    values: Dict[str, dict] = {name: {} for name in _KEYS}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).rstrip()
@@ -231,7 +238,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
                 raise ConfigError("malformed section header", source, line_no,
                                   raw.index("[") + 1)
             name = stripped[1:-1].strip()
-            if name not in ("problem", "candidate", "analysis"):
+            if name not in _KEYS:
                 raise ConfigError(f"unknown section [{name}]", source, line_no, 1)
             section = name
             continue
@@ -242,53 +249,31 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         key_part, _, value_part = line.partition("=")
         key = key_part.strip()
         col0 = len(key_part) + 2
-        known = {"problem": _PROBLEM_KEYS, "candidate": _CANDIDATE_KEYS,
-                 "analysis": _ANALYSIS_INT_KEYS + _ANALYSIS_FLOAT_KEYS
-                 + _ANALYSIS_TUPLE_KEYS}[section]
-        if key not in known:
+        if key not in _KEYS[section]:
             raise ConfigError(f"unknown key '{key}' in [{section}]",
                               source, line_no, 1)
         value = _ValueParser(value_part, source, line_no, col0).parse()
         slot = (section, key)
+        if slot not in _REPEATABLE and slot in seen:
+            raise ConfigError(
+                f"duplicate key '{key}' in [{section}] "
+                f"(first at line {seen[slot]})", source, line_no, 1)
+        value = _KEYS[section][key](
+            value, key, lambda msg: ConfigError(msg, source, line_no))
         if slot in _REPEATABLE:
-            repeated.setdefault(slot, []).append((value, line_no))
+            values[section].setdefault(key, []).append((value, line_no))
         else:
-            if slot in seen:
-                raise ConfigError(
-                    f"duplicate key '{key}' in [{section}] "
-                    f"(first at line {seen[slot]})", source, line_no, 1)
             seen[slot] = line_no
-            values[slot] = value
+            values[section][key] = value
 
-    def missing(sec: str, key: str) -> ConfigError:
-        return ConfigError(f"[{sec}] missing required key '{key}'", source)
+    for sec in ("problem", "candidate"):
+        for key in _KEYS[sec]:
+            if key not in values[sec]:
+                raise ConfigError(f"[{sec}] missing required key '{key}'",
+                                  source)
 
-    def key_err(sec: str, key: str):
-        line = seen.get((sec, key))
-
-        def make(msg: str) -> ConfigError:
-            return ConfigError(msg, source, line)
-        return make
-
-    # problem section
-    for key in ("t0", "t1", "h", "dim", "lagrangian", "x1"):
-        if ("problem", key) not in values:
-            raise missing("problem", key)
-    if ("problem", "history") not in repeated:
-        raise missing("problem", "history")
-    perr = lambda key: key_err("problem", key)
-    t0 = _as_float(values[("problem", "t0")], "t0", perr("t0"))
-    t1 = _as_float(values[("problem", "t1")], "t1", perr("t1"))
-    h = _as_float(values[("problem", "h")], "h", perr("h"))
-    dim = _as_int(values[("problem", "dim")], "dim", perr("dim"))
-    lagrangian = _as_string(values[("problem", "lagrangian")], "lagrangian",
-                            perr("lagrangian"))
-    x1 = _as_float_tuple(values[("problem", "x1")], "x1", perr("x1"))
-    history = tuple(
-        _as_segment(v, "history",
-                    lambda m, ln=ln: ConfigError(m, source, ln))
-        for v, ln in repeated[("problem", "history")])
-
+    pv = values["problem"]
+    t0, t1, h, dim, x1 = pv["t0"], pv["t1"], pv["h"], pv["dim"], pv["x1"]
     if h <= 0:
         raise ConfigError(f"h must be positive, got {h}", source,
                           seen[("problem", "h")])
@@ -304,44 +289,22 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             f"x1 has {len(x1)} components, expected dim={dim}", source,
             seen[("problem", "x1")])
     try:
-        parse_lagrangian(lagrangian, dim)
+        parse_lagrangian(pv["lagrangian"], dim)
     except ExprError as exc:
         raise ConfigError(f"key 'lagrangian': {exc}", source,
                           seen[("problem", "lagrangian")]) from exc
-    for spec, (_, ln) in zip(history, repeated[("problem", "history")]):
-        _check_segment_spec(spec, dim, "history", source, ln)
+    for sec, key in _REPEATABLE:
+        for spec, ln in values[sec][key]:
+            _check_segment_spec(spec, dim, key, source, ln)
 
-    # candidate section
-    if ("candidate", "segment") not in repeated:
-        raise missing("candidate", "segment")
-    segments = tuple(
-        _as_segment(v, "segment",
-                    lambda m, ln=ln: ConfigError(m, source, ln))
-        for v, ln in repeated[("candidate", "segment")])
-    for spec, (_, ln) in zip(segments, repeated[("candidate", "segment")]):
-        _check_segment_spec(spec, dim, "segment", source, ln)
-
-    # analysis section (defaults filled from AnalysisSettings)
-    kwargs = {}
-    for key in _ANALYSIS_INT_KEYS:
-        if ("analysis", key) in values:
-            kwargs[key] = _as_int(values[("analysis", key)], key,
-                                  key_err("analysis", key))
-    for key in _ANALYSIS_FLOAT_KEYS:
-        if ("analysis", key) in values:
-            kwargs[key] = _as_float(values[("analysis", key)], key,
-                                    key_err("analysis", key))
-    for key in _ANALYSIS_TUPLE_KEYS:
-        if ("analysis", key) in values:
-            kwargs[key] = _as_float_tuple(values[("analysis", key)], key,
-                                          key_err("analysis", key))
-    analysis = AnalysisSettings(**kwargs)
+    analysis = AnalysisSettings(**values["analysis"])
     _check_analysis(analysis, source, seen)
 
     return RunConfig(
-        problem=ProblemConfig(t0=t0, t1=t1, h=h, dim=dim,
-                              lagrangian=lagrangian, x1=x1, history=history),
-        candidate=CandidateConfig(segments=segments),
+        problem=ProblemConfig(**dict(
+            pv, history=tuple(s for s, _ in pv["history"]))),
+        candidate=CandidateConfig(segments=tuple(
+            s for s, _ in values["candidate"]["segment"])),
         analysis=analysis)
 
 

@@ -70,7 +70,7 @@ def expansion_prediction(p: DelayProblem, cand: CandidateExtremal,
     exact one-sided chain rule from the needle's side.  Built entirely from
     the excess functionals; the cost integral is never evaluated here.
     """
-    window_for(p, spec)  # validates theta against the side's regime
+    window_for(p, spec)  # validates xi and theta against the side's regime
     lam, slopes = spec.lam, [spec.xi, spec.outer_slope]
     pt = conditions.ExcessPoint(p, cand, spec.theta, spec.side)
     (ex0, ex1), (ey0, ey1) = (pt.excess(s, slopes)[0].tolist()
@@ -109,12 +109,11 @@ def verify_expansion(p: DelayProblem, cand: CandidateExtremal,
                      eps_max: Optional[float] = None,
                      levels: int = DEFAULT_SWEEP_LEVELS,
                      ratio: float = DEFAULT_SWEEP_RATIO,
-                     order: Optional[int] = None,
-                     tol: Optional[float] = None) -> IncrementRecord:
+                     order: Optional[int] = None) -> IncrementRecord:
     """Fit c1, c2 from a geometric eps sweep of the direct increment and
     compare them with the excess-functional prediction.
 
-    The default tolerance is max(1e-6, 1e-3 * scale) per coefficient, where
+    The tolerance is max(1e-6, 1e-3 * scale) per coefficient, where
     scale is the magnitude of the predicted pair (at least 1)."""
     if eps_max is None:
         eps_max = default_eps_max(p, spec)
@@ -127,9 +126,7 @@ def verify_expansion(p: DelayProblem, cand: CandidateExtremal,
         lambda e: delta_S_direct(p, cand, spec, e, order), eps_max,
         levels=levels, ratio=ratio)
     c1_fit, c2_fit, residual = fit_expansion(sweep)
-    if tol is None:
-        scale = max(abs(c1_pred), abs(c2_pred), 1.0)
-        tol = max(1e-6, 1e-3 * scale)
+    tol = max(1e-6, 1e-3 * max(abs(c1_pred), abs(c2_pred), 1.0))
     passed = (abs(c1_fit - c1_pred) <= tol) and (abs(c2_fit - c2_pred) <= tol)
     return IncrementRecord(spec=spec, eps_max=eps_max, sweep=sweep,
                            c1_predicted=c1_pred, c2_predicted=c2_pred,

@@ -97,7 +97,10 @@ def validity_window(p: DelayProblem, theta: float) -> ValidityWindow:
 
 
 def window_for(p: DelayProblem, spec: NeedleSpec) -> float:
-    """The side's eps bound; raises when theta is outside the side's regime."""
+    """The side's eps bound; raises when xi does not have the problem's
+    dimension or theta is outside the side's regime."""
+    if spec.dim != p.dim:
+        raise NeedleError(f"xi dimension {spec.dim} != problem dimension {p.dim}")
     w = validity_window(p, spec.theta)
     if spec.side == "right":
         if spec.theta < p.t0 - BREAK_TOL or spec.theta >= p.t1 - BREAK_TOL:
@@ -116,10 +119,8 @@ def window_for(p: DelayProblem, spec: NeedleSpec) -> float:
 
 
 def check_eps(p: DelayProblem, spec: NeedleSpec, eps: float) -> None:
-    """xi has the problem's dimension, eps lies in the side's validity
-    window and the support inside [t0, t1]; else NeedleError."""
-    if spec.dim != p.dim:
-        raise NeedleError(f"xi dimension {spec.dim} != problem dimension {p.dim}")
+    """window_for holds, eps lies in the side's validity window and the
+    support inside [t0, t1]; else NeedleError."""
     limit = window_for(p, spec)
     if not 0.0 < eps < limit:
         raise NeedleError(

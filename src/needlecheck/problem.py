@@ -157,10 +157,12 @@ def time_rate(p: DelayProblem, names: Tuple[str, ...], args,
     cells = [np.broadcast_to(a, shape) for a in args]
     out = np.zeros(shape)
     for v, v_rate in zip(p.lagrangian.variables, rate):
-        d_v = p.lagrangian.partial(*names, v)
         v_rate = np.broadcast_to(v_rate, shape)
         live = v_rate != 0.0
-        if np.any(live) and not d_v.is_zero:
+        if not np.any(live):
+            continue
+        d_v = p.lagrangian.partial(*names, v)
+        if not d_v.is_zero:
             out[live] += v_rate[live] * _evaluate(
                 p, d_v, [c[live] for c in cells])
     return out

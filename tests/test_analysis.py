@@ -571,6 +571,20 @@ def test_full_report_resolves_the_lagrangian_scale_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verdict_builds_second_partials_only_in_moving_arguments():
+    # zero candidate and zero history: only t moves along the candidate, so
+    # every time rate needs d/dt of L and of its slope partials, nothing else
+    n = 5
+    p = make_problem(" + ".join(
+        f"(2 + sin(t))*dx{i}^2 + dy{i}^2 + x{i}^2 + 0.25*dx{i}*dy{i}"
+        for i in range(1, n + 1)), dim=n)
+    full_report(p, make_candidate(p), AnalysisSettings(
+        euler_grid=10, scan_grid=20, degeneracy_grid=10))
+    built = [k for k in p.lagrangian.partials if isinstance(k, tuple)]
+    assert all(k[-1] == "t" for k in built)
+    assert len(p.lagrangian.partials) == 4 * n + 1 + 2 * n
+
+
 def test_full_report_stops_on_non_extremal():
     p = make_problem(SAMPLE_L)
     cand = make_candidate(p, ["0.1*t*(3 - t)"])

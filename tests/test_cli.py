@@ -12,10 +12,14 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "example_7_1.verdict.json")
 PAYLOAD_KEYS = ["command", "config", "exit_code", "result", "schema_version",
                 "status", "tool"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
+    # the child imports needlecheck from this checkout, like the test process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(

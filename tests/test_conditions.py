@@ -493,5 +493,13 @@ def test_weierstrass_scan_validates_inputs(sample_problem, sample_cand):
         weierstrass_scan(p, cand, t_grid=[1.0], xi_samples=[np.array([0.0])])
 
 
+@pytest.mark.parametrize("xi", [[1.0], [1.0, 1.0, 1.0]])
+def test_scan_rejects_a_slope_of_the_wrong_width(xi):
+    p = make_problem("dx1^2 + dx2^2 + dy1*dy2", dim=2)
+    with pytest.raises(ConditionsError, match=r"expected \(m, 2\)"):
+        weierstrass_scan(p, make_candidate(p), t_grid=[0.5, 1.0],
+                         xi_samples=[np.array(xi)])
+
+
 def test_default_lambda_grid_closed_under_complement():
     assert set(DEFAULT_LAMBDAS) == set(1.0 - l for l in DEFAULT_LAMBDAS)

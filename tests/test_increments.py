@@ -100,6 +100,14 @@ def test_eps_window_enforced(sample_problem, sample_cand):
         verify_expansion(p, cand, RIGHT, eps_max=5.0)
 
 
+@pytest.mark.parametrize("xi", [[1.0], [1.0, 1.0, 1.0]])
+def test_prediction_rejects_a_slope_of_the_wrong_width(xi):
+    p = make_problem("dx1^2 + dx2^2 + dy1*dy2", dim=2)
+    spec = NeedleSpec(theta=1.0, lam=0.5, xi=xi, side="right")
+    with pytest.raises(NeedleError, match="dimension 2"):
+        expansion_prediction(p, make_candidate(p), spec)
+
+
 def test_direct_path_ignores_excess_machinery(sample_problem, sample_cand,
                                               monkeypatch):
     # delta_S_direct must not call into the excess functionals
