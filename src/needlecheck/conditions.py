@@ -34,7 +34,7 @@ import numpy as np
 from . import quadrature
 from .needle import NeedleSpec, check_eps, perturbation
 from .problem import (CandidateExtremal, DelayProblem, along, eval_L,
-                      partials_vec, shift_slopes, time_rate)
+                      partials_vec, rates, shift_slopes, time_rate)
 from .trajectory import BREAK_TOL, Trajectory
 
 DEFAULT_RADII = (0.25, 0.5, 1.0, 2.0)
@@ -157,10 +157,8 @@ class ExcessPoint:
         through base and shifted columns alike."""
         xis = self._slopes(xis)
         if self._rates is None:
-            self._rates = {
-                "x": along(self.p, self.cand, self.ts, self.sides, rate=True),
-                "y": along(self.p, self.cand, self.ts + self.p.h, self.sides,
-                           rate=True)}
+            self._rates = {s: rates(self.p, self.cand, a, self.sides)
+                           for s, a in self.args.items()}
         # column 0 is the unshifted base, the others carry one slope each
         stack = np.vstack((np.zeros(self.p.dim), xis))
         out = np.zeros((len(self.ts), len(xis)))
@@ -178,16 +176,16 @@ class ExcessPoint:
 # ---------------------------------------------------------------------------
 # first variation and the Euler residual
 
-def _force_momentum(p: DelayProblem, cand: CandidateExtremal, ts,
-                    sides, rate: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+def _force_momentum(p: DelayProblem, cand: CandidateExtremal, ts, sides,
+                    d_dt: bool = False) -> Tuple[np.ndarray, np.ndarray]:
     """(Lx(t)+Ly(t+h), Ldx(t)+Ldy(t+h)) along the candidate at each time of
     ts, from its side (one side or one per time): two (n, len(ts)) arrays.
-    With rate, the exact time derivative of the momentum Ldx(t)+Ldy(t+h)
+    With d_dt, the exact time derivative of the momentum Ldx(t)+Ldy(t+h)
     replaces it."""
     ts = np.asarray(ts, dtype=float)
     at_t, at_th = along(p, cand, ts, sides), along(p, cand, ts + p.h, sides)
-    r_t = along(p, cand, ts, sides, rate=True) if rate else None
-    r_th = along(p, cand, ts + p.h, sides, rate=True) if rate else None
+    r_t, r_th = ((rates(p, cand, at_t, sides), rates(p, cand, at_th, sides))
+                 if d_dt else (None, None))
     force = partials_vec(p, "x", at_t) + partials_vec(p, "y", at_th)
     rho = partials_vec(p, "dx", at_t, r_t) + partials_vec(p, "dy", at_th, r_th)
     return force, rho
@@ -220,18 +218,17 @@ def first_variation(p: DelayProblem, cand: CandidateExtremal,
     if delta.a > p.t0 + BREAK_TOL or delta.b < p.t1 - BREAK_TOL:
         raise ConditionsError(
             f"variation domain [{delta.a}, {delta.b}] must cover [{p.t0}, {p.t1}]")
-    for t_chk in np.linspace(max(delta.a, p.t0 - p.h), p.t0, 5):
-        if t_chk < delta.a - BREAK_TOL:
-            continue
-        if float(np.max(np.abs(delta.value(float(t_chk))))) > 1e-9:
-            raise ConditionsError(
-                f"variation must vanish on the history interval; "
-                f"nonzero at t={float(t_chk)}")
+    t_chk = np.linspace(max(delta.a, p.t0 - p.h), p.t0, 5)
+    nonzero = np.flatnonzero(np.abs(delta.value(t_chk)).max(0) > 1e-9)
+    if nonzero.size:
+        raise ConditionsError(
+            f"variation must vanish on the history interval; "
+            f"nonzero at t={float(t_chk[nonzero[0]])}")
     if float(np.max(np.abs(delta.value(p.t1)))) > 1e-9:
         raise ConditionsError("variation must vanish at t1")
     return _variation_integral(
         p, cand, p.t0, p.t1, _variation_breaks(p, cand.traj, delta),
-        lambda ts: (delta.value_arr(ts), delta.deriv_arr(ts, "right")))
+        lambda ts: (delta.value(ts), delta.deriv(ts)))
 
 
 def needle_first_variation(p: DelayProblem, cand: CandidateExtremal,
@@ -256,7 +253,7 @@ def euler_residual(p: DelayProblem, cand: CandidateExtremal, t,
     one-sided first and second derivatives.  The extended-zero convention
     supplies the single-term regime on (t1-h, t1] with the same formula."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    force, drho = _force_momentum(p, cand, ts, side, rate=True)
+    force, drho = _force_momentum(p, cand, ts, side, d_dt=True)
     return drho - force if np.ndim(t) else (drho - force)[:, 0]
 
 
@@ -365,6 +362,9 @@ def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
     if not xi_samples:
         raise ConditionsError("empty xi sample set")
     for x in xi_samples:
+        if x.shape != (p.dim,):
+            raise ConditionsError(f"xi sample of shape {x.shape}, slope stack "
+                                  f"expected (m, {p.dim})")
         if float(np.max(np.abs(x))) == 0.0:
             raise ConditionsError("xi samples must exclude 0")
     tw, td = resolve_tols(p, cand, (tol_w, DEFAULT_TOL_W),

@@ -11,16 +11,16 @@ sequence of the rows (t, x1..xn, y1..yn, dx1..dxn, dy1..dyn), the
 admitted-variable order of the Lagrangian, where y = x(t-h) and
 dy = xdot(t-h).  The rows broadcast to one batch shape, one evaluation per
 cell; a 2-D array (rows, T) is one such set.  `along` builds the set of an
-array of times, or its time derivative, and `shift_slopes` adds a stack of
-slope perturbations to it: the base rows stay (T, 1) views and only the
-perturbed block is (T, m), so a (1+4n, T, m) array is never built.  Callers
-that sweep a time grid against a slope stack split the grid into blocks
-to bound the cells of one call (conditions.ExcessPoint).  `eval_L` and
-`partials_vec` run the compiled Lagrangian, or each compiled partial, once
-over the whole batch; `time_rate` contracts higher partials with a rate
-set to give exact time derivatives by the chain rule.  Values at t > t1
-are exactly 0.  Any other non-finite value is a domain error: the tree
-walk reruns at the first bad cell of the broadcast rows, so the
+array of times, `rates` its time derivative, and `shift_slopes` adds a
+stack of slope perturbations to a set: the base rows stay (T, 1) views and
+only the perturbed block is (T, m), so a (1+4n, T, m) array is never
+built.  Callers that sweep a time grid against a slope stack split the
+grid into blocks to bound the cells of one call (conditions.ExcessPoint).
+`eval_L` and `partials_vec` run the compiled Lagrangian, or each compiled
+partial, once over the whole batch; `time_rate` contracts higher partials
+with a rate set to give exact time derivatives by the chain rule.  Values
+at t > t1 are exactly 0.  Any other non-finite value is a domain error:
+the tree walk reruns at the first bad cell of the broadcast rows, so the
 EvalDomainError names the offending subexpression.
 
 `integrate_L`, the one L-quadrature, evaluates L once at the Gauss nodes
@@ -85,15 +85,16 @@ class CandidateExtremal:
                 f"[{problem.t0 - problem.h}, {problem.t1}]")
         scale = 1.0 + float(np.max(np.abs(problem.hist.x1)))
         ts = np.linspace(problem.t0 - problem.h, problem.t0, 17)
-        for t in ts:
-            gap = float(np.max(np.abs(traj.value(t) - problem.hist.phi.value(t))))
-            if gap > 1e-9 * scale:
-                raise ProblemError(
-                    f"candidate differs from history at t={t} (gap {gap:g})")
-        gap1 = float(np.max(np.abs(traj.value(problem.t1) - problem.hist.x1)))
+        gaps = np.abs(traj.value(ts) - problem.hist.phi.value(ts)).max(0)
+        off = np.flatnonzero(gaps > 1e-9 * scale)
+        if off.size:
+            raise ProblemError(f"candidate differs from history at "
+                               f"t={ts[off[0]]} (gap {gaps[off[0]]:g})")
+        x_t1 = traj.value(problem.t1)
+        gap1 = float(np.max(np.abs(x_t1 - problem.hist.x1)))
         if gap1 > 1e-9 * scale:
             raise ProblemError(
-                f"candidate misses terminal point: x(t1)={traj.value(problem.t1).tolist()} "
+                f"candidate misses terminal point: x(t1)={x_t1.tolist()} "
                 f"vs x1={problem.hist.x1.tolist()} (gap {gap1:g})")
         self.problem = problem
         self.traj = traj
@@ -191,13 +192,22 @@ def shift_slopes(p: DelayProblem, args: np.ndarray, block: str,
     return rows
 
 
-def along(p: DelayProblem, cand: CandidateExtremal, ts, sides,
-          rate: bool = False) -> np.ndarray:
+def _slots(p: DelayProblem, traj: Trajectory, ts: np.ndarray, sides):
+    """The times t (clamped to t1) and t-h that the x and y slots read at
+    ts, each with one side per time (sides: one side, or one per time): at
+    a domain end of traj, the side facing its interior."""
+    te = np.minimum(ts, p.t1)
+    sides = [sides] * ts.size if isinstance(sides, str) else sides
+    return [(tt, ["left" if u >= traj.b - BREAK_TOL else
+                  "right" if u <= traj.a + BREAK_TOL else s
+                  for u, s in zip(tt.tolist(), sides)])
+            for tt in (te, te - p.h)]
+
+
+def along(p: DelayProblem, cand: CandidateExtremal, ts, sides) -> np.ndarray:
     """Argument set (t, x(t), x(t-h), xdot(t), xdot(t-h)) along the
     candidate at each time of ts, shape (1+4n, len(ts)), with one-sided
-    derivatives from each time's side (sides: one side, or one per time);
-    with rate, its exact time derivative (1, xdot(t), xdot(t-h), xddot(t),
-    xddot(t-h)) from the same sides.
+    derivatives from each time's side (sides: one side, or one per time).
 
     Valid for t in [t0, t1+h].  For t > t1 the trajectory lookups clamp to
     t1: the values are irrelevant there because every Lagrangian term is
@@ -212,26 +222,21 @@ def along(p: DelayProblem, cand: CandidateExtremal, ts, sides,
             f"t={float(ts[outside][0])} outside [{p.t0}, {p.t1 + p.h}] "
             f"for along()")
     traj = cand.traj
-    te = np.minimum(ts, p.t1)
-    td = te - p.h
-    sides = [sides] * ts.size if isinstance(sides, str) else sides
+    (te, s_e), (td, s_d) = _slots(p, traj, ts, sides)
+    return np.vstack((ts[None], traj.value(te), traj.value(td),
+                      traj.deriv(te, s_e), traj.deriv(td, s_d)))
 
-    # one-sided limits fall back to the interior side at the domain ends
-    def one_sided(lookup, tt: np.ndarray) -> np.ndarray:
-        eff = ["left" if u >= traj.b - BREAK_TOL else
-               "right" if u <= traj.a + BREAK_TOL else s
-               for u, s in zip(tt.tolist(), sides)]
-        return lookup(tt, eff)
 
-    if rate:
-        return np.vstack((np.ones((1, ts.size)),
-                          one_sided(traj.deriv_arr, te),
-                          one_sided(traj.deriv_arr, td),
-                          one_sided(traj.second_deriv_arr, te),
-                          one_sided(traj.second_deriv_arr, td)))
-    return np.vstack((ts[None], traj.value_arr(te), traj.value_arr(td),
-                      one_sided(traj.deriv_arr, te),
-                      one_sided(traj.deriv_arr, td)))
+def rates(p: DelayProblem, cand: CandidateExtremal, args: np.ndarray,
+          sides) -> np.ndarray:
+    """The exact time derivative (1, xdot(t), xdot(t-h), xddot(t),
+    xddot(t-h)) of the argument set args = along(p, cand, ts, sides): the
+    slope rows of args as they are, and second derivatives from the same
+    sides."""
+    second = [cand.traj.second_deriv(tt, s)
+              for tt, s in _slots(p, cand.traj, args[0], sides)]
+    return np.vstack([np.ones((1, args.shape[1])), args[1 + 2 * p.dim:]]
+                     + second)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ A trajectory is a list of contiguous segments, each defined per component
 by an expression in t, so values and derivatives are exact per segment and
 quadrature can treat every panel as smooth.  Values are continuous across
 breakpoints; derivatives may jump (checked at construction).
+
+Every lookup (value, deriv, second_deriv) locates each time by _locate and
+evaluates each segment used once on all of its times; the shape follows
+the input: one time gives (dim,), an array of times (dim, len(ts)).
 """
 
 from bisect import bisect_left, bisect_right
@@ -55,28 +59,11 @@ class Segment:
             self._compiled[which] = tuple(e.compiled() for e in exprs_)
         return self._compiled[which]
 
-    def value(self, t: float) -> np.ndarray:
-        return np.array([float(f(t)) for f in self._fns("value")])
-
-    def deriv(self, t: float) -> np.ndarray:
-        return np.array([float(f(t)) for f in self._fns("deriv")])
-
-    def value_arr(self, ts: np.ndarray) -> np.ndarray:
-        """Shape (dim, len(ts)) array of values at the given times."""
-        return self._arr("value", ts)
-
-    def deriv_arr(self, ts: np.ndarray) -> np.ndarray:
-        return self._arr("deriv", ts)
-
-    def _arr(self, which: str, ts: np.ndarray) -> np.ndarray:
-        return np.vstack([_broadcast(f(ts), ts) for f in self._fns(which)])
-
-
-def _broadcast(res, ts: np.ndarray) -> np.ndarray:
-    arr = np.asarray(res, dtype=float)
-    if arr.shape != ts.shape:
-        arr = np.broadcast_to(arr, ts.shape)
-    return arr
+    def rows(self, which: str, ts: np.ndarray) -> np.ndarray:
+        """The "value", "deriv" or "second" rows at the times of the 1-D
+        array ts: shape (dim, len(ts))."""
+        return np.vstack([np.broadcast_to(f(ts), ts.shape)
+                          for f in self._fns(which)])
 
 
 SegmentSpec = Tuple[float, float, Sequence[Union[str, ExprAst]]]
@@ -90,36 +77,35 @@ class Trajectory:
     def __init__(self, segments: Sequence[Segment]):
         if not segments:
             raise TrajectoryError("trajectory needs at least one segment")
-        dim = segments[0].dim
-        for seg in segments:
-            if seg.dim != dim:
-                raise TrajectoryError("segments disagree on dimension")
-        for prev, nxt in zip(segments, segments[1:]):
+        self.dim = segments[0].dim
+        if any(seg.dim != self.dim for seg in segments):
+            raise TrajectoryError("segments disagree on dimension")
+        self.segments = tuple(segments)
+        self.a = segments[0].t_start
+        self.b = segments[-1].t_end
+        self.breakpoints = tuple(seg.t_start for seg in segments[1:])
+        self._joins = (self.a,) + self.breakpoints + (self.b,)
+        # both ends of every segment, from that segment: columns 2k, 2k+1
+        ends = np.array([t for seg in segments for t in (seg.t_start, seg.t_end)])
+        idx = np.repeat(np.arange(len(segments)), 2)
+        v = self.on_segments("value", ends, idx)
+        d = self.on_segments("deriv", ends, idx)
+        for k, (prev, nxt) in enumerate(zip(segments, segments[1:])):
             if abs(prev.t_end - nxt.t_start) > BREAK_TOL:
                 raise TrajectoryError(
                     f"segments not contiguous: [{prev.t_start}, {prev.t_end}] "
                     f"then [{nxt.t_start}, {nxt.t_end}]")
-            left = prev.value(prev.t_end)
-            right = nxt.value(nxt.t_start)
+            left, right = v[:, 2 * k + 1], v[:, 2 * k + 2]
             scale = 1.0 + float(np.max(np.abs(left)))
             gap = float(np.max(np.abs(left - right)))
             if gap > CONT_TOL * scale:
                 raise TrajectoryError(
                     f"value discontinuity at t={prev.t_end}: "
                     f"left {left.tolist()} vs right {right.tolist()} (gap {gap:g})")
-        for seg in segments:
-            for t in (seg.t_start, seg.t_end):
-                v = seg.value(t)
-                d = seg.deriv(t)
-                if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
-                    raise TrajectoryError(
-                        f"non-finite segment value/derivative at t={t}")
-        self.dim = dim
-        self.segments = tuple(segments)
-        self.a = segments[0].t_start
-        self.b = segments[-1].t_end
-        self.breakpoints = tuple(seg.t_start for seg in segments[1:])
-        self._joins = (self.a,) + self.breakpoints + (self.b,)
+        bad = ~(np.isfinite(v).all(0) & np.isfinite(d).all(0))
+        if bad.any():
+            raise TrajectoryError(
+                f"non-finite segment value/derivative at t={ends[bad][0]}")
 
     @classmethod
     def from_segments(cls, specs: Sequence[SegmentSpec]) -> "Trajectory":
@@ -166,14 +152,16 @@ class Trajectory:
         return self._locate(t, side)[1]
 
     def _lookup(self, which: str, ts, sides=None) -> np.ndarray:
-        """Shape (dim, len(ts)), each time located by _locate from its side
-        (None, one side, or one per time); one array call per segment used."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float)).tolist()
+        """The "value", "deriv" or "second" rows at one time, shape (dim,),
+        or at each time of an array, shape (dim, len(ts)).  Each time is
+        located by _locate from its side (None, one side, or one per time)."""
+        arr = np.atleast_1d(np.asarray(ts, dtype=float))
         if sides is None or isinstance(sides, str):
-            sides = [sides] * len(ts)
-        located = [self._locate(t, s) for t, s in zip(ts, sides)]
-        return self.on_segments(which, np.array([t for t, _ in located]),
-                                np.array([k for _, k in located]))
+            sides = [sides] * arr.size
+        located = [self._locate(t, s) for t, s in zip(arr.tolist(), sides)]
+        out = self.on_segments(which, np.array([t for t, _ in located]),
+                               np.array([k for _, k in located]))
+        return out if np.ndim(ts) else out[:, 0]
 
     def on_segments(self, which: str, ts: np.ndarray,
                     idx: np.ndarray) -> np.ndarray:
@@ -183,35 +171,26 @@ class Trajectory:
         out = np.empty((self.dim, ts.size))
         for k in sorted(set(idx.tolist())):
             sel = idx == k
-            out[:, sel] = self.segments[k]._arr(which, ts[sel])
+            out[:, sel] = self.segments[k].rows(which, ts[sel])
         return out
 
     # -- evaluation ----------------------------------------------------------
 
-    def value(self, t: float) -> np.ndarray:
-        """x(t); at a breakpoint, the common (continuous) value."""
-        t_eff, idx = self._locate(t)
-        return self.segments[idx].value(t_eff)
-
-    def deriv(self, t: float, side: str = "right") -> np.ndarray:
-        """One-sided derivative from the given side."""
-        t_eff, idx = self._locate(t, side)
-        return self.segments[idx].deriv(t_eff)
-
-    def value_arr(self, ts) -> np.ndarray:
-        """x at each time of ts, by the rule of value: shape (dim, len(ts))."""
+    def value(self, ts) -> np.ndarray:
+        """x at a time or an array of times; at a breakpoint, the common
+        (continuous) value."""
         return self._lookup("value", ts)
 
-    def deriv_arr(self, ts, sides) -> np.ndarray:
-        """One-sided derivative at each time of ts, from its side (one side
-        or one per time): shape (dim, len(ts))."""
+    def deriv(self, ts, sides="right") -> np.ndarray:
+        """One-sided derivative at a time or an array of times, from its
+        side (one side or one per time)."""
         return self._lookup("deriv", ts, sides)
 
-    def second_deriv_arr(self, ts, sides) -> np.ndarray:
-        """One-sided second derivative at each time of ts from its side:
-        shape (dim, len(ts)).  It is the symbolic derivative of the
-        segment's derivative, so exact per segment; a C1 trajectory may
-        have an unbounded one at a segment end, where it is inf."""
+    def second_deriv(self, ts, sides) -> np.ndarray:
+        """One-sided second derivative at a time or an array of times, from
+        its side.  It is the symbolic derivative of the segment's
+        derivative, so exact per segment; a C1 trajectory may have an
+        unbounded one at a segment end, where it is inf."""
         with np.errstate(all="ignore"):
             return self._lookup("second", ts, sides)
 
@@ -246,9 +225,6 @@ class HistorySpec:
         if self.phi.dim != self.x1.size:
             raise TrajectoryError(
                 f"history dimension {self.phi.dim} != terminal dimension {self.x1.size}")
-        for t in (self.phi.a, self.phi.b):
-            if not np.all(np.isfinite(self.phi.value(t))):
-                raise TrajectoryError(f"history value not finite at t={t}")
         if not np.all(np.isfinite(self.x1)):
             raise TrajectoryError("terminal point x1 not finite")
 
@@ -268,13 +244,12 @@ def splice_history(hist: HistorySpec, interior: Trajectory) -> Trajectory:
             f"interior domain starts at {interior.a}, history ends at {t0}")
     scale = 1.0 + float(np.max(np.abs(hist.x1)))
     v_phi = hist.phi.value(t0)
-    v_int = interior.value(interior.a)
+    v_int, v_end = interior.value([interior.a, interior.b]).T
     gap0 = float(np.max(np.abs(v_phi - v_int)))
     if gap0 > SPLICE_TOL * scale:
         raise TrajectoryError(
             f"boundary mismatch at t0={t0}: history {v_phi.tolist()} vs "
             f"interior {v_int.tolist()} (gap {gap0:g})")
-    v_end = interior.value(interior.b)
     gap1 = float(np.max(np.abs(v_end - hist.x1)))
     if gap1 > SPLICE_TOL * scale:
         raise TrajectoryError(

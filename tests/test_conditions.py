@@ -284,6 +284,18 @@ def test_first_variation_rejects_inadmissible_variations(sample_problem, sample_
         first_variation(p, cand, short)
 
 
+def test_first_variation_names_the_first_nonzero_history_time(
+        sample_problem, sample_cand):
+    # nonzero at the check times -0.5 and -0.25 of [-1, 0]
+    delta = Trajectory.from_segments([(-1.0, -0.75, ["0"]),
+                                      (-0.75, 0.0, ["(t + 0.75)*(-t)"]),
+                                      (0.0, 3.0, ["0"])])
+    with pytest.raises(ConditionsError) as err:
+        first_variation(sample_problem, sample_cand, delta)
+    assert str(err.value) == ("variation must vanish on the history "
+                              "interval; nonzero at t=-0.5")
+
+
 def test_needle_first_variation_zero_on_extremal(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
     for theta, side in ((0.5, "right"), (1.0, "right"), (1.5, "left"), (2.5, "right")):
@@ -499,6 +511,14 @@ def test_scan_rejects_a_slope_of_the_wrong_width(xi):
     with pytest.raises(ConditionsError, match=r"expected \(m, 2\)"):
         weierstrass_scan(p, make_candidate(p), t_grid=[0.5, 1.0],
                          xi_samples=[np.array(xi)])
+
+
+def test_scan_rejects_samples_of_mixed_widths():
+    p = make_problem("dx1^2 + dx2^2 + dy1*dy2", dim=2)
+    with pytest.raises(ConditionsError,
+                       match=r"shape \(3,\).*expected \(m, 2\)"):
+        weierstrass_scan(p, make_candidate(p), t_grid=[0.5, 1.0],
+                         xi_samples=[np.ones(2), np.ones(3)])
 
 
 def test_default_lambda_grid_closed_under_complement():

@@ -120,7 +120,7 @@ def test_direct_path_ignores_excess_machinery(sample_problem, sample_cand,
                         boom)
     monkeypatch.setattr(needlecheck.conditions, "ExcessPoint", boom)
     monkeypatch.setattr(needlecheck.problem, "time_rate", boom)
-    monkeypatch.setattr(needlecheck.trajectory.Trajectory, "second_deriv_arr",
+    monkeypatch.setattr(needlecheck.trajectory.Trajectory, "second_deriv",
                         boom)
     sweep = geometric_sweep(lambda e: delta_S_direct(p, cand, RIGHT, e), 0.25)
     assert len(sweep.eps) == 8

@@ -179,8 +179,9 @@ def test_vary_on_curved_candidate_keeps_continuity(prob):
     eps = 0.3
     varied = vary(cand, spec, eps)
     for b in varied.breakpoints:
-        left_v = varied.segments[varied.segment_index(b, "left")].value(b)
-        right_v = varied.segments[varied.segment_index(b, "right")].value(b)
+        left_v, right_v = (
+            varied.segments[varied.segment_index(b, side)].rows(
+                "value", np.array([b]))[:, 0] for side in ("left", "right"))
         np.testing.assert_allclose(left_v, right_v, atol=1e-13)
     for t in np.linspace(0.0, 3.0, 61):
         want = cand.traj.value(t) + _at(spec, eps, float(t))[0]

@@ -14,6 +14,7 @@ from needlecheck.problem import (
     Interval,
     integrate_L,
     partials_vec,
+    rates,
     shift_slopes,
 )
 from needlecheck.trajectory import HistorySpec, Trajectory, constant_history
@@ -48,6 +49,29 @@ def test_candidate_admissibility():
     ok = CandidateExtremal.from_interior(
         p, Trajectory.from_segments([(0.0, 3.0, ["0.1*t*(3 - t)"])]))
     assert ok.traj.a == -1.0 and ok.traj.b == 3.0
+
+
+def test_candidate_names_the_first_time_it_leaves_the_history():
+    # a bump on (-0.5, -0.3125) is nonzero at two of the 17 check times,
+    # -0.4375 and -0.375: the error names the earlier one and its gap
+    p = make_problem("dx1^2")
+    traj = Trajectory.from_segments([
+        (-1.0, -0.5, ["0"]),
+        (-0.5, -0.3125, ["(t + 0.5)^2*(-0.3125 - t)"]),
+        (-0.3125, 3.0, ["0"])])
+    with pytest.raises(ProblemError) as err:
+        CandidateExtremal(p, traj)
+    assert str(err.value) == \
+        "candidate differs from history at t=-0.4375 (gap 0.000488281)"
+
+
+def test_candidate_must_reach_the_terminal_point():
+    p = make_problem("dx1^2")
+    traj = Trajectory.from_segments([(-1.0, 0.0, ["0"]), (0.0, 3.0, ["t"])])
+    with pytest.raises(ProblemError) as err:
+        CandidateExtremal(p, traj)
+    assert str(err.value) == ("candidate misses terminal point: x(t1)=[3.0] "
+                              "vs x1=[0.0] (gap 3)")
 
 
 def test_extended_zero_past_t1(sample_problem):
@@ -185,3 +209,21 @@ def test_cost_matches_trapezoid_oracle():
     got = eval_S(p, cand.traj)
     assert got == pytest.approx(oracle, abs=1e-9)
 
+
+def test_rates_is_the_time_derivative_of_along():
+    # x = 0.1*t*(3 - t) after the zero history: xdot = 0.3 - 0.2*t and
+    # xddot = -0.2 on the interior, both 0 on the history; at t = 1 the
+    # delayed slot sits on t0, where the sides differ
+    p = make_problem(SAMPLE_L)
+    cand = make_candidate(p, ["0.1*t*(3 - t)"])
+    ts, sides = [0.5, 1.5, 1.0, 1.0], ["right", "right", "right", "left"]
+    args = along(p, cand, ts, sides)
+    got = rates(p, cand, args, sides)
+    want = [[1.0, 1.0, 1.0, 1.0],
+            [0.2, 0.0, 0.1, 0.1],     # xdot(t)
+            [0.0, 0.2, 0.3, 0.0],     # xdot(t - h)
+            [-0.2, -0.2, -0.2, -0.2],  # xddot(t)
+            [0.0, -0.2, -0.2, 0.0]]   # xddot(t - h)
+    np.testing.assert_allclose(got, want, atol=1e-15)
+    # the slope rows are along's dx and dy rows, bit for bit
+    np.testing.assert_array_equal(got[1:3], args[3:5])

@@ -21,11 +21,14 @@ def _seg(a, b, *srcs):
 def test_segment_value_deriv_vectorized():
     seg = _seg(0.0, 2.0, "t^2", "3*t")
     assert seg.dim == 2
-    np.testing.assert_allclose(seg.value(1.5), [2.25, 4.5], atol=1e-14)
-    np.testing.assert_allclose(seg.deriv(1.5), [3.0, 3.0], atol=1e-14)
+    np.testing.assert_allclose(seg.rows("value", np.array([1.5]))[:, 0],
+                               [2.25, 4.5], atol=1e-14)
+    np.testing.assert_allclose(seg.rows("deriv", np.array([1.5]))[:, 0],
+                               [3.0, 3.0], atol=1e-14)
     ts = np.linspace(0, 2, 9)
-    np.testing.assert_allclose(seg.value_arr(ts)[0], ts ** 2, atol=1e-14)
-    np.testing.assert_allclose(seg.deriv_arr(ts)[1], np.full(9, 3.0), atol=1e-14)
+    np.testing.assert_allclose(seg.rows("value", ts)[0], ts ** 2, atol=1e-14)
+    np.testing.assert_allclose(seg.rows("deriv", ts)[1], np.full(9, 3.0),
+                               atol=1e-14)
 
 
 def test_segment_rejects_empty_interval():
@@ -38,6 +41,19 @@ def test_trajectory_requires_contiguous_continuous_segments():
         Trajectory([_seg(0.0, 1.0, "t"), _seg(1.5, 2.0, "t")])
     with pytest.raises(TrajectoryError, match="discontinuity"):
         Trajectory([_seg(0.0, 1.0, "t"), _seg(1.0, 2.0, "t + 1")])
+
+
+@pytest.mark.parametrize("segs, t_bad", [
+    ([(0.0, 1.0, "sqrt(t)")], 0.0),
+    ([(0.0, 1.0, "t"), (1.0, 2.0, "sqrt(2 - t)")], 2.0),
+    ([(0.0, 1.0, "log(t)")], 0.0),   # the derivative 1/t divides by zero
+    ([(-1.0, 0.0, "t^1.5")], -1.0),  # a fractional power of a negative time
+])
+def test_trajectory_rejects_a_non_finite_segment_end(segs, t_bad):
+    with np.errstate(all="ignore"), pytest.raises(TrajectoryError) as err:
+        Trajectory([_seg(a, b, src) for a, b, src in segs])
+    assert str(err.value) == \
+        f"non-finite segment value/derivative at t={t_bad}"
 
 
 def test_one_sided_derivatives_at_kink():
@@ -64,8 +80,26 @@ def test_no_limit_past_domain_ends():
 def test_second_deriv_one_sided():
     traj = Trajectory([_seg(0.0, 1.0, "t^2"), _seg(1.0, 3.0, "2*t - 1")])
     np.testing.assert_array_equal(
-        traj.second_deriv_arr([0.5, 1.0, 1.0], ["right", "left", "right"]),
+        traj.second_deriv([0.5, 1.0, 1.0], ["right", "left", "right"]),
         [[2.0, 2.0, 0.0]])
+
+
+def test_one_time_lookup_is_column_0_of_the_array_lookup():
+    # at the join from both sides and at both domain ends
+    traj = Trajectory([_seg(0.0, 1.0, "t^2", "sin(t)"),
+                       _seg(1.0, 3.0, "2*t - 1", "sin(1) + exp(t - 1) - 1")])
+    for t, side in ((0.0, "right"), (1.0, "left"), (1.0, "right"),
+                    (3.0, "left"), (0.3, "right"), (2.2, "left")):
+        one = traj.value(t)
+        assert one.shape == (2,)
+        np.testing.assert_array_equal(one, traj.value(np.array([t]))[:, 0])
+        for lookup in (traj.deriv, traj.second_deriv):
+            one = lookup(t, side)
+            assert one.shape == (2,)
+            np.testing.assert_array_equal(
+                one, lookup(np.array([t]), side)[:, 0])
+            np.testing.assert_array_equal(one, lookup([t, 0.5], side)[:, 0])
+    assert traj.deriv(np.linspace(0.0, 2.5, 6)).shape == (2, 6)
 
 
 def test_split_at_preserves_values():
