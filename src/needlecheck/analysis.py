@@ -200,10 +200,62 @@ class Verdict:
     note: str = ""
 
 
-def _check_scales(scales: Sequence[float]) -> None:
-    bad = [s for s in scales if not 0.0 < s < math.inf]
+@dataclass(frozen=True)
+class _Rung:
+    """One direction of a scale ladder: whether degeneracy (and any
+    smoothness hypothesis) certifies at it, and if so the tested quantity,
+    its tolerance and whether it violates the condition."""
+
+    scale: float
+    certified: bool
+    violated: bool
+    value: float
+    tol: float
+
+
+def _ladder(scales: Sequence[float]) -> List[float]:
+    """The scale ladder: distinct scales, largest first."""
+    ladder = sorted({float(s) for s in scales}, reverse=True)
+    if not ladder:
+        raise AnalysisError("scales list must be nonempty")
+    bad = [s for s in ladder if not 0.0 < s < math.inf]
     if bad:
         raise AnalysisError(f"scales must be positive and finite, got {bad[0]}")
+    return ladder
+
+
+def _judge_ladder(theorems: Tuple[str, str], quantities: Tuple[str, str],
+                  location: Tuple[float, float], rungs: Sequence[_Rung],
+                  tail: str = "") -> Tuple[Verdict, Verdict]:
+    """The strong and small-ball verdicts (5.1(i) and (ii), 6.1 and 6.2)
+    of a ladder whose first rung is the unscaled direction.
+
+    The strong form fails when that rung violates.  The small-ball form,
+    judged on the other rungs, fails (FAILS_WEAK) only when every one of
+    them certifies and violates; a rung that does not certify makes it
+    CONSISTENT, since the condition no longer applies in that smaller
+    ball.  Its evidence is the smallest certified rung, else the unscaled
+    direction's.
+    """
+    unit, *ladder = rungs
+    strong = Verdict(
+        theorem=theorems[0], quantity=quantities[0],
+        conclusion="FAILS_STRONG" if unit.violated else "CONSISTENT",
+        value=unit.value, tolerance=unit.tol, location=location, note=tail)
+    note = "; ".join(
+        [f"scale {r.scale:g}: " + ("violated" if r.violated else "holds"
+                                   if r.certified else "not certified")
+         for r in ladder] + ([tail] if tail else []))
+    certified = [r for r in ladder if r.certified]
+    evidence = certified[-1] if certified else unit
+    if len(certified) < len(ladder):
+        note = f"degeneracy not certified in small ball; {note}"
+    conclusion = ("FAILS_WEAK" if all(r.certified and r.violated
+                                      for r in ladder) else "CONSISTENT")
+    return strong, Verdict(
+        theorem=theorems[1], conclusion=conclusion, quantity=quantities[1],
+        value=evidence.value, tolerance=evidence.tol, location=location,
+        note=note)
 
 
 def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
@@ -217,10 +269,9 @@ def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
     Part (i) tests the equality D(t) = M_x + M_y = 0 with the finding's
     (eta, lam) on an interior grid; any violation beyond tolerance rejects
     a strong local minimum.  Part (ii) rescales eta by the given scale
-    ladder, re-certifying degeneracy at each scale; if the equality fails
-    at every certified scale the candidate cannot even be a weak local
-    minimum.  A finding whose interval fails re-certification is rejected
-    with an error rather than judged.
+    ladder, re-certifying degeneracy at each scale, and is judged by
+    _judge_ladder.  A finding whose interval fails re-certification is
+    rejected with an error rather than judged.
     """
     if finding.kind != "interval":
         raise AnalysisError("an interval finding is required")
@@ -228,72 +279,34 @@ def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
         raise AnalysisError(f"need at least 3 interior points, got {n_points}")
     eta, lam = finding.direction, finding.lam
     td, = resolve_tols(p, cand, (tol_deg, DEFAULT_TOL_DEG))
-    ts = [float(t) for t in
-          np.linspace(finding.t_lo, finding.t_hi, n_points + 2)[1:-1]]
-    scale_list = sorted({float(s) for s in scales} | {1.0}, reverse=True)
-    _check_scales(scale_list)
-    s_etas = np.array([s * eta for s in scale_list])
+    ts = np.linspace(finding.t_lo, finding.t_hi, n_points + 2)[1:-1].tolist()
+    ladder = _ladder(scales)
+    # one stack: the finding's own direction, then the ladder
+    s_etas = np.array([eta] + [s * eta for s in ladder])
     pts = ExcessPoint(p, cand, ts, "right")
 
-    # certification per point (rows) and scale (columns, in scale_list order)
+    # certification per point (rows) and direction (columns)
     ok, e1, e2 = (a[..., 0] for a in _certifies(pts, s_etas, [lam], td))
-    unit = scale_list.index(1.0)
-    if not ok[:, unit].all():
-        i = int(np.argmin(ok[:, unit]))
+    if not ok[:, 0].all():
+        i = int(np.argmin(ok[:, 0]))
         raise AnalysisError(
             f"interval not degenerate for the finding's direction at "
-            f"t={ts[i]}: |E sums| = ({e1[i, unit]}, {e2[i, unit]}) "
-            f"exceed {td}")
+            f"t={ts[i]}: |E sums| = ({e1[i, 0]}, {e2[i, 0]}) exceed {td}")
     certified = ok.all(axis=0)
 
-    # D(t) = M_x + M_y at every certified scale
+    # the worst D(t) = M_x + M_y of every certified direction
     d_vals = iter(pts.m_sum(lam, s_etas[certified]).T.tolist())
-    outcomes = []
-    for s, cert in zip(scale_list, certified.tolist()):
-        if not cert:
-            outcomes.append((s, False, False, 0.0, 0.0))
-            continue
-        d_s = next(d_vals)
-        worst = max(d_s, key=abs)
-        tol_s = _eq_tol(tol_eq, max(abs(v) for v in d_s))
-        outcomes.append((s, True, abs(worst) > tol_s, worst, tol_s))
+    rungs = []
+    for s, cert in zip([1.0] + ladder, certified.tolist()):
+        worst = max(next(d_vals), key=abs) if cert else math.nan
+        tol = _eq_tol(tol_eq, worst)
+        rungs.append(_Rung(s, cert, abs(worst) > tol, worst, tol))
 
-    loc = (finding.t_lo, finding.t_hi)
-    s1 = next(o for o in outcomes if o[0] == 1.0)
-    verdict_i = Verdict(
-        theorem="5.1(i)",
-        conclusion="FAILS_STRONG" if s1[2] else "CONSISTENT",
-        quantity="max |M_x + M_y| over the degeneracy interval",
-        value=s1[3], tolerance=s1[4], location=loc)
-
-    all_fail = all(cert and vio for _, cert, vio, _, _ in outcomes)
-    broken = [s for s, cert, _, _, _ in outcomes if not cert]
-    if all_fail:
-        conclusion, note = "FAILS_WEAK", "equality fails at every tested scale"
-        smallest = outcomes[-1]
-    elif broken:
-        conclusion = "CONSISTENT"
-        note = ("degeneracy not certified in small ball "
-                f"(scales {', '.join(f'{s:g}' for s in sorted(broken))})")
-        smallest = s1
-    else:
-        holds = [s for s, cert, vio, _, _ in outcomes if cert and not vio]
-        conclusion = "CONSISTENT"
-        note = f"equality holds at scale {min(holds):g}"
-        smallest = outcomes[-1]
-    verdict_ii = Verdict(
-        theorem="5.1(ii)",
-        conclusion=conclusion,
-        quantity="max |M_x + M_y| over the interval at the smallest "
-                 "certified scale",
-        value=smallest[3], tolerance=smallest[4], location=loc, note=note)
-    return verdict_i, verdict_ii
-
-
-def _tail_note(p: DelayProblem, theta: float) -> str:
-    if theta > p.t1 - p.h + BREAK_TOL:
-        return "tail regime: delayed-slot contributions vanish beyond t1"
-    return ""
+    return _judge_ladder(
+        ("5.1(i)", "5.1(ii)"),
+        ("max |M_x + M_y| over the degeneracy interval",
+         "max |M_x + M_y| over the interval at the smallest certified scale"),
+        (finding.t_lo, finding.t_hi), rungs)
 
 
 def _point_quantity(p: DelayProblem, cand: CandidateExtremal, theta: float,
@@ -401,87 +414,47 @@ def theorem_6_1_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
                       side: str, lam_bar: float, eta: np.ndarray,
                       tol_deg: Optional[float] = None,
                       tol_eq: Optional[float] = None) -> Verdict:
-    """Point-degeneracy conditions at theta.
-
-    side "right"/"left" (part (i)): the one-sided second-order bracket
-    lam*(M_x+M_y) + d/dt(Q_2 sum) must be >= 0 from the right, <= 0 from
-    the left.  side "both" (part (ii)): at an interior point degenerate
-    from both sides, the M sum must vanish; one-sided M sums must agree
-    and the excess-sum maps must be stationary, else the smoothness
-    hypotheses are not met and an error is raised instead of a verdict.
-    """
-    eta = _validate_point_args(p, theta, side, lam_bar, eta)
-    td, = resolve_tols(p, cand, (tol_deg, DEFAULT_TOL_DEG))
-    desc, [(value, tol, violated, failure)] = _point_quantity(
-        p, cand, theta, side, lam_bar, eta[None], td, tol_eq)
-    if failure is not None:
-        raise AnalysisError(failure)
-    label = "6.1(ii)" if side == "both" else "6.1(i)"
-    return Verdict(
-        theorem=label,
-        conclusion="FAILS_STRONG" if violated else "CONSISTENT",
-        quantity=desc, value=value, tolerance=tol,
-        location=(theta, theta), note=_tail_note(p, theta))
+    """Point-degeneracy conditions at theta: the 6.1 verdict of
+    theorem_6_2_check, with no ladder below eta itself."""
+    return theorem_6_2_check(p, cand, theta, side, lam_bar, eta, (1.0,),
+                             tol_deg, tol_eq)[0]
 
 
 def theorem_6_2_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
                       side: str, lam_bar: float, eta: np.ndarray,
                       scales: Sequence[float] = DEFAULT_SCALES,
                       tol_deg: Optional[float] = None,
-                      tol_eq: Optional[float] = None) -> Verdict:
-    """Small-ball versions of the point checks.
+                      tol_eq: Optional[float] = None
+                      ) -> Tuple[Verdict, Verdict]:
+    """Point-degeneracy conditions at theta and their small-ball versions,
+    (6.1 verdict, 6.2 verdict), from one engine call on eta and the ladder.
 
-    Re-runs the 6.1 quantity at eta scaled down the given ladder,
-    re-certifying degeneracy at each scale.  FAILS_WEAK only when every
-    scale certifies and violates; a scale that fails certification (or the
-    smoothness hypotheses) makes the check CONSISTENT with an explanatory
-    note, since the condition no longer applies in the smaller ball.
+    side "right"/"left" (part (i)): the one-sided second-order bracket
+    lam*(M_x+M_y) + d/dt(Q_2 sum) must be >= 0 from the right, <= 0 from
+    the left.  side "both" (part (ii)): at an interior point degenerate
+    from both sides, the M sum must vanish; one-sided M sums must agree
+    and the excess-sum maps must be stationary.  6.1 tests eta itself,
+    which must meet these hypotheses, else an error is raised instead of
+    a verdict.  6.2 tests eta scaled down the ladder, re-certifying the
+    hypotheses at each scale, and is judged by _judge_ladder.
     """
     eta = _validate_point_args(p, theta, side, lam_bar, eta)
-    scale_list = sorted({float(s) for s in scales}, reverse=True)
-    if not scale_list:
-        raise AnalysisError("scales list must be nonempty")
-    _check_scales(scale_list)
+    ladder = _ladder(scales)
     td, = resolve_tols(p, cand, (tol_deg, DEFAULT_TOL_DEG))
-    # one engine call: the unscaled direction, then the ladder; the
-    # unscaled direction must certify, the precondition shared with the
-    # pointwise check
     desc, results = _point_quantity(
         p, cand, theta, side, lam_bar,
-        np.array([eta] + [s * eta for s in scale_list]), td, tol_eq)
-    base = results[0]
-    if base[3] is not None:
-        raise AnalysisError(base[3])
-    outcomes = [(s, failure is None, violated, value, tol)
-                for s, (value, tol, violated, failure)
-                in zip(scale_list, results[1:])]
-
-    label = "6.2(ii)" if side == "both" else "6.2(i)"
-    parts = []
-    for s, cert, vio, _, _ in outcomes:
-        word = "violated" if vio else ("holds" if cert else "not certified")
-        parts.append(f"scale {s:g}: {word}")
-    summary = "; ".join(parts)
-    tail = _tail_note(p, theta)
-    if tail:
-        summary = f"{summary}; {tail}"
-
-    certified = [o for o in outcomes if o[1]]
-    # evidence comes from the smallest certified scale, falling back to the
-    # unscaled precondition values when no ladder scale certifies
-    evidence = certified[-1] if certified else (1.0, True, False, base[0], base[1])
-    if len(certified) == len(outcomes) and all(o[2] for o in outcomes):
-        conclusion = "FAILS_WEAK"
-    elif len(certified) < len(outcomes):
-        conclusion = "CONSISTENT"
-        summary = f"degeneracy not certified in small ball; {summary}"
-    else:
-        conclusion = "CONSISTENT"
-    return Verdict(
-        theorem=label, conclusion=conclusion,
-        quantity=desc + " across the scale ladder",
-        value=evidence[3], tolerance=evidence[4],
-        location=(theta, theta), note=summary)
+        np.array([eta] + [s * eta for s in ladder]), td, tol_eq)
+    if results[0][3] is not None:
+        raise AnalysisError(results[0][3])
+    part = "(ii)" if side == "both" else "(i)"
+    tail = ("tail regime: delayed-slot contributions vanish beyond t1"
+            if theta > p.t1 - p.h + BREAK_TOL else "")
+    return _judge_ladder(
+        ("6.1" + part, "6.2" + part), (desc, desc + " across the scale ladder"),
+        (theta, theta),
+        [_Rung(s, failure is None, violated, value, tol)
+         for s, (value, tol, violated, failure) in zip([1.0] + ladder, results)],
+        tail)
 
 
 # ---------------------------------------------------------------------------
@@ -689,32 +662,24 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
             errors.append(("degeneracy", str(exc)))
 
         for finding in findings:
+            # the point checks run at the finding's midpoint: the point of
+            # a point finding, the middle of an interval (side "both")
+            theta, side = finding.midpoint, finding.side
             if finding.kind == "interval":
                 try:
-                    v1, v2 = theorem_5_1_check(
+                    verdicts.extend(theorem_5_1_check(
                         p, cand, finding, n_points=config.interval_points,
-                        scales=config.scales, tol_deg=config.tol_deg,
-                        tol_eq=config.tol_eq)
-                    verdicts.extend((v1, v2))
-                except (ValueError, ArithmeticError) as exc:
-                    errors.append(("theorem5", str(exc)))
-                spots = [(finding.midpoint, "both")]
-            else:
-                spots = [(finding.theta, finding.side)]
-            for theta, side in spots:
-                try:
-                    verdicts.append(theorem_6_1_check(
-                        p, cand, theta, side, finding.lam, finding.direction,
-                        tol_deg=config.tol_deg, tol_eq=config.tol_eq))
-                except (ValueError, ArithmeticError) as exc:
-                    notes.append(f"6.1 check skipped at t={theta}: {exc}")
-                try:
-                    verdicts.append(theorem_6_2_check(
-                        p, cand, theta, side, finding.lam, finding.direction,
                         scales=config.scales, tol_deg=config.tol_deg,
                         tol_eq=config.tol_eq))
                 except (ValueError, ArithmeticError) as exc:
-                    notes.append(f"6.2 check skipped at t={theta}: {exc}")
+                    errors.append(("theorem5", str(exc)))
+            try:
+                verdicts.extend(theorem_6_2_check(
+                    p, cand, theta, side, finding.lam, finding.direction,
+                    scales=config.scales, tol_deg=config.tol_deg,
+                    tol_eq=config.tol_eq))
+            except (ValueError, ArithmeticError) as exc:
+                notes.append(f"6.1/6.2 checks skipped at t={theta}: {exc}")
 
     for spec in _expansion_spots(p, cand, config):
         try:

@@ -252,13 +252,14 @@ def theorem6(config: str, point: float, side: str, lam: float,
     def body(cfg, p, cand):
         a = cfg.analysis
         eta = _xi_or_default(xi, p)
-        verdicts = [analysis.theorem_6_1_check(
-            p, cand, point, side, lam, eta,
-            tol_deg=a.tol_deg, tol_eq=a.tol_eq)]
         if scales:
-            verdicts.append(analysis.theorem_6_2_check(
+            verdicts = analysis.theorem_6_2_check(
                 p, cand, point, side, lam, eta, scales=scales,
-                tol_deg=a.tol_deg, tol_eq=a.tol_eq))
+                tol_deg=a.tol_deg, tol_eq=a.tol_eq)
+        else:
+            verdicts = [analysis.theorem_6_1_check(
+                p, cand, point, side, lam, eta,
+                tol_deg=a.tol_deg, tol_eq=a.tol_eq)]
         result = {"verdicts": verdicts}
         failed = any(v.conclusion != "CONSISTENT" for v in verdicts)
         return result, failed

@@ -280,8 +280,13 @@ def direction_set(dim: int, seed: int = 0) -> List[np.ndarray]:
             out.append(np.array([r * math.cos(a), r * math.sin(a), z]))
         return out
     nd = NormalDist()
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
-    alphas = [math.sqrt(q) % 1.0 for q in primes[:dim]]
+    primes: List[int] = []   # the first dim primes, by trial division
+    q = 1
+    while len(primes) < dim:
+        q += 1
+        if all(q % r for r in primes):
+            primes.append(q)
+    alphas = [math.sqrt(q) % 1.0 for q in primes]
     out = []
     for k in range(count):
         u = [((k + 1 + seed) * a) % 1.0 for a in alphas]

@@ -10,6 +10,7 @@ Parsing fills in the analysis defaults, so a report always echoes the
 exact settings it ran with.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -147,8 +148,11 @@ class _ValueParser:
         if not m:
             raise self.error(f"expected a number, string or tuple, got "
                              f"{self.text[self.i:].split()[0]!r}")
+        value = float(m.group(0))
+        if not math.isfinite(value):
+            raise self.error(f"number {m.group(0)} is out of range")
         self.i = m.end()
-        return float(m.group(0))
+        return value
 
 
 def _strip_comment(line: str) -> str:

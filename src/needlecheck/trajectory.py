@@ -61,9 +61,11 @@ class Segment:
 
     def rows(self, which: str, ts: np.ndarray) -> np.ndarray:
         """The "value", "deriv" or "second" rows at the times of the 1-D
-        array ts: shape (dim, len(ts))."""
-        return np.vstack([np.broadcast_to(f(ts), ts.shape)
-                          for f in self._fns(which)])
+        array ts: shape (dim, len(ts)).  Non-finite entries pass through
+        without numpy warnings; each caller checks or reports them."""
+        with np.errstate(all="ignore"):
+            return np.vstack([np.broadcast_to(f(ts), ts.shape)
+                              for f in self._fns(which)])
 
 
 SegmentSpec = Tuple[float, float, Sequence[Union[str, ExprAst]]]
@@ -191,8 +193,7 @@ class Trajectory:
         its side.  It is the symbolic derivative of the segment's
         derivative, so exact per segment; a C1 trajectory may have an
         unbounded one at a segment end, where it is inf."""
-        with np.errstate(all="ignore"):
-            return self._lookup("second", ts, sides)
+        return self._lookup("second", ts, sides)
 
     # -- structure -----------------------------------------------------------
 

@@ -168,7 +168,8 @@ def test_interval_check_on_sample(sample_problem, sample_cand):
     assert v1.location == (finding.t_lo, finding.t_hi)
     assert v2.conclusion == "FAILS_WEAK"
     assert v2.value == pytest.approx(-2.0 * 0.125 ** 3, abs=1e-9)
-    assert v2.note == "equality fails at every tested scale"
+    assert v2.note == ("scale 1: violated; scale 0.5: violated; "
+                       "scale 0.25: violated; scale 0.125: violated")
 
 
 def test_interval_check_consistent_case():
@@ -182,7 +183,8 @@ def test_interval_check_consistent_case():
     v1, v2 = theorem_5_1_check(p, cand, finding)
     assert v1.conclusion == "CONSISTENT"
     assert v2.conclusion == "CONSISTENT"
-    assert "holds at scale" in v2.note
+    assert v2.note == ("scale 1: holds; scale 0.5: holds; "
+                       "scale 0.25: holds; scale 0.125: holds")
 
 
 def test_interval_check_small_ball_escape(quartic_well):
@@ -204,6 +206,7 @@ def test_interval_check_small_ball_escape(quartic_well):
 def test_interval_check_scale_order(quartic_well, scales):
     # 2*eta is not degenerate here; the interval check must still gate on
     # the finding's own direction, wherever scale 1 falls in the scale list
+    # or whether it is there at all, and judge exactly the given scales
     p, cand = quartic_well
     finding = DegeneracyFinding(
         kind="interval", t_lo=0.2, t_hi=1.8, side="both",
@@ -212,7 +215,40 @@ def test_interval_check_scale_order(quartic_well, scales):
     v1, v2 = theorem_5_1_check(p, cand, finding, scales=scales)
     assert v1 == theorem_5_1_check(p, cand, finding)[0]
     assert v2.conclusion == "CONSISTENT"
-    assert v2.note == "degeneracy not certified in small ball (scales 0.5, 2)"
+    words = {2.0: "not certified", 1.0: "violated", 0.5: "not certified"}
+    assert v2.note == "degeneracy not certified in small ball; " + "; ".join(
+        f"scale {s:g}: {words[s]}" for s in sorted(scales, reverse=True))
+
+
+def test_interval_check_requires_scales(quartic_well):
+    p, cand = quartic_well
+    finding = DegeneracyFinding(
+        kind="interval", t_lo=0.2, t_hi=1.8, side="both",
+        direction=np.array([1.0]), lam=0.5, evidence=(0.0, 0.0),
+        tol_deg=1e-9, certified_pairs=(((1.0,), 0.5),))
+    with pytest.raises(AnalysisError, match="nonempty"):
+        theorem_5_1_check(p, cand, finding, scales=())
+    with pytest.raises(AnalysisError, match="positive"):
+        theorem_5_1_check(p, cand, finding, scales=(1.0, -0.5))
+
+
+# E along zero vanishes at |xi| = 1 and 0.5 only, so eta = 1 certifies at
+# scales 1 and 0.5 but not below; the M sum there is scale^3
+BALL_L = "dx1^2*(dx1^2 - 1)^2*(dx1^2 - 0.25)^2 + x1*dx1^2"
+
+
+def test_interval_and_point_ladders_are_judged_alike():
+    p = make_problem(BALL_L)
+    report = full_report(p, make_candidate(p))
+    by_label = {v.theorem: v for v in report.verdicts}
+    interval, point = by_label["5.1(ii)"], by_label["6.2(ii)"]
+    assert interval.conclusion == point.conclusion == "CONSISTENT"
+    assert interval.value == point.value == pytest.approx(0.125, abs=1e-12)
+    assert interval.tolerance == point.tolerance
+    assert interval.note == point.note == (
+        "degeneracy not certified in small ball; scale 1: violated; "
+        "scale 0.5: violated; scale 0.25: not certified; "
+        "scale 0.125: not certified")
 
 
 def test_interval_check_rejects_corrupted_finding(sample_problem, sample_cand):
@@ -282,8 +318,9 @@ def test_point_check_one_sided_bracket_closed_form():
     assert vr.value == pytest.approx(want, rel=1e-12)
     assert vl.value == pytest.approx(want, rel=1e-12)
     assert (vr.conclusion, vl.conclusion) == ("CONSISTENT", "FAILS_STRONG")
-    v2 = theorem_6_2_check(p, cand, 1.0, "left", lam, np.array([xi]),
-                           scales=(1.0, 0.5))
+    v1, v2 = theorem_6_2_check(p, cand, 1.0, "left", lam, np.array([xi]),
+                               scales=(1.0, 0.5))
+    assert v1 == vl
     assert v2.conclusion == "FAILS_WEAK"
     assert v2.value == pytest.approx(0.25 * want, rel=1e-12)
 
@@ -326,8 +363,8 @@ def test_point_certified_from_one_side_only():
 
 
 def test_small_ball_check_fails_weak(sample_problem, sample_cand):
-    v = theorem_6_2_check(sample_problem, sample_cand, 1.0, "both", 0.5,
-                          np.array([1.0]))
+    _, v = theorem_6_2_check(sample_problem, sample_cand, 1.0, "both", 0.5,
+                             np.array([1.0]))
     assert v.theorem == "6.2(ii)"
     assert v.conclusion == "FAILS_WEAK"
     assert v.value == pytest.approx(-2.0 * 0.125 ** 3, abs=1e-9)
@@ -337,15 +374,16 @@ def test_small_ball_check_fails_weak(sample_problem, sample_cand):
 
 def test_small_ball_check_decertifies(quartic_well):
     p, cand = quartic_well
-    v = theorem_6_2_check(p, cand, 1.0, "both", 0.5, np.array([1.0]),
-                          scales=(1.0, 0.5))
+    v61, v = theorem_6_2_check(p, cand, 1.0, "both", 0.5, np.array([1.0]),
+                               scales=(1.0, 0.5))
     assert v.theorem == "6.2(ii)"
     assert v.conclusion == "CONSISTENT"
     assert v.note.startswith("degeneracy not certified in small ball")
     assert "scale 1: violated" in v.note
     assert "scale 0.5: not certified" in v.note
     # the pointwise check still fails at the unscaled direction
-    v61 = theorem_6_1_check(p, cand, 1.0, "both", 0.5, np.array([1.0]))
+    assert v61 == theorem_6_1_check(p, cand, 1.0, "both", 0.5,
+                                    np.array([1.0]))
     assert v61.conclusion == "FAILS_STRONG"
     assert v61.value == pytest.approx(-1.0, abs=1e-9)
 
@@ -381,8 +419,8 @@ def test_small_ball_check_is_one_engine_call_at_any_ladder_length(
 
     def engine_use(scales):
         del calls[:], points[:]
-        v = theorem_6_2_check(p, cand, 1.0, "both", 0.5, np.array([1.0]),
-                              scales=scales)
+        _, v = theorem_6_2_check(p, cand, 1.0, "both", 0.5, np.array([1.0]),
+                                 scales=scales)
         assert v.conclusion == "FAILS_WEAK"
         return len(points), len(calls)
 
@@ -392,8 +430,9 @@ def test_small_ball_check_is_one_engine_call_at_any_ladder_length(
 
 
 def test_small_ball_check_one_sided_label(sample_problem, sample_cand):
-    v = theorem_6_2_check(sample_problem, sample_cand, 1.0, "right", 0.5,
-                          np.array([1.0]), scales=(1.0, 0.5))
+    v61, v = theorem_6_2_check(sample_problem, sample_cand, 1.0, "right",
+                               0.5, np.array([1.0]), scales=(1.0, 0.5))
+    assert v61.theorem == "6.1(i)"
     assert v.theorem == "6.2(i)"
     assert v.conclusion == "FAILS_WEAK"
 
@@ -415,11 +454,12 @@ def test_tail_note_present():
     v61 = theorem_6_1_check(p, cand, 2.5, "right", 0.5, np.array([1.0]))
     assert v61.conclusion == "CONSISTENT"
     assert v61.note == "tail regime: delayed-slot contributions vanish beyond t1"
-    v62 = theorem_6_2_check(p, cand, 2.5, "right", 0.5, np.array([1.0]),
-                            scales=(1.0,))
+    v, v62 = theorem_6_2_check(p, cand, 2.5, "right", 0.5, np.array([1.0]),
+                               scales=(1.0,))
+    assert v == v61
     assert v62.conclusion == "CONSISTENT"
-    assert v62.note.endswith(
-        "tail regime: delayed-slot contributions vanish beyond t1")
+    assert v62.note == ("scale 1: holds; "
+                        "tail regime: delayed-slot contributions vanish beyond t1")
     interior = theorem_6_1_check(p, cand, 1.0, "right", 0.5, np.array([1.0]))
     assert interior.note == ""
 
@@ -583,6 +623,28 @@ def test_verdict_builds_second_partials_only_in_moving_arguments():
     built = [k for k in p.lagrangian.partials if isinstance(k, tuple)]
     assert all(k[-1] == "t" for k in built)
     assert len(p.lagrangian.partials) == 4 * n + 1 + 2 * n
+
+
+def test_full_report_makes_one_point_engine_call_per_spot(
+        sample_problem, sample_cand, monkeypatch):
+    calls = []
+    real = analysis._point_quantity
+    monkeypatch.setattr(analysis, "_point_quantity",
+                        lambda *a: calls.append(a) or real(*a))
+    report = full_report(sample_problem, sample_cand)
+    assert [v.theorem for v in report.verdicts][2:] == ["6.1(ii)", "6.2(ii)"]
+    assert len(calls) == 1
+
+
+def test_full_report_skips_a_failing_spot_with_one_note(
+        sample_problem, sample_cand, monkeypatch):
+    def fail(*args):
+        raise AnalysisError("hypothesis fails")
+    monkeypatch.setattr(analysis, "_point_quantity", fail)
+    report = full_report(sample_problem, sample_cand)
+    assert [v.theorem for v in report.verdicts] == ["5.1(i)", "5.1(ii)"]
+    assert [n for n in report.notes if "skipped" in n] == [
+        "6.1/6.2 checks skipped at t=1.0: hypothesis fails"]
 
 
 def test_full_report_stops_on_non_extremal():

@@ -17,14 +17,15 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 
 def run_cli(*args, env_extra=None):
-    # the child imports needlecheck from this checkout, like the test process
+    # the child imports needlecheck from this checkout, like the test process;
+    # a numpy RuntimeWarning that leaks out of the program is an error there
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (SRC, os.environ.get("PYTHONPATH")))))
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
-        [sys.executable, "-c", "from needlecheck.cli import main; main()",
-         *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c",
+         "from needlecheck.cli import main; main()", *args],
         capture_output=True, env=env)
     return proc
 
@@ -32,6 +33,7 @@ def run_cli(*args, env_extra=None):
 def run_json(*args, env_extra=None):
     proc = run_cli(*args, env_extra=env_extra)
     payload = json.loads(proc.stdout.decode("utf-8"))
+    assert proc.stderr == b""
     return proc.returncode, payload
 
 
@@ -307,6 +309,59 @@ def test_domain_error_at_a_slope_is_a_tool_error(tmp_path, argv, lag):
     assert payload["status"] == "error"
     assert "negative base" in payload["result"]["error"]
     assert f"'{lag}'" in payload["result"]["error"]
+
+
+@pytest.mark.parametrize("command, segment, error", [
+    # log(t - 1)*(t - 1) is 0*(-inf) at t0 = 1
+    ("validate", "log(t - 1)*(t - 1)*(4 - t)",
+     "non-finite segment value/derivative at t=1.0"),
+    # a pole at the grid time 2
+    ("euler", "(t - 1)*(4 - t)/(t - 2)", "non-finite value"),
+    ("verdict", "(t - 1)*(4 - t)/(t - 2)", "non-finite value"),
+], ids=["log-validate", "pole-euler", "pole-verdict"])
+def test_non_finite_candidate_is_a_tool_error_without_warnings(
+        tmp_path, command, segment, error):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(POW_CFG.replace("(1 + dx1)^1.5", "dx1^2")
+                   .replace("t0 = 0.0", "t0 = 1.0")
+                   .replace("t1 = 3.0", "t1 = 4.0")
+                   .replace("(-1.0, 0.0, \"0\")", "(0.0, 1.0, \"0\")")
+                   .replace("(0.0, 3.0, \"0\")", f"(1.0, 4.0, \"{segment}\")"))
+    code, payload = run_json(command, str(cfg))
+    assert code == 1 and payload["status"] == "error"
+    assert error in payload["result"]["error"]
+
+
+def test_verdict_beyond_sixteen_dimensions(tmp_path):
+    # the Kronecker directions need one prime per dimension
+    n = 17
+    zeros = ", ".join(["0.0"] * n)
+    segs = ", ".join(['"0"'] * n)
+    cfg = tmp_path / "dim17.cfg"
+    cfg.write_text(
+        "[problem]\nt0 = 0.0\nt1 = 3.0\nh = 1.0\n"
+        f"dim = {n}\n"
+        f'lagrangian = "{" + ".join(f"dx{i}^2" for i in range(1, n + 1))}"\n'
+        f"x1 = ({zeros})\nhistory = (-1.0, 0.0, {segs})\n"
+        f"[candidate]\nsegment = (0.0, 3.0, {segs})\n"
+        "[analysis]\neuler_grid = 5\nscan_grid = 5\ndegeneracy_grid = 5\n")
+    code, payload = run_json("verdict", str(cfg))
+    assert code == 0
+    assert payload["result"]["overall"] == "CONSISTENT"
+
+
+def test_theorem6_with_scales_is_one_engine_call(monkeypatch, capsys):
+    from needlecheck import analysis, cli
+    calls = []
+    real = analysis._point_quantity
+    monkeypatch.setattr(analysis, "_point_quantity",
+                        lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(SystemExit):
+        cli.main(["theorem6", CFG, "--point", "1.0", "--side", "both",
+                  "--xi", "1.0", "--scales", "1.0", "--scales", "0.5"])
+    verdicts = json.loads(capsys.readouterr().out)["result"]["verdicts"]
+    assert [v["theorem"] for v in verdicts] == ["6.1(ii)", "6.2(ii)"]
+    assert len(calls) == 1
 
 
 def test_reports_are_byte_identical():

@@ -461,6 +461,15 @@ def test_direction_set_deterministic_unit_norm():
     np.testing.assert_allclose(sorted(float(d[0]) for d in one_d), [-1.0, 1.0])
 
 
+@pytest.mark.parametrize("dim", [17, 24])
+def test_direction_set_beyond_sixteen_dimensions(dim):
+    dirs = direction_set(dim)
+    assert len(dirs) == 32 * dim
+    for u in dirs:
+        assert u.shape == (dim,)
+        assert float(np.linalg.norm(u)) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_xi_sample_set_scales_radii():
     samples = xi_sample_set(1, radii=(0.5, 2.0))
     norms_seen = sorted(set(round(float(np.linalg.norm(s)), 12) for s in samples))

@@ -116,6 +116,20 @@ def test_value_errors_carry_line_and_column():
     assert str(ei.value).startswith("demo.cfg:3:")
 
 
+@pytest.mark.parametrize("old, new, line, column", [
+    ("dim = 1", "dim = 1e999", 5, 7),
+    ("t1 = 3.0", "t1 = -1e999", 3, 6),
+    ("", "\n[analysis]\neuler_grid = 1e999", 14, 14),
+    ("", "\n[analysis]\ntol_w = 1e999", 14, 9),
+], ids=["dim", "t1", "euler_grid", "tol_w"])
+def test_overflowing_number_is_reported_at_its_position(old, new, line,
+                                                        column):
+    text = MINIMAL.replace(old, new) if old else MINIMAL + new + "\n"
+    with pytest.raises(ConfigError, match="out of range") as ei:
+        parse_config(text, source="big.cfg")
+    assert (ei.value.line, ei.value.column) == (line, column)
+
+
 def test_unterminated_string_reported():
     bad = MINIMAL.replace('segment = (0.0, 3.0, "0")', 'segment = (0.0, 3.0, "0)')
     with pytest.raises(ConfigError, match="string|quote"):
