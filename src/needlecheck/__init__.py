@@ -9,13 +9,13 @@ and independently cross-validates the increment expansion with real needle
 variations and quadrature.
 """
 
-from .analysis import (AnalysisError, AnalysisReport, AnalysisSettings,
-                       DegeneracyFinding, Verdict, detect_degeneracy,
-                       full_report, remark_6_1_equivalence,
-                       theorem_5_1_check, theorem_6_1_check,
-                       theorem_6_2_check)
-from .conditions import (ConditionsError, euler_residual, first_variation,
-                         needle_first_variation, weierstrass_scan)
+from .analysis import (AnalysisError, AnalysisReport, DegeneracyFinding,
+                       Verdict, detect_degeneracy, full_report,
+                       remark_6_1_equivalence, theorem_5_1_check,
+                       theorem_6_1_check, theorem_6_2_check)
+from .conditions import (AnalysisSettings, ConditionsError, euler_residual,
+                         first_variation, needle_first_variation,
+                         weierstrass_scan)
 from .config import (ConfigError, RunConfig, build_candidate, build_problem,
                      load_config, parse_config)
 from .exprs import ExprError, parse_expr, parse_lagrangian

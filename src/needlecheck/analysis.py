@@ -26,20 +26,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import conditions
-from .conditions import (DEFAULT_LAMBDAS, DEFAULT_RADII, DEFAULT_TOL_DEG,
-                         DEFAULT_TOL_W, ExcessPoint, WeierstrassScanReport,
-                         direction_set, paired_slope, resolve_tols,
+from .conditions import (AnalysisSettings, ExcessPoint,
+                         WeierstrassScanReport, direction_set, paired_slope,
                          xi_sample_set)
 from .increments import IncrementRecord, verify_expansion
 from .needle import NeedleSpec
 from .problem import CandidateExtremal, DelayProblem
 from .trajectory import BREAK_TOL
 
-DEFAULT_SCALES = (1.0, 0.5, 0.25, 0.125)
 DEFAULT_TOL_EQ = 1e-7
-DEFAULT_TOL_EULER = 1e-8
-DEFAULT_DEGENERACY_GRID = 200
-DEFAULT_INTERVAL_POINTS = 50
 
 _RANK = {"CONSISTENT": 0, "INCONCLUSIVE": 1, "FAILS_STRONG": 2,
          "FAILS_WEAK": 3}
@@ -108,43 +103,25 @@ def _certifies(pt: ExcessPoint, etas, lams: Sequence[float],
 
 
 def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
-                      t_grid: Optional[Sequence[float]] = None,
-                      direction_samples: Optional[Sequence[np.ndarray]] = None,
-                      lam_grid: Sequence[float] = DEFAULT_LAMBDAS,
-                      tol_deg: Optional[float] = None
+                      settings: AnalysisSettings = AnalysisSettings()
                       ) -> List[DegeneracyFinding]:
-    """Scan a time grid for paired-direction degeneracies of the excess sum.
+    """Scan the degeneracy grid on [t0, t1-h] for paired-direction
+    degeneracies of the excess sum, over the seeded unit directions and
+    the lambdas.
 
     Contiguous grid runs certified by the same (eta, lam) merge into
     interval findings; distinct certified pairs sharing the exact same run
     merge into one finding carrying all of them.  Isolated single-point
     runs become point findings tagged with the sides that certify.
     """
-    if t_grid is None:
-        t_grid = np.linspace(p.t0, p.t1 - p.h, DEFAULT_DEGENERACY_GRID)
-    grid = [float(t) for t in t_grid]
-    if not grid:
-        raise AnalysisError("empty degeneracy grid")
-    if any(t < p.t0 - BREAK_TOL or t > p.t1 + BREAK_TOL for t in grid):
-        raise AnalysisError("degeneracy grid escapes [t0, t1]")
-    if direction_samples is None:
-        direction_samples = direction_set(p.dim)
-    directions = [np.atleast_1d(np.asarray(d, dtype=float))
-                  for d in direction_samples]
-    if not directions or not lam_grid:
-        raise AnalysisError("direction and lambda grids must be nonempty")
-    for d in directions:
-        if float(np.max(np.abs(d))) == 0.0:
-            raise AnalysisError("degeneracy directions must be nonzero")
-    for lam in lam_grid:
-        if not 0.0 < lam < 1.0:
-            raise AnalysisError(f"lambda grid entry {lam} outside (0,1)")
-    td, = resolve_tols(p, cand, (tol_deg, DEFAULT_TOL_DEG))
-
-    pairs = [(eta, float(lam)) for eta in directions for lam in lam_grid]
+    s = settings.resolved(p, cand)
+    td = s.tol_deg
+    grid = np.linspace(p.t0, p.t1 - p.h, s.degeneracy_grid).tolist()
+    directions = direction_set(p.dim, s.seed)
+    pairs = [(eta, float(lam)) for eta in directions for lam in s.lambdas]
     sides = ["left" if t >= p.t1 - BREAK_TOL else "right" for t in grid]
     ok, e1, e2 = (a.reshape(len(grid), len(pairs)) for a in _certifies(
-        ExcessPoint(p, cand, grid, sides), directions, lam_grid, td))
+        ExcessPoint(p, cand, grid, sides), directions, s.lambdas, td))
 
     # maximal certified runs of each pair, grouped by their exact grid
     # extent; edges[k, i] is +1 where a run of pair k starts at grid index
@@ -213,15 +190,9 @@ class _Rung:
     tol: float
 
 
-def _ladder(scales: Sequence[float]) -> List[float]:
+def _ladder(settings: AnalysisSettings) -> List[float]:
     """The scale ladder: distinct scales, largest first."""
-    ladder = sorted({float(s) for s in scales}, reverse=True)
-    if not ladder:
-        raise AnalysisError("scales list must be nonempty")
-    bad = [s for s in ladder if not 0.0 < s < math.inf]
-    if bad:
-        raise AnalysisError(f"scales must be positive and finite, got {bad[0]}")
-    return ladder
+    return sorted(set(settings.scales), reverse=True)
 
 
 def _judge_ladder(theorems: Tuple[str, str], quantities: Tuple[str, str],
@@ -260,29 +231,26 @@ def _judge_ladder(theorems: Tuple[str, str], quantities: Tuple[str, str],
 
 def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
                       finding: DegeneracyFinding,
-                      n_points: int = DEFAULT_INTERVAL_POINTS,
-                      scales: Sequence[float] = DEFAULT_SCALES,
-                      tol_deg: Optional[float] = None,
-                      tol_eq: Optional[float] = None) -> Tuple[Verdict, Verdict]:
+                      settings: AnalysisSettings = AnalysisSettings()
+                      ) -> Tuple[Verdict, Verdict]:
     """Interval-degeneracy conditions: the M sum must vanish on the interval.
 
     Part (i) tests the equality D(t) = M_x + M_y = 0 with the finding's
-    (eta, lam) on an interior grid; any violation beyond tolerance rejects
-    a strong local minimum.  Part (ii) rescales eta by the given scale
-    ladder, re-certifying degeneracy at each scale, and is judged by
-    _judge_ladder.  A finding whose interval fails re-certification is
-    rejected with an error rather than judged.
+    (eta, lam) on interval_points interior points; any violation beyond
+    tolerance rejects a strong local minimum.  Part (ii) rescales eta by
+    the scale ladder, re-certifying degeneracy at each scale, and is
+    judged by _judge_ladder.  A finding whose interval fails
+    re-certification is rejected with an error rather than judged.
     """
     if finding.kind != "interval":
         raise AnalysisError("an interval finding is required")
-    if n_points < 3:
-        raise AnalysisError(f"need at least 3 interior points, got {n_points}")
-    eta, lam = finding.direction, finding.lam
-    td, = resolve_tols(p, cand, (tol_deg, DEFAULT_TOL_DEG))
-    ts = np.linspace(finding.t_lo, finding.t_hi, n_points + 2)[1:-1].tolist()
-    ladder = _ladder(scales)
+    s = settings.resolved(p, cand)
+    eta, lam, td = finding.direction, finding.lam, s.tol_deg
+    ts = np.linspace(finding.t_lo, finding.t_hi,
+                     s.interval_points + 2)[1:-1].tolist()
+    ladder = _ladder(s)
     # one stack: the finding's own direction, then the ladder
-    s_etas = np.array([eta] + [s * eta for s in ladder])
+    s_etas = np.array([eta] + [k * eta for k in ladder])
     pts = ExcessPoint(p, cand, ts, "right")
 
     # certification per point (rows) and direction (columns)
@@ -297,10 +265,10 @@ def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
     # the worst D(t) = M_x + M_y of every certified direction
     d_vals = iter(pts.m_sum(lam, s_etas[certified]).T.tolist())
     rungs = []
-    for s, cert in zip([1.0] + ladder, certified.tolist()):
+    for k, cert in zip([1.0] + ladder, certified.tolist()):
         worst = max(next(d_vals), key=abs) if cert else math.nan
-        tol = _eq_tol(tol_eq, worst)
-        rungs.append(_Rung(s, cert, abs(worst) > tol, worst, tol))
+        tol = _eq_tol(s.tol_eq, worst)
+        rungs.append(_Rung(k, cert, abs(worst) > tol, worst, tol))
 
     return _judge_ladder(
         ("5.1(i)", "5.1(ii)"),
@@ -412,19 +380,17 @@ def check_point_range(p: DelayProblem, theta: float, side: str,
 
 def theorem_6_1_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
                       side: str, lam_bar: float, eta: np.ndarray,
-                      tol_deg: Optional[float] = None,
-                      tol_eq: Optional[float] = None) -> Verdict:
+                      settings: AnalysisSettings = AnalysisSettings()
+                      ) -> Verdict:
     """Point-degeneracy conditions at theta: the 6.1 verdict of
     theorem_6_2_check, with no ladder below eta itself."""
-    return theorem_6_2_check(p, cand, theta, side, lam_bar, eta, (1.0,),
-                             tol_deg, tol_eq)[0]
+    return theorem_6_2_check(p, cand, theta, side, lam_bar, eta,
+                             replace(settings, scales=(1.0,)))[0]
 
 
 def theorem_6_2_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
                       side: str, lam_bar: float, eta: np.ndarray,
-                      scales: Sequence[float] = DEFAULT_SCALES,
-                      tol_deg: Optional[float] = None,
-                      tol_eq: Optional[float] = None
+                      settings: AnalysisSettings = AnalysisSettings()
                       ) -> Tuple[Verdict, Verdict]:
     """Point-degeneracy conditions at theta and their small-ball versions,
     (6.1 verdict, 6.2 verdict), from one engine call on eta and the ladder.
@@ -439,11 +405,11 @@ def theorem_6_2_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
     hypotheses at each scale, and is judged by _judge_ladder.
     """
     eta = _validate_point_args(p, theta, side, lam_bar, eta)
-    ladder = _ladder(scales)
-    td, = resolve_tols(p, cand, (tol_deg, DEFAULT_TOL_DEG))
+    s = settings.resolved(p, cand)
+    ladder = _ladder(s)
     desc, results = _point_quantity(
         p, cand, theta, side, lam_bar,
-        np.array([eta] + [s * eta for s in ladder]), td, tol_eq)
+        np.array([eta] + [k * eta for k in ladder]), s.tol_deg, s.tol_eq)
     if results[0][3] is not None:
         raise AnalysisError(results[0][3])
     part = "(ii)" if side == "both" else "(i)"
@@ -452,8 +418,8 @@ def theorem_6_2_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
     return _judge_ladder(
         ("6.1" + part, "6.2" + part), (desc, desc + " across the scale ladder"),
         (theta, theta),
-        [_Rung(s, failure is None, violated, value, tol)
-         for s, (value, tol, violated, failure) in zip([1.0] + ladder, results)],
+        [_Rung(k, failure is None, violated, value, tol)
+         for k, (value, tol, violated, failure) in zip([1.0] + ladder, results)],
         tail)
 
 
@@ -480,10 +446,8 @@ class EquivalenceRecord:
 def remark_6_1_equivalence(p: DelayProblem, cand: CandidateExtremal,
                            theta: float, side: str, lam_bar: float,
                            eta: np.ndarray,
-                           tol_w: Optional[float] = None,
-                           tol_deg: Optional[float] = None,
-                           radii: Sequence[float] = DEFAULT_RADII,
-                           seed: int = 0) -> EquivalenceRecord:
+                           settings: AnalysisSettings = AnalysisSettings()
+                           ) -> EquivalenceRecord:
     """Check that the Q_1 sum vanishes exactly when both excess sums do.
 
     Valid for candidates satisfying the pointwise excess condition at
@@ -494,11 +458,11 @@ def remark_6_1_equivalence(p: DelayProblem, cand: CandidateExtremal,
     """
     eta = _validate_point_args(p, theta, side, lam_bar, eta,
                                sides=("right", "left"))
-    tw, td = resolve_tols(p, cand, (tol_w, DEFAULT_TOL_W),
-                          (tol_deg, DEFAULT_TOL_DEG))
+    s = settings.resolved(p, cand)
+    tw, td = s.tol_w, s.tol_deg
 
     pt = ExcessPoint(p, cand, theta, side)
-    samples = xi_sample_set(p.dim, radii, seed)
+    samples = xi_sample_set(p.dim, s.radii, s.seed)
     wmin = min(pt.e_sum(samples)[0].tolist())
     if wmin < -tw:
         raise AnalysisError(
@@ -517,27 +481,6 @@ def remark_6_1_equivalence(p: DelayProblem, cand: CandidateExtremal,
 
 # ---------------------------------------------------------------------------
 # the full pipeline
-
-@dataclass(frozen=True)
-class AnalysisSettings:
-    """Grids, tolerances and sampling knobs for the full pipeline."""
-
-    euler_grid: int = 100
-    scan_grid: int = 200
-    degeneracy_grid: int = DEFAULT_DEGENERACY_GRID
-    interval_points: int = DEFAULT_INTERVAL_POINTS
-    radii: Tuple[float, ...] = DEFAULT_RADII
-    lambdas: Tuple[float, ...] = DEFAULT_LAMBDAS
-    scales: Tuple[float, ...] = DEFAULT_SCALES
-    tol_w: Optional[float] = None
-    tol_deg: Optional[float] = None
-    tol_eq: Optional[float] = None
-    tol_euler: Optional[float] = None
-    sweep_levels: int = 8
-    sweep_ratio: float = 0.5
-    quad_order: Optional[int] = None
-    seed: int = 0
-
 
 @dataclass(frozen=True)
 class EulerStage:
@@ -561,41 +504,42 @@ class AnalysisReport:
     """
 
     euler: Optional[EulerStage]
-    weierstrass: Optional[WeierstrassScanReport]
-    findings: Tuple[DegeneracyFinding, ...]
-    verdicts: Tuple[Verdict, ...]
-    expansion_checks: Tuple[IncrementRecord, ...]
     overall: str
+    weierstrass: Optional[WeierstrassScanReport] = None
+    findings: Tuple[DegeneracyFinding, ...] = ()
+    verdicts: Tuple[Verdict, ...] = ()
+    expansion_checks: Tuple[IncrementRecord, ...] = ()
     notes: Tuple[str, ...] = ()
     stage_errors: Tuple[Tuple[str, str], ...] = ()
 
 
 def euler_stage(p: DelayProblem, cand: CandidateExtremal,
-                 config: AnalysisSettings) -> EulerStage:
-    ts = np.linspace(p.t0, p.t1, config.euler_grid)
+                settings: AnalysisSettings = AnalysisSettings()) -> EulerStage:
+    ts = np.linspace(p.t0, p.t1, settings.euler_grid)
     # one batch: every grid point from the right, the endpoint t1 from the left
     sides = ["right" if t < p.t1 - BREAK_TOL else "left" for t in ts]
     vals = np.max(np.abs(conditions.euler_residual(p, cand, ts, sides)), axis=0)
     worst = int(np.argmax(vals))
-    tol, = resolve_tols(p, cand, (config.tol_euler, DEFAULT_TOL_EULER))
-    return EulerStage(grid_size=config.euler_grid,
+    tol = settings.resolved(p, cand).tol_euler
+    return EulerStage(grid_size=settings.euler_grid,
                       max_residual=float(vals[worst]),
                       argmax_t=float(ts[worst]),
                       tolerance=tol,
                       extremal=float(vals[worst]) <= tol)
 
 
-def _expansion_spots(p: DelayProblem, cand: CandidateExtremal,
-                     config: AnalysisSettings) -> List[NeedleSpec]:
+def _expansion_spots(p: DelayProblem,
+                     settings: AnalysisSettings) -> List[NeedleSpec]:
     theta = 0.5 * (p.t0 + (p.t1 - p.h))
-    xi = direction_set(p.dim, config.seed)[0]
-    lam = config.lambdas[0] if config.lambdas else 0.5
+    xi = direction_set(p.dim, settings.seed)[0]
+    lam = settings.lambdas[0]
     return [NeedleSpec(theta=theta, lam=lam, xi=xi, side="right"),
             NeedleSpec(theta=theta, lam=lam, xi=xi, side="left")]
 
 
 def full_report(p: DelayProblem, cand: CandidateExtremal,
-                config: AnalysisSettings = AnalysisSettings()) -> AnalysisReport:
+                settings: AnalysisSettings = AnalysisSettings()
+                ) -> AnalysisReport:
     """Run every stage in order and collect the evidence.
 
     Pipeline: Euler residual grid -> pointwise excess scan -> degeneracy
@@ -603,7 +547,7 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
     expansion spot checks.  A non-extremal candidate stops the pipeline
     after the first stage; a pointwise excess violation records the
     strong-minimum failure and skips the degeneracy machinery, whose
-    hypotheses no longer hold.  Deterministic for a fixed config.
+    hypotheses no longer hold.  Deterministic for fixed settings.
     """
     notes: List[str] = []
     errors: List[Tuple[str, str]] = []
@@ -613,37 +557,22 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
 
     try:
         # the |L| scale behind every unset tolerance, resolved once
-        tw, td, te = resolve_tols(
-            p, cand, (config.tol_w, DEFAULT_TOL_W),
-            (config.tol_deg, DEFAULT_TOL_DEG),
-            (config.tol_euler, DEFAULT_TOL_EULER))
-        config = replace(config, tol_w=tw, tol_deg=td, tol_euler=te)
-        euler = euler_stage(p, cand, config)
+        settings = settings.resolved(p, cand)
+        euler = euler_stage(p, cand, settings)
     except (ValueError, ArithmeticError) as exc:
-        return AnalysisReport(
-            euler=None, weierstrass=None, findings=(), verdicts=(),
-            expansion_checks=(), overall="ERROR", notes=tuple(notes),
-            stage_errors=(("euler", str(exc)),))
+        return AnalysisReport(euler=None, overall="ERROR",
+                              stage_errors=(("euler", str(exc)),))
     if not euler.extremal:
-        notes.append(
+        return AnalysisReport(euler=euler, overall="NOT_EXTREMAL", notes=(
             f"Euler residual {euler.max_residual} at t={euler.argmax_t} "
-            f"exceeds {euler.tolerance}: not an extremal; later stages skipped")
-        return AnalysisReport(
-            euler=euler, weierstrass=None, findings=(), verdicts=(),
-            expansion_checks=(), overall="NOT_EXTREMAL", notes=tuple(notes),
-            stage_errors=())
+            f"exceeds {euler.tolerance}: not an extremal; later stages "
+            f"skipped",))
 
     try:
-        scan = conditions.weierstrass_scan(
-            p, cand,
-            t_grid=np.linspace(p.t0, p.t1, config.scan_grid),
-            xi_samples=xi_sample_set(p.dim, config.radii, config.seed),
-            tol_w=config.tol_w, tol_deg=config.tol_deg)
+        scan = conditions.weierstrass_scan(p, cand, settings)
     except (ValueError, ArithmeticError) as exc:
-        return AnalysisReport(
-            euler=euler, weierstrass=None, findings=(), verdicts=(),
-            expansion_checks=(), overall="ERROR", notes=tuple(notes),
-            stage_errors=(("weierstrass", str(exc)),))
+        return AnalysisReport(euler=euler, overall="ERROR",
+                              stage_errors=(("weierstrass", str(exc)),))
 
     overall_rank = 0
     if scan.has_violation:
@@ -653,11 +582,7 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
             "skipped (its hypotheses require the condition to hold)")
     else:
         try:
-            findings = detect_degeneracy(
-                p, cand,
-                t_grid=np.linspace(p.t0, p.t1 - p.h, config.degeneracy_grid),
-                direction_samples=direction_set(p.dim, config.seed),
-                lam_grid=config.lambdas, tol_deg=config.tol_deg)
+            findings = detect_degeneracy(p, cand, settings)
         except (ValueError, ArithmeticError) as exc:
             errors.append(("degeneracy", str(exc)))
 
@@ -667,25 +592,20 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
             theta, side = finding.midpoint, finding.side
             if finding.kind == "interval":
                 try:
-                    verdicts.extend(theorem_5_1_check(
-                        p, cand, finding, n_points=config.interval_points,
-                        scales=config.scales, tol_deg=config.tol_deg,
-                        tol_eq=config.tol_eq))
+                    verdicts.extend(
+                        theorem_5_1_check(p, cand, finding, settings))
                 except (ValueError, ArithmeticError) as exc:
                     errors.append(("theorem5", str(exc)))
             try:
                 verdicts.extend(theorem_6_2_check(
                     p, cand, theta, side, finding.lam, finding.direction,
-                    scales=config.scales, tol_deg=config.tol_deg,
-                    tol_eq=config.tol_eq))
+                    settings))
             except (ValueError, ArithmeticError) as exc:
                 notes.append(f"6.1/6.2 checks skipped at t={theta}: {exc}")
 
-    for spec in _expansion_spots(p, cand, config):
+    for spec in _expansion_spots(p, settings):
         try:
-            record = verify_expansion(
-                p, cand, spec, levels=config.sweep_levels,
-                ratio=config.sweep_ratio, order=config.quad_order)
+            record = verify_expansion(p, cand, spec, settings=settings)
             expansion.append(record)
             if not record.passed:
                 notes.append(

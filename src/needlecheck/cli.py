@@ -95,15 +95,22 @@ def _run(command: str, config_arg: str, fn) -> None:
           2 if failed else 0)
 
 
-def _xi_or_default(xi: Tuple[float, ...], p: DelayProblem) -> np.ndarray:
+def _finite(flag: str, values: Tuple[float, ...]) -> Tuple[float, ...]:
+    if not all(map(math.isfinite, values)):
+        raise AnalysisError(f"{flag} must be finite, got {list(values)}")
+    return values
+
+
+def _xi_or_default(xi: Tuple[float, ...], p: DelayProblem,
+                   seed: int) -> np.ndarray:
+    """The --xi direction, else the first seeded direction, the one the
+    verdict's expansion checks use."""
     if xi:
         if len(xi) != p.dim:
             raise AnalysisError(
                 f"--xi takes {p.dim} components for this problem, got {len(xi)}")
-        if not all(map(math.isfinite, xi)):
-            raise AnalysisError(f"--xi must be finite, got {list(xi)}")
-        return np.asarray(xi, dtype=float)
-    return conditions.direction_set(p.dim)[0]
+        return np.asarray(_finite("--xi", xi), dtype=float)
+    return conditions.direction_set(p.dim, seed)[0]
 
 
 @click.group()
@@ -144,12 +151,7 @@ def euler(config: str) -> None:
 def weierstrass(config: str) -> None:
     """Pointwise excess scan over the time grid and slope sample set."""
     def body(cfg, p, cand):
-        a = cfg.analysis
-        scan = conditions.weierstrass_scan(
-            p, cand,
-            t_grid=np.linspace(p.t0, p.t1, a.scan_grid),
-            xi_samples=conditions.xi_sample_set(p.dim, a.radii, a.seed),
-            tol_w=a.tol_w, tol_deg=a.tol_deg)
+        scan = conditions.weierstrass_scan(p, cand, cfg.analysis)
         return scan, scan.has_violation
     _run("weierstrass", config, body)
 
@@ -170,11 +172,10 @@ def excess(config: str, point: float, side: str, xi: Tuple[float, ...],
         analysis.check_point_range(p, point, side, name="--point")
         if not 0.0 < lam < 1.0:
             raise AnalysisError(f"--lambda must be in (0, 1), got {lam}")
-        eta = _xi_or_default(xi, p)
+        eta = _xi_or_default(xi, p, cfg.analysis.seed)
         pt = conditions.ExcessPoint(p, cand, point, side)
         pair = conditions.paired_slope(lam, eta)
-        tw, = conditions.resolve_tols(
-            p, cand, (cfg.analysis.tol_w, conditions.DEFAULT_TOL_W))
+        tw = cfg.analysis.resolved(p, cand).tol_w
         e_x, e_y = (pt.excess(s, [eta, pair])[0].tolist() for s in ("x", "y"))
         # Q_k per slot: lam^k * E(xi) + (1 - lam^k) * E(pair)
         q1_x, q1_y = (lam * e[0] + (1.0 - lam) * e[1] for e in (e_x, e_y))
@@ -201,12 +202,7 @@ def excess(config: str, point: float, side: str, xi: Tuple[float, ...],
 def degeneracy(config: str) -> None:
     """Locate paired-direction degeneracies of the excess sum."""
     def body(cfg, p, cand):
-        a = cfg.analysis
-        findings = analysis.detect_degeneracy(
-            p, cand,
-            t_grid=np.linspace(p.t0, p.t1 - p.h, a.degeneracy_grid),
-            direction_samples=conditions.direction_set(p.dim, a.seed),
-            lam_grid=a.lambdas, tol_deg=a.tol_deg)
+        findings = analysis.detect_degeneracy(p, cand, cfg.analysis)
         return {"findings": findings, "count": len(findings)}, False
     _run("degeneracy", config, body)
 
@@ -216,19 +212,12 @@ def degeneracy(config: str) -> None:
 def theorem5(config: str) -> None:
     """Interval-degeneracy equality checks (5.1 parts i and ii)."""
     def body(cfg, p, cand):
-        a = cfg.analysis
-        findings = analysis.detect_degeneracy(
-            p, cand,
-            t_grid=np.linspace(p.t0, p.t1 - p.h, a.degeneracy_grid),
-            direction_samples=conditions.direction_set(p.dim, a.seed),
-            lam_grid=a.lambdas, tol_deg=a.tol_deg)
-        intervals = [f for f in findings if f.kind == "interval"]
+        a = cfg.analysis.resolved(p, cand)
+        intervals = [f for f in analysis.detect_degeneracy(p, cand, a)
+                     if f.kind == "interval"]
         verdicts = []
         for finding in intervals:
-            v1, v2 = analysis.theorem_5_1_check(
-                p, cand, finding, n_points=a.interval_points,
-                scales=a.scales, tol_deg=a.tol_deg, tol_eq=a.tol_eq)
-            verdicts.extend((v1, v2))
+            verdicts.extend(analysis.theorem_5_1_check(p, cand, finding, a))
         result = {"interval_findings": intervals, "verdicts": verdicts}
         failed = any(v.conclusion != "CONSISTENT" for v in verdicts)
         return result, failed
@@ -251,15 +240,14 @@ def theorem6(config: str, point: float, side: str, lam: float,
     """Point-degeneracy checks at theta (6.1, and 6.2 when --scales given)."""
     def body(cfg, p, cand):
         a = cfg.analysis
-        eta = _xi_or_default(xi, p)
+        eta = _xi_or_default(xi, p, a.seed)
         if scales:
             verdicts = analysis.theorem_6_2_check(
-                p, cand, point, side, lam, eta, scales=scales,
-                tol_deg=a.tol_deg, tol_eq=a.tol_eq)
+                p, cand, point, side, lam, eta,
+                dataclasses.replace(a, scales=_finite("--scales", scales)))
         else:
             verdicts = [analysis.theorem_6_1_check(
-                p, cand, point, side, lam, eta,
-                tol_deg=a.tol_deg, tol_eq=a.tol_eq)]
+                p, cand, point, side, lam, eta, a)]
         result = {"verdicts": verdicts}
         failed = any(v.conclusion != "CONSISTENT" for v in verdicts)
         return result, failed
@@ -282,14 +270,12 @@ def increment(config: str, theta: float, lam: float, xi: Tuple[float, ...],
     """Cost increment under a needle variation: direct value or sweep fit."""
     def body(cfg, p, cand):
         a = cfg.analysis
-        spec = NeedleSpec(theta=theta, lam=lam, xi=_xi_or_default(xi, p),
-                          side=side)
+        spec = NeedleSpec(theta=theta, lam=lam,
+                          xi=_xi_or_default(xi, p, a.seed), side=side)
         if (eps is None) == (not sweep):
             raise AnalysisError("choose exactly one of --eps or --sweep")
         if sweep:
-            record = increments.verify_expansion(
-                p, cand, spec, levels=a.sweep_levels, ratio=a.sweep_ratio,
-                order=a.quad_order)
+            record = increments.verify_expansion(p, cand, spec, settings=a)
             return record, not record.passed
         delta = increments.delta_S_direct(p, cand, spec, eps,
                                           order=a.quad_order)

@@ -16,6 +16,10 @@ functionals and the exact time rate of the excess sum; Q_k is
 lam^k * E(xi) + (1-lam^k) * E(pair) per slot, combined by the caller from
 the excesses it holds.
 
+AnalysisSettings holds what every stage reads (grids, slope samples,
+lambdas, scale ladder, tolerances, eps sweep) and every range rule; its
+resolved() is the one tolerance rule.
+
 Every first variation integrates the force Lx(t)+Ly(t+h) and momentum
 Ldx(t)+Ldy(t+h) against a variation's (q, q_dot): a trajectory's, or a
 needle's from needle.perturbation, the one place its geometry is defined.
@@ -25,7 +29,7 @@ functional with xdot(t) replaced by xdot(t)+xi (xdot slot) or with
 xdot(t-h) replaced by xdot(t-h)+xi (ydot slot, evaluated at nu = t+h).
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,12 +40,6 @@ from .needle import NeedleSpec, check_eps, perturbation
 from .problem import (CandidateExtremal, DelayProblem, along, eval_L,
                       partials_vec, rates, shift_slopes, time_rate)
 from .trajectory import BREAK_TOL, Trajectory
-
-DEFAULT_RADII = (0.25, 0.5, 1.0, 2.0)
-DEFAULT_LAMBDAS = (0.5, 0.25, 0.75)
-# absolute scale floors; both tolerances scale as tol*(1+|L| scale)
-DEFAULT_TOL_W = 1e-9
-DEFAULT_TOL_DEG = 1e-9
 
 
 class ConditionsError(ValueError):
@@ -296,7 +294,7 @@ def direction_set(dim: int, seed: int = 0) -> List[np.ndarray]:
     return out
 
 
-def xi_sample_set(dim: int, radii: Sequence[float] = DEFAULT_RADII,
+def xi_sample_set(dim: int, radii: Sequence[float],
                   seed: int = 0) -> List[np.ndarray]:
     """Directions crossed with radii; the radius sweep catches excess
     functions that are not homogeneous in xi."""
@@ -337,47 +335,92 @@ def lagrangian_scale(p: DelayProblem, cand: CandidateExtremal) -> float:
                  .max(initial=0.0))
 
 
-def resolve_tols(p: DelayProblem, cand: CandidateExtremal,
-                 *given: Tuple[Optional[float], float]) -> List[float]:
-    """The one tolerance rule: each (tol, floor) pair resolves to tol when
-    it is set, else to floor * (1 + |L| scale along the candidate).  The
-    scale is computed once, and only when some tol is unset."""
-    scale = lagrangian_scale(p, cand) \
-        if any(tol is None for tol, _ in given) else 0.0
-    return [floor * (1.0 + scale) if tol is None else tol
-            for tol, floor in given]
+class SettingsError(ConditionsError):
+    """A setting outside its range; key names the field (its config key)."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"key '{key}': {message}")
+        self.key = key
+
+
+# the tolerances that scale as floor * (1 + |L| scale), with their floors
+_TOL_FLOORS = {"tol_w": 1e-9, "tol_deg": 1e-9, "tol_euler": 1e-8}
+
+
+@dataclass(frozen=True)
+class AnalysisSettings:
+    """Grids, samples, scale ladder, tolerances and sweep of every stage:
+    the [analysis] table of a config, with its defaults.  Each stage builds
+    what it needs from these, and every range rule is checked here, for
+    config files and library callers alike."""
+
+    euler_grid: int = 100
+    scan_grid: int = 200
+    degeneracy_grid: int = 200
+    interval_points: int = 50
+    radii: Tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
+    lambdas: Tuple[float, ...] = (0.5, 0.25, 0.75)
+    scales: Tuple[float, ...] = (1.0, 0.5, 0.25, 0.125)
+    tol_w: Optional[float] = None
+    tol_deg: Optional[float] = None
+    tol_eq: Optional[float] = None
+    tol_euler: Optional[float] = None
+    sweep_levels: int = 8
+    sweep_ratio: float = 0.5
+    quad_order: Optional[int] = None
+    seed: int = 0
+
+    def __post_init__(self):
+        for key in ("euler_grid", "scan_grid", "degeneracy_grid"):
+            if getattr(self, key) < 1:
+                raise SettingsError(key, "grid size must be >= 1")
+        if self.interval_points < 3:
+            raise SettingsError("interval_points", "must be >= 3")
+        for key in ("tol_w", "tol_deg", "tol_eq", "tol_euler"):
+            v = getattr(self, key)
+            if v is not None and not v > 0:  # NaN too
+                raise SettingsError(key, "tolerance must be positive")
+        if self.sweep_levels < 4:
+            raise SettingsError("sweep_levels", "must be >= 4")
+        if not 0.0 < self.sweep_ratio < 1.0:
+            raise SettingsError("sweep_ratio", "must be inside (0, 1)")
+        if self.quad_order is not None and self.quad_order < 1:
+            raise SettingsError("quad_order", "must be >= 1")
+        for key, ok, rule in (
+                ("radii", lambda r: r > 0, "must all be positive"),
+                ("lambdas", lambda l: 0.0 < l < 1.0,
+                 "must all be inside (0, 1)"),
+                ("scales", lambda s: s > 0, "must all be positive")):
+            if not getattr(self, key):
+                raise SettingsError(key, "must be nonempty")
+            if not all(map(ok, getattr(self, key))):
+                raise SettingsError(key, rule)
+
+    def resolved(self, p: DelayProblem,
+                 cand: CandidateExtremal) -> "AnalysisSettings":
+        """The one tolerance rule: these settings with every unset
+        |L|-scaled tolerance set to its floor * (1 + |L| scale along the
+        candidate).  The scale is computed once, and only when some of
+        those tolerances is unset."""
+        unset = [k for k in _TOL_FLOORS if getattr(self, k) is None]
+        if not unset:
+            return self
+        scale = lagrangian_scale(p, cand)
+        return replace(self, **{k: _TOL_FLOORS[k] * (1.0 + scale)
+                                for k in unset})
 
 
 def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
-                     t_grid: Optional[Sequence[float]] = None,
-                     xi_samples: Optional[Sequence[np.ndarray]] = None,
-                     tol_w: Optional[float] = None,
-                     tol_deg: Optional[float] = None) -> WeierstrassScanReport:
-    """Minimum of the paired excess over the sample set at every grid point,
-    both sides at candidate breakpoints; flags violations below -tol_w and
-    records directions with |E_sum| <= tol_deg."""
-    if t_grid is None:
-        t_grid = np.linspace(p.t0, p.t1, 200)
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid:
-        raise ConditionsError("empty scan grid")
-    if xi_samples is None:
-        xi_samples = xi_sample_set(p.dim)
-    xi_samples = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xi_samples]
-    if not xi_samples:
-        raise ConditionsError("empty xi sample set")
-    for x in xi_samples:
-        if x.shape != (p.dim,):
-            raise ConditionsError(f"xi sample of shape {x.shape}, slope stack "
-                                  f"expected (m, {p.dim})")
-        if float(np.max(np.abs(x))) == 0.0:
-            raise ConditionsError("xi samples must exclude 0")
-    tw, td = resolve_tols(p, cand, (tol_w, DEFAULT_TOL_W),
-                          (tol_deg, DEFAULT_TOL_DEG))
-
+                     settings: AnalysisSettings = AnalysisSettings()
+                     ) -> WeierstrassScanReport:
+    """Minimum of the paired excess over the sample set (directions crossed
+    with radii) at every point of the scan grid on [t0, t1], both sides at
+    candidate breakpoints; flags violations below -tol_w and records
+    directions with |E_sum| <= tol_deg."""
+    s = settings.resolved(p, cand)
     bps = set(cand.traj.breakpoints)
     tasks = []
-    for t in t_grid:
+    for t in np.linspace(p.t0, p.t1, s.scan_grid).tolist():
         at_bp = any(abs(t - b) <= BREAK_TOL for b in bps)
         if abs(t - p.t0) <= BREAK_TOL:
             sides = ("right",)
@@ -390,9 +433,9 @@ def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
         for side in sides:
             tasks.append((t, side))
 
-    stack = np.array(xi_samples)
+    stack = np.array(xi_sample_set(p.dim, s.radii, s.seed))
     unit = np.array([abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12
-                     for x in xi_samples])
+                     for x in stack])
     vals = ExcessPoint(p, cand, [t for t, _ in tasks],
                        [side for _, side in tasks]).e_sum(stack)
 
@@ -402,17 +445,17 @@ def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
 
     mins = row_mins(vals)
     unit_mins = row_mins(vals[:, unit]) if unit.any() else mins
-    degen = np.abs(vals) <= td
+    degen = np.abs(vals) <= s.tol_deg
     entries = tuple(ScanEntry(
         t=t, side=side,
         regime="paired" if t <= p.t1 - p.h + BREAK_TOL else "single",
         min_excess=mins[k],
         min_excess_unit=unit_mins[k],
-        violation=mins[k] < -tw,
+        violation=mins[k] < -s.tol_w,
         degenerate_directions=tuple(tuple(stack[j].tolist())
                                     for j in np.flatnonzero(degen[k])))
         for k, (t, side) in enumerate(tasks))
     overall = min(e.min_excess for e in entries)
     return WeierstrassScanReport(
-        entries=entries, tol_w=tw, tol_deg=td, overall_min=overall,
-        has_violation=any(e.violation for e in entries))
+        entries=entries, tol_w=s.tol_w, tol_deg=s.tol_deg,
+        overall_min=overall, has_violation=any(e.violation for e in entries))

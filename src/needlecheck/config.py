@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .analysis import AnalysisSettings
+from .conditions import AnalysisSettings, SettingsError
 from .exprs import ExprError, parse_expr, parse_lagrangian
 from .problem import CandidateExtremal, DelayProblem
 from .trajectory import HistorySpec, Trajectory
@@ -207,7 +207,8 @@ def _as_segment(value: Value, key: str, err) -> SegmentSpec:
 
 # section -> key -> converter.  Every [problem] and [candidate] key is
 # required (checked in this order); the [analysis] keys are the fields of
-# AnalysisSettings, which supplies the default of an absent one.
+# AnalysisSettings, which supplies the default of an absent one and checks
+# the ranges.
 _KEYS = {
     "problem": {"t0": _as_float, "t1": _as_float, "h": _as_float,
                 "dim": _as_int, "lagrangian": _as_string,
@@ -301,8 +302,11 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         for spec, ln in values[sec][key]:
             _check_segment_spec(spec, dim, key, source, ln)
 
-    analysis = AnalysisSettings(**values["analysis"])
-    _check_analysis(analysis, source, seen)
+    try:
+        analysis = AnalysisSettings(**values["analysis"])
+    except SettingsError as exc:
+        raise ConfigError(str(exc), source,
+                          seen.get(("analysis", exc.key))) from exc
 
     return RunConfig(
         problem=ProblemConfig(**dict(
@@ -327,35 +331,6 @@ def _check_segment_spec(spec: SegmentSpec, dim: int, key: str, source: str,
             parse_expr(e, ("t",))
         except ExprError as exc:
             raise ConfigError(f"key '{key}': {exc}", source, line) from exc
-
-
-def _check_analysis(a: AnalysisSettings, source: str,
-                    seen: Dict[Tuple[str, str], int]) -> None:
-    def err(key: str, msg: str) -> ConfigError:
-        return ConfigError(f"key '{key}': {msg}", source,
-                           seen.get(("analysis", key)))
-
-    for key in ("euler_grid", "scan_grid", "degeneracy_grid"):
-        if getattr(a, key) < 1:
-            raise err(key, "grid size must be >= 1")
-    if a.interval_points < 3:
-        raise err("interval_points", "must be >= 3")
-    for key in ("tol_w", "tol_deg", "tol_eq", "tol_euler"):
-        v = getattr(a, key)
-        if v is not None and v <= 0:
-            raise err(key, "tolerance must be positive")
-    if a.sweep_levels < 4:
-        raise err("sweep_levels", "must be >= 4")
-    if not 0.0 < a.sweep_ratio < 1.0:
-        raise err("sweep_ratio", "must be inside (0, 1)")
-    if a.quad_order is not None and a.quad_order < 1:
-        raise err("quad_order", "must be >= 1")
-    if not all(r > 0 for r in a.radii):
-        raise err("radii", "must all be positive")
-    if not all(0.0 < l < 1.0 for l in a.lambdas):
-        raise err("lambdas", "must all be inside (0, 1)")
-    if not all(s > 0 for s in a.scales):
-        raise err("scales", "must all be positive")
 
 
 def load_config(path: str) -> RunConfig:

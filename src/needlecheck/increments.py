@@ -22,10 +22,10 @@ from typing import Optional
 import numpy as np
 
 from . import conditions, problem
+from .conditions import AnalysisSettings
 from .needle import NeedleSpec, check_eps, perturbation, window_for
 from .problem import CandidateExtremal, DelayProblem
-from .quadrature import (DEFAULT_SWEEP_LEVELS, DEFAULT_SWEEP_RATIO, EpsSweep,
-                         fit_expansion, geometric_sweep)
+from .quadrature import EpsSweep, fit_expansion, geometric_sweep
 
 
 class IncrementError(ValueError):
@@ -107,11 +107,11 @@ def default_eps_max(p: DelayProblem, spec: NeedleSpec) -> float:
 def verify_expansion(p: DelayProblem, cand: CandidateExtremal,
                      spec: NeedleSpec,
                      eps_max: Optional[float] = None,
-                     levels: int = DEFAULT_SWEEP_LEVELS,
-                     ratio: float = DEFAULT_SWEEP_RATIO,
-                     order: Optional[int] = None) -> IncrementRecord:
-    """Fit c1, c2 from a geometric eps sweep of the direct increment and
-    compare them with the excess-functional prediction.
+                     settings: AnalysisSettings = AnalysisSettings()
+                     ) -> IncrementRecord:
+    """Fit c1, c2 from a geometric eps sweep of the direct increment (the
+    settings' sweep_levels, sweep_ratio and quad_order) and compare them
+    with the excess-functional prediction.
 
     The tolerance is max(1e-6, 1e-3 * scale) per coefficient, where
     scale is the magnitude of the predicted pair (at least 1)."""
@@ -123,8 +123,8 @@ def verify_expansion(p: DelayProblem, cand: CandidateExtremal,
             f"eps_max={eps_max} outside the validity window (0, {limit})")
     c1_pred, c2_pred = expansion_prediction(p, cand, spec)
     sweep = geometric_sweep(
-        lambda e: delta_S_direct(p, cand, spec, e, order), eps_max,
-        levels=levels, ratio=ratio)
+        lambda e: delta_S_direct(p, cand, spec, e, settings.quad_order),
+        eps_max, settings.sweep_levels, settings.sweep_ratio)
     c1_fit, c2_fit, residual = fit_expansion(sweep)
     tol = max(1e-6, 1e-3 * max(abs(c1_pred), abs(c2_pred), 1.0))
     passed = (abs(c1_fit - c1_pred) <= tol) and (abs(c2_fit - c2_pred) <= tol)

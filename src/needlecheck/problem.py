@@ -212,7 +212,9 @@ def along(p: DelayProblem, cand: CandidateExtremal, ts, sides) -> np.ndarray:
     Valid for t in [t0, t1+h].  For t > t1 the trajectory lookups clamp to
     t1: the values are irrelevant there because every Lagrangian term is
     gated to zero by the extended-zero convention; clamping just keeps the
-    set finite and deterministic.
+    set finite and deterministic.  A non-finite value or slope of the
+    candidate is a ProblemError naming the earliest trajectory time where
+    it occurs, before any Lagrangian evaluation could blame L for it.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     # written as a negation so that a NaN time counts as outside
@@ -223,8 +225,15 @@ def along(p: DelayProblem, cand: CandidateExtremal, ts, sides) -> np.ndarray:
             f"for along()")
     traj = cand.traj
     (te, s_e), (td, s_d) = _slots(p, traj, ts, sides)
-    return np.vstack((ts[None], traj.value(te), traj.value(td),
+    args = np.vstack((ts[None], traj.value(te), traj.value(td),
                       traj.deriv(te, s_e), traj.deriv(td, s_d)))
+    # finite per block (x, y, dx, dy) and time
+    x, y, dx, dy = np.isfinite(args[1:]).reshape(4, p.dim, -1).all(1)
+    bad = np.concatenate((te[~(x & dx)], td[~(y & dy)]))
+    if bad.size:
+        raise ProblemError(f"candidate has a non-finite value or slope at "
+                           f"t={float(bad.min())}")
+    return args
 
 
 def rates(p: DelayProblem, cand: CandidateExtremal, args: np.ndarray,

@@ -13,8 +13,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 DEFAULT_ORDER = 10
-DEFAULT_SWEEP_LEVELS = 8
-DEFAULT_SWEEP_RATIO = 0.5
 # eps^1 .. eps^4 in the sweep fit
 _FIT_TERMS = 4
 
@@ -105,16 +103,9 @@ class EpsSweep:
 
 
 def geometric_sweep(f: Callable[[np.ndarray], np.ndarray], eps_max: float,
-                    levels: int = DEFAULT_SWEEP_LEVELS,
-                    ratio: float = DEFAULT_SWEEP_RATIO) -> EpsSweep:
+                    levels: int, ratio: float) -> EpsSweep:
     """Sample f on eps_k = eps_max * ratio^k, k = 0..levels-1; f takes the
     array of all levels and returns one value per level."""
-    if eps_max <= 0:
-        raise QuadratureError(f"eps_max must be positive, got {eps_max}")
-    if not 0 < ratio < 1:
-        raise QuadratureError(f"sweep ratio must be in (0,1), got {ratio}")
-    if levels < 4:
-        raise QuadratureError(f"need at least 4 sweep levels, got {levels}")
     eps = tuple(eps_max * ratio ** k for k in range(levels))
     values = tuple(float(v) for v in f(np.array(eps)))
     return EpsSweep(eps=eps, values=values)

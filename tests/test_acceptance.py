@@ -13,7 +13,8 @@ import pytest
 
 import importlib.resources as res
 
-from needlecheck.analysis import full_report, remark_6_1_equivalence
+from needlecheck.analysis import (AnalysisSettings, full_report,
+                                  remark_6_1_equivalence)
 from needlecheck.conditions import needle_first_variation
 from needlecheck.config import build_candidate, build_problem, parse_config
 from needlecheck.exprs import (admitted_variables, differentiate, eval_expr,
@@ -229,11 +230,11 @@ def test_equivalence_co_occurs_and_co_fails(bundled):
     eta = np.array([1.0])
     for theta in np.linspace(0.0, 2.0, 202)[1:-1]:
         rec = remark_6_1_equivalence(p, cand, float(theta), "right", 0.5, eta,
-                                     tol_deg=1e-9)
+                                     AnalysisSettings(tol_deg=1e-9))
         assert rec.passed and rec.zero_q1 and rec.zero_e, theta
     for theta in np.linspace(2.0, 3.0, 102)[1:-1]:
         rec = remark_6_1_equivalence(p, cand, float(theta), "right", 0.5, eta,
-                                     tol_deg=1e-9)
+                                     AnalysisSettings(tol_deg=1e-9))
         assert rec.passed and not rec.zero_q1 and not rec.zero_e, theta
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from needlecheck import analysis, increments
 from needlecheck.analysis import (
-    DEFAULT_SCALES,
     AnalysisError,
     AnalysisSettings,
     DegeneracyFinding,
@@ -17,8 +16,8 @@ from needlecheck.analysis import (
     theorem_6_1_check,
     theorem_6_2_check,
 )
-from needlecheck.conditions import (ExcessPoint, paired_slope,
-                                   weierstrass_scan)
+from needlecheck.conditions import (ExcessPoint, SettingsError,
+                                   paired_slope, weierstrass_scan)
 from needlecheck.exprs import ExprAst
 from needlecheck.problem import CandidateExtremal
 from needlecheck.trajectory import Trajectory
@@ -47,7 +46,7 @@ def _cert(pt, eta, lam, tol):
 
 def test_detect_interval_on_sample(sample_problem, sample_cand):
     findings = detect_degeneracy(sample_problem, sample_cand,
-                                 t_grid=np.linspace(0.0, 2.0, 21))
+                                 AnalysisSettings(degeneracy_grid=21))
     assert len(findings) == 1
     f = findings[0]
     assert f.kind == "interval"
@@ -66,14 +65,15 @@ def test_detect_interval_on_sample(sample_problem, sample_cand):
 def test_detect_nothing_on_strictly_convex():
     p = make_problem("dx1^2 + dy1^2")
     cand = make_candidate(p)
-    assert detect_degeneracy(p, cand, t_grid=np.linspace(0.0, 2.0, 21)) == []
+    settings = AnalysisSettings(degeneracy_grid=21)
+    assert detect_degeneracy(p, cand, settings) == []
 
 
 def test_detect_interior_point_finding():
     # excess sum (t-1)^2 xi^2 vanishes at t = 1 only
     p = make_problem("(t - 1)^2*dx1^2")
     cand = make_candidate(p)
-    findings = detect_degeneracy(p, cand, t_grid=np.linspace(0.0, 2.0, 21))
+    findings = detect_degeneracy(p, cand, AnalysisSettings(degeneracy_grid=21))
     assert len(findings) == 1
     f = findings[0]
     assert f.kind == "point"
@@ -85,7 +85,7 @@ def test_detect_edge_point_finding():
     # excess sum t*xi^2 vanishes at t = 0 only; only the right side exists
     p = make_problem("t*dx1^2")
     cand = make_candidate(p)
-    findings = detect_degeneracy(p, cand, t_grid=np.linspace(0.0, 2.0, 21))
+    findings = detect_degeneracy(p, cand, AnalysisSettings(degeneracy_grid=21))
     assert len(findings) == 1
     assert findings[0].kind == "point"
     assert findings[0].theta == pytest.approx(0.0)
@@ -93,16 +93,17 @@ def test_detect_edge_point_finding():
 
 
 def test_detect_validates_inputs(sample_problem, sample_cand):
-    p, cand = sample_problem, sample_cand
-    with pytest.raises(AnalysisError, match="empty"):
-        detect_degeneracy(p, cand, t_grid=[])
-    with pytest.raises(AnalysisError, match="escapes"):
-        detect_degeneracy(p, cand, t_grid=[5.0])
-    with pytest.raises(AnalysisError, match="lambda"):
-        detect_degeneracy(p, cand, t_grid=[1.0], lam_grid=[1.5])
-    with pytest.raises(AnalysisError, match="nonzero"):
-        detect_degeneracy(p, cand, t_grid=[1.0],
-                          direction_samples=[np.array([0.0])])
+    # the grid on [t0, t1 - h] and the unit directions are built from the
+    # settings, which reject an empty grid and lambdas outside (0, 1)
+    with pytest.raises(SettingsError, match="key 'degeneracy_grid'"):
+        AnalysisSettings(degeneracy_grid=0)
+    with pytest.raises(SettingsError, match="key 'lambdas': must all be"):
+        AnalysisSettings(lambdas=(0.5, 1.5))
+    with pytest.raises(SettingsError, match="key 'lambdas': must be nonempty"):
+        AnalysisSettings(lambdas=())
+    [f] = detect_degeneracy(sample_problem, sample_cand,
+                            AnalysisSettings(degeneracy_grid=1))
+    assert (f.kind, f.theta, f.side) == ("point", 0.0, "right")
 
 
 def test_grid_stages_make_the_same_kernel_calls_at_any_grid_size(monkeypatch):
@@ -124,15 +125,13 @@ def test_grid_stages_make_the_same_kernel_calls_at_any_grid_size(monkeypatch):
     p = make_problem(SAMPLE_L)   # built here, so its segments count too
     cand = make_candidate(p)
 
-    def kernel_calls(stage, t_end, n):
+    def kernel_calls(stage, n):
         del calls[:]
-        stage(p, cand, t_grid=np.linspace(p.t0, t_end, n))
+        stage(p, cand, AnalysisSettings(scan_grid=n, degeneracy_grid=n))
         return len(calls)
 
-    for stage, t_end in ((weierstrass_scan, p.t1),
-                         (detect_degeneracy, p.t1 - p.h)):
-        assert kernel_calls(stage, t_end, 50) == \
-            kernel_calls(stage, t_end, 200) > 0
+    for stage in (weierstrass_scan, detect_degeneracy):
+        assert kernel_calls(stage, 50) == kernel_calls(stage, 200) > 0
 
 
 def test_certification_closed_under_pairing(quartic_well):
@@ -159,7 +158,7 @@ def test_certification_closed_under_pairing(quartic_well):
 
 def test_interval_check_on_sample(sample_problem, sample_cand):
     finding = detect_degeneracy(sample_problem, sample_cand,
-                                t_grid=np.linspace(0.0, 2.0, 21))[0]
+                                AnalysisSettings(degeneracy_grid=21))[0]
     v1, v2 = theorem_5_1_check(sample_problem, sample_cand, finding)
     assert v1.theorem == "5.1(i)" and v2.theorem == "5.1(ii)"
     assert v1.conclusion == "FAILS_STRONG"
@@ -212,7 +211,8 @@ def test_interval_check_scale_order(quartic_well, scales):
         kind="interval", t_lo=0.2, t_hi=1.8, side="both",
         direction=np.array([1.0]), lam=0.5, evidence=(0.0, 0.0),
         tol_deg=1e-9, certified_pairs=(((1.0,), 0.5),))
-    v1, v2 = theorem_5_1_check(p, cand, finding, scales=scales)
+    v1, v2 = theorem_5_1_check(p, cand, finding,
+                               AnalysisSettings(scales=scales))
     assert v1 == theorem_5_1_check(p, cand, finding)[0]
     assert v2.conclusion == "CONSISTENT"
     words = {2.0: "not certified", 1.0: "violated", 0.5: "not certified"}
@@ -220,16 +220,13 @@ def test_interval_check_scale_order(quartic_well, scales):
         f"scale {s:g}: {words[s]}" for s in sorted(scales, reverse=True))
 
 
-def test_interval_check_requires_scales(quartic_well):
-    p, cand = quartic_well
-    finding = DegeneracyFinding(
-        kind="interval", t_lo=0.2, t_hi=1.8, side="both",
-        direction=np.array([1.0]), lam=0.5, evidence=(0.0, 0.0),
-        tol_deg=1e-9, certified_pairs=(((1.0,), 0.5),))
-    with pytest.raises(AnalysisError, match="nonempty"):
-        theorem_5_1_check(p, cand, finding, scales=())
-    with pytest.raises(AnalysisError, match="positive"):
-        theorem_5_1_check(p, cand, finding, scales=(1.0, -0.5))
+def test_interval_check_requires_scales():
+    # the ladder of both checks comes from the settings, which reject an
+    # empty or non-positive scale list
+    with pytest.raises(SettingsError, match="key 'scales': must be nonempty"):
+        AnalysisSettings(scales=())
+    with pytest.raises(SettingsError, match="key 'scales': must all be posi"):
+        AnalysisSettings(scales=(1.0, -0.5))
 
 
 # E along zero vanishes at |xi| = 1 and 0.5 only, so eta = 1 certifies at
@@ -319,7 +316,7 @@ def test_point_check_one_sided_bracket_closed_form():
     assert vl.value == pytest.approx(want, rel=1e-12)
     assert (vr.conclusion, vl.conclusion) == ("CONSISTENT", "FAILS_STRONG")
     v1, v2 = theorem_6_2_check(p, cand, 1.0, "left", lam, np.array([xi]),
-                               scales=(1.0, 0.5))
+                               AnalysisSettings(scales=(1.0, 0.5)))
     assert v1 == vl
     assert v2.conclusion == "FAILS_WEAK"
     assert v2.value == pytest.approx(0.25 * want, rel=1e-12)
@@ -344,22 +341,23 @@ def test_point_check_two_sided_hypotheses():
 
 
 def test_point_certified_from_one_side_only():
-    # L = dx1^4 along a candidate whose slope d drops from 1 to 0 at t = 1:
-    # the excess 6 d^2 xi^2 + 4 d xi^3 + xi^4 at |xi| = 0.01 is 1e-8 from
-    # the right and about 6e-4 from the left
-    p = make_problem("dx1^4")
+    # L = dx1^2 (dx1^2 - 1)^2 along a candidate whose slope d drops from 1
+    # to 0 at t = 1: at d = 0 the excess of xi = +-1 is exactly 0, so the
+    # unit directions certify from the right with lam = 1/2 (pair -xi);
+    # at d = 1 the excess of xi = 1 is 36, so nothing certifies from the
+    # left, nor at the grid times 0 (d = 1) and 2 (d = -1/2)
+    p = make_problem("dx1^2*(dx1^2 - 1)^2")
     cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
         (0.0, 1.0, ["t"]), (1.0, 3.0, ["1 - 0.25*(t - 1)^2"])]))
-    eta = np.array([0.01])
-    [finding] = detect_degeneracy(p, cand, t_grid=[0.5, 1.0, 1.5],
-                                  direction_samples=[eta, -eta],
-                                  lam_grid=[0.5], tol_deg=1e-6)
+    [finding] = detect_degeneracy(p, cand, AnalysisSettings(degeneracy_grid=3))
     assert (finding.kind, finding.theta, finding.side) == ("point", 1.0,
                                                            "right")
-    theorem_6_1_check(p, cand, 1.0, "right", 0.5, eta, tol_deg=1e-6)
+    assert finding.certified_pairs == (((1.0,), 0.5), ((-1.0,), 0.5))
+    eta = finding.direction
+    theorem_6_1_check(p, cand, 1.0, "right", 0.5, eta)
     with pytest.raises(AnalysisError,
                        match="not certified at theta=1.0 from the left"):
-        theorem_6_1_check(p, cand, 1.0, "both", 0.5, eta, tol_deg=1e-6)
+        theorem_6_1_check(p, cand, 1.0, "both", 0.5, eta)
 
 
 def test_small_ball_check_fails_weak(sample_problem, sample_cand):
@@ -375,7 +373,7 @@ def test_small_ball_check_fails_weak(sample_problem, sample_cand):
 def test_small_ball_check_decertifies(quartic_well):
     p, cand = quartic_well
     v61, v = theorem_6_2_check(p, cand, 1.0, "both", 0.5, np.array([1.0]),
-                               scales=(1.0, 0.5))
+                               AnalysisSettings(scales=(1.0, 0.5)))
     assert v.theorem == "6.2(ii)"
     assert v.conclusion == "CONSISTENT"
     assert v.note.startswith("degeneracy not certified in small ball")
@@ -420,7 +418,7 @@ def test_small_ball_check_is_one_engine_call_at_any_ladder_length(
     def engine_use(scales):
         del calls[:], points[:]
         _, v = theorem_6_2_check(p, cand, 1.0, "both", 0.5, np.array([1.0]),
-                                 scales=scales)
+                                 AnalysisSettings(scales=scales))
         assert v.conclusion == "FAILS_WEAK"
         return len(points), len(calls)
 
@@ -431,19 +429,28 @@ def test_small_ball_check_is_one_engine_call_at_any_ladder_length(
 
 def test_small_ball_check_one_sided_label(sample_problem, sample_cand):
     v61, v = theorem_6_2_check(sample_problem, sample_cand, 1.0, "right",
-                               0.5, np.array([1.0]), scales=(1.0, 0.5))
+                               0.5, np.array([1.0]),
+                               AnalysisSettings(scales=(1.0, 0.5)))
     assert v61.theorem == "6.1(i)"
     assert v.theorem == "6.2(i)"
     assert v.conclusion == "FAILS_WEAK"
 
 
 def test_small_ball_check_requires_scales(sample_problem, sample_cand):
-    with pytest.raises(AnalysisError, match="nonempty"):
-        theorem_6_2_check(sample_problem, sample_cand, 1.0, "both", 0.5,
-                          np.array([1.0]), scales=())
-    with pytest.raises(AnalysisError, match="positive"):
-        theorem_6_2_check(sample_problem, sample_cand, 1.0, "both", 0.5,
-                          np.array([1.0]), scales=(1.0, -0.5))
+    # the ladder of both checks is the settings' scales, nonempty and
+    # positive (test_interval_check_requires_scales), under one rule:
+    # distinct scales, largest first
+    with pytest.raises(SettingsError, match="key 'scales'"):
+        AnalysisSettings(scales=())
+    p, cand = sample_problem, sample_cand
+    _, v = theorem_6_2_check(p, cand, 1.0, "both", 0.5, np.array([1.0]),
+                             AnalysisSettings(scales=(0.25, 1.0, 0.25)))
+    assert v.note == "scale 1: violated; scale 0.25: violated"
+    [finding] = detect_degeneracy(p, cand,
+                                  AnalysisSettings(degeneracy_grid=21))
+    _, v = theorem_5_1_check(p, cand, finding,
+                             AnalysisSettings(scales=(0.25, 1.0, 0.25)))
+    assert v.note == "scale 1: violated; scale 0.25: violated"
 
 
 def test_tail_note_present():
@@ -455,7 +462,7 @@ def test_tail_note_present():
     assert v61.conclusion == "CONSISTENT"
     assert v61.note == "tail regime: delayed-slot contributions vanish beyond t1"
     v, v62 = theorem_6_2_check(p, cand, 2.5, "right", 0.5, np.array([1.0]),
-                               scales=(1.0,))
+                               AnalysisSettings(scales=(1.0,)))
     assert v == v61
     assert v62.conclusion == "CONSISTENT"
     assert v62.note == ("scale 1: holds; "
@@ -571,7 +578,7 @@ def test_settings_defaults():
     assert s.scan_grid == 200
     assert s.degeneracy_grid == 200
     assert s.interval_points == 50
-    assert s.scales == DEFAULT_SCALES
+    assert s.scales == (1.0, 0.5, 0.25, 0.125)
     assert s.sweep_levels == 8 and s.sweep_ratio == 0.5
 
 

@@ -332,6 +332,65 @@ def test_non_finite_candidate_is_a_tool_error_without_warnings(
     assert error in payload["result"]["error"]
 
 
+POLE_CFG = POW_CFG.replace("(1 + dx1)^1.5", "dx1^2") \
+    .replace("t1 = 3.0", "t1 = 4.0") \
+    .replace('segment = (0.0, 3.0, "0")',
+             'segment = (0.0, 1.0, "0")\n'
+             'segment = (1.0, 4.0, "(t - 1)*(4 - t)/(t - 2)")') \
+    + "\n[analysis]\neuler_grid = 101\nscan_grid = 101\n"
+
+
+@pytest.mark.parametrize("command", ["weierstrass", "euler", "verdict"])
+def test_singular_candidate_is_blamed_on_the_candidate(tmp_path, command):
+    # the second segment has a pole at the grid time 2: the candidate's own
+    # value and slope are not finite there, whatever L is
+    cfg = tmp_path / "pole.cfg"
+    cfg.write_text(POLE_CFG)
+    code, payload = run_json(command, str(cfg))
+    assert code == 1 and payload["status"] == "error"
+    assert payload["result"]["error"].endswith(
+        "candidate has a non-finite value or slope at t=2.0")
+
+
+def test_default_direction_is_the_seeded_one(tmp_path):
+    # dim 4 with seed 1: the seeded first direction differs from seed 0's,
+    # and increment --sweep without --xi tests the needle of the verdict's
+    # right-side expansion check
+    from needlecheck.conditions import direction_set
+    assert direction_set(4, 0)[0].tolist() != direction_set(4, 1)[0].tolist()
+    segs = ", ".join(['"0"'] * 4)
+    cfg = tmp_path / "dim4.cfg"
+    cfg.write_text(
+        "[problem]\nt0 = 0.0\nt1 = 3.0\nh = 1.0\ndim = 4\n"
+        'lagrangian = "dx1^2 + dx2^2 + dx3^2 + dx4^2 + dy1*dy3"\n'
+        f"x1 = (0.0, 0.0, 0.0, 0.0)\nhistory = (-1.0, 0.0, {segs})\n"
+        f"[candidate]\nsegment = (0.0, 3.0, {segs})\n"
+        "[analysis]\neuler_grid = 5\nscan_grid = 5\ndegeneracy_grid = 5\n"
+        "seed = 1\n")
+    _, verdict = run_json("verdict", str(cfg))
+    right = verdict["result"]["expansion_checks"][0]
+    assert right["spec"]["side"] == "right"
+    assert right["spec"]["xi"] == direction_set(4, 1)[0].tolist()
+    code, payload = run_json("increment", str(cfg), "--theta", "1.0",
+                             "--side", "right", "--sweep")
+    assert code == 0
+    assert payload["result"] == right
+
+
+def test_stage_commands_agree_with_verdict():
+    # each stage command reads the same settings as the verdict pipeline
+    _, verdict = run_json("verdict", CFG)
+    report = verdict["result"]
+    for command in ("euler", "weierstrass"):
+        assert run_json(command, CFG)[1]["result"] == report[command]
+    assert run_json("degeneracy", CFG)[1]["result"]["findings"] \
+        == report["findings"]
+    _, theorem5 = run_json("theorem5", CFG)
+    assert theorem5["result"]["verdicts"] == [
+        v for v in report["verdicts"] if v["theorem"].startswith("5.1")]
+    assert len(theorem5["result"]["verdicts"]) == 2
+
+
 def test_verdict_beyond_sixteen_dimensions(tmp_path):
     # the Kronecker directions need one prime per dimension
     n = 17

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from needlecheck.conditions import (
+    AnalysisSettings,
     ConditionsError,
-    DEFAULT_LAMBDAS,
-    DEFAULT_RADII,
     ExcessPoint,
+    SettingsError,
     direction_set,
     euler_residual,
     first_variation,
@@ -471,7 +471,7 @@ def test_direction_set_beyond_sixteen_dimensions(dim):
 
 
 def test_xi_sample_set_scales_radii():
-    samples = xi_sample_set(1, radii=(0.5, 2.0))
+    samples = xi_sample_set(1, (0.5, 2.0))
     norms_seen = sorted(set(round(float(np.linalg.norm(s)), 12) for s in samples))
     assert norms_seen == [0.5, 2.0]
     assert len(samples) == 4  # two directions x two radii
@@ -479,8 +479,9 @@ def test_xi_sample_set_scales_radii():
 
 def test_weierstrass_scan_clean_problem(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
-    report = weierstrass_scan(p, cand, t_grid=np.linspace(0.0, 3.0, 31))
-    assert len(report.entries) == 31
+    radii = AnalysisSettings().radii
+    report = weierstrass_scan(p, cand, AnalysisSettings(scan_grid=31))
+    assert [e.t for e in report.entries] == np.linspace(0.0, 3.0, 31).tolist()
     assert not report.has_violation
     assert report.violations() == []
     assert report.overall_min == pytest.approx(0.0, abs=1e-12)
@@ -490,7 +491,7 @@ def test_weierstrass_scan_clean_problem(sample_problem, sample_cand):
             assert e.min_excess == pytest.approx(0.0, abs=1e-12)
             assert len(e.degenerate_directions) > 0
         else:
-            assert e.min_excess == pytest.approx(min(DEFAULT_RADII) ** 2, abs=1e-12)
+            assert e.min_excess == pytest.approx(min(radii) ** 2, abs=1e-12)
             assert e.min_excess_unit == pytest.approx(1.0, abs=1e-12)
             assert e.degenerate_directions == ()
     assert report.entries[0].side == "right"
@@ -500,35 +501,43 @@ def test_weierstrass_scan_clean_problem(sample_problem, sample_cand):
 def test_weierstrass_scan_flags_violation():
     p = make_problem("-dx1^2")
     cand = make_candidate(p)
-    report = weierstrass_scan(p, cand, t_grid=np.linspace(0.0, 3.0, 11))
+    report = weierstrass_scan(p, cand, AnalysisSettings(scan_grid=11))
     assert report.has_violation
     assert len(report.violations()) == 11
-    assert report.overall_min == pytest.approx(-max(DEFAULT_RADII) ** 2, abs=1e-12)
+    assert report.overall_min == pytest.approx(
+        -max(AnalysisSettings().radii) ** 2, abs=1e-12)
 
 
-def test_weierstrass_scan_validates_inputs(sample_problem, sample_cand):
-    p, cand = sample_problem, sample_cand
-    with pytest.raises(ConditionsError, match="empty"):
-        weierstrass_scan(p, cand, t_grid=[])
-    with pytest.raises(ConditionsError, match="exclude"):
-        weierstrass_scan(p, cand, t_grid=[1.0], xi_samples=[np.array([0.0])])
+def test_weierstrass_scan_validates_inputs():
+    # the scan grid and the sample radii come from the settings, which
+    # reject an empty grid and a zero radius (a zero slope sample)
+    with pytest.raises(SettingsError, match="key 'scan_grid': grid size"):
+        AnalysisSettings(scan_grid=0)
+    with pytest.raises(SettingsError, match="key 'radii': must all be posi"):
+        AnalysisSettings(radii=(1.0, 0.0))
+    with pytest.raises(SettingsError, match="key 'radii': must be nonempty"):
+        AnalysisSettings(radii=())
+
+
+def test_nan_tolerance_is_rejected():
+    # no comparison with a NaN tolerance holds: a NaN tol_w let the scan of
+    # -dx1^2 (test_weierstrass_scan_flags_violation) report no violation
+    for key in ("tol_w", "tol_deg", "tol_eq", "tol_euler"):
+        with pytest.raises(SettingsError,
+                           match=f"key '{key}': tolerance must be positive"):
+            AnalysisSettings(**{key: float("nan")})
 
 
 @pytest.mark.parametrize("xi", [[1.0], [1.0, 1.0, 1.0]])
 def test_scan_rejects_a_slope_of_the_wrong_width(xi):
+    # the scan's samples are built in the problem's dimension; a slope stack
+    # of another width is rejected by the excess engine itself
     p = make_problem("dx1^2 + dx2^2 + dy1*dy2", dim=2)
+    pt = ExcessPoint(p, make_candidate(p), [0.5, 1.0], "right")
     with pytest.raises(ConditionsError, match=r"expected \(m, 2\)"):
-        weierstrass_scan(p, make_candidate(p), t_grid=[0.5, 1.0],
-                         xi_samples=[np.array(xi)])
-
-
-def test_scan_rejects_samples_of_mixed_widths():
-    p = make_problem("dx1^2 + dx2^2 + dy1*dy2", dim=2)
-    with pytest.raises(ConditionsError,
-                       match=r"shape \(3,\).*expected \(m, 2\)"):
-        weierstrass_scan(p, make_candidate(p), t_grid=[0.5, 1.0],
-                         xi_samples=[np.ones(2), np.ones(3)])
+        pt.e_sum([xi])
 
 
 def test_default_lambda_grid_closed_under_complement():
-    assert set(DEFAULT_LAMBDAS) == set(1.0 - l for l in DEFAULT_LAMBDAS)
+    lams = AnalysisSettings().lambdas
+    assert set(lams) == set(1.0 - l for l in lams)

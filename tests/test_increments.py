@@ -14,6 +14,7 @@ import pytest
 import needlecheck.conditions
 import needlecheck.problem
 import needlecheck.trajectory
+from needlecheck.conditions import AnalysisSettings
 from needlecheck.increments import (
     IncrementError,
     default_eps_max,
@@ -31,6 +32,8 @@ from conftest import SAMPLE_L, make_candidate, make_problem
 RIGHT = NeedleSpec(theta=1.0, lam=0.5, xi=np.array([1.0]), side="right")
 LEFT = NeedleSpec(theta=1.5, lam=0.5, xi=np.array([1.0]), side="left")
 TAIL = NeedleSpec(theta=2.5, lam=0.5, xi=np.array([1.0]), side="right")
+# the sweep of verify_expansion under the default settings
+SWEEP = AnalysisSettings()
 
 
 def test_direct_increment_right_fixture(sample_problem, sample_cand):
@@ -122,7 +125,8 @@ def test_direct_path_ignores_excess_machinery(sample_problem, sample_cand,
     monkeypatch.setattr(needlecheck.problem, "time_rate", boom)
     monkeypatch.setattr(needlecheck.trajectory.Trajectory, "second_deriv",
                         boom)
-    sweep = geometric_sweep(lambda e: delta_S_direct(p, cand, RIGHT, e), 0.25)
+    sweep = geometric_sweep(lambda e: delta_S_direct(p, cand, RIGHT, e), 0.25,
+                            SWEEP.sweep_levels, SWEEP.sweep_ratio)
     assert len(sweep.eps) == 8
     for eps, got in zip(sweep.eps, sweep.values):
         assert abs(got - (-0.5 * eps ** 2)) <= 1e-12
@@ -266,7 +270,9 @@ def test_batched_sweep_matches_symbolic_needles_bit_for_bit():
                      " + sin(x2)*dx2^2 + exp(0.2*y1)*dy2^2 + t*x1*y2", dim=2)
     cand = _kinked_candidate(p)
     for spec in NEEDLES:
-        eps = np.array(geometric_sweep(lambda e: e, default_eps_max(p, spec)).eps)
+        eps = np.array(geometric_sweep(
+            lambda e: e, default_eps_max(p, spec), SWEEP.sweep_levels,
+            SWEEP.sweep_ratio).eps)
         got = delta_S_direct(p, cand, spec, eps)
         want = [_symbolic_increment(p, cand, spec, e) for e in eps.tolist()]
         assert got.shape == (8,)

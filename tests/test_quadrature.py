@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from needlecheck.conditions import AnalysisSettings, SettingsError
 from needlecheck.quadrature import (
     DEFAULT_ORDER,
     EpsSweep,
@@ -13,6 +14,9 @@ from needlecheck.quadrature import (
     integrate,
     panel_plan,
 )
+
+# the default sweep of the analysis settings: (levels, ratio)
+SWEEP = (AnalysisSettings().sweep_levels, AnalysisSettings().sweep_ratio)
 
 
 def test_gauss_rule_shapes_and_weights():
@@ -85,12 +89,14 @@ def test_geometric_sweep_grid():
     sweep = geometric_sweep(lambda e: 3.0 * e, eps_max=0.4, levels=5, ratio=0.5)
     assert sweep.eps == (0.4, 0.2, 0.1, 0.05, 0.025)
     assert sweep.values == tuple(3.0 * e for e in sweep.eps)
-    with pytest.raises(QuadratureError):
-        geometric_sweep(lambda e: e, eps_max=0.0)
-    with pytest.raises(QuadratureError):
-        geometric_sweep(lambda e: e, eps_max=0.1, ratio=1.5)
-    with pytest.raises(QuadratureError):
-        geometric_sweep(lambda e: e, eps_max=0.1, levels=3)
+    with pytest.raises(QuadratureError, match="positive"):
+        geometric_sweep(lambda e: e, eps_max=0.0, levels=5, ratio=0.5)
+    # the sweep's levels and ratio come from the analysis settings, whose
+    # range rules reject fewer than 4 levels and a ratio outside (0, 1)
+    with pytest.raises(SettingsError, match="key 'sweep_ratio'"):
+        AnalysisSettings(sweep_ratio=1.5)
+    with pytest.raises(SettingsError, match="key 'sweep_levels'"):
+        AnalysisSettings(sweep_levels=3)
 
 
 def test_sweep_validation():
@@ -103,7 +109,7 @@ def test_sweep_validation():
 
 
 def test_fit_recovers_exact_quadratic():
-    sweep = geometric_sweep(lambda e: -0.5 * e * e, eps_max=0.1)
+    sweep = geometric_sweep(lambda e: -0.5 * e * e, 0.1, *SWEEP)
     c1, c2, residual = fit_expansion(sweep)
     assert abs(c1) <= 1e-9
     assert c2 == pytest.approx(-0.5, abs=1e-8)
@@ -111,7 +117,7 @@ def test_fit_recovers_exact_quadratic():
 
 
 def test_fit_recovers_pure_linear():
-    sweep = geometric_sweep(lambda e: 3.0 * e, eps_max=0.2)
+    sweep = geometric_sweep(lambda e: 3.0 * e, 0.2, *SWEEP)
     c1, c2, _ = fit_expansion(sweep)
     assert c1 == pytest.approx(3.0, abs=1e-9)
     assert abs(c2) <= 1e-7
@@ -120,7 +126,7 @@ def test_fit_recovers_pure_linear():
 def test_fit_tolerates_cubic_tail():
     # cubic contamination of the fit shrinks like eps_max^2 for c1 and
     # eps_max for c2, so a small sweep cap isolates the quadratic part
-    sweep = geometric_sweep(lambda e: e + e * e + e ** 3, eps_max=5e-4)
+    sweep = geometric_sweep(lambda e: e + e * e + e ** 3, 5e-4, *SWEEP)
     c1, c2, _ = fit_expansion(sweep)
     assert c1 == pytest.approx(1.0, abs=1e-6)
     assert c2 == pytest.approx(1.0, abs=1e-3)
@@ -129,7 +135,7 @@ def test_fit_tolerates_cubic_tail():
 def test_fit_separates_a_cubic_term_at_a_wide_sweep():
     # a needle increment has genuine eps^3 terms; they must not leak into c2
     # even where eps^3 is a quarter of eps^2
-    sweep = geometric_sweep(lambda e: e + e * e + e ** 3, eps_max=0.25)
+    sweep = geometric_sweep(lambda e: e + e * e + e ** 3, 0.25, *SWEEP)
     c1, c2, residual = fit_expansion(sweep)
     assert c1 == pytest.approx(1.0, abs=1e-9)
     assert c2 == pytest.approx(1.0, abs=1e-9)
