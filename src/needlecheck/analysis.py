@@ -30,7 +30,7 @@ from .conditions import (AnalysisSettings, ExcessPoint,
                          WeierstrassScanReport, direction_set, paired_slope,
                          xi_sample_set)
 from .increments import IncrementRecord, verify_expansion
-from .needle import NeedleSpec
+from .needle import NeedleSpec, window_for
 from .problem import CandidateExtremal, DelayProblem
 from .trajectory import BREAK_TOL
 
@@ -119,9 +119,8 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
     grid = np.linspace(p.t0, p.t1 - p.h, s.degeneracy_grid).tolist()
     directions = direction_set(p.dim, s.seed)
     pairs = [(eta, float(lam)) for eta in directions for lam in s.lambdas]
-    sides = ["left" if t >= p.t1 - BREAK_TOL else "right" for t in grid]
     ok, e1, e2 = (a.reshape(len(grid), len(pairs)) for a in _certifies(
-        ExcessPoint(p, cand, grid, sides), directions, s.lambdas, td))
+        ExcessPoint(p, cand, grid, "right"), directions, s.lambdas, td))
 
     # maximal certified runs of each pair, grouped by their exact grid
     # extent; edges[k, i] is +1 where a run of pair k starts at grid index
@@ -351,31 +350,15 @@ def _validate_point_args(p: DelayProblem, theta: float, side: str,
                          lam: float, eta: np.ndarray,
                          sides: Tuple[str, ...] = ("right", "left", "both")
                          ) -> np.ndarray:
+    """eta as an array, once the needle of each side read at theta
+    (right and left for "both") passes window_for."""
     if side not in sides:
         names = ", ".join(map(repr, sides[:-1])) + f" or {sides[-1]!r}"
         raise AnalysisError(f"side must be {names}, got {side!r}")
-    if not 0.0 < lam < 1.0:
-        raise AnalysisError(f"lambda must be in (0,1), got {lam}")
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if not np.all(np.isfinite(eta)):
-        raise AnalysisError(f"direction eta must be finite, got {eta.tolist()}")
-    if float(np.max(np.abs(eta))) == 0.0:
-        raise AnalysisError("direction eta must be nonzero")
-    if eta.size != p.dim:
-        raise AnalysisError(f"eta dimension {eta.size} != problem dimension {p.dim}")
-    check_point_range(p, theta, side)
-    return eta
-
-
-def check_point_range(p: DelayProblem, theta: float, side: str,
-                      name: str = "theta") -> None:
-    """The admissible range of a point: t0 <= theta < t1 from the right,
-    t0 < theta <= t1 from the left, t0 < theta < t1 for both sides."""
-    lo_ok = theta > p.t0 + BREAK_TOL or side == "right"
-    hi_ok = theta < p.t1 - BREAK_TOL or side == "left"
-    if not (p.t0 - BREAK_TOL <= theta <= p.t1 + BREAK_TOL and lo_ok and hi_ok):
-        raise AnalysisError(
-            f"{name}={theta} outside the admissible range for side {side!r}")
+    for s in ("right", "left") if side == "both" else (side,):
+        spec = NeedleSpec(theta, lam, eta, s)
+        window_for(p, spec)
+    return spec.xi
 
 
 def theorem_6_1_check(p: DelayProblem, cand: CandidateExtremal, theta: float,

@@ -24,7 +24,7 @@ from . import analysis, conditions, increments, problem
 from .analysis import AnalysisError
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .config import build_candidate, build_problem
-from .needle import NeedleSpec
+from .needle import NeedleSpec, check_point_range
 from .problem import CandidateExtremal, DelayProblem
 
 SCHEMA_VERSION = "2"
@@ -169,7 +169,7 @@ def excess(config: str, point: float, side: str, xi: Tuple[float, ...],
            lam: float) -> None:
     """Excess, Q and M values at one point and slope direction."""
     def body(cfg, p, cand):
-        analysis.check_point_range(p, point, side, name="--point")
+        check_point_range(p, point, side, name="--point")
         if not 0.0 < lam < 1.0:
             raise AnalysisError(f"--lambda must be in (0, 1), got {lam}")
         eta = _xi_or_default(xi, p, cfg.analysis.seed)
@@ -242,9 +242,13 @@ def theorem6(config: str, point: float, side: str, lam: float,
         a = cfg.analysis
         eta = _xi_or_default(xi, p, a.seed)
         if scales:
+            try:
+                a = dataclasses.replace(a, scales=_finite("--scales", scales))
+            except conditions.SettingsError as exc:
+                raise AnalysisError(
+                    f"--scales {exc.rule}, got {list(scales)}") from exc
             verdicts = analysis.theorem_6_2_check(
-                p, cand, point, side, lam, eta,
-                dataclasses.replace(a, scales=_finite("--scales", scales)))
+                p, cand, point, side, lam, eta, a)
         else:
             verdicts = [analysis.theorem_6_1_check(
                 p, cand, point, side, lam, eta, a)]

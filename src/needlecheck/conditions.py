@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import quadrature
-from .needle import NeedleSpec, check_eps, perturbation
+from .needle import NeedleSpec, check_eps, paired_slope, perturbation
 from .problem import (CandidateExtremal, DelayProblem, along, eval_L,
                       partials_vec, rates, shift_slopes, time_rate)
 from .trajectory import BREAK_TOL, Trajectory
@@ -44,11 +44,6 @@ from .trajectory import BREAK_TOL, Trajectory
 
 class ConditionsError(ValueError):
     pass
-
-
-def paired_slope(lam: float, xi: np.ndarray) -> np.ndarray:
-    """The needle's second slope (lambda/(lambda-1))*xi."""
-    return (lam / (lam - 1.0)) * xi
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +331,12 @@ def lagrangian_scale(p: DelayProblem, cand: CandidateExtremal) -> float:
 
 
 class SettingsError(ConditionsError):
-    """A setting outside its range; key names the field (its config key)."""
+    """A setting outside its range; key names the field (its config key),
+    rule the range it breaks."""
 
-    def __init__(self, key: str, message: str):
-        super().__init__(f"key '{key}': {message}")
-        self.key = key
+    def __init__(self, key: str, rule: str):
+        super().__init__(f"key '{key}': {rule}")
+        self.key, self.rule = key, rule
 
 
 # the tolerances that scale as floor * (1 + |L| scale), with their floors

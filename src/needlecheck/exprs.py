@@ -722,19 +722,3 @@ def parse_lagrangian(source: str, dim: int) -> LagrangianExpr:
     """Parse L(t, x, y, dx, dy) text and build all 4n symbolic partials."""
     body = parse_expr(source, admitted_variables(dim), dim=dim)
     return LagrangianExpr(dim, source, body)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference cross-check (the independent oracle for the partials)
-
-_FD_STEP_BASE = float(np.cbrt(np.finfo(float).eps))
-
-
-def fd_partial(expr: ExprAst, var: str, point: Dict[str, float]) -> float:
-    """Central finite difference in var with step cbrt(eps)*(1+|value|)."""
-    h = _FD_STEP_BASE * (1.0 + abs(point[var]))
-    hi = dict(point)
-    lo = dict(point)
-    hi[var] = point[var] + h
-    lo[var] = point[var] - h
-    return (eval_expr(expr, hi) - eval_expr(expr, lo)) / (2.0 * h)

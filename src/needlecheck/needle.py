@@ -8,6 +8,10 @@ the perturbation vanishes at both support ends, keeping varied trajectories
 admissible.  Values are continuous; only the derivative is side-sensitive,
 so interval-edge conventions are realized through one-sided evaluation.
 
+This module owns the admissibility of (theta, side, lambda, xi): NeedleSpec
+checks each value, `check_point_range` theta's range per side and
+`window_for` xi's dimension; every needle and point check calls window_for.
+
 `perturbation` gives the needle as numbers, for the quadrature oracle;
 `vary`, the symbolic varied trajectory, is the reference it is tested on.
 """
@@ -28,6 +32,11 @@ _CORNER_TOL = 1e-12
 
 class NeedleError(ValueError):
     pass
+
+
+def paired_slope(lam, xi: np.ndarray) -> np.ndarray:
+    """The needle's second slope (lambda/(lambda-1))*xi, broadcast."""
+    return (lam / (lam - 1.0)) * xi
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,7 @@ class NeedleSpec:
 
     @property
     def outer_slope(self) -> np.ndarray:
-        return (self.lam / (self.lam - 1.0)) * self.xi
+        return paired_slope(self.lam, self.xi)
 
     def corners(self, eps: float) -> Tuple[float, float, float]:
         """Support corners in increasing order."""
@@ -96,40 +105,36 @@ def validity_window(p: DelayProblem, theta: float) -> ValidityWindow:
                           eps_hat=min(eps_bar, eps_tilde), tail_right=tail)
 
 
+def check_point_range(p: DelayProblem, theta: float, side: str,
+                      name: str = "theta") -> None:
+    """The admissible range of a point: t0 <= theta < t1 from the right,
+    t0 < theta <= t1 from the left, t0 < theta < t1 for both sides."""
+    lo_ok = theta > p.t0 + BREAK_TOL or side == "right"
+    hi_ok = theta < p.t1 - BREAK_TOL or side == "left"
+    if not (p.t0 - BREAK_TOL <= theta <= p.t1 + BREAK_TOL and lo_ok and hi_ok):
+        raise NeedleError(
+            f"{name}={theta} outside the admissible range for side {side!r}")
+
+
 def window_for(p: DelayProblem, spec: NeedleSpec) -> float:
     """The side's eps bound; raises when xi does not have the problem's
-    dimension or theta is outside the side's regime."""
+    dimension or theta is outside the side's range.  Inside it the bound
+    is positive: eps_bar for theta < t1, eps_tilde for theta > t0."""
     if spec.dim != p.dim:
         raise NeedleError(f"xi dimension {spec.dim} != problem dimension {p.dim}")
+    check_point_range(p, spec.theta, spec.side)
     w = validity_window(p, spec.theta)
-    if spec.side == "right":
-        if spec.theta < p.t0 - BREAK_TOL or spec.theta >= p.t1 - BREAK_TOL:
-            raise NeedleError(
-                f"right needle requires theta in [{p.t0}, {p.t1}), got {spec.theta}")
-        limit = w.eps_bar
-    else:
-        if spec.theta <= p.t0 + BREAK_TOL or spec.theta > p.t1 + BREAK_TOL:
-            raise NeedleError(
-                f"left needle requires theta in ({p.t0}, {p.t1}], got {spec.theta}")
-        limit = w.eps_tilde
-    if limit <= 0:
-        raise NeedleError(
-            f"empty validity window for {spec.side} needle at theta={spec.theta}")
-    return limit
+    return w.eps_bar if spec.side == "right" else w.eps_tilde
 
 
 def check_eps(p: DelayProblem, spec: NeedleSpec, eps: float) -> None:
-    """window_for holds, eps lies in the side's validity window and the
-    support inside [t0, t1]; else NeedleError."""
+    """window_for holds and eps lies in the side's validity window, which
+    keeps the support inside [t0, t1]; else NeedleError."""
     limit = window_for(p, spec)
     if not 0.0 < eps < limit:
         raise NeedleError(
             f"eps={eps} outside validity window (0, {limit}) for "
             f"{spec.side} needle at theta={spec.theta}")
-    c0, _, c2 = spec.corners(eps)
-    if c0 < p.t0 - BREAK_TOL or c2 > p.t1 + BREAK_TOL:
-        raise NeedleError(
-            f"needle support [{c0}, {c2}] escapes ({p.t0}, {p.t1})")
 
 
 # ---------------------------------------------------------------------------

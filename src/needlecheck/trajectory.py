@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import exprs
 from .exprs import ExprAst, differentiate, parse_expr
 
 # absolute tolerance for comparing times against breakpoints
@@ -230,41 +229,14 @@ class HistorySpec:
             raise TrajectoryError("terminal point x1 not finite")
 
 
-SPLICE_TOL = 1e-9
-
-
 def splice_history(hist: HistorySpec, interior: Trajectory) -> Trajectory:
-    """Concatenate history and interior into one admissible trajectory.
-
-    Requires interior(t0) = phi(t0) and interior(t1) = x1, each within
-    1e-9*(1+|x1|); t0 becomes a breakpoint of the result.
-    """
+    """Concatenate history and interior into one trajectory, t0 becoming
+    a breakpoint.  The interior must start at t0.  Its values at t0 and t1
+    are checked where the result is used: Trajectory's continuity check
+    at the t0 join, and CandidateExtremal's x = phi on [t0-h, t0] (read
+    at t0 from the interior) and x(t1) = x1, both within 1e-9*(1+|x1|)."""
     t0 = hist.phi.b
     if abs(interior.a - t0) > BREAK_TOL:
         raise TrajectoryError(
             f"interior domain starts at {interior.a}, history ends at {t0}")
-    scale = 1.0 + float(np.max(np.abs(hist.x1)))
-    v_phi = hist.phi.value(t0)
-    v_int, v_end = interior.value([interior.a, interior.b]).T
-    gap0 = float(np.max(np.abs(v_phi - v_int)))
-    if gap0 > SPLICE_TOL * scale:
-        raise TrajectoryError(
-            f"boundary mismatch at t0={t0}: history {v_phi.tolist()} vs "
-            f"interior {v_int.tolist()} (gap {gap0:g})")
-    gap1 = float(np.max(np.abs(v_end - hist.x1)))
-    if gap1 > SPLICE_TOL * scale:
-        raise TrajectoryError(
-            f"boundary mismatch at t1={interior.b}: trajectory {v_end.tolist()} vs "
-            f"terminal {hist.x1.tolist()} (gap {gap1:g})")
     return Trajectory(list(hist.phi.segments) + list(interior.segments))
-
-
-def constant_history(t_start: float, t_end: float, values: Sequence[float]) -> HistorySpec:
-    """History identically equal to a constant vector, terminal equal to it too.
-
-    Convenience for the common phi == const fixtures; callers overriding the
-    terminal point should construct HistorySpec directly.
-    """
-    comps = [exprs.ExprAst(exprs.Const(float(v)), ("t",)) for v in values]
-    phi = Trajectory([Segment(t_start, t_end, tuple(comps))])
-    return HistorySpec(phi=phi, x1=np.asarray(values, dtype=float))

@@ -18,12 +18,13 @@ from needlecheck.analysis import (AnalysisSettings, full_report,
 from needlecheck.conditions import needle_first_variation
 from needlecheck.config import build_candidate, build_problem, parse_config
 from needlecheck.exprs import (admitted_variables, differentiate, eval_expr,
-                               fd_partial, parse_expr)
+                               parse_expr)
 from needlecheck.increments import verify_expansion
 from needlecheck.needle import NeedleSpec, perturbation, validity_window
 from needlecheck.quadrature import integrate
 
 from conftest import make_candidate, make_problem
+from reference import fd_partial
 
 
 @pytest.fixture(scope="module")

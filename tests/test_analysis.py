@@ -19,6 +19,7 @@ from needlecheck.analysis import (
 from needlecheck.conditions import (ExcessPoint, SettingsError,
                                    paired_slope, weierstrass_scan)
 from needlecheck.exprs import ExprAst
+from needlecheck.needle import NeedleError, NeedleSpec
 from needlecheck.problem import CandidateExtremal
 from needlecheck.trajectory import Trajectory
 
@@ -291,11 +292,11 @@ def test_point_check_argument_validation(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
     with pytest.raises(AnalysisError, match="side"):
         theorem_6_1_check(p, cand, 1.0, "up", 0.5, np.array([1.0]))
-    with pytest.raises(AnalysisError, match="nonzero"):
+    with pytest.raises(NeedleError, match="nonzero"):
         theorem_6_1_check(p, cand, 1.0, "both", 0.5, np.array([0.0]))
-    with pytest.raises(AnalysisError, match="lambda"):
+    with pytest.raises(NeedleError, match="lambda"):
         theorem_6_1_check(p, cand, 1.0, "both", 1.2, np.array([1.0]))
-    with pytest.raises(AnalysisError, match="admissible"):
+    with pytest.raises(NeedleError, match="admissible"):
         theorem_6_1_check(p, cand, 0.0, "left", 0.5, np.array([1.0]))
     # not degenerate in the tail: certification is a precondition
     with pytest.raises(AnalysisError, match="not certified"):
@@ -320,6 +321,25 @@ def test_point_check_one_sided_bracket_closed_form():
     assert v1 == vl
     assert v2.conclusion == "FAILS_WEAK"
     assert v2.value == pytest.approx(0.25 * want, rel=1e-12)
+
+
+@pytest.mark.parametrize("lag", [
+    SAMPLE_L, f"({SAMPLE_L})*(2 + sin(2*3.141592653589793*t))"],
+    ids=["sample", "modulated"])
+@pytest.mark.parametrize("theta", [0.5, 1.0, 1.3])
+@pytest.mark.parametrize("eta", [1.0, -0.7])
+def test_one_sided_bracket_is_twice_the_needle_c2(lag, theta, eta):
+    # the 6.1(i) bracket at (theta, lam, eta) is the eps^2 coefficient of
+    # the needle with the same (theta, lam, eta), doubled, with the left
+    # one's sign flipped: the same evaluations, so bit-equal
+    p = make_problem(lag)
+    cand = make_candidate(p)
+    lam = 0.5
+    for side, sign in (("right", 2.0), ("left", -2.0)):
+        v = theorem_6_1_check(p, cand, theta, side, lam, np.array([eta]))
+        _, c2 = increments.expansion_prediction(
+            p, cand, NeedleSpec(theta, lam, [eta], side))
+        assert v.value == sign * c2
 
 
 def test_point_check_two_sided_hypotheses():
@@ -488,7 +508,7 @@ def test_equivalence_co_fails_in_tail(sample_problem, sample_cand):
 
 
 def test_equivalence_preconditions(sample_problem, sample_cand):
-    with pytest.raises(AnalysisError, match="nonzero"):
+    with pytest.raises(NeedleError, match="nonzero"):
         remark_6_1_equivalence(sample_problem, sample_cand, 1.0, "right",
                                0.5, np.array([0.0]))
     p = make_problem("-dx1^2")
@@ -501,10 +521,10 @@ def test_equivalence_validates_like_the_point_checks(sample_problem,
                                                      sample_cand):
     # a direction of the wrong dimension, and a right-sided theta = t1,
     # where no right needle fits
-    with pytest.raises(AnalysisError, match="dimension"):
+    with pytest.raises(NeedleError, match="dimension"):
         remark_6_1_equivalence(sample_problem, sample_cand, 1.0, "right",
                                0.5, np.array([1.0, 2.0]))
-    with pytest.raises(AnalysisError, match="admissible range"):
+    with pytest.raises(NeedleError, match="admissible range"):
         remark_6_1_equivalence(sample_problem, sample_cand, 3.0, "right",
                                0.5, np.array([1.0]))
     with pytest.raises(AnalysisError, match="'right' or 'left', got 'both'"):

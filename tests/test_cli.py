@@ -170,6 +170,14 @@ def test_theorem6_point_and_scales():
     assert labels == ["6.1(ii)", "6.2(ii)"]
 
 
+def test_theorem6_names_the_scales_flag_not_the_config_key():
+    code, payload = run_json("theorem6", CFG, "--point", "1", "--side",
+                             "both", "--xi", "1", "--scales", "0")
+    assert code == 1 and payload["status"] == "error"
+    assert payload["result"]["error"] == (
+        "--scales must all be positive, got [0.0]")
+
+
 def test_increment_single_eps():
     code, payload = run_json("increment", CFG, "--theta", "1.0",
                              "--lambda", "0.5", "--xi", "1.0",

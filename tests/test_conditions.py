@@ -23,8 +23,7 @@ from needlecheck.conditions import (
     weierstrass_scan,
     xi_sample_set,
 )
-from needlecheck.analysis import (AnalysisError, _certifies,
-                                  remark_6_1_equivalence)
+from needlecheck.analysis import _certifies, remark_6_1_equivalence
 from needlecheck.exprs import eval_expr
 from needlecheck.needle import NeedleError, NeedleSpec, vary
 from needlecheck.problem import CandidateExtremal, eval_S
@@ -219,7 +218,7 @@ def test_q_k_closed_forms(sample_problem, sample_cand):
     # lambda = 1 has no paired slope: the consumers of Q_1 reject it
     with pytest.raises(NeedleError):
         NeedleSpec(theta=1.0, lam=1.0, xi=np.array([1.0]), side="right")
-    with pytest.raises(AnalysisError, match="lambda"):
+    with pytest.raises(NeedleError, match="lambda"):
         remark_6_1_equivalence(p, cand, 1.0, "right", 1.0, np.array([1.0]))
 
 

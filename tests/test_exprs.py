@@ -15,10 +15,11 @@ from needlecheck.exprs import (
     admitted_variables,
     differentiate,
     eval_expr,
-    fd_partial,
     parse_expr,
     parse_lagrangian,
 )
+
+from reference import fd_partial
 
 
 def test_admitted_variables_order():

@@ -17,9 +17,10 @@ from needlecheck.problem import (
     rates,
     shift_slopes,
 )
-from needlecheck.trajectory import HistorySpec, Trajectory, constant_history
+from needlecheck.trajectory import Trajectory
 
 from conftest import SAMPLE_L, make_candidate, make_problem
+from reference import constant_history
 
 
 def test_problem_validation():
@@ -72,6 +73,10 @@ def test_candidate_must_reach_the_terminal_point():
         CandidateExtremal(p, traj)
     assert str(err.value) == ("candidate misses terminal point: x(t1)=[3.0] "
                               "vs x1=[0.0] (gap 3)")
+    # the same rule holds the spliced candidate's end
+    interior = Trajectory.from_segments([(0.0, 3.0, ["t"])])
+    with pytest.raises(ProblemError, match="misses terminal point"):
+        CandidateExtremal.from_interior(p, interior)
 
 
 def test_extended_zero_past_t1(sample_problem):
