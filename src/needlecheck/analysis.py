@@ -30,7 +30,8 @@ from .conditions import (AnalysisSettings, ExcessPoint,
                          WeierstrassScanReport, direction_set, paired_slope,
                          xi_sample_set)
 from .increments import IncrementRecord, verify_expansion
-from .needle import NeedleSpec, window_for
+from .needle import (NeedleError, NeedleSpec, check_point_range,
+                     window_for)
 from .problem import CandidateExtremal, DelayProblem
 from .trajectory import BREAK_TOL
 
@@ -102,6 +103,15 @@ def _certifies(pt: ExcessPoint, etas, lams: Sequence[float],
     return (e1 <= tol_deg) & (e2 <= tol_deg), e1, e2
 
 
+def _in_range(p: DelayProblem, theta: float, side: str) -> bool:
+    """Whether theta is an admissible point for side (check_point_range)."""
+    try:
+        check_point_range(p, theta, side)
+    except NeedleError:
+        return False
+    return True
+
+
 def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
                       settings: AnalysisSettings = AnalysisSettings()
                       ) -> List[DegeneracyFinding]:
@@ -146,9 +156,8 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
                 certified_pairs=pairs_out))
             continue
         theta = grid[i0]
-        sides = [s for s, inside in (("right", theta < p.t1 - BREAK_TOL),
-                                     ("left", theta > p.t0 + BREAK_TOL))
-                 if inside]
+        sides = [side for side in ("right", "left")
+                 if _in_range(p, theta, side)]
         ok = _certifies(ExcessPoint(p, cand, [theta] * len(sides), sides),
                         eta, [lam], td)[0][:, 0, 0]
         sides = [s for s, c in zip(sides, ok.tolist()) if c]

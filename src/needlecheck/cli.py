@@ -24,7 +24,7 @@ from . import analysis, conditions, increments, problem
 from .analysis import AnalysisError
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .config import build_candidate, build_problem
-from .needle import NeedleSpec, check_point_range
+from .needle import NeedleError, NeedleSpec, check_point_range, window_for
 from .problem import CandidateExtremal, DelayProblem
 
 SCHEMA_VERSION = "2"
@@ -170,11 +170,16 @@ def excess(config: str, point: float, side: str, xi: Tuple[float, ...],
     """Excess, Q and M values at one point and slope direction."""
     def body(cfg, p, cand):
         check_point_range(p, point, side, name="--point")
-        if not 0.0 < lam < 1.0:
-            raise AnalysisError(f"--lambda must be in (0, 1), got {lam}")
         eta = _xi_or_default(xi, p, cfg.analysis.seed)
+        try:
+            spec = NeedleSpec(point, lam, eta, side)
+            window_for(p, spec)
+        except NeedleError as exc:
+            # the needle's rules; their messages begin with the field name,
+            # which is the flag's name here (--point is checked above)
+            raise AnalysisError(f"--{exc}") from exc
         pt = conditions.ExcessPoint(p, cand, point, side)
-        pair = conditions.paired_slope(lam, eta)
+        pair = spec.outer_slope
         tw = cfg.analysis.resolved(p, cand).tol_w
         e_x, e_y = (pt.excess(s, [eta, pair])[0].tolist() for s in ("x", "y"))
         # Q_k per slot: lam^k * E(xi) + (1 - lam^k) * E(pair)

@@ -28,6 +28,7 @@ The slope-slot perturbation notation: a value "at (t, xi)" evaluates the
 functional with xdot(t) replaced by xdot(t)+xi (xdot slot) or with
 xdot(t-h) replaced by xdot(t-h)+xi (ydot slot, evaluated at nu = t+h).
 """
+import functools
 import math
 from dataclasses import dataclass, replace
 from statistics import NormalDist
@@ -256,14 +257,21 @@ def euler_residual(p: DelayProblem, cand: CandidateExtremal, t,
 def direction_set(dim: int, seed: int = 0) -> List[np.ndarray]:
     """Deterministic low-discrepancy unit directions: +-1 for dim 1, evenly
     spaced angles for dim 2, a Fibonacci sphere for dim 3, and a Kronecker
-    sequence pushed through the normal quantile for higher dimensions."""
-    if dim == 1:
-        return [np.array([1.0]), np.array([-1.0])]
+    sequence pushed through the normal quantile for higher dimensions.
+    Each (dim, seed) is computed once per process; the arrays are
+    read-only and shared, the list is new on every call."""
+    return list(_directions(dim, seed))
+
+
+@functools.lru_cache(maxsize=32)
+def _directions(dim: int, seed: int) -> Tuple[np.ndarray, ...]:
     count = 64 if dim <= 3 else 32 * dim
-    if dim == 2:
+    if dim == 1:
+        out = [np.array([1.0]), np.array([-1.0])]
+    elif dim == 2:
         angles = [2.0 * math.pi * k / count for k in range(count)]
-        return [np.array([math.cos(a), math.sin(a)]) for a in angles]
-    if dim == 3:
+        out = [np.array([math.cos(a), math.sin(a)]) for a in angles]
+    elif dim == 3:
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         out = []
         for k in range(count):
@@ -271,22 +279,25 @@ def direction_set(dim: int, seed: int = 0) -> List[np.ndarray]:
             r = math.sqrt(max(0.0, 1.0 - z * z))
             a = 2.0 * math.pi * k / golden
             out.append(np.array([r * math.cos(a), r * math.sin(a), z]))
-        return out
-    nd = NormalDist()
-    primes: List[int] = []   # the first dim primes, by trial division
-    q = 1
-    while len(primes) < dim:
-        q += 1
-        if all(q % r for r in primes):
-            primes.append(q)
-    alphas = [math.sqrt(q) % 1.0 for q in primes]
-    out = []
-    for k in range(count):
-        u = [((k + 1 + seed) * a) % 1.0 for a in alphas]
-        g = np.array([nd.inv_cdf(min(max(v, 1e-12), 1.0 - 1e-12)) for v in u])
-        length = float(np.linalg.norm(g))
-        out.append(g / (length if length > 0 else 1.0))
-    return out
+    else:
+        nd = NormalDist()
+        primes: List[int] = []   # the first dim primes, by trial division
+        q = 1
+        while len(primes) < dim:
+            q += 1
+            if all(q % r for r in primes):
+                primes.append(q)
+        alphas = [math.sqrt(q) % 1.0 for q in primes]
+        out = []
+        for k in range(count):
+            u = [((k + 1 + seed) * a) % 1.0 for a in alphas]
+            g = np.array([nd.inv_cdf(min(max(v, 1e-12), 1.0 - 1e-12))
+                          for v in u])
+            length = float(np.linalg.norm(g))
+            out.append(g / (length if length > 0 else 1.0))
+    for d in out:
+        d.flags.writeable = False
+    return tuple(out)
 
 
 def xi_sample_set(dim: int, radii: Sequence[float],
@@ -430,8 +441,7 @@ def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
             tasks.append((t, side))
 
     stack = np.array(xi_sample_set(p.dim, s.radii, s.seed))
-    unit = np.array([abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12
-                     for x in stack])
+    unit = np.abs(np.linalg.norm(stack, axis=1) - 1.0) <= 1e-12
     vals = ExcessPoint(p, cand, [t for t, _ in tasks],
                        [side for _, side in tasks]).e_sum(stack)
 

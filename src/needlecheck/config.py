@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .conditions import AnalysisSettings, SettingsError
-from .exprs import ExprError, parse_expr, parse_lagrangian
+from .exprs import (ExprError, admitted_variables, parse_expr,
+                    parse_lagrangian)
 from .problem import CandidateExtremal, DelayProblem
 from .trajectory import HistorySpec, Trajectory
 
@@ -294,7 +295,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             f"x1 has {len(x1)} components, expected dim={dim}", source,
             seen[("problem", "x1")])
     try:
-        parse_lagrangian(pv["lagrangian"], dim)
+        parse_expr(pv["lagrangian"], admitted_variables(dim), dim=dim)
     except ExprError as exc:
         raise ConfigError(f"key 'lagrangian': {exc}", source,
                           seen[("problem", "lagrangian")]) from exc
@@ -346,6 +347,9 @@ def load_config(path: str) -> RunConfig:
 # builders
 
 def build_problem(cfg: RunConfig) -> DelayProblem:
+    """The problem of a parsed config.  Its LagrangianExpr is built here,
+    the one place the config's L is differentiated: parse_config only
+    parses it, so a body that cannot be differentiated fails here."""
     pc = cfg.problem
     lag = parse_lagrangian(pc.lagrangian, pc.dim)
     phi = Trajectory.from_segments(

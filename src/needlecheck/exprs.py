@@ -693,7 +693,9 @@ class LagrangianExpr:
     x1..dyn are built at construction, so a body that cannot be
     differentiated fails there.  They agree with central finite
     differences of the body (mixed tolerance 1e-6), which the test suite
-    enforces.
+    enforces.  A config's problem gets its one LagrangianExpr from
+    config.build_problem, through parse_lagrangian; parsing the config
+    only parses the body.
     """
 
     __slots__ = ("dim", "source", "body", "partials")

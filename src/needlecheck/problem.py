@@ -153,19 +153,24 @@ def time_rate(p: DelayProblem, names: Tuple[str, ...], args,
     rate is 0, and everywhere if the partial does not depend on it; its
     partial is then not evaluated, so neither a partial that is singular
     in a frozen argument nor an unbounded rate of an absent one can spoil
-    the sum."""
+    the sum.  Liveness is decided before anything is broadcast: a rate
+    row that is 0 everywhere is skipped before its partial is built, a
+    partial folded to 0 before its row is broadcast, and the argument
+    cells are broadcast once, on the first live argument."""
     shape = _batch_shape(args, rate)
-    cells = [np.broadcast_to(a, shape) for a in args]
     out = np.zeros(shape)
+    cells = None
     for v, v_rate in zip(p.lagrangian.variables, rate):
-        v_rate = np.broadcast_to(v_rate, shape)
-        live = v_rate != 0.0
-        if not np.any(live):
+        if not np.any(v_rate):
             continue
         d_v = p.lagrangian.partial(*names, v)
-        if not d_v.is_zero:
-            out[live] += v_rate[live] * _evaluate(
-                p, d_v, [c[live] for c in cells])
+        if d_v.is_zero:
+            continue
+        if cells is None:
+            cells = [np.broadcast_to(a, shape) for a in args]
+        v_rate = np.broadcast_to(v_rate, shape)
+        live = v_rate != 0.0
+        out[live] += v_rate[live] * _evaluate(p, d_v, [c[live] for c in cells])
     return out
 
 

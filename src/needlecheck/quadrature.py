@@ -24,11 +24,23 @@ class QuadratureError(ValueError):
     pass
 
 
-_RULES = {}
+# The default rule, digit for digit the repr of numpy's leggauss(10), so
+# that a default run never imports numpy.polynomial (a lazy import that
+# costs a cold command several milliseconds); tests compare the bytes.
+_RULES = {DEFAULT_ORDER: (
+    np.array([-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+              -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+              0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+              0.9739065285171717]),
+    np.array([0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+              0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+              0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+              0.06667134430868814]))}
 
 
 def gauss_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1]."""
+    """Nodes and weights on [-1, 1]: the built-in table for the default
+    order, numpy's leggauss (computed once per order) for any other."""
     if order < 1:
         raise QuadratureError(f"quadrature order must be >= 1, got {order}")
     if order not in _RULES:

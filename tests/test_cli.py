@@ -282,7 +282,16 @@ def test_excess_rejects_lambda_outside_the_open_unit_interval(lam):
     assert b"Traceback" not in proc.stderr
     payload = json.loads(proc.stdout.decode("utf-8"))
     assert payload["status"] == "error"
-    assert "--lambda" in payload["result"]["error"]
+    # the needle's own rule, named by the flag
+    assert payload["result"]["error"] == (
+        f"--lambda must be strictly inside (0,1), got {float(lam)}")
+
+
+def test_excess_rejects_a_zero_xi_by_the_needle_rule():
+    # the same rule as theorem6 and increment: a zero direction is no needle
+    code, payload = run_json("excess", CFG, "--point", "1.0", "--xi", "0")
+    assert code == 1 and payload["status"] == "error"
+    assert payload["result"]["error"] == "--xi must be nonzero"
 
 
 POW_CFG = """\
@@ -487,6 +496,31 @@ def test_verdict_matches_golden_bytes():
     with open(GOLDEN, "rb") as fh:
         assert proc.stdout == fh.read()
     assert proc.returncode == 2
+
+
+def test_default_quadrature_order_never_imports_numpy_polynomial():
+    # the default Gauss rule is a built-in table; numpy.polynomial is a
+    # lazy import worth milliseconds of every cold command
+    script = (
+        "import sys\n"
+        "from needlecheck.cli import main\n"
+        "for argv in (['increment', %r, '--theta', '1', '--side', 'right',\n"
+        "              '--sweep'], ['verdict', %r]):\n"
+        "    try:\n"
+        "        main(argv)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print('numpy.polynomial' in sys.modules)\n") % (CFG, CFG)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode("utf-8").splitlines()
+    assert lines[-1] == "False"
+    # both commands ran to a report: the increment passes, the verdict fails
+    assert '"status": "pass"' in proc.stdout.decode("utf-8")
+    assert '"status": "fail"' in proc.stdout.decode("utf-8")
 
 
 def test_console_script_installed():

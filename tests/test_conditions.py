@@ -460,6 +460,21 @@ def test_direction_set_deterministic_unit_norm():
     np.testing.assert_allclose(sorted(float(d[0]) for d in one_d), [-1.0, 1.0])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_direction_set_is_read_only_and_a_new_list_each_call(dim):
+    a = direction_set(dim, seed=1)
+    assert all(not d.flags.writeable for d in a)
+    with pytest.raises(ValueError):
+        a[0][0] = 7.0
+    want = [d.copy() for d in a]
+    a.reverse()
+    a.append(np.zeros(dim))
+    b = direction_set(dim, seed=1)
+    assert len(b) == len(want)
+    for u, v in zip(b, want):
+        np.testing.assert_array_equal(u, v)
+
+
 @pytest.mark.parametrize("dim", [17, 24])
 def test_direction_set_beyond_sixteen_dimensions(dim):
     dirs = direction_set(dim)

@@ -16,6 +16,7 @@ from needlecheck.problem import (
     partials_vec,
     rates,
     shift_slopes,
+    time_rate,
 )
 from needlecheck.trajectory import Trajectory
 
@@ -232,3 +233,28 @@ def test_rates_is_the_time_derivative_of_along():
     np.testing.assert_allclose(got, want, atol=1e-15)
     # the slope rows are along's dx and dy rows, bit for bit
     np.testing.assert_array_equal(got[1:3], args[3:5])
+
+
+def test_time_rate_never_builds_the_partial_of_a_frozen_argument():
+    # d/dx1 of the dx1-partial is 0.5/sqrt(x1), singular at x1 = 0, but
+    # x1's rate row is all 0: that partial is neither evaluated nor built
+    p = make_problem("sqrt(x1)*dx1 + dx1^2")
+    args = [np.linspace(0.0, 1.0, 4), np.zeros(4), np.zeros(4),
+            np.ones(4), np.zeros(4)]
+    rate = [np.ones(4), np.zeros(4), np.zeros(4), np.full(4, 0.5),
+            np.zeros(4)]
+    got = time_rate(p, ("dx1",), args, rate)
+    np.testing.assert_array_equal(got, np.ones(4))
+    assert ("dx1", "x1") not in p.lagrangian.partials
+    assert ("dx1", "y1") not in p.lagrangian.partials
+
+
+def test_time_rate_propagates_non_finite_rates_of_live_arguments():
+    # d/dt of L = dx1^2 is 2*dx1 * rate(dx1): a NaN or an inf rate is kept
+    p = make_problem("dx1^2")
+    args = [np.linspace(0.0, 1.0, 4), np.zeros(4), np.zeros(4),
+            np.ones(4), np.zeros(4)]
+    rate = [np.ones(4), np.zeros(4), np.zeros(4),
+            np.array([0.0, np.nan, np.inf, -np.inf]), np.zeros(4)]
+    got = time_rate(p, (), args, rate)
+    np.testing.assert_array_equal(got, [0.0, np.nan, np.inf, -np.inf])

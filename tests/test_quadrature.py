@@ -152,3 +152,9 @@ def test_default_order_is_ten():
     assert DEFAULT_ORDER == 10
     got = integrate(lambda t: t ** 19, 0.0, 1.0)
     assert got == pytest.approx(0.05, abs=1e-14)
+
+
+def test_default_rule_is_leggauss_bit_for_bit():
+    for order in (1, 3, 7, DEFAULT_ORDER, 20):
+        got, want = gauss_rule(order), np.polynomial.legendre.leggauss(order)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
