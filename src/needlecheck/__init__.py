@@ -11,17 +11,16 @@ variations and quadrature.
 
 from .analysis import (AnalysisError, AnalysisReport, DegeneracyFinding,
                        Verdict, detect_degeneracy, full_report,
-                       remark_6_1_equivalence, theorem_5_1_check,
-                       theorem_6_1_check, theorem_6_2_check)
+                       theorem_5_1_check, theorem_6_1_check,
+                       theorem_6_2_check)
 from .conditions import (AnalysisSettings, ConditionsError, euler_residual,
-                         first_variation, needle_first_variation,
-                         weierstrass_scan)
+                         needle_first_variation, weierstrass_scan)
 from .config import (ConfigError, RunConfig, build_candidate, build_problem,
                      load_config, parse_config)
 from .exprs import ExprError, parse_expr, parse_lagrangian
 from .increments import (IncrementRecord, delta_S_direct,
                          expansion_prediction, verify_expansion)
-from .needle import NeedleSpec, NeedleError, validity_window
+from .needle import NeedleSpec, NeedleError
 from .problem import CandidateExtremal, DelayProblem, ProblemError, eval_S
 from .quadrature import QuadratureError, fit_expansion
 from .trajectory import HistorySpec, Segment, Trajectory, TrajectoryError
@@ -36,10 +35,8 @@ __all__ = [
     "QuadratureError", "RunConfig", "Segment", "Trajectory",
     "TrajectoryError", "Verdict", "build_candidate", "build_problem",
     "delta_S_direct", "detect_degeneracy", "euler_residual", "eval_S",
-    "expansion_prediction", "first_variation", "fit_expansion",
-    "full_report", "load_config", "needle_first_variation",
-    "parse_config", "parse_expr", "parse_lagrangian",
-    "remark_6_1_equivalence", "theorem_5_1_check", "theorem_6_1_check",
-    "theorem_6_2_check", "validity_window", "verify_expansion",
-    "weierstrass_scan",
+    "expansion_prediction", "fit_expansion", "full_report", "load_config",
+    "needle_first_variation", "parse_config", "parse_expr",
+    "parse_lagrangian", "theorem_5_1_check", "theorem_6_1_check",
+    "theorem_6_2_check", "verify_expansion", "weierstrass_scan",
 ]

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import conditions
 from .conditions import (AnalysisSettings, ExcessPoint,
-                         WeierstrassScanReport, direction_set, paired_slope,
-                         xi_sample_set)
+                         WeierstrassScanReport, direction_set, paired_slope)
 from .increments import IncrementRecord, verify_expansion
 from .needle import (NeedleError, NeedleSpec, check_point_range,
                      window_for)
@@ -313,57 +312,54 @@ def _point_quantity(p: DelayProblem, cand: CandidateExtremal, theta: float,
         return [j for j, f in enumerate(failure) if f is None]
 
     js = live()
-    m_sums = pt.m_sum(lam, etas[js]).T.tolist() if js else []
-    if side == "both":
+    if side != "both":
+        # the one-sided bracket: twice the eps^2 coefficient of the needle,
+        # with the left one's sign flipped
+        brackets = pt.second_order(lam, etas[js])[0].tolist() if js else []
+        for j, bracket in zip(js, brackets):
+            tol = _eq_tol(tol_eq, bracket)
+            violated = (bracket < -tol) if side == "right" else (bracket > tol)
+            out[j] = (bracket, tol, violated)
+        desc = (f"lam*(M_x+M_y) + d/dt(Q_2 sum) from the {side} "
+                f"({'>= 0' if side == 'right' else '<= 0'} required)")
+    else:
         # interior two-sided point: equality of the M sum
+        m_sums = pt.m_sum(lam, etas[js]).T.tolist() if js else []
         for j, (m_r, m_l) in zip(js, m_sums):
             tol = _eq_tol(tol_eq, m_r)
             out[j] = (m_r, tol, abs(m_r) > tol)
             if abs(m_r - m_l) > tol:
                 failure[j] = (
-                    f"one-sided M sums disagree at theta={theta} "
-                    f"({m_r} vs {m_l}): two-sided smoothness hypothesis fails")
+                    f"one-sided M sums disagree at theta={theta} ({m_r} vs "
+                    f"{m_l}): two-sided smoothness hypothesis fails")
         js = live()
-    # excess-sum rates per side: rows 0..len(js)-1 at the live etas, the
-    # rest at their paired slopes
-    rate = pt.e_sum_rate(np.concatenate(
-        (etas[js], paired_slope(lam, etas[js])))).T.tolist() if js else []
-    for i, j in enumerate(js):
-        at_eta, at_pair = rate[i], rate[len(js) + i]
-        if side != "both":
-            bracket = lam * m_sums[i][0] + (
-                lam ** 2 * at_eta[0] + (1.0 - lam ** 2) * at_pair[0])
-            tol = _eq_tol(tol_eq, bracket)
-            violated = (bracket < -tol) if side == "right" else (bracket > tol)
-            out[j] = (bracket, tol, violated)
-            continue
-        # interior-minimum stationarity cross-check: at a degenerate interior
-        # point of a candidate satisfying the excess condition, both excess-
-        # sum maps are minimized, so their one-sided time derivatives vanish
-        fermat_tol = 100.0 * out[j][1]
-        failure[j] = next((
-            f"excess sum map not stationary at theta={theta} from the {s} "
-            f"(slope {v}): interior-minimum hypothesis fails"
-            for d in (at_eta, at_pair) for s, v in zip(rows, d)
-            if abs(v) > fermat_tol), None)
-    if side == "both":
+        # excess-sum rates per side: rows 0..len(js)-1 at the live etas,
+        # the rest at their paired slopes
+        rate = pt.e_sum_rate(np.concatenate(
+            (etas[js], paired_slope(lam, etas[js])))).T.tolist() if js else []
+        for i, j in enumerate(js):
+            # interior-minimum stationarity cross-check: at a degenerate
+            # interior point of a candidate satisfying the excess condition,
+            # both excess-sum maps are minimized, so their one-sided time
+            # derivatives vanish
+            fermat_tol = 100.0 * out[j][1]
+            failure[j] = next((
+                f"excess sum map not stationary at theta={theta} from the "
+                f"{s} (slope {v}): interior-minimum hypothesis fails"
+                for d in (rate[i], rate[len(js) + i])
+                for s, v in zip(rows, d) if abs(v) > fermat_tol), None)
         desc = "M_x + M_y at the interior degenerate point (= 0 required)"
-    else:
-        desc = (f"lam*(M_x+M_y) + d/dt(Q_2 sum) from the {side} "
-                f"({'>= 0' if side == 'right' else '<= 0'} required)")
     return desc, [o + (None,) if f is None else (math.nan, math.nan, False, f)
                   for o, f in zip(out, failure)]
 
 
 def _validate_point_args(p: DelayProblem, theta: float, side: str,
-                         lam: float, eta: np.ndarray,
-                         sides: Tuple[str, ...] = ("right", "left", "both")
-                         ) -> np.ndarray:
+                         lam: float, eta: np.ndarray) -> np.ndarray:
     """eta as an array, once the needle of each side read at theta
     (right and left for "both") passes window_for."""
-    if side not in sides:
-        names = ", ".join(map(repr, sides[:-1])) + f" or {sides[-1]!r}"
-        raise AnalysisError(f"side must be {names}, got {side!r}")
+    if side not in ("right", "left", "both"):
+        raise AnalysisError(
+            f"side must be 'right', 'left' or 'both', got {side!r}")
     for s in ("right", "left") if side == "both" else (side,):
         spec = NeedleSpec(theta, lam, eta, s)
         window_for(p, spec)
@@ -413,62 +409,6 @@ def theorem_6_2_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
         [_Rung(k, failure is None, violated, value, tol)
          for k, (value, tol, violated, failure) in zip([1.0] + ladder, results)],
         tail)
-
-
-# ---------------------------------------------------------------------------
-# the equivalence shortcut
-
-@dataclass(frozen=True)
-class EquivalenceRecord:
-    """Q_1 sum = 0 iff both paired excess sums = 0, checked numerically."""
-
-    theta: float
-    side: str
-    q1_sum: float
-    e_sum_direction: float
-    e_sum_paired: float
-    weierstrass_min: float
-    tol_deg: float
-    tol_w: float
-    zero_q1: bool
-    zero_e: bool
-    passed: bool
-
-
-def remark_6_1_equivalence(p: DelayProblem, cand: CandidateExtremal,
-                           theta: float, side: str, lam_bar: float,
-                           eta: np.ndarray,
-                           settings: AnalysisSettings = AnalysisSettings()
-                           ) -> EquivalenceRecord:
-    """Check that the Q_1 sum vanishes exactly when both excess sums do.
-
-    Valid for candidates satisfying the pointwise excess condition at
-    theta, which is spot-checked over the sample set first; the Q_1 sum is
-    a convex combination of the two excess sums, so with both nonnegative
-    it vanishes iff both vanish.  This gives a one-evaluation test for
-    degeneracy in place of two.
-    """
-    eta = _validate_point_args(p, theta, side, lam_bar, eta,
-                               sides=("right", "left"))
-    s = settings.resolved(p, cand)
-    tw, td = s.tol_w, s.tol_deg
-
-    pt = ExcessPoint(p, cand, theta, side)
-    samples = xi_sample_set(p.dim, s.radii, s.seed)
-    wmin = min(pt.e_sum(samples)[0].tolist())
-    if wmin < -tw:
-        raise AnalysisError(
-            f"pointwise excess condition fails at theta={theta} "
-            f"(min {wmin} < -{tw}); the equivalence applies to candidates "
-            f"that satisfy it")
-    e1, e2 = pt.e_sum([eta, paired_slope(lam_bar, eta)])[0].tolist()
-    q1 = lam_bar * e1 + (1.0 - lam_bar) * e2
-    zero_q1 = abs(q1) <= td
-    zero_e = abs(e1) <= td and abs(e2) <= td
-    return EquivalenceRecord(
-        theta=theta, side=side, q1_sum=q1, e_sum_direction=e1,
-        e_sum_paired=e2, weierstrass_min=wmin, tol_deg=td, tol_w=tw,
-        zero_q1=zero_q1, zero_e=zero_e, passed=zero_q1 == zero_e)
 
 
 # ---------------------------------------------------------------------------

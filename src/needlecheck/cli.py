@@ -182,10 +182,8 @@ def excess(config: str, point: float, side: str, xi: Tuple[float, ...],
         pair = spec.outer_slope
         tw = cfg.analysis.resolved(p, cand).tol_w
         e_x, e_y = (pt.excess(s, [eta, pair])[0].tolist() for s in ("x", "y"))
-        # Q_k per slot: lam^k * E(xi) + (1 - lam^k) * E(pair)
-        q1_x, q1_y = (lam * e[0] + (1.0 - lam) * e[1] for e in (e_x, e_y))
-        q2_x, q2_y = (lam ** 2 * e[0] + (1.0 - lam ** 2) * e[1]
-                      for e in (e_x, e_y))
+        q1_x, q1_y = (conditions.q_k(1, lam, *e) for e in (e_x, e_y))
+        q2_x, q2_y = (conditions.q_k(2, lam, *e) for e in (e_x, e_y))
         m_x, m_y = (float(pt.m(s, lam, eta)[0, 0]) for s in ("x", "y"))
         result = {
             "t": point, "side": side, "xi": eta, "lambda": lam,

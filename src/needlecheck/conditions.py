@@ -12,17 +12,17 @@ ExcessPoint is the one way to evaluate the excess machinery: a scan grid,
 a degeneracy grid and a single point (one row per side) are all grids of
 times, and every stack of slopes (scaled directions, their paired slopes)
 is evaluated at once.  It gives the slot excesses, their sum, the M
-functionals and the exact time rate of the excess sum; Q_k is
-lam^k * E(xi) + (1-lam^k) * E(pair) per slot, combined by the caller from
-the excesses it holds.
+functionals, the exact time rate of the excess sum and the second-order
+bracket lam*(M sum) + d/dt(Q_2 sum); q_k is the one Q_k rule,
+lam^k * E(xi) + (1-lam^k) * E(pair).
 
 AnalysisSettings holds what every stage reads (grids, slope samples,
 lambdas, scale ladder, tolerances, eps sweep) and every range rule; its
 resolved() is the one tolerance rule.
 
-Every first variation integrates the force Lx(t)+Ly(t+h) and momentum
-Ldx(t)+Ldy(t+h) against a variation's (q, q_dot): a trajectory's, or a
-needle's from needle.perturbation, the one place its geometry is defined.
+The needle's first variation integrates the force Lx(t)+Ly(t+h) and
+momentum Ldx(t)+Ldy(t+h) against its (q, q_dot) from needle.perturbation,
+the one place its geometry is defined.
 
 The slope-slot perturbation notation: a value "at (t, xi)" evaluates the
 functional with xdot(t) replaced by xdot(t)+xi (xdot slot) or with
@@ -52,6 +52,12 @@ class ConditionsError(ValueError):
 
 # slot -> (slope block it perturbs, state block of its M functional)
 SLOTS = {"x": ("dx", "x"), "y": ("dy", "y")}
+
+
+def q_k(k: int, lam, at_xi, at_pair):
+    """Q_k = lam^k * (value at xi) + (1 - lam^k) * (value at the paired
+    slope), of excesses or of their rates, elementwise."""
+    return lam ** k * at_xi + (1.0 - lam ** k) * at_pair
 
 
 def _dot(g: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -166,6 +172,15 @@ class ExcessPoint:
                 out[b] += dL[:, 1:] - dL[:, :1] - _dot(dgrad, xis)
         return out
 
+    def second_order(self, lam: float, xis) -> np.ndarray:
+        """lam*(M_x + M_y) + d/dt(Q_2 sum) at each time and slope: the
+        eps^2 bracket of a needle's increment and the 6.1(i) quantity."""
+        xis = self._slopes(xis)
+        m = self.m_sum(lam, xis)
+        at_xi, at_pair = np.split(self.e_sum_rate(
+            np.concatenate((xis, paired_slope(lam, xis)))), 2, axis=1)
+        return lam * m + q_k(2, lam, at_xi, at_pair)
+
 
 # ---------------------------------------------------------------------------
 # first variation and the Euler residual
@@ -203,26 +218,6 @@ def _variation_integral(p: DelayProblem, cand: CandidateExtremal, a: float,
         q, q_dot = q_qdot(ts)
         return _dot(force, q.T) + _dot(rho, q_dot.T)
     return quadrature.integrate(g, a, b, breaks)
-
-
-def first_variation(p: DelayProblem, cand: CandidateExtremal,
-                    delta: Trajectory) -> float:
-    """Integral of [Lx(t)+Ly(t+h)]^T dx(t) + [Ldx(t)+Ldy(t+h)]^T dxdot(t)
-    over [t0, t1] for an admissible variation dx (zero history, zero at t1)."""
-    if delta.a > p.t0 + BREAK_TOL or delta.b < p.t1 - BREAK_TOL:
-        raise ConditionsError(
-            f"variation domain [{delta.a}, {delta.b}] must cover [{p.t0}, {p.t1}]")
-    t_chk = np.linspace(max(delta.a, p.t0 - p.h), p.t0, 5)
-    nonzero = np.flatnonzero(np.abs(delta.value(t_chk)).max(0) > 1e-9)
-    if nonzero.size:
-        raise ConditionsError(
-            f"variation must vanish on the history interval; "
-            f"nonzero at t={float(t_chk[nonzero[0]])}")
-    if float(np.max(np.abs(delta.value(p.t1)))) > 1e-9:
-        raise ConditionsError("variation must vanish at t1")
-    return _variation_integral(
-        p, cand, p.t0, p.t1, _variation_breaks(p, cand.traj, delta),
-        lambda ts: (delta.value(ts), delta.deriv(ts)))
 
 
 def needle_first_variation(p: DelayProblem, cand: CandidateExtremal,

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .conditions import AnalysisSettings, SettingsError
-from .exprs import (ExprError, admitted_variables, parse_expr,
-                    parse_lagrangian)
+from .exprs import (ExprError, admitted_variables, differentiate,
+                    parse_expr, parse_lagrangian)
 from .problem import CandidateExtremal, DelayProblem
 from .trajectory import HistorySpec, Trajectory
 
@@ -294,8 +294,12 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(
             f"x1 has {len(x1)} components, expected dim={dim}", source,
             seen[("problem", "x1")])
+    # a derivative in t raises for an abs exactly where the partials built
+    # with the problem and candidate would (each visits the same nodes), so
+    # the error carries the key's line
     try:
-        parse_expr(pv["lagrangian"], admitted_variables(dim), dim=dim)
+        differentiate(parse_expr(pv["lagrangian"], admitted_variables(dim),
+                                 dim=dim), "t")
     except ExprError as exc:
         raise ConfigError(f"key 'lagrangian': {exc}", source,
                           seen[("problem", "lagrangian")]) from exc
@@ -329,7 +333,7 @@ def _check_segment_spec(spec: SegmentSpec, dim: int, key: str, source: str,
             f"expected dim={dim}", source, line)
     for e in spec.exprs:
         try:
-            parse_expr(e, ("t",))
+            differentiate(parse_expr(e, ("t",)), "t")
         except ExprError as exc:
             raise ConfigError(f"key '{key}': {exc}", source, line) from exc
 
@@ -348,8 +352,8 @@ def load_config(path: str) -> RunConfig:
 
 def build_problem(cfg: RunConfig) -> DelayProblem:
     """The problem of a parsed config.  Its LagrangianExpr is built here,
-    the one place the config's L is differentiated: parse_config only
-    parses it, so a body that cannot be differentiated fails here."""
+    the one place the config's partials of L are built; parse_config has
+    already rejected a body that cannot be differentiated."""
     pc = cfg.problem
     lag = parse_lagrangian(pc.lagrangian, pc.dim)
     phi = Trajectory.from_segments(

@@ -649,9 +649,11 @@ def _compile(root: Node, params: Iterable[str]) -> Callable:
     return _compile_source(tuple(params), root.emit())
 
 
-# Distinct expression objects often emit the same source: trajectory
-# segments rebuilt by split_at or a needle variation share their
-# derivatives, so most compiles of a run repeat an earlier one.
+# Distinct expression objects often emit the same source.  In the benchmark
+# workloads (seed 0), 34 of convex5_verdict's 57 compiles emit `0.0` (the
+# zero history and candidate components and their derivatives), and in
+# sinh_needles history and candidate share 0.5*(exp(t) - exp(-t)) and its
+# derivative.
 @functools.lru_cache(maxsize=1024)
 def _compile_source(params: Tuple[str, ...], body: str) -> Callable:
     src = f"def _compiled({', '.join(params)}):\n    return {body}\n"
@@ -695,7 +697,7 @@ class LagrangianExpr:
     differences of the body (mixed tolerance 1e-6), which the test suite
     enforces.  A config's problem gets its one LagrangianExpr from
     config.build_problem, through parse_lagrangian; parsing the config
-    only parses the body.
+    differentiates the body only once, in t, to place an abs error.
     """
 
     __slots__ = ("dim", "source", "body", "partials")

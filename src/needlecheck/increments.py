@@ -6,8 +6,8 @@ sweep in one batched integrate_L call; it never touches the excess
 functionals.
 expansion_prediction assembles the predicted first and second order
 coefficients exclusively from one conditions.ExcessPoint at theta (Q_1 from
-the slot excesses at xi and its pair, the M sum, and the time derivative
-of Q_2 from the exact excess-sum rates); it never integrates the cost.
+the slot excesses at xi and its pair, and the second-order bracket of the
+M sum and the exact rate of the Q_2 sum); it never integrates the cost.
 verify_expansion runs a geometric eps sweep of the direct increment, fits
 it with a power series in eps, and compares the fitted first and second
 order coefficients against the prediction.  Agreement of the two paths
@@ -26,10 +26,6 @@ from .conditions import AnalysisSettings
 from .needle import NeedleSpec, check_eps, perturbation, window_for
 from .problem import CandidateExtremal, DelayProblem
 from .quadrature import EpsSweep, fit_expansion, geometric_sweep
-
-
-class IncrementError(ValueError):
-    pass
 
 
 def delta_S_direct(p: DelayProblem, cand: CandidateExtremal, spec: NeedleSpec,
@@ -66,21 +62,17 @@ def expansion_prediction(p: DelayProblem, cand: CandidateExtremal,
 
     c1 is the Q_1 sum at theta.  c2 is +-(1/2) * (lam * M sum + d/dt Q_2 sum),
     with + for right needles and - for left needles: the sweep toward t0
-    flips the sign of the whole second-order bracket.  d/dt Q_2 sum is the
-    exact one-sided chain rule from the needle's side.  Built entirely from
-    the excess functionals; the cost integral is never evaluated here.
+    flips the sign of the whole second-order bracket (ExcessPoint's
+    second_order, from the needle's side).  Built entirely from the excess
+    functionals; the cost integral is never evaluated here.
     """
     window_for(p, spec)  # validates xi and theta against the side's regime
     lam, slopes = spec.lam, [spec.xi, spec.outer_slope]
     pt = conditions.ExcessPoint(p, cand, spec.theta, spec.side)
-    (ex0, ex1), (ey0, ey1) = (pt.excess(s, slopes)[0].tolist()
-                              for s in ("x", "y"))
-    c1 = (lam * ex0 + (1.0 - lam) * ex1) + (lam * ey0 + (1.0 - lam) * ey1)
-    m_sum = float(pt.m_sum(lam, spec.xi)[0, 0])
-    r_xi, r_pair = pt.e_sum_rate(slopes)[0].tolist()
-    q2_rate = lam ** 2 * r_xi + (1.0 - lam ** 2) * r_pair
+    q1_x, q1_y = (conditions.q_k(1, lam, *pt.excess(s, slopes)[0].tolist())
+                  for s in ("x", "y"))
     half = 0.5 if spec.side == "right" else -0.5
-    return c1, half * (lam * m_sum + q2_rate)
+    return q1_x + q1_y, half * float(pt.second_order(lam, spec.xi)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -99,28 +91,19 @@ class IncrementRecord:
     passed: bool
 
 
-def default_eps_max(p: DelayProblem, spec: NeedleSpec) -> float:
-    """A quarter of the validity window, capped at 1/4."""
-    return min(window_for(p, spec), 1.0) / 4.0
-
-
 def verify_expansion(p: DelayProblem, cand: CandidateExtremal,
                      spec: NeedleSpec,
-                     eps_max: Optional[float] = None,
                      settings: AnalysisSettings = AnalysisSettings()
                      ) -> IncrementRecord:
     """Fit c1, c2 from a geometric eps sweep of the direct increment (the
     settings' sweep_levels, sweep_ratio and quad_order) and compare them
     with the excess-functional prediction.
 
-    The tolerance is max(1e-6, 1e-3 * scale) per coefficient, where
-    scale is the magnitude of the predicted pair (at least 1)."""
-    if eps_max is None:
-        eps_max = default_eps_max(p, spec)
-    limit = window_for(p, spec)
-    if not 0.0 < eps_max < limit:
-        raise IncrementError(
-            f"eps_max={eps_max} outside the validity window (0, {limit})")
+    The sweep starts at eps_max, derived as a quarter of the validity
+    window capped at 1/4.  The tolerance is max(1e-6, 1e-3 * scale) per
+    coefficient, where scale is the magnitude of the predicted pair (at
+    least 1)."""
+    eps_max = min(window_for(p, spec), 1.0) / 4.0
     c1_pred, c2_pred = expansion_prediction(p, cand, spec)
     sweep = geometric_sweep(
         lambda e: delta_S_direct(p, cand, spec, e, settings.quad_order),

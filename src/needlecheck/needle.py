@@ -9,8 +9,9 @@ admissible.  Values are continuous; only the derivative is side-sensitive,
 so interval-edge conventions are realized through one-sided evaluation.
 
 This module owns the admissibility of (theta, side, lambda, xi): NeedleSpec
-checks each value, `check_point_range` theta's range per side and
-`window_for` xi's dimension; every needle and point check calls window_for.
+checks each value, `check_point_range` theta's range per side, and
+`window_for` xi's dimension and the validity window, the one eps bound of
+each side; every needle and point check calls window_for.
 
 `perturbation` gives the needle as numbers, for the quadrature oracle;
 `vary`, the symbolic varied trajectory, is the reference it is tested on.
@@ -75,36 +76,6 @@ class NeedleSpec:
         return (self.theta - eps, self.theta - self.lam * eps, self.theta)
 
 
-@dataclass(frozen=True)
-class ValidityWindow:
-    """Largest admissible eps for needles anchored at theta.
-
-    eps_bar bounds right needles: min{h, t1-theta-h} in the standard regime
-    theta < t1-h, and min{h, t1-theta} in the tail regime theta in [t1-h, t1)
-    where the delayed region falls beyond t1 and vanishes by the extended-zero
-    convention.  eps_tilde = min{h, theta-t0} bounds left needles.  A
-    non-positive field means that side is not available at this theta.
-    """
-
-    eps_bar: float
-    eps_tilde: float
-    eps_hat: float
-    tail_right: bool
-
-
-def validity_window(p: DelayProblem, theta: float) -> ValidityWindow:
-    cut = p.t1 - p.h
-    if theta < cut - BREAK_TOL:
-        eps_bar = min(p.h, p.t1 - p.h - theta)
-        tail = False
-    else:
-        eps_bar = min(p.h, p.t1 - theta)
-        tail = True
-    eps_tilde = min(p.h, theta - p.t0)
-    return ValidityWindow(eps_bar=eps_bar, eps_tilde=eps_tilde,
-                          eps_hat=min(eps_bar, eps_tilde), tail_right=tail)
-
-
 def check_point_range(p: DelayProblem, theta: float, side: str,
                       name: str = "theta") -> None:
     """The admissible range of a point: t0 <= theta < t1 from the right,
@@ -117,14 +88,19 @@ def check_point_range(p: DelayProblem, theta: float, side: str,
 
 
 def window_for(p: DelayProblem, spec: NeedleSpec) -> float:
-    """The side's eps bound; raises when xi does not have the problem's
-    dimension or theta is outside the side's range.  Inside it the bound
-    is positive: eps_bar for theta < t1, eps_tilde for theta > t0."""
+    """The validity window, the largest admissible eps of the needle's
+    side: min{h, theta-t0} on the left; on the right min{h, t1-h-theta} for
+    theta < t1-h, else min{h, t1-theta} (the tail, whose delayed region lies
+    beyond t1).  Raises when xi does not have the problem's dimension or
+    theta is outside the side's range; inside it the window is positive."""
     if spec.dim != p.dim:
         raise NeedleError(f"xi dimension {spec.dim} != problem dimension {p.dim}")
     check_point_range(p, spec.theta, spec.side)
-    w = validity_window(p, spec.theta)
-    return w.eps_bar if spec.side == "right" else w.eps_tilde
+    if spec.side == "left":
+        return min(p.h, spec.theta - p.t0)
+    if spec.theta < p.t1 - p.h - BREAK_TOL:
+        return min(p.h, p.t1 - p.h - spec.theta)
+    return min(p.h, p.t1 - spec.theta)
 
 
 def check_eps(p: DelayProblem, spec: NeedleSpec, eps: float) -> None:

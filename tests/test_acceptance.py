@@ -13,18 +13,17 @@ import pytest
 
 import importlib.resources as res
 
-from needlecheck.analysis import (AnalysisSettings, full_report,
-                                  remark_6_1_equivalence)
+from needlecheck.analysis import AnalysisSettings, full_report
 from needlecheck.conditions import needle_first_variation
 from needlecheck.config import build_candidate, build_problem, parse_config
 from needlecheck.exprs import (admitted_variables, differentiate, eval_expr,
                                parse_expr)
 from needlecheck.increments import verify_expansion
-from needlecheck.needle import NeedleSpec, perturbation, validity_window
+from needlecheck.needle import NeedleSpec, perturbation, window_for
 from needlecheck.quadrature import integrate
 
 from conftest import make_candidate, make_problem
-from reference import fd_partial
+from reference import fd_partial, remark_6_1_equivalence
 
 
 @pytest.fixture(scope="module")
@@ -107,11 +106,10 @@ def _random_specs(p, count, seed):
         xi = float(rng.uniform(-2.0, 2.0))
         if abs(xi) < 1e-2:
             continue
-        w = validity_window(p, theta)
-        limit = w.eps_bar if side == "right" else w.eps_tilde
+        spec = NeedleSpec(theta=theta, lam=lam, xi=np.array([xi]), side=side)
+        limit = window_for(p, spec)
         if limit <= 0.01:
             continue
-        spec = NeedleSpec(theta=theta, lam=lam, xi=np.array([xi]), side=side)
         specs.append((spec, 0.4 * limit))
     return specs
 
@@ -180,8 +178,9 @@ def test_needle_geometry_properties(bundled):
         xi = rng.uniform(-2.0, 2.0, size=2)
         if float(np.max(np.abs(xi))) < 1e-2:
             continue
-        w = validity_window(p, theta)
-        limit = w.eps_bar if side == "right" else w.eps_tilde
+        # xi has two components on this 1-D problem: the window is read
+        # from a 1-D needle at the same (theta, lam, side)
+        limit = window_for(p, NeedleSpec(theta, lam, [1.0], side))
         if limit <= 0.02:
             continue
         eps = float(rng.uniform(0.3, 0.9)) * min(limit, 1.0)

@@ -11,7 +11,6 @@ from needlecheck.analysis import (
     detect_degeneracy,
     euler_stage,
     full_report,
-    remark_6_1_equivalence,
     theorem_5_1_check,
     theorem_6_1_check,
     theorem_6_2_check,
@@ -24,6 +23,7 @@ from needlecheck.problem import CandidateExtremal
 from needlecheck.trajectory import Trajectory
 
 from conftest import SAMPLE_L, make_candidate, make_problem
+from reference import remark_6_1_equivalence
 
 # E = xi^2 (xi^2 - 1)^2 along zero: degenerate only at |xi| = 1, which pins
 # lam to 1/2; the M sum is -1 there, and the degeneracy does not survive

@@ -262,6 +262,25 @@ def test_malformed_config_reports_position(tmp_path):
     assert ":2:" in payload["result"]["error"]
 
 
+@pytest.mark.parametrize("old, new, line, key", [
+    ('"(1 - x1)*dx1^2 - (1 + y1)*dy1^2 + dx1*dy1"', '"abs(dx1) + dx1^2"', 11,
+     "lagrangian"),
+    ('(-1.0, 0.0, "0")', '(-1.0, 0.0, "abs(t)")', 13, "history"),
+    ('(0.0, 3.0, "0")', '(0.0, 3.0, "abs(t - 1)")', 16, "segment"),
+], ids=["lagrangian", "history", "segment"])
+def test_abs_error_names_the_line_of_its_key(tmp_path, old, new, line, key):
+    # abs parses but cannot be differentiated; the build would fail on it,
+    # so the config reports it at the key's line
+    import importlib.resources as res
+    cfg = tmp_path / "abs.cfg"
+    cfg.write_text((res.files("needlecheck") / "configs" / CFG)
+                   .read_text(encoding="utf-8").replace(old, new))
+    code, payload = run_json("validate", str(cfg))
+    assert code == 1 and payload["status"] == "error"
+    assert payload["result"]["error"].startswith(
+        f"{cfg}:{line}: key '{key}': abs is admitted for modeling only")
+
+
 def test_unknown_subcommand_is_a_tool_error():
     code, payload = run_json("frobnicate", CFG)
     assert code == 1
@@ -406,6 +425,27 @@ def test_stage_commands_agree_with_verdict():
     assert theorem5["result"]["verdicts"] == [
         v for v in report["verdicts"] if v["theorem"].startswith("5.1")]
     assert len(theorem5["result"]["verdicts"]) == 2
+
+
+@pytest.mark.parametrize("side, sign", [("right", 2.0), ("left", -2.0)])
+def test_excess_theorem6_and_increment_agree(side, sign):
+    # one formula per needle fact, seen through three commands: the Q_1 sum
+    # of `excess` is the needle's c1 (one theta per regime), and the 6.1(i)
+    # value of `theorem6` is twice its c2, sign-flipped on the left (theta
+    # inside the degenerate interval, where 6.1 applies)
+    def result(*argv):
+        return run_json(*argv)[1]["result"]
+
+    for theta in ("1.0", "2.5"):
+        q1 = result("excess", CFG, "--point", theta, "--side", side)
+        inc = result("increment", CFG, "--theta", theta, "--side", side,
+                     "--eps", "0.1")
+        assert q1["q1"]["sum"] == inc["c1_predicted"], theta
+    for theta in ("0.5", "1.5"):
+        v = result("theorem6", CFG, "--point", theta, "--side", side)
+        inc = result("increment", CFG, "--theta", theta, "--side", side,
+                     "--eps", "0.1")
+        assert v["verdicts"][0]["value"] == sign * inc["c2_predicted"], theta
 
 
 def test_verdict_beyond_sixteen_dimensions(tmp_path):

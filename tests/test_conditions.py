@@ -17,19 +17,19 @@ from needlecheck.conditions import (
     SettingsError,
     direction_set,
     euler_residual,
-    first_variation,
     needle_first_variation,
     paired_slope,
     weierstrass_scan,
     xi_sample_set,
 )
-from needlecheck.analysis import _certifies, remark_6_1_equivalence
+from needlecheck.analysis import _certifies
 from needlecheck.exprs import eval_expr
 from needlecheck.needle import NeedleError, NeedleSpec, vary
 from needlecheck.problem import CandidateExtremal, eval_S
 from needlecheck.trajectory import Trajectory
 
 from conftest import SAMPLE_L, make_candidate, make_problem
+from reference import first_variation, remark_6_1_equivalence
 
 
 def test_paired_slope():

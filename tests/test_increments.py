@@ -16,13 +16,11 @@ import needlecheck.problem
 import needlecheck.trajectory
 from needlecheck.conditions import AnalysisSettings
 from needlecheck.increments import (
-    IncrementError,
-    default_eps_max,
     delta_S_direct,
     expansion_prediction,
     verify_expansion,
 )
-from needlecheck.needle import NeedleError, NeedleSpec, vary
+from needlecheck.needle import NeedleError, NeedleSpec, vary, window_for
 from needlecheck.problem import CandidateExtremal, Interval, integrate_L
 from needlecheck.quadrature import geometric_sweep
 from needlecheck.trajectory import Trajectory
@@ -85,12 +83,14 @@ def test_verify_expansion_fixtures(sample_problem, sample_cand):
         assert rec.c2_fitted == pytest.approx(want[1], abs=1e-6)
         assert rec.fit_residual <= 1e-6
         assert len(rec.sweep.eps) == 8
-        assert rec.eps_max == pytest.approx(default_eps_max(p, spec))
+        assert rec.sweep.eps[0] == rec.eps_max
 
 
-def test_default_eps_max(sample_problem):
-    assert default_eps_max(sample_problem, RIGHT) == pytest.approx(0.25)
-    assert default_eps_max(sample_problem, TAIL) == pytest.approx(0.125)
+def test_default_eps_max(sample_problem, sample_cand):
+    # a quarter of the validity window, capped at 1/4
+    for spec, want in ((RIGHT, 0.25), (LEFT, 0.25), (TAIL, 0.125)):
+        rec = verify_expansion(sample_problem, sample_cand, spec)
+        assert rec.eps_max == pytest.approx(want)
 
 
 def test_eps_window_enforced(sample_problem, sample_cand):
@@ -99,8 +99,6 @@ def test_eps_window_enforced(sample_problem, sample_cand):
         delta_S_direct(p, cand, RIGHT, 1.0)
     with pytest.raises(NeedleError):
         delta_S_direct(p, cand, RIGHT, -0.1)
-    with pytest.raises(IncrementError, match="eps_max"):
-        verify_expansion(p, cand, RIGHT, eps_max=5.0)
 
 
 @pytest.mark.parametrize("xi", [[1.0], [1.0, 1.0, 1.0]])
@@ -271,8 +269,8 @@ def test_batched_sweep_matches_symbolic_needles_bit_for_bit():
     cand = _kinked_candidate(p)
     for spec in NEEDLES:
         eps = np.array(geometric_sweep(
-            lambda e: e, default_eps_max(p, spec), SWEEP.sweep_levels,
-            SWEEP.sweep_ratio).eps)
+            lambda e: e, min(window_for(p, spec), 1.0) / 4.0,
+            SWEEP.sweep_levels, SWEEP.sweep_ratio).eps)
         got = delta_S_direct(p, cand, spec, eps)
         want = [_symbolic_increment(p, cand, spec, e) for e in eps.tolist()]
         assert got.shape == (8,)

@@ -8,7 +8,6 @@ from needlecheck.needle import (
     NeedleSpec,
     check_eps,
     perturbation,
-    validity_window,
     vary,
     window_for,
 )
@@ -41,20 +40,18 @@ def test_outer_slope_and_corners():
 
 
 def test_validity_window_regimes(prob):
-    # standard right regime: theta < t1 - h
-    w = validity_window(prob, 0.5)
-    assert w.eps_bar == pytest.approx(1.0) and not w.tail_right
-    assert w.eps_tilde == pytest.approx(0.5)
-    w = validity_window(prob, 1.8)
-    assert w.eps_bar == pytest.approx(0.2) and not w.tail_right
-    # tail regime: theta in [t1 - h, t1)
-    w = validity_window(prob, 2.5)
-    assert w.eps_bar == pytest.approx(0.5) and w.tail_right
-    assert w.eps_tilde == pytest.approx(1.0)
-    assert w.eps_hat == pytest.approx(0.5)
+    def window(theta, side):
+        return window_for(prob, NeedleSpec(theta, 0.5, [1.0], side))
+
+    # standard right regime: theta < t1 - h, min{h, t1 - h - theta}
+    assert window(0.5, "right") == pytest.approx(1.0)
+    assert window(0.5, "left") == pytest.approx(0.5)
+    assert window(1.8, "right") == pytest.approx(0.2)
+    # tail regime: theta in [t1 - h, t1), min{h, t1 - theta}
+    assert window(2.5, "right") == pytest.approx(0.5)
+    assert window(2.5, "left") == pytest.approx(1.0)
     # at the cut the right window switches formula: min{h, t1 - theta} = 1
-    w = validity_window(prob, 2.0)
-    assert w.eps_bar == pytest.approx(1.0) and w.tail_right
+    assert window(2.0, "right") == pytest.approx(1.0)
 
 
 def test_window_for_and_check_eps(prob):

@@ -1,0 +1,22 @@
+"""The README's Library example runs as written, from the repository root,
+so a public name that moves or goes breaks a test, not only the reader."""
+
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    library = text[text.index("\n## Library\n"):]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    # the bundled verdict, then the right needle at theta = 1: Delta S is
+    # -eps^2/2 and the first variation vanishes on the extremal
+    assert out[0] == "FAILS_WEAK"
+    assert abs(float(out[-2]) + 0.03125) <= 1e-12
+    assert abs(float(out[-1])) <= 1e-10
