@@ -88,17 +88,29 @@ class DegeneracyFinding:
 
 
 def _certifies(pt: ExcessPoint, etas, lams: Sequence[float],
-               tol_deg: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+               tol_deg: float, every_pair: bool = True
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Degeneracy certification at every time of pt of every eta (rows of
     etas) paired under every lam: (ok, |E(eta)|, |E(pair)|), each of shape
-    (times, etas, lams)."""
+    (times, etas, lams).  A cell certifies only where |E(eta)| <= tol_deg
+    too, so without every_pair the paired slopes are evaluated only for
+    the etas that are degenerate at some time of pt; the others certify
+    nowhere, and their |E(pair)| reads inf."""
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     lams = np.asarray(lams, dtype=float)
-    pairs = paired_slope(lams[None, :, None], etas[:, None, :])
-    vals = np.abs(pt.e_sum(np.concatenate(
-        (etas, pairs.reshape(-1, etas.shape[1])))))
-    e1 = np.repeat(vals[:, :len(etas), None], len(lams), axis=2)
-    e2 = vals[:, len(etas):].reshape(len(vals), len(etas), len(lams))
+    pairs = paired_slope(lams[None, :, None], etas[:, None, :]).reshape(
+        -1, etas.shape[1])
+    if every_pair:
+        vals = np.abs(pt.e_sum(np.concatenate((etas, pairs))))
+        e_eta, e_pair = vals[:, :len(etas)], vals[:, len(etas):]
+    else:
+        e_eta = np.abs(pt.e_sum(etas))
+        paired = np.repeat((e_eta <= tol_deg).any(axis=0), len(lams))
+        e_pair = np.full((len(e_eta), len(pairs)), np.inf)
+        if paired.any():
+            e_pair[:, paired] = np.abs(pt.e_sum(pairs[paired]))
+    e1 = np.repeat(e_eta[:, :, None], len(lams), axis=2)
+    e2 = e_pair.reshape(len(e_eta), len(etas), len(lams))
     return (e1 <= tol_deg) & (e2 <= tol_deg), e1, e2
 
 
@@ -121,7 +133,11 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
     Contiguous grid runs certified by the same (eta, lam) merge into
     interval findings; distinct certified pairs sharing the exact same run
     merge into one finding carrying all of them.  Isolated single-point
-    runs become point findings tagged with the sides that certify.
+    runs become point findings tagged with the sides that certify.  The
+    paired slopes of a direction are evaluated only when its excess sum
+    vanishes somewhere on the grid (_certifies without every_pair): a
+    direction that is nowhere degenerate certifies nowhere, whatever its
+    pairs give.
     """
     s = settings.resolved(p, cand)
     td = s.tol_deg
@@ -129,7 +145,8 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
     directions = direction_set(p.dim, s.seed)
     pairs = [(eta, float(lam)) for eta in directions for lam in s.lambdas]
     ok, e1, e2 = (a.reshape(len(grid), len(pairs)) for a in _certifies(
-        ExcessPoint(p, cand, grid, "right"), directions, s.lambdas, td))
+        ExcessPoint(p, cand, grid, "right"), directions, s.lambdas, td,
+        every_pair=False))
 
     # maximal certified runs of each pair, grouped by their exact grid
     # extent; edges[k, i] is +1 where a run of pair k starts at grid index
@@ -158,7 +175,7 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
         sides = [side for side in ("right", "left")
                  if _in_range(p, theta, side)]
         ok = _certifies(ExcessPoint(p, cand, [theta] * len(sides), sides),
-                        eta, [lam], td)[0][:, 0, 0]
+                        eta, [lam], td, every_pair=False)[0][:, 0, 0]
         sides = [s for s, c in zip(sides, ok.tolist()) if c]
         side = "both" if len(sides) == 2 else (sides[0] if sides else "right")
         findings.append(DegeneracyFinding(
@@ -535,18 +552,25 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
             except (ValueError, ArithmeticError) as exc:
                 notes.append(f"6.1/6.2 checks skipped at t={theta}: {exc}")
 
-    for spec in _expansion_spots(p, settings):
-        try:
-            record = verify_expansion(p, cand, spec, settings=settings)
-            expansion.append(record)
-            if not record.passed:
-                notes.append(
-                    f"increment expansion mismatch for the {spec.side} "
-                    f"needle at theta={spec.theta}: fitted "
-                    f"({record.c1_fitted}, {record.c2_fitted}) vs predicted "
-                    f"({record.c1_predicted}, {record.c2_predicted})")
-        except (ValueError, ArithmeticError) as exc:
-            errors.append((f"increment[{spec.side}]", str(exc)))
+    specs = _expansion_spots(p, settings)
+    try:
+        expansion = verify_expansion(p, cand, specs, settings=settings)
+    except (ValueError, ArithmeticError):
+        # one needle at a time, so that each error is its own needle's
+        for spec in specs:
+            try:
+                expansion += verify_expansion(p, cand, [spec],
+                                              settings=settings)
+            except (ValueError, ArithmeticError) as exc:
+                errors.append((f"increment[{spec.side}]", str(exc)))
+    for record in expansion:
+        if not record.passed:
+            spec = record.spec
+            notes.append(
+                f"increment expansion mismatch for the {spec.side} "
+                f"needle at theta={spec.theta}: fitted "
+                f"({record.c1_fitted}, {record.c2_fitted}) vs predicted "
+                f"({record.c1_predicted}, {record.c2_predicted})")
 
     for v in verdicts:
         overall_rank = max(overall_rank, _RANK[v.conclusion])

@@ -39,7 +39,8 @@ import numpy as np
 from . import quadrature
 from .needle import NeedleSpec, check_eps, paired_slope, perturbation
 from .problem import (CandidateExtremal, DelayProblem, along, eval_L,
-                      partials_vec, rates, shift_slopes, time_rate)
+                      live_times, partials_vec, rates, shift_slopes,
+                      time_rate)
 from .trajectory import BREAK_TOL, Trajectory
 
 
@@ -88,25 +89,33 @@ class ExcessPoint:
     slope, and on first use of e_sum_rate the rate sets.  Slot "x" perturbs
     xdot(t) at t; slot "y" perturbs xdot(t-h) at nu = t+h.  Every method
     takes a stack of slopes (m, n), or one slope (n,), and returns shape
-    (len(ts), m): one row per time, one value per slope.  The times are
-    swept in blocks of at most _BLOCK_CELLS cells per kernel call."""
+    (len(ts), m): one row per time, one value per slope.  The kernel runs
+    only on a slot's live rows (problem.live_times of its argument times):
+    a y-slot row with nu > t1 is exactly +0.0 in excess, m and e_sum_rate,
+    as the gate would make it.  The live rows are swept in blocks of at
+    most _BLOCK_CELLS cells per kernel call."""
 
-    __slots__ = ("p", "cand", "ts", "sides", "args", "L", "grad", "_rates")
+    __slots__ = ("p", "cand", "ts", "sides", "args", "live", "L", "grad",
+                 "_rates")
 
     def __init__(self, p: DelayProblem, cand: CandidateExtremal, ts, sides):
         self.ts = np.atleast_1d(np.asarray(ts, dtype=float))
         self.p, self.cand, self.sides = p, cand, sides
         self.args = {"x": along(p, cand, self.ts, sides),
                      "y": along(p, cand, self.ts + p.h, sides)}
+        self.live = {s: np.flatnonzero(live_times(p, a[0]))
+                     for s, a in self.args.items()}
         self.L = {s: eval_L(p, a) for s, a in self.args.items()}
         self.grad = {s: partials_vec(p, SLOTS[s][0], a)
                      for s, a in self.args.items()}
         self._rates = None
 
-    def _blocks(self, width: int) -> List[slice]:
-        """Slices of the times, each at most _BLOCK_CELLS / width long."""
+    def _blocks(self, slot: str, width: int) -> List[np.ndarray]:
+        """Indices of the live times of slot, in blocks of at most
+        _BLOCK_CELLS / width."""
+        live = self.live[slot]
         step = max(1, _BLOCK_CELLS // max(1, width))
-        return [slice(i, i + step) for i in range(0, len(self.ts), step)]
+        return [live[i:i + step] for i in range(0, len(live), step)]
 
     def _slopes(self, xis) -> np.ndarray:
         """xis as a stack (m, n) of slopes in the problem's dimension n."""
@@ -116,15 +125,15 @@ class ExcessPoint:
                                   f"expected (m, {self.p.dim})")
         return xis
 
-    def _shifted(self, slot: str, b: slice, xis: np.ndarray) -> list:
+    def _shifted(self, slot: str, b: np.ndarray, xis: np.ndarray) -> list:
         return shift_slopes(self.p, self.args[slot][:, b], SLOTS[slot][0],
                             xis)
 
     def excess(self, slot: str, xis) -> np.ndarray:
         """L(..., slope+xi, ...) - L - Lslope^T xi in one slot; 0 beyond t1."""
         xis = self._slopes(xis)
-        out = np.empty((len(self.L[slot]), len(xis)))
-        for b in self._blocks(len(xis)):
+        out = np.zeros((len(self.ts), len(xis)))
+        for b in self._blocks(slot, len(xis)):
             L_pert = eval_L(self.p, self._shifted(slot, b, xis))
             out[b] = L_pert - self.L[slot][b, None] \
                 - _dot(self.grad[slot][:, b, None], xis)
@@ -138,12 +147,12 @@ class ExcessPoint:
         slot's state block (x at t, y at nu) and its slope perturbed."""
         xis = self._slopes(xis)
         state = SLOTS[slot][1]
-        base = partials_vec(self.p, state, self.args[slot])
         both = np.concatenate((xis, paired_slope(lam, xis)))
-        out = np.empty((base.shape[1], len(xis)))
-        for b in self._blocks(len(both)):
+        out = np.zeros((len(self.ts), len(xis)))
+        for b in self._blocks(slot, len(both)):
+            base = partials_vec(self.p, state, self.args[slot][:, b])
             moved = partials_vec(self.p, state, self._shifted(slot, b, both))
-            at_xi, at_pair = np.split(moved - base[:, b, None], 2, axis=2)
+            at_xi, at_pair = np.split(moved - base[..., None], 2, axis=2)
             out[b] = lam * _dot(at_xi, xis) + (1.0 - lam) * _dot(at_pair, xis)
         return out
 
@@ -163,7 +172,7 @@ class ExcessPoint:
         stack = np.vstack((np.zeros(self.p.dim), xis))
         out = np.zeros((len(self.ts), len(xis)))
         for slot, rate in self._rates.items():
-            for b in self._blocks(len(stack)):
+            for b in self._blocks(slot, len(stack)):
                 args = self._shifted(slot, b, stack)
                 r = [v[:, None] for v in rate[:, b]]
                 dL = time_rate(self.p, (), args, r)

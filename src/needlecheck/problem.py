@@ -19,7 +19,8 @@ grid into blocks to bound the cells of one call (conditions.ExcessPoint).
 `eval_L` and `partials_vec` run the compiled Lagrangian, or each compiled
 partial, once over the whole batch; `time_rate` contracts higher partials
 with a rate set to give exact time derivatives by the chain rule.  Values
-at t > t1 are exactly 0.  Any other non-finite value is a domain error:
+at t > t1 are exactly 0; `live_times` is that rule, which lets a caller
+skip the rows it would zero.  Any other non-finite value is a domain error:
 the tree walk reruns at the first bad cell of the broadcast rows, so the
 EvalDomainError names the offending subexpression.
 
@@ -119,18 +120,35 @@ def _rows(p: DelayProblem, block: str) -> slice:
 
 
 def _batch_shape(*row_sets) -> Tuple[int, ...]:
-    """The shape all rows of the given argument sets broadcast to."""
-    return np.broadcast_shapes(*(np.shape(r) for rows in row_sets
-                                 for r in rows))
+    """The shape all rows of the given argument sets broadcast to, from the
+    set of their distinct shapes."""
+    return np.broadcast_shapes(*{np.shape(r) for rows in row_sets
+                                 for r in rows})
+
+
+def live_times(p: DelayProblem, t) -> np.ndarray:
+    """Where L and all its partials are evaluated: the extended-zero
+    convention makes them exactly 0 at t > t1.  The one copy of the rule;
+    callers use it to skip rows that would read 0."""
+    # written as a negation so that a NaN time stays live, as it reaches
+    # the kernel and fails there
+    return ~(np.asarray(t) > p.t1)
 
 
 def _evaluate(p: DelayProblem, expr: ExprAst, args) -> np.ndarray:
     """expr at an argument set (rows broadcasting to one batch shape),
-    gated to exactly 0 where t > t1.  Returns the batch shape."""
+    gated to exactly 0 where t > t1.  Returns a new array of the batch
+    shape: a kernel value that is an argument row itself (L = dx1) or
+    smaller than the batch is copied out, and the gate is applied only
+    when some cell is dead."""
     shape = _batch_shape(args)
     with np.errstate(all="ignore"):
-        vals = np.where(args[0] > p.t1, 0.0,
-                        np.broadcast_to(expr.compiled()(*args), shape))
+        vals = expr.compiled()(*args)
+        if np.shape(vals) != shape or any(vals is a for a in args):
+            vals = np.array(np.broadcast_to(vals, shape), dtype=float)
+        live = live_times(p, args[0])
+        if not live.all():
+            vals = np.where(live, vals, 0.0)
     if not np.isfinite(vals).all():
         bad = int(np.argmax(~np.isfinite(vals.ravel())))
         cell = [float(np.broadcast_to(r, shape).flat[bad]) for r in args]
@@ -153,24 +171,36 @@ def time_rate(p: DelayProblem, names: Tuple[str, ...], args,
     rate is 0, and everywhere if the partial does not depend on it; its
     partial is then not evaluated, so neither a partial that is singular
     in a frozen argument nor an unbounded rate of an absent one can spoil
-    the sum.  Liveness is decided before anything is broadcast: a rate
-    row that is 0 everywhere is skipped before its partial is built, a
-    partial folded to 0 before its row is broadcast, and the argument
-    cells are broadcast once, on the first live argument."""
+    the sum.  The one-partial case of _time_rates, which decides which
+    arguments move once per rate set."""
+    return _time_rates(p, [names], args, rate)[0]
+
+
+def _time_rates(p: DelayProblem, partials: Sequence[Tuple[str, ...]], args,
+                rate) -> np.ndarray:
+    """time_rate of each partial (a tuple of names), stacked on a new
+    leading axis.  Liveness is decided once per rate set, before anything
+    is broadcast: a rate row that is 0 everywhere is dropped, and the
+    live rows, their nonzero cells and the argument cells are built once
+    and shared by every partial.  A partial folded to 0 is skipped."""
     shape = _batch_shape(args, rate)
-    out = np.zeros(shape)
-    cells = None
-    for v, v_rate in zip(p.lagrangian.variables, rate):
-        if not np.any(v_rate):
-            continue
-        d_v = p.lagrangian.partial(*names, v)
-        if d_v.is_zero:
-            continue
-        if cells is None:
-            cells = [np.broadcast_to(a, shape) for a in args]
-        v_rate = np.broadcast_to(v_rate, shape)
-        live = v_rate != 0.0
-        out[live] += v_rate[live] * _evaluate(p, d_v, [c[live] for c in cells])
+    out = np.zeros((len(partials),) + shape)
+    movers = [(v, row) for v, row in zip(p.lagrangian.variables, rate)
+              if np.any(row)]
+    cells, moving = None, {}
+    for k, names in enumerate(partials):
+        for v, row in movers:
+            d_v = p.lagrangian.partial(*names, v)
+            if d_v.is_zero:
+                continue
+            if v not in moving:
+                if cells is None:
+                    cells = [np.broadcast_to(a, shape) for a in args]
+                row = np.broadcast_to(row, shape)
+                nz = row != 0.0
+                moving[v] = (nz, row[nz], [c[nz] for c in cells])
+            nz, v_rate, at = moving[v]
+            out[k][nz] += v_rate * _evaluate(p, d_v, at)
     return out
 
 
@@ -183,7 +213,7 @@ def partials_vec(p: DelayProblem, block: str, args,
     if rate is None:
         return np.array([_evaluate(p, p.lagrangian.partial(v), args)
                          for v in names])
-    return np.array([time_rate(p, (v,), args, rate) for v in names])
+    return _time_rates(p, [(v,) for v in names], args, rate)
 
 
 def shift_slopes(p: DelayProblem, args: np.ndarray, block: str,

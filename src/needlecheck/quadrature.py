@@ -118,9 +118,20 @@ def geometric_sweep(f: Callable[[np.ndarray], np.ndarray], eps_max: float,
                     levels: int, ratio: float) -> EpsSweep:
     """Sample f on eps_k = eps_max * ratio^k, k = 0..levels-1; f takes the
     array of all levels and returns one value per level."""
-    eps = tuple(eps_max * ratio ** k for k in range(levels))
-    values = tuple(float(v) for v in f(np.array(eps)))
-    return EpsSweep(eps=eps, values=values)
+    return geometric_sweeps(lambda e: [f(e[0])], [eps_max], levels,
+                            ratio)[0]
+
+
+def geometric_sweeps(f: Callable[[np.ndarray], np.ndarray],
+                     eps_maxes: Sequence[float], levels: int,
+                     ratio: float) -> List[EpsSweep]:
+    """One geometric sweep per eps_max, from one call of f: f takes the
+    levels as an array (len(eps_maxes), levels) and returns one value per
+    level, in the same shape."""
+    eps = [tuple(m * ratio ** k for k in range(levels)) for m in eps_maxes]
+    values = f(np.array(eps).reshape(len(eps), levels))
+    return [EpsSweep(eps=e, values=tuple(float(v) for v in row))
+            for e, row in zip(eps, values)]
 
 
 def fit_expansion(sweep: EpsSweep) -> Tuple[float, float, float]:

@@ -1,8 +1,11 @@
 """Test-only reference helpers: a constant history, the central finite
 difference that the symbolic partials are checked against, the first
 variation of a variation trajectory that the needle's is checked against,
-and the Q_1/excess equivalence of Remark 6.1."""
+the Q_1/excess equivalence of Remark 6.1, and the plain-JSON conversion
+whose json.dumps text the CLI's report writer is checked against."""
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
@@ -112,3 +115,26 @@ def remark_6_1_equivalence(p: DelayProblem, cand: CandidateExtremal,
         theta=theta, side=side, q1_sum=q1, e_sum_direction=e1,
         e_sum_paired=e2, weierstrass_min=wmin, tol_deg=td, tol_w=tw,
         zero_q1=zero_q1, zero_e=zero_e, passed=zero_q1 == zero_e)
+
+
+def _jsonable(obj):
+    """obj as plain JSON values: a dataclass as the dict of its fields, a
+    numpy array as nested lists, numpy scalars as numbers, tuples as lists,
+    dict keys as strings, and a non-finite float as the string of its
+    repr.  The CLI prints json.dumps(_jsonable(payload), indent=2,
+    sort_keys=True), byte for byte."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if math.isfinite(v) else repr(v)
+    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+        return int(obj)
+    if isinstance(obj, (tuple, list)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    return obj

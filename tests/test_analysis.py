@@ -713,8 +713,9 @@ def test_full_report_keeps_evidence_after_a_later_stage_error(
 def test_full_report_is_inconclusive_when_the_cross_check_fails(monkeypatch):
     p = make_problem("dx1^2 + dy1^2")
     real = increments.expansion_prediction
+    # the verdict predicts both needles in one batched call
     monkeypatch.setattr(increments, "expansion_prediction",
-                        lambda *a: (real(*a)[0], real(*a)[1] + 1.0))
+                        lambda *a: [(c1, c2 + 1.0) for c1, c2 in real(*a)])
     report = full_report(p, make_candidate(p))
     assert report.overall == "INCONCLUSIVE"
     assert [r.passed for r in report.expansion_checks] == [False, False]
@@ -774,3 +775,103 @@ def test_full_report_deterministic(sample_problem, sample_cand):
     assert a.weierstrass.overall_min == b.weierstrass.overall_min
     assert [(f.t_lo, f.t_hi) for f in a.findings] == \
         [(f.t_lo, f.t_hi) for f in b.findings]
+
+
+def _paired_slope_cells(monkeypatch, p, cand, settings):
+    """Kernel cells of detect_degeneracy whose perturbed slope (the dx
+    block of the x slot, the dy block of the y slot; the candidate is zero,
+    so the other block is 0) has a norm of a paired unit direction under
+    lam 0.25 or 0.75, that is 1/3 or 3."""
+    cells = []
+    compiled = ExprAst.compiled
+    n = p.dim
+
+    def counting(expr):
+        kernel = compiled(expr)
+
+        def count(*args):
+            shape = np.broadcast_shapes(*map(np.shape, args))
+            rows = [np.broadcast_to(a, shape) for a in args]
+            for block in (rows[1 + 2 * n:1 + 3 * n], rows[1 + 3 * n:]):
+                norm = np.sqrt(sum(r * r for r in block))
+                cells.append(int(np.sum(np.isclose(norm, 1 / 3)
+                                        | np.isclose(norm, 3.0))))
+            return kernel(*args)
+        return count
+
+    monkeypatch.setattr(ExprAst, "compiled", counting)
+    detect_degeneracy(p, cand, settings)
+    return sum(cells)
+
+
+def test_paired_slopes_are_evaluated_only_where_a_direction_degenerates(
+        monkeypatch):
+    settings = AnalysisSettings(degeneracy_grid=20, lambdas=(0.25, 0.75))
+    # strictly convex: no direction degenerates anywhere, no pair is built
+    p = make_problem("dx1^2 + dx2^2 + 0.5*dy1^2 + dy2^2 + 0.1*dx1*dy2",
+                     dim=2)
+    assert _paired_slope_cells(monkeypatch, p, make_candidate(p),
+                               settings) == 0
+    # bundled: both directions degenerate on (0, 2), so every pair is
+    # evaluated at every grid time in both slots
+    p = make_problem(SAMPLE_L)
+    assert _paired_slope_cells(monkeypatch, p, make_candidate(p),
+                               settings) == 2 * 20 * 2 * 2
+
+
+def test_lazy_pairs_certify_as_every_pair_does():
+    # the same cells certify with and without every pair evaluated, and a
+    # certified cell reads the same |E(pair)|
+    p = make_problem(QUARTIC_WELL_L)
+    pt = ExcessPoint(p, make_candidate(p), np.linspace(0.0, 2.0, 9), "right")
+    etas = np.array([[1.0], [-1.0], [0.5], [2.0]])
+    lams = [0.5, 0.25]
+    ok, e1, e2 = analysis._certifies(pt, etas, lams, 1e-9)
+    lazy_ok, lazy_e1, lazy_e2 = analysis._certifies(pt, etas, lams, 1e-9,
+                                                    every_pair=False)
+    assert ok.any() and not ok.all()
+    assert np.array_equal(ok, lazy_ok) and np.array_equal(e1, lazy_e1)
+    assert np.array_equal(e2[ok], lazy_e2[ok])
+    # the nowhere-degenerate etas 0.5 and 2 had no pair evaluated
+    assert np.isinf(lazy_e2[:, 2:]).all() and np.isfinite(lazy_e2[:, :2]).all()
+
+
+def test_verdict_integrates_its_needles_in_one_batch(monkeypatch):
+    # both expansion needles: one ExcessPoint for the predictions, one
+    # integrate_L call for both sweeps
+    from needlecheck import conditions, problem
+    built, integrals = [], []
+
+    class Counted(conditions.ExcessPoint):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    real = problem.integrate_L
+    monkeypatch.setattr(conditions, "ExcessPoint", Counted)
+    monkeypatch.setattr(problem, "integrate_L",
+                        lambda *a: integrals.append(a) or real(*a))
+    p = make_problem("dx1^2 + dy1^2")
+    report = full_report(p, make_candidate(p))
+    assert report.overall == "CONSISTENT"
+    assert [r.spec.side for r in report.expansion_checks] == ["right",
+                                                              "left"]
+    assert len(integrals) == 1
+    needles = [a for a in built if list(a[3]) == ["right", "left"]]
+    assert len(needles) == 1 and list(needles[0][2]) == [1.0, 1.0]
+
+
+def test_an_inadmissible_expansion_needle_errors_alone(monkeypatch):
+    p = make_problem("dx1^2 + dy1^2")
+    good = NeedleSpec(theta=1.0, lam=0.5, xi=np.array([1.0]), side="right")
+    # a left needle has no room at t0
+    bad = NeedleSpec(theta=0.0, lam=0.5, xi=np.array([1.0]), side="left")
+    monkeypatch.setattr(analysis, "_expansion_spots", lambda *a: [bad, good])
+    report = full_report(p, make_candidate(p))
+    assert report.overall == "INCONCLUSIVE"
+    (stage, msg), = report.stage_errors
+    assert stage == "increment[left]" and "theta=0.0" in msg
+    (record,) = report.expansion_checks
+    assert record.spec is good and record.passed

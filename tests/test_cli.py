@@ -235,8 +235,9 @@ def test_verdict_is_inconclusive_when_the_cross_check_fails(
     cfg = tmp_path / "convex.cfg"
     cfg.write_text(POW_CFG.replace("(1 + dx1)^1.5", "dx1^2 + dy1^2"))
     real = increments.expansion_prediction
+    # the verdict predicts both needles in one batched call
     monkeypatch.setattr(increments, "expansion_prediction",
-                        lambda *a: (real(*a)[0], real(*a)[1] + 1.0))
+                        lambda *a: [(c1, c2 + 1.0) for c1, c2 in real(*a)])
     with pytest.raises(SystemExit) as exit_:
         cli.main(["verdict", str(cfg)])
     payload = json.loads(capsys.readouterr().out)
@@ -570,3 +571,82 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "euler", CFG], capture_output=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout.decode("utf-8"))["status"] == "pass"
+
+
+def test_a_nowhere_degenerate_direction_skips_its_pair(tmp_path):
+    # every scan slope keeps 2.5 + dx1 >= 0.5, but the pair of eta = 1
+    # under lam = 0.75 is -3.  No direction degenerates, so detection never
+    # evaluates that pair; the point checks still evaluate every pair and
+    # report the domain error with both |E| values out of reach
+    cfg = tmp_path / "sqrt.cfg"
+    cfg.write_text(POW_CFG.replace("(1 + dx1)^1.5", "sqrt(2.5 + dx1)"))
+    code, payload = run_json("degeneracy", str(cfg))
+    assert code == 0 and payload["result"] == {"count": 0, "findings": []}
+    code, payload = run_json("theorem6", str(cfg), "--point", "1", "--side",
+                             "right", "--xi", "1", "--lambda", "0.75")
+    assert code == 1
+    assert payload["result"]["error"] == (
+        "sqrt of negative value in subexpression 'sqrt(2.5 + dx1)'")
+
+
+def test_a_command_never_imports_locale():
+    # click's own help option translates its text through gettext, which
+    # imports locale and searches for catalogs on every command
+    script = ("import sys\n"
+              "from needlecheck.cli import main\n"
+              "try:\n"
+              "    main(['verdict', %r])\n"
+              "except SystemExit:\n"
+              "    pass\n"
+              "print('locale' in sys.modules)\n") % CFG
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.decode("utf-8")
+    assert '"status": "fail"' in out
+    assert out.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("name", [None, "validate", "euler", "weierstrass",
+                                  "excess", "degeneracy", "theorem5",
+                                  "theorem6", "increment", "verdict"])
+def test_help_is_clicks_own(name):
+    # the literal help option renders the bytes of click's stock one
+    import click
+    from needlecheck import cli
+    ours = cli.cli if name is None else cli.cli.commands[name]
+    kind = click.Group if name is None else click.Command
+    stock = kind(ours.name, params=list(ours.params), help=ours.help,
+                 callback=ours.callback)
+    if name is None:
+        for sub in cli.cli.commands.values():
+            stock.add_command(sub)
+    argv = ["--help"] if name is None else [name, "--help"]
+    got = run_cli(*argv)
+    assert got.returncode == 0 and got.stderr == b""
+    # the child runs `python -c`, so click names the program "-c"
+    top = click.Context(stock if name is None else cli.cli, info_name="-c")
+    ctx = top if name is None else click.Context(stock, info_name=name,
+                                                 parent=top)
+    want = stock.get_help(ctx)
+    assert got.stdout.decode("utf-8") == want + "\n"
+
+
+def test_usage_error_bytes():
+    proc = run_cli("increment", "x", "--side", "up")
+    assert proc.returncode == 1 and proc.stderr == b""
+    assert proc.stdout.decode("utf-8") == """\
+{
+  "command": null,
+  "config": null,
+  "exit_code": 1,
+  "result": {
+    "error": "Invalid value for '--side': 'up' is not one of 'right', 'left'."
+  },
+  "schema_version": "2",
+  "status": "error",
+  "tool": "needlecheck"
+}
+"""

@@ -153,7 +153,7 @@ def test_grid_matches_one_time_points_bit_for_bit():
     etas, lams, lam = xis[:800], [0.5, 0.25], 0.3
     grid = ExcessPoint(p, cand, [t for t, _ in times],
                        [side for _, side in times])
-    assert len(grid._blocks(len(xis))) >= 3
+    assert len(grid._blocks("x", len(xis))) >= 3
     e_sum, m_sum = grid.e_sum(xis), grid.m_sum(lam, xis)
     cert = _certifies(grid, etas, lams, 2.0)
     assert cert[0].any() and not cert[0].all()
@@ -555,3 +555,37 @@ def test_scan_rejects_a_slope_of_the_wrong_width(xi):
 def test_default_lambda_grid_closed_under_complement():
     lams = AnalysisSettings().lambdas
     assert set(lams) == set(1.0 - l for l in lams)
+
+
+def test_rows_beyond_t1_never_reach_the_kernel(monkeypatch):
+    # the y slot of times 2.2 and 2.9 reads nu > t1 = 3: excess, m and
+    # e_sum_rate give exactly +0.0 there without running any kernel on it
+    from needlecheck.exprs import ExprAst
+    p = make_problem(LAYOUT_L, dim=3, phi=["0.5*t", "sin(t)", "t^2"],
+                     x1=[2.25, 0.375, 0.75])
+    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
+        (0.0, 3.0, ["0.75*t", "0.125*t", "0.25*t"])]))
+    ts = [0.5, 2.2, 1.5, 2.9]
+    pt = ExcessPoint(p, cand, ts, "right")
+    times = []
+    compiled = ExprAst.compiled
+
+    def recording(expr):
+        kernel = compiled(expr)
+
+        def record(*args):
+            times.append(float(np.max(args[0])))
+            return kernel(*args)
+        return record
+
+    monkeypatch.setattr(ExprAst, "compiled", recording)
+    xis = np.random.default_rng(5).uniform(-1.0, 1.0, (7, 3))
+    tail = [1, 3]
+    for got in (pt.excess("y", xis), pt.m("y", 0.3, xis)):
+        assert got[tail].tolist() == [[0.0] * 7] * 2
+        assert not np.signbit(got[tail]).any()
+    assert np.isfinite(pt.e_sum_rate(xis)).all()
+    assert times and max(times) <= p.t1
+    # the x slot and the live y rows are evaluated as before
+    assert pt.excess("y", xis)[[0, 2]].any()
+    assert np.array_equal(pt.e_sum(xis)[tail], pt.excess("x", xis)[tail])

@@ -282,3 +282,55 @@ def test_batched_sweep_matches_symbolic_needles_bit_for_bit():
         assert np.array_equal(
             delta_S_direct(p, cand, spec, tiny),
             [_symbolic_increment(p, cand, spec, e) for e in tiny.tolist()])
+
+
+def test_a_batch_of_needles_is_one_point_and_one_integral(
+        sample_problem, sample_cand, monkeypatch):
+    # three needles with two distinct (lam, xi), a tail one among them:
+    # each record equals its needle's own, bit for bit, from one
+    # ExcessPoint and one integrate_L call
+    p, cand = sample_problem, sample_cand
+    other = NeedleSpec(theta=0.4, lam=0.25, xi=np.array([-2.0]), side="left")
+    specs = [RIGHT, other, TAIL]
+    alone = [verify_expansion(p, cand, spec) for spec in specs]
+    built, integrals = [], []
+
+    class Counted(needlecheck.conditions.ExcessPoint):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    real = needlecheck.problem.integrate_L
+    monkeypatch.setattr(needlecheck.conditions, "ExcessPoint", Counted)
+    monkeypatch.setattr(needlecheck.problem, "integrate_L",
+                        lambda *a: integrals.append(a) or real(*a))
+    batch = verify_expansion(p, cand, specs)
+    assert len(built) == 1 and len(integrals) == 1
+    for got, want in zip(batch, alone):
+        assert got.spec is want.spec
+        assert (got.c1_predicted, got.c2_predicted, got.c1_fitted,
+                got.c2_fitted, got.fit_residual, got.eps_max, got.sweep,
+                got.tolerance, got.passed) == (
+            want.c1_predicted, want.c2_predicted, want.c1_fitted,
+            want.c2_fitted, want.fit_residual, want.eps_max, want.sweep,
+            want.tolerance, want.passed)
+    assert expansion_prediction(p, cand, specs) == [
+        (r.c1_predicted, r.c2_predicted) for r in alone]
+
+
+def test_batched_direct_increments_take_one_eps_entry_per_needle(
+        sample_problem, sample_cand):
+    p, cand = sample_problem, sample_cand
+    got = delta_S_direct(p, cand, [RIGHT, LEFT], [0.25, 0.125])
+    assert got.shape == (2,)
+    assert got.tolist() == [delta_S_direct(p, cand, RIGHT, 0.25),
+                            delta_S_direct(p, cand, LEFT, 0.125)]
+    levels = np.array([[0.25, 0.125], [0.1, 0.05]])
+    got = delta_S_direct(p, cand, [RIGHT, TAIL], levels)
+    assert np.array_equal(got[1], delta_S_direct(p, cand, TAIL, levels[1]))
+    with pytest.raises(NeedleError, match="1 eps entries for 2 needles"):
+        delta_S_direct(p, cand, [RIGHT, LEFT], [0.25])
+    with pytest.raises(NeedleError, match="validity window"):
+        delta_S_direct(p, cand, [RIGHT, LEFT], [0.25, 1.5])

@@ -258,3 +258,23 @@ def test_time_rate_propagates_non_finite_rates_of_live_arguments():
             np.array([0.0, np.nan, np.inf, -np.inf]), np.zeros(4)]
     got = time_rate(p, (), args, rate)
     np.testing.assert_array_equal(got, [0.0, np.nan, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("lag", ["dx1", "2.5", "t"])
+def test_evaluate_returns_a_new_array_of_the_batch_shape(lag):
+    # L = dx1 is its own argument row, a constant a scalar and L = t a row
+    # narrower than the batch: each comes back as a fresh (3, 2) array,
+    # gated beyond t1 only where some cell is dead
+    p = make_problem(lag)
+    for t in ([[1.0], [2.0], [2.5]], [[1.0], [2.0], [3.5]]):
+        args = [np.array(t), np.zeros((1, 2)), np.zeros((1, 2)),
+                np.ones((3, 2)), np.zeros((1, 2))]
+        before = [a.copy() for a in args]
+        got = eval_L(p, args)
+        assert got.shape == (3, 2) and got.flags.writeable
+        assert not any(np.shares_memory(got, a) for a in args)
+        got[...] = -7.0
+        assert all(np.array_equal(a, b) for a, b in zip(args, before))
+        want = {"dx1": 1.0, "2.5": 2.5}.get(lag, np.array(t))
+        want = np.where(np.array(t) > p.t1, 0.0, want) * np.ones((3, 2))
+        assert np.array_equal(eval_L(p, args), want)

@@ -18,5 +18,8 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     # the bundled verdict, then the right needle at theta = 1: Delta S is
     # -eps^2/2 and the first variation vanishes on the extremal
     assert out[0] == "FAILS_WEAK"
+    # the batch of both needles at theta = 1 passes its cross-check
+    assert [line.split()[0] for line in out[-4:-2]] == ["right", "left"]
+    assert [line.split()[-1] for line in out[-4:-2]] == ["True", "True"]
     assert abs(float(out[-2]) + 0.03125) <= 1e-12
     assert abs(float(out[-1])) <= 1e-10
