@@ -14,12 +14,13 @@ from .analysis import (AnalysisError, AnalysisReport, DegeneracyFinding,
                        theorem_5_1_check, theorem_6_1_check,
                        theorem_6_2_check)
 from .conditions import (AnalysisSettings, ConditionsError, euler_residual,
-                         needle_first_variation, weierstrass_scan)
+                         weierstrass_scan)
 from .config import (ConfigError, RunConfig, build_candidate, build_problem,
                      load_config, parse_config)
 from .exprs import ExprError, parse_expr, parse_lagrangian
 from .increments import (IncrementRecord, delta_S_direct,
-                         expansion_prediction, verify_expansion)
+                         expansion_prediction, needle_first_variation,
+                         verify_expansion)
 from .needle import NeedleSpec, NeedleError
 from .problem import CandidateExtremal, DelayProblem, ProblemError, eval_S
 from .quadrature import QuadratureError, fit_expansion

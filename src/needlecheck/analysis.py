@@ -77,12 +77,6 @@ class DegeneracyFinding:
     certified_pairs: Tuple[Tuple[Tuple[float, ...], float], ...] = ()
 
     @property
-    def theta(self) -> float:
-        if self.kind != "point":
-            raise AnalysisError("theta is defined for point findings only")
-        return self.t_lo
-
-    @property
     def midpoint(self) -> float:
         return 0.5 * (self.t_lo + self.t_hi)
 

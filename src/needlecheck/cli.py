@@ -15,6 +15,7 @@ import importlib.resources
 import json
 import math
 import os
+import re
 import sys
 from typing import Optional, Tuple
 
@@ -25,7 +26,7 @@ from . import analysis, conditions, increments, problem
 from .analysis import AnalysisError
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .config import build_candidate, build_problem
-from .needle import NeedleError, NeedleSpec, check_point_range, window_for
+from .needle import NeedleError, NeedleSpec, window_for
 from .problem import CandidateExtremal, DelayProblem
 
 SCHEMA_VERSION = "2"
@@ -128,6 +129,19 @@ def _load_all(config_arg: str) -> Tuple[RunConfig, DelayProblem,
     return cfg, p, cand
 
 
+def _message(command: str, exc: Exception) -> str:
+    """str(exc), except that a NeedleError names the flag of the value it
+    rejects in place of the value's name: theta is increment's --theta and
+    the --point of excess and theorem6; lambda, xi and eps are --lambda,
+    --xi and --eps."""
+    name, rest = re.match(r"([a-z]*)(.*)", str(exc), re.S).groups()
+    flags = {"theta": "--theta" if command == "increment" else "--point",
+             "lambda": "--lambda", "xi": "--xi", "eps": "--eps"}
+    if isinstance(exc, NeedleError) and name in flags:
+        return flags[name] + rest
+    return str(exc)
+
+
 def _run(command: str, config_arg: str, fn) -> None:
     """fn(cfg, p, cand) -> (result, failed); emits the report and exits."""
     cfg = None
@@ -136,7 +150,7 @@ def _run(command: str, config_arg: str, fn) -> None:
         result, failed = fn(cfg, p, cand)
     except _ERRORS as exc:
         echo = cfg if cfg is not None else {"path": config_arg}
-        _emit(command, echo, {"error": str(exc)}, "error", 1)
+        _emit(command, echo, {"error": _message(command, exc)}, "error", 1)
         return
     _emit(command, cfg, result, "fail" if failed else "pass",
           2 if failed else 0)
@@ -250,15 +264,9 @@ def excess(config: str, point: float, side: str, xi: Tuple[float, ...],
            lam: float) -> None:
     """Excess, Q and M values at one point and slope direction."""
     def body(cfg, p, cand):
-        check_point_range(p, point, side, name="--point")
         eta = _xi_or_default(xi, p, cfg.analysis.seed)
-        try:
-            spec = NeedleSpec(point, lam, eta, side)
-            window_for(p, spec)
-        except NeedleError as exc:
-            # the needle's rules; their messages begin with the field name,
-            # which is the flag's name here (--point is checked above)
-            raise AnalysisError(f"--{exc}") from exc
+        spec = NeedleSpec(point, lam, eta, side)
+        window_for(p, spec)
         pt = conditions.ExcessPoint(p, cand, point, side)
         pair = spec.outer_slope
         tw = cfg.analysis.resolved(p, cand).tol_w
@@ -363,11 +371,11 @@ def increment(config: str, theta: float, lam: float, xi: Tuple[float, ...],
         if (eps is None) == (not sweep):
             raise AnalysisError("choose exactly one of --eps or --sweep")
         if sweep:
-            record = increments.verify_expansion(p, cand, spec, settings=a)
+            [record] = increments.verify_expansion(p, cand, [spec], a)
             return record, not record.passed
-        delta = increments.delta_S_direct(p, cand, spec, eps,
-                                          order=a.quad_order)
-        c1, c2 = increments.expansion_prediction(p, cand, spec)
+        [delta] = increments.delta_S_direct(p, cand, [spec], [eps],
+                                            order=a.quad_order)
+        [(c1, c2)] = increments.expansion_prediction(p, cand, [spec])
         result = {
             "spec": spec, "eps": eps, "delta_S_direct": delta,
             "c1_predicted": c1, "c2_predicted": c2,

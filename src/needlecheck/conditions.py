@@ -20,9 +20,8 @@ AnalysisSettings holds what every stage reads (grids, slope samples,
 lambdas, scale ladder, tolerances, eps sweep) and every range rule; its
 resolved() is the one tolerance rule.
 
-The needle's first variation integrates the force Lx(t)+Ly(t+h) and
-momentum Ldx(t)+Ldy(t+h) against its (q, q_dot) from needle.perturbation,
-the one place its geometry is defined.
+euler_residual is the exact time rate of the momentum Ldx(t)+Ldy(t+h)
+minus the force Lx(t)+Ly(t+h).
 
 The slope-slot perturbation notation: a value "at (t, xi)" evaluates the
 functional with xdot(t) replaced by xdot(t)+xi (xdot slot) or with
@@ -36,12 +35,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import quadrature
-from .needle import NeedleSpec, check_eps, paired_slope, perturbation
+from .needle import paired_slope
 from .problem import (CandidateExtremal, DelayProblem, along, eval_L,
                       live_times, partials_vec, rates, shift_slopes,
                       time_rate)
-from .trajectory import BREAK_TOL, Trajectory
+from .trajectory import BREAK_TOL
 
 
 class ConditionsError(ValueError):
@@ -192,55 +190,7 @@ class ExcessPoint:
 
 
 # ---------------------------------------------------------------------------
-# first variation and the Euler residual
-
-def _force_momentum(p: DelayProblem, cand: CandidateExtremal, ts, sides,
-                    d_dt: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-    """(Lx(t)+Ly(t+h), Ldx(t)+Ldy(t+h)) along the candidate at each time of
-    ts, from its side (one side or one per time): two (n, len(ts)) arrays.
-    With d_dt, the exact time derivative of the momentum Ldx(t)+Ldy(t+h)
-    replaces it."""
-    ts = np.asarray(ts, dtype=float)
-    at_t, at_th = along(p, cand, ts, sides), along(p, cand, ts + p.h, sides)
-    r_t, r_th = ((rates(p, cand, at_t, sides), rates(p, cand, at_th, sides))
-                 if d_dt else (None, None))
-    force = partials_vec(p, "x", at_t) + partials_vec(p, "y", at_th)
-    rho = partials_vec(p, "dx", at_t, r_t) + partials_vec(p, "dy", at_th, r_th)
-    return force, rho
-
-
-def _variation_breaks(p: DelayProblem, *trajs: Trajectory) -> List[float]:
-    pts = {p.t1 - p.h}
-    for traj in trajs:
-        for bp in (traj.a,) + traj.breakpoints + (traj.b,):
-            pts.update((bp, bp - p.h, bp + p.h))
-    return [x for x in pts if p.t0 < x < p.t1]
-
-
-def _variation_integral(p: DelayProblem, cand: CandidateExtremal, a: float,
-                        b: float, breaks, q_qdot) -> float:
-    """Integral over [a, b] of [Lx(t)+Ly(t+h)]^T q(t) + [Ldx(t)+Ldy(t+h)]^T
-    q_dot(t), with q_qdot(ts) giving (q, q_dot) at the nodes ts, each of
-    shape (n, len(ts)), and the panels split at breaks."""
-    def g(ts: np.ndarray) -> np.ndarray:
-        force, rho = _force_momentum(p, cand, ts, "right")
-        q, q_dot = q_qdot(ts)
-        return _dot(force, q.T) + _dot(rho, q_dot.T)
-    return quadrature.integrate(g, a, b, breaks)
-
-
-def needle_first_variation(p: DelayProblem, cand: CandidateExtremal,
-                           spec: NeedleSpec, eps: float) -> float:
-    """The first variation along the needle, the (q, q_dot) of
-    needle.perturbation, integrated over its support [c0, c2] split at the
-    inner corner.  Zero (within quadrature tolerance) when the candidate is
-    an extremal."""
-    check_eps(p, spec, eps)
-    c0, c1, c2 = spec.corners(eps)
-    return _variation_integral(
-        p, cand, c0, c2, _variation_breaks(p, cand.traj) + [c1],
-        lambda ts: perturbation(spec, eps, ts, "right"))
-
+# the Euler residual
 
 def euler_residual(p: DelayProblem, cand: CandidateExtremal, t,
                    side="right") -> np.ndarray:
@@ -251,7 +201,10 @@ def euler_residual(p: DelayProblem, cand: CandidateExtremal, t,
     one-sided first and second derivatives.  The extended-zero convention
     supplies the single-term regime on (t1-h, t1] with the same formula."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    force, drho = _force_momentum(p, cand, ts, side, d_dt=True)
+    at_t, at_th = along(p, cand, ts, side), along(p, cand, ts + p.h, side)
+    force = partials_vec(p, "x", at_t) + partials_vec(p, "y", at_th)
+    drho = (partials_vec(p, "dx", at_t, rates(p, cand, at_t, side))
+            + partials_vec(p, "dy", at_th, rates(p, cand, at_th, side)))
     return drho - force if np.ndim(t) else (drho - force)[:, 0]
 
 
@@ -330,9 +283,6 @@ class WeierstrassScanReport:
     tol_deg: float
     overall_min: float
     has_violation: bool
-
-    def violations(self) -> List[ScanEntry]:
-        return [e for e in self.entries if e.violation]
 
 
 def lagrangian_scale(p: DelayProblem, cand: CandidateExtremal) -> float:

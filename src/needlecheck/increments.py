@@ -1,7 +1,8 @@
-"""Cost increments under needle variations, two independent ways.
+"""Cost increments under needle variations, two independent ways, and
+the first variation along a needle.
 
-Each function takes one needle or a sequence of needles, which it
-batches.
+Each function takes a sequence of needles, which it batches, and returns
+one result per needle.
 delta_S_direct adds each needle's (q, q_dot) to the candidate at the
 quadrature nodes and integrates the Lagrangian difference, every needle's
 whole eps sweep in one batched integrate_L call; it never touches the
@@ -14,12 +15,15 @@ never integrates the cost.
 verify_expansion runs a geometric eps sweep of the direct increment, fits
 it with a power series in eps, and compares the fitted first and second
 order coefficients against the prediction.  Agreement of the two paths
-is the point: each would miss a bug in the other."""
+is the point: each would miss a bug in the other.
+needle_first_variation integrates, on the intervals and nodes of
+delta_S_direct, the derivative of L in the direction of the needle's
+(q, q_dot)."""
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,22 +35,37 @@ from .problem import CandidateExtremal, DelayProblem
 from .quadrature import EpsSweep, fit_expansion, geometric_sweeps
 
 
-Needles = Union[NeedleSpec, Sequence[NeedleSpec]]
+def _intervals(p: DelayProblem, specs: Sequence[NeedleSpec], eps,
+               base: bool) -> Tuple[List[problem.Interval], Tuple[int, ...]]:
+    """The intervals that carry each needle's difference at each of its
+    eps levels, needle by needle and level by level, and the shape of eps:
+    the needle support [c0, c2] and its +h shift, each with the needle's
+    bump and, with base, then without it.  eps has one entry per needle,
+    a float or a row of levels."""
+    eps = np.asarray(eps, dtype=float)
+    given = len(eps) if eps.ndim else 0
+    if given != len(specs):
+        raise NeedleError(f"{given} eps entries for {len(specs)} needles")
+    intervals = []
+    for spec, levels in zip(specs, eps.reshape(len(specs), -1).tolist()):
+        for e in levels:
+            check_eps(p, spec, e)
+            c0, _, c2 = corners = spec.corners(e)
+            extra = corners + tuple(c + p.h for c in corners)
+            bump = functools.partial(perturbation, spec, e)
+            for lo, hi in ((c0, c2), (c0 + p.h, c2 + p.h)):
+                intervals.append(problem.Interval(lo, hi, extra, bump))
+                if base:
+                    intervals.append(problem.Interval(lo, hi, extra))
+    return intervals, eps.shape
 
 
-def _needles(specs: Needles) -> Tuple[List[NeedleSpec], bool]:
-    """specs as a list, and whether it was one needle, not a sequence."""
-    one = isinstance(specs, NeedleSpec)
-    return ([specs] if one else list(specs)), one
-
-
-def delta_S_direct(p: DelayProblem, cand: CandidateExtremal, specs: Needles,
-                   eps, order: Optional[int] = None):
-    """S(candidate + needle) - S(candidate) by direct quadrature.  For one
-    needle, eps is one eps (a float, and so is the result) or an array of
-    eps levels (one value each).  For a sequence of needles, eps has one
-    entry per needle, a float or a row of levels, and the result is an
-    array of the shape of eps.
+def delta_S_direct(p: DelayProblem, cand: CandidateExtremal,
+                   specs: Sequence[NeedleSpec], eps,
+                   order: Optional[int] = None) -> np.ndarray:
+    """S(candidate + needle) - S(candidate) by direct quadrature, for each
+    needle and eps level: eps has one entry per needle, a float or a row
+    of levels, and the result is an array of the shape of eps.
 
     The integrand difference is supported on the needle support [c0, c2]
     (where the state and its slope change) and on its +h shift (where the
@@ -57,65 +76,63 @@ def delta_S_direct(p: DelayProblem, cand: CandidateExtremal, specs: Needles,
     at the nodes) and base, on the support and on its shift; a level is
     their fsum.
     """
-    specs, one = _needles(specs)
-    eps = np.asarray(eps, dtype=float)
-    if not one and len(eps) != len(specs):
-        raise NeedleError(f"{len(eps)} eps entries for {len(specs)} needles")
-    intervals = []
-    for spec, levels in zip(specs, eps.reshape(len(specs), -1).tolist()):
-        for e in levels:
-            check_eps(p, spec, e)
-            c0, _, c2 = corners = spec.corners(e)
-            extra = corners + tuple(c + p.h for c in corners)
-            bump = functools.partial(perturbation, spec, e)
-            for lo, hi in ((c0, c2), (c0 + p.h, c2 + p.h)):
-                intervals += [problem.Interval(lo, hi, extra, bump),
-                              problem.Interval(lo, hi, extra)]
+    intervals, shape = _intervals(p, specs, eps, base=True)
     pieces = problem.integrate_L(p, cand.traj, intervals, order)
-    deltas = [math.fsum((a, -b, c, -d))
-              for a, b, c, d in np.reshape(pieces, (-1, 4)).tolist()]
-    return deltas[0] if eps.ndim == 0 else np.reshape(deltas, eps.shape)
+    return np.reshape([math.fsum((a, -b, c, -d)) for a, b, c, d
+                       in np.reshape(pieces, (-1, 4)).tolist()], shape)
+
+
+def needle_first_variation(p: DelayProblem, cand: CandidateExtremal,
+                           specs: Sequence[NeedleSpec], eps) -> np.ndarray:
+    """The first variation along each needle, for each eps level (eps and
+    the result as in delta_S_direct): the derivative of L in the direction
+    of the needle's (q, q_dot), time_rate(p, (), args, bumps), integrated
+    over delta_S_direct's intervals in one integrate_nodes call.  By the
+    substitution t -> t - h on the shift this is the integral over the
+    support of [Lx(t)+Ly(t+h)]^T q + [Ldx(t)+Ldy(t+h)]^T q_dot.  Zero
+    (within quadrature tolerance) when the candidate is an extremal."""
+    intervals, shape = _intervals(p, specs, eps, base=False)
+    pieces = problem.integrate_nodes(
+        p, cand.traj, intervals,
+        lambda args, bumps: problem.time_rate(p, (), args, bumps))
+    return np.reshape([math.fsum(pair) for pair
+                       in np.reshape(pieces, (-1, 2)).tolist()], shape)
 
 
 def expansion_prediction(p: DelayProblem, cand: CandidateExtremal,
-                         specs: Needles):
-    """Predicted (c1, c2) of Delta S = c1*eps + c2*eps^2 + o(eps^2) of one
-    needle, or a list of them, one per needle of a sequence.
+                         specs: Sequence[NeedleSpec]
+                         ) -> List[Tuple[float, float]]:
+    """Predicted (c1, c2) of Delta S = c1*eps + c2*eps^2 + o(eps^2), one
+    pair per needle.
 
     c1 is the Q_1 sum at theta.  c2 is +-(1/2) * (lam * M sum + d/dt Q_2 sum),
     with + for right needles and - for left needles: the sweep toward t0
     flips the sign of the whole second-order bracket (ExcessPoint's
     second_order, from the needle's side).  Built entirely from the excess
-    functionals, on one ExcessPoint with a row per needle; each distinct
-    (lam, xi) is evaluated once at every row, and a needle reads its own
-    row.  The cost integral is never evaluated here.
+    functionals, on one ExcessPoint with a row per needle: needle k's xi
+    and its pair are columns 2k and 2k+1 of the slope stack, there is one
+    second_order call per distinct lam, and a needle reads its own row.
+    The cost integral is never evaluated here.
     """
-    specs, one = _needles(specs)
     for spec in specs:
         window_for(p, spec)  # validates xi and theta against the side's regime
     pt = conditions.ExcessPoint(p, cand, [s.theta for s in specs],
                                 [s.side for s in specs])
-    # each distinct (lam, xi) once, as column j of the slope stacks
-    cols = {}
-    for spec in specs:
-        cols.setdefault((spec.lam, spec.xi.tobytes()), (len(cols), spec))
-    firsts = [spec for _, spec in cols.values()]
-    slopes = [x for spec in firsts for x in (spec.xi, spec.outer_slope)]
+    slopes = [x for spec in specs for x in (spec.xi, spec.outer_slope)]
     e_x, e_y = (pt.excess(slot, slopes).tolist() for slot in ("x", "y"))
-    # column j -> its second-order bracket at each row
+    # needle k -> its second-order bracket at each row
     bracket = {}
-    for lam in {spec.lam for spec in firsts}:
-        js = [j for j, spec in enumerate(firsts) if spec.lam == lam]
-        at = pt.second_order(lam, [firsts[j].xi for j in js])
-        bracket.update(zip(js, at.T.tolist()))
+    for lam in dict.fromkeys(spec.lam for spec in specs):
+        ks = [k for k, spec in enumerate(specs) if spec.lam == lam]
+        at = pt.second_order(lam, [specs[k].xi for k in ks])
+        bracket.update(zip(ks, at.T.tolist()))
     out = []
     for k, spec in enumerate(specs):
-        j = cols[(spec.lam, spec.xi.tobytes())][0]
-        q1_x, q1_y = (conditions.q_k(1, spec.lam, *e[k][2 * j:2 * j + 2])
+        q1_x, q1_y = (conditions.q_k(1, spec.lam, *e[k][2 * k:2 * k + 2])
                       for e in (e_x, e_y))
         half = 0.5 if spec.side == "right" else -0.5
-        out.append((q1_x + q1_y, half * bracket[j][k]))
-    return out[0] if one else out
+        out.append((q1_x + q1_y, half * bracket[k][k]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -135,20 +152,19 @@ class IncrementRecord:
 
 
 def verify_expansion(p: DelayProblem, cand: CandidateExtremal,
-                     specs: Needles,
-                     settings: AnalysisSettings = AnalysisSettings()):
+                     specs: Sequence[NeedleSpec],
+                     settings: AnalysisSettings = AnalysisSettings()
+                     ) -> List[IncrementRecord]:
     """Fit c1, c2 from a geometric eps sweep of the direct increment (the
     settings' sweep_levels, sweep_ratio and quad_order) and compare them
-    with the excess-functional prediction: the IncrementRecord of one
-    needle, or a list of them, one per needle of a sequence.  Every
-    prediction comes from one expansion_prediction call and every sweep
-    from one delta_S_direct call.
+    with the excess-functional prediction: one IncrementRecord per needle.
+    Every prediction comes from one expansion_prediction call and every
+    sweep from one delta_S_direct call.
 
     Each sweep starts at eps_max, derived as a quarter of the needle's
     validity window capped at 1/4.  The tolerance is max(1e-6, 1e-3 *
     scale) per coefficient, where scale is the magnitude of the predicted
     pair (at least 1)."""
-    specs, one = _needles(specs)
     eps_max = [min(window_for(p, spec), 1.0) / 4.0 for spec in specs]
     predicted = expansion_prediction(p, cand, specs)
     sweeps = geometric_sweeps(
@@ -165,4 +181,4 @@ def verify_expansion(p: DelayProblem, cand: CandidateExtremal,
             spec=spec, eps_max=e_max, sweep=sweep, c1_predicted=c1_pred,
             c2_predicted=c2_pred, c1_fitted=c1_fit, c2_fitted=c2_fit,
             fit_residual=residual, tolerance=tol, passed=passed))
-    return records[0] if one else records
+    return records

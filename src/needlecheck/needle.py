@@ -32,7 +32,8 @@ _CORNER_TOL = 1e-12
 
 
 class NeedleError(ValueError):
-    pass
+    """An inadmissible needle or point.  A message about one value begins
+    with its name: theta, lambda, xi, eps or side."""
 
 
 def paired_slope(lam, xi: np.ndarray) -> np.ndarray:
@@ -76,15 +77,14 @@ class NeedleSpec:
         return (self.theta - eps, self.theta - self.lam * eps, self.theta)
 
 
-def check_point_range(p: DelayProblem, theta: float, side: str,
-                      name: str = "theta") -> None:
+def check_point_range(p: DelayProblem, theta: float, side: str) -> None:
     """The admissible range of a point: t0 <= theta < t1 from the right,
     t0 < theta <= t1 from the left, t0 < theta < t1 for both sides."""
     lo_ok = theta > p.t0 + BREAK_TOL or side == "right"
     hi_ok = theta < p.t1 - BREAK_TOL or side == "left"
     if not (p.t0 - BREAK_TOL <= theta <= p.t1 + BREAK_TOL and lo_ok and hi_ok):
         raise NeedleError(
-            f"{name}={theta} outside the admissible range for side {side!r}")
+            f"theta={theta} outside the admissible range for side {side!r}")
 
 
 def window_for(p: DelayProblem, spec: NeedleSpec) -> float:

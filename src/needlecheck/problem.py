@@ -24,9 +24,10 @@ skip the rows it would zero.  Any other non-finite value is a domain error:
 the tree walk reruns at the first bad cell of the broadcast rows, so the
 EvalDomainError names the offending subexpression.
 
-`integrate_L`, the one L-quadrature, evaluates L once at the Gauss nodes
-of a batch of intervals, each with its own breaks and optional additive
-perturbation of the trajectory; `eval_S` is the batch [t0, t1].
+`integrate_nodes`, the one quadrature along a trajectory, calls an
+integrand once at the Gauss nodes of a batch of intervals, each with its
+own breaks and optional additive perturbation (bump) of the trajectory;
+`integrate_L` integrates L(args + bumps), and `eval_S` is L on [t0, t1].
 """
 
 import math
@@ -297,17 +298,22 @@ class Interval(NamedTuple):
     bump: Optional[Callable] = None
 
 
-def integrate_L(p: DelayProblem, traj: Trajectory,
-                intervals: Sequence[Interval],
-                order: Optional[int] = None) -> List[float]:
-    """Integral of L along traj, plus each interval's bump, over each
-    interval, from one evaluation of L at the nodes of all of them.
+def integrate_nodes(p: DelayProblem, traj: Trajectory,
+                    intervals: Sequence[Interval], integrand: Callable,
+                    order: Optional[int] = None) -> List[float]:
+    """Integral of integrand(args, bumps) over each interval, from one
+    call at the nodes of all of them.
 
-    Panels split at the interval's breaks, traj's breakpoints and their +h
-    shifts.  A panel reads x, xdot from the segment around its midpoint
-    and y, ydot from the one around the midpoint - h.  A bump adds (q,
-    q_dot) at t to the x, dx rows and at t - h to the y, dy rows, only
-    where it is nonzero, from the side facing the panel's interior.  An
+    The node plan: panels split at the interval's breaks, traj's
+    breakpoints and their +h shifts, with Gauss nodes.  args is the
+    argument set along traj at every node: a panel reads x, xdot from the
+    segment around its midpoint and y, ydot from the one around the
+    midpoint - h.  bumps holds each node's interval bump in the same
+    layout: (q, q_dot) at t on the x, dx rows and at t - h on the y, dy
+    rows, from the side facing the panel's interior.  Off a bump it is
+    -0.0, so that args + bumps is args there bit for bit (x + -0.0 is x
+    for every x) and a rate of time_rate drops it.  integrand returns one
+    value per node; it is not called when no interval has a panel.  An
     integral is the fsum of its panels' Gauss sums."""
     own = [b for bp in traj.breakpoints for b in (bp, bp + p.h)]
     panels = []
@@ -328,6 +334,7 @@ def integrate_L(p: DelayProblem, traj: Trajectory,
                           traj.on_segments("value", td, seg_y),
                           traj.on_segments("deriv", t, seg_x),
                           traj.on_segments("deriv", td, seg_y)))
+        bumps = np.full_like(args, -0.0)
         x_rows = np.r_[_rows(p, "x"), _rows(p, "dx")]
         sides = np.where(t < np.repeat(mids, m), "right", "left")
         at_node = np.repeat(owner, m)
@@ -338,11 +345,20 @@ def integrate_L(p: DelayProblem, traj: Trajectory,
             for times, rows in ((t, x_rows), (td, x_rows + p.dim)):
                 q = np.vstack(iv.bump(times[at], sides[at]))
                 live = q.any(0)
-                args[np.ix_(rows, at[live])] += q[:, live]
-        vals = eval_L(p, args).reshape(grid.shape)
+                bumps[np.ix_(rows, at[live])] = q[:, live]
+        vals = np.reshape(integrand(args, bumps), grid.shape)
         for k, ws, v in zip(owner.tolist(), weights, vals):
             sums[k].append(float(np.dot(ws, v)))
     return [math.fsum(s) for s in sums]
+
+
+def integrate_L(p: DelayProblem, traj: Trajectory,
+                intervals: Sequence[Interval],
+                order: Optional[int] = None) -> List[float]:
+    """Integral of L along traj, plus each interval's bump, over each
+    interval: integrate_nodes of L(args + bumps)."""
+    return integrate_nodes(p, traj, intervals,
+                           lambda args, bumps: eval_L(p, args + bumps), order)
 
 
 def eval_S(p: DelayProblem, traj: Trajectory, order: Optional[int] = None) -> float:

@@ -1,12 +1,13 @@
-"""Breakpoint-aware Gauss-Legendre quadrature and eps-sweep coefficient fitting.
+"""Breakpoint-aware Gauss-Legendre panels and eps-sweep coefficient fitting.
 
 Integrands here are piecewise-smooth with *known* breakpoints (trajectory
 kinks, needle corners, delay shifts), so fixed-order panels split at those
 points integrate them to machine precision; no adaptive subdivision.
 The default 10-point rule is exact for polynomials up to degree 19.
+panel_plan and panel_nodes are the panels and nodes of the one quadrature
+along a trajectory, problem.integrate_nodes.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -72,29 +73,6 @@ def panel_nodes(p0, p1,
     return mid + half * x, half * w
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              breaks: Sequence[float] = (), order: Optional[int] = None) -> float:
-    """Composite Gauss-Legendre integral of f over [a, b] with panel splits.
-
-    f is called once, with the nodes of every panel as one flat array of
-    times, and must return the sampled values (scalar results broadcast).
-    Non-finite samples are reported with their location.  The integral is
-    the fsum of the panels' Gauss sums; 0 when a == b.
-    """
-    panels = panel_plan(a, b, breaks)
-    if not panels:
-        return 0.0
-    grid, weights = panel_nodes(*np.array(panels).T, order)
-    ts = grid.ravel()
-    with np.errstate(all="ignore"):
-        vals = np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = float(ts[int(np.argmax(~np.isfinite(vals)))])
-        raise QuadratureError(f"non-finite integrand sample at t={bad}")
-    return math.fsum(float(np.dot(ws, v))
-                     for ws, v in zip(weights, vals.reshape(grid.shape)))
-
-
 # ---------------------------------------------------------------------------
 # eps sweeps and the power-series fit
 
@@ -112,14 +90,6 @@ class EpsSweep:
             raise QuadratureError("eps values must be positive")
         if len(set(self.eps)) != len(self.eps):
             raise QuadratureError("eps grid degenerate (duplicate levels)")
-
-
-def geometric_sweep(f: Callable[[np.ndarray], np.ndarray], eps_max: float,
-                    levels: int, ratio: float) -> EpsSweep:
-    """Sample f on eps_k = eps_max * ratio^k, k = 0..levels-1; f takes the
-    array of all levels and returns one value per level."""
-    return geometric_sweeps(lambda e: [f(e[0])], [eps_max], levels,
-                            ratio)[0]
 
 
 def geometric_sweeps(f: Callable[[np.ndarray], np.ndarray],

@@ -1,23 +1,25 @@
 """Test-only reference helpers: a constant history, the central finite
 difference that the symbolic partials are checked against, the first
-variation of a variation trajectory that the needle's is checked against,
-the Q_1/excess equivalence of Remark 6.1, and the plain-JSON conversion
-whose json.dumps text the CLI's report writer is checked against."""
+variation of a variation trajectory that the needle's is checked against
+(with its own quadrature driver of a function of time), the Q_1/excess
+equivalence of Remark 6.1, and the plain-JSON conversion whose json.dumps
+text the CLI's report writer is checked against."""
 
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from needlecheck.analysis import AnalysisError, _validate_point_args
 from needlecheck.conditions import (AnalysisSettings, ConditionsError,
-                                    ExcessPoint, _variation_breaks,
-                                    _variation_integral, paired_slope, q_k,
+                                    ExcessPoint, _dot, paired_slope, q_k,
                                     xi_sample_set)
 from needlecheck.exprs import Const, ExprAst, eval_expr
-from needlecheck.problem import CandidateExtremal, DelayProblem
+from needlecheck.problem import (CandidateExtremal, DelayProblem, along,
+                                 partials_vec)
+from needlecheck.quadrature import panel_nodes, panel_plan
 from needlecheck.trajectory import BREAK_TOL, HistorySpec, Segment, Trajectory
 
 _FD_STEP_BASE = float(np.cbrt(np.finfo(float).eps))
@@ -41,6 +43,47 @@ def fd_partial(expr: ExprAst, var: str, point: Dict[str, float]) -> float:
     hi[var] = point[var] + h
     lo[var] = point[var] - h
     return (eval_expr(expr, hi) - eval_expr(expr, lo)) / (2.0 * h)
+
+
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+              breaks: Sequence[float] = (), order: Optional[int] = None) -> float:
+    """Composite Gauss-Legendre integral of f over [a, b] with panel splits.
+
+    f is called once, with the nodes of every panel as one flat array of
+    times, and must return the sampled values (scalar results broadcast).
+    The integral is the fsum of the panels' Gauss sums; 0 when a == b.
+    """
+    panels = panel_plan(a, b, breaks)
+    if not panels:
+        return 0.0
+    grid, weights = panel_nodes(*np.array(panels).T, order)
+    ts = grid.ravel()
+    vals = np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape)
+    return math.fsum(float(np.dot(ws, v))
+                     for ws, v in zip(weights, vals.reshape(grid.shape)))
+
+
+def _variation_breaks(p: DelayProblem, *trajs: Trajectory) -> List[float]:
+    pts = {p.t1 - p.h}
+    for traj in trajs:
+        for bp in (traj.a,) + traj.breakpoints + (traj.b,):
+            pts.update((bp, bp - p.h, bp + p.h))
+    return [x for x in pts if p.t0 < x < p.t1]
+
+
+def _variation_integral(p: DelayProblem, cand: CandidateExtremal, a: float,
+                        b: float, breaks, q_qdot) -> float:
+    """Integral over [a, b] of [Lx(t)+Ly(t+h)]^T q(t) + [Ldx(t)+Ldy(t+h)]^T
+    q_dot(t), with q_qdot(ts) giving (q, q_dot) at the nodes ts, each of
+    shape (n, len(ts)), and the panels split at breaks."""
+    def g(ts: np.ndarray) -> np.ndarray:
+        at_t = along(p, cand, ts, "right")
+        at_th = along(p, cand, ts + p.h, "right")
+        force = partials_vec(p, "x", at_t) + partials_vec(p, "y", at_th)
+        rho = partials_vec(p, "dx", at_t) + partials_vec(p, "dy", at_th)
+        q, q_dot = q_qdot(ts)
+        return _dot(force, q.T) + _dot(rho, q_dot.T)
+    return integrate(g, a, b, breaks)
 
 
 def first_variation(p: DelayProblem, cand: CandidateExtremal,

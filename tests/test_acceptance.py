@@ -14,16 +14,14 @@ import pytest
 import importlib.resources as res
 
 from needlecheck.analysis import AnalysisSettings, full_report
-from needlecheck.conditions import needle_first_variation
 from needlecheck.config import build_candidate, build_problem, parse_config
 from needlecheck.exprs import (admitted_variables, differentiate, eval_expr,
                                parse_expr)
-from needlecheck.increments import verify_expansion
+from needlecheck.increments import needle_first_variation, verify_expansion
 from needlecheck.needle import NeedleSpec, perturbation, window_for
-from needlecheck.quadrature import integrate
 
 from conftest import make_candidate, make_problem
-from reference import fd_partial, remark_6_1_equivalence
+from reference import fd_partial, integrate, remark_6_1_equivalence
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +76,7 @@ def test_bundled_sample_full_verdict(bundled):
 def test_increment_expansion_oracle(bundled):
     _, p, cand = bundled
     right = NeedleSpec(theta=1.0, lam=0.5, xi=np.array([1.0]), side="right")
-    rec = verify_expansion(p, cand, right)
+    [rec] = verify_expansion(p, cand, [right])
     for eps, value in zip(rec.sweep.eps, rec.sweep.values):
         assert abs(value - (-0.5 * eps * eps)) <= 1e-12
     assert rec.passed
@@ -86,7 +84,7 @@ def test_increment_expansion_oracle(bundled):
     assert abs(rec.c2_fitted - (-0.5)) <= 1e-6
 
     left = NeedleSpec(theta=1.5, lam=0.5, xi=np.array([1.0]), side="left")
-    rec = verify_expansion(p, cand, left)
+    [rec] = verify_expansion(p, cand, [left])
     for eps, value in zip(rec.sweep.eps, rec.sweep.values):
         assert abs(value - 0.5 * eps * eps) <= 1e-12
     assert rec.passed
@@ -117,12 +115,12 @@ def _random_specs(p, count, seed):
 def test_needle_first_variation_identity(bundled):
     _, p, cand = bundled
     specs = _random_specs(p, 50, seed=0)
-    for spec, eps in specs:
-        assert abs(needle_first_variation(p, cand, spec, eps)) <= 1e-10
+    needles, eps = zip(*specs)
+    for value in needle_first_variation(p, cand, needles, eps).tolist():
+        assert abs(value) <= 1e-10
 
     bent = make_candidate(p, ["0.1*t*(3 - t)"])
-    magnitudes = [abs(needle_first_variation(p, bent, spec, eps))
-                  for spec, eps in specs]
+    magnitudes = np.abs(needle_first_variation(p, bent, needles, eps))
     assert max(magnitudes) >= 1e-3  # negative control
 
 

@@ -59,8 +59,6 @@ def test_detect_interval_on_sample(sample_problem, sample_cand):
     lams = sorted(set(l for _, l in f.certified_pairs))
     assert lams == [0.25, 0.5, 0.75]
     assert max(f.evidence) <= f.tol_deg
-    with pytest.raises(AnalysisError):
-        f.theta  # interval findings have no single theta
 
 
 def test_detect_nothing_on_strictly_convex():
@@ -78,7 +76,7 @@ def test_detect_interior_point_finding():
     assert len(findings) == 1
     f = findings[0]
     assert f.kind == "point"
-    assert f.theta == pytest.approx(1.0)
+    assert f.t_lo == f.t_hi == pytest.approx(1.0)
     assert f.side == "both"
 
 
@@ -89,7 +87,7 @@ def test_detect_edge_point_finding():
     findings = detect_degeneracy(p, cand, AnalysisSettings(degeneracy_grid=21))
     assert len(findings) == 1
     assert findings[0].kind == "point"
-    assert findings[0].theta == pytest.approx(0.0)
+    assert findings[0].t_lo == findings[0].t_hi == pytest.approx(0.0)
     assert findings[0].side == "right"
 
 
@@ -104,7 +102,7 @@ def test_detect_validates_inputs(sample_problem, sample_cand):
         AnalysisSettings(lambdas=())
     [f] = detect_degeneracy(sample_problem, sample_cand,
                             AnalysisSettings(degeneracy_grid=1))
-    assert (f.kind, f.theta, f.side) == ("point", 0.0, "right")
+    assert (f.kind, f.t_lo, f.side) == ("point", 0.0, "right")
 
 
 def test_grid_stages_make_the_same_kernel_calls_at_any_grid_size(monkeypatch):
@@ -337,8 +335,8 @@ def test_one_sided_bracket_is_twice_the_needle_c2(lag, theta, eta):
     lam = 0.5
     for side, sign in (("right", 2.0), ("left", -2.0)):
         v = theorem_6_1_check(p, cand, theta, side, lam, np.array([eta]))
-        _, c2 = increments.expansion_prediction(
-            p, cand, NeedleSpec(theta, lam, [eta], side))
+        [(_, c2)] = increments.expansion_prediction(
+            p, cand, [NeedleSpec(theta, lam, [eta], side)])
         assert v.value == sign * c2
 
 
@@ -370,8 +368,8 @@ def test_point_certified_from_one_side_only():
     cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
         (0.0, 1.0, ["t"]), (1.0, 3.0, ["1 - 0.25*(t - 1)^2"])]))
     [finding] = detect_degeneracy(p, cand, AnalysisSettings(degeneracy_grid=3))
-    assert (finding.kind, finding.theta, finding.side) == ("point", 1.0,
-                                                           "right")
+    assert (finding.kind, finding.t_lo, finding.side) == ("point", 1.0,
+                                                          "right")
     assert finding.certified_pairs == (((1.0,), 0.5), ((-1.0,), 0.5))
     eta = finding.direction
     theorem_6_1_check(p, cand, 1.0, "right", 0.5, eta)

@@ -314,6 +314,46 @@ def test_excess_rejects_a_zero_xi_by_the_needle_rule():
     assert payload["result"]["error"] == "--xi must be nonzero"
 
 
+
+# each command that takes a needle, with the flag that sets its point
+NEEDLE_COMMANDS = [
+    (("excess", CFG, "--side", "right"), "--point"),
+    (("theorem6", CFG, "--side", "right"), "--point"),
+    (("increment", CFG, "--side", "right", "--eps", "0.1"), "--theta"),
+]
+
+
+@pytest.mark.parametrize("argv, point", NEEDLE_COMMANDS,
+                         ids=["excess", "theorem6", "increment"])
+@pytest.mark.parametrize("flags, error", [
+    (("{}=1", "--xi=0"), "--xi must be nonzero"),
+    (("{}=1", "--lambda=1.5"), "--lambda must be strictly inside (0,1), "
+                               "got 1.5"),
+    (("{}=3",), "{}=3.0 outside the admissible range for side 'right'"),
+    (("{}=nan",), "{} must be finite, got nan"),
+], ids=["xi", "lambda", "range", "nan"])
+def test_needle_errors_name_the_flag(capsys, argv, point, flags, error):
+    # one rule in every command: the needle's message, with the flag of
+    # the rejected value in place of its name
+    from needlecheck.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv) + [f.format(point) for f in flags])
+    payload = json.loads(capsys.readouterr().out)
+    assert exit_info.value.code == payload["exit_code"] == 1
+    assert payload["result"]["error"] == error.format(point)
+
+
+def test_increment_names_the_eps_flag(capsys):
+    from needlecheck.cli import main
+
+    with pytest.raises(SystemExit):
+        main(["increment", CFG, "--theta", "1", "--side", "right",
+              "--eps=-0.1"])
+    assert json.loads(capsys.readouterr().out)["result"]["error"] == (
+        "--eps=-0.1 outside validity window (0, 1.0) for right needle at "
+        "theta=1.0")
+
 POW_CFG = """\
 [problem]
 t0 = 0.0

