@@ -31,7 +31,7 @@ from .conditions import (AnalysisSettings, ExcessPoint,
 from .increments import IncrementRecord, verify_expansion
 from .needle import (NeedleError, NeedleSpec, check_point_range,
                      window_for)
-from .problem import CandidateExtremal, DelayProblem
+from .problem import CandidateExtremal, DelayProblem, along, partials_vec
 from .trajectory import BREAK_TOL
 
 DEFAULT_TOL_EQ = 1e-7
@@ -165,13 +165,13 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
                 direction=eta, lam=lam, evidence=ev, tol_deg=td,
                 certified_pairs=pairs_out))
             continue
+        # the grid certified theta from the right, and a grid row equals
+        # the one-time point bit for bit: only the left side is open
         theta = grid[i0]
-        sides = [side for side in ("right", "left")
-                 if _in_range(p, theta, side)]
-        ok = _certifies(ExcessPoint(p, cand, [theta] * len(sides), sides),
-                        eta, [lam], td, every_pair=False)[0][:, 0, 0]
-        sides = [s for s, c in zip(sides, ok.tolist()) if c]
-        side = "both" if len(sides) == 2 else (sides[0] if sides else "right")
+        both = _in_range(p, theta, "left") and _certifies(
+            ExcessPoint(p, cand, [theta], "left"), eta, [lam], td,
+            every_pair=False)[0][0, 0, 0]
+        side = "both" if both else "right"
         findings.append(DegeneracyFinding(
             kind="point", t_lo=theta, t_hi=theta, side=side,
             direction=eta, lam=lam, evidence=ev, tol_deg=td,
@@ -431,6 +431,8 @@ class EulerStage:
     max_residual: float
     argmax_t: float
     tolerance: float
+    max_jump: float
+    jump_t: Optional[float]
     extremal: bool
 
 
@@ -458,17 +460,45 @@ class AnalysisReport:
 
 def euler_stage(p: DelayProblem, cand: CandidateExtremal,
                 settings: AnalysisSettings = AnalysisSettings()) -> EulerStage:
+    """The Euler residual on the grid, and the momentum jumps at the times
+    where the momentum can jump.  An extremal needs both within
+    tol_euler: the integral form of the Euler equation makes the momentum
+    P(t) = Ldx(t) + Ldy(t+h) continuous on (t0, t1)."""
     ts = np.linspace(p.t0, p.t1, settings.euler_grid)
     # one batch: every grid point from the right, the endpoint t1 from the left
     sides = ["right" if t < p.t1 - BREAK_TOL else "left" for t in ts]
     vals = np.max(np.abs(conditions.euler_residual(p, cand, ts, sides)), axis=0)
     worst = int(np.argmax(vals))
     tol = settings.resolved(p, cand).tol_euler
+    jump, jump_t = _momentum_jump(p, cand)
     return EulerStage(grid_size=settings.euler_grid,
                       max_residual=float(vals[worst]),
                       argmax_t=float(ts[worst]),
-                      tolerance=tol,
-                      extremal=float(vals[worst]) <= tol)
+                      tolerance=tol, max_jump=jump, jump_t=jump_t,
+                      extremal=float(vals[worst]) <= tol and jump <= tol)
+
+
+def _momentum_jump(p: DelayProblem, cand: CandidateExtremal
+                   ) -> Tuple[float, Optional[float]]:
+    """The largest |P(t+) - P(t-)| and its time over the times where the
+    momentum can jump: each breakpoint b of the candidate and b +- h,
+    inside (t0, t1); (0.0, None) when there are none.  t1 - h is left
+    out: the delayed slot at t1 is read as live from the right too (the
+    t1 gate is not side-aware), so a jump measured there would be wrong."""
+    times = np.array(sorted({
+        t for b in cand.traj.breakpoints for t in (b - p.h, b, b + p.h)
+        if p.t0 + BREAK_TOL < t < p.t1 - BREAK_TOL
+        and abs(t - (p.t1 - p.h)) > BREAK_TOL}))
+    if not times.size:
+        return 0.0, None
+    ts = np.concatenate((times, times))
+    sides = ["right"] * times.size + ["left"] * times.size
+    momentum = (partials_vec(p, "dx", along(p, cand, ts, sides))
+                + partials_vec(p, "dy", along(p, cand, ts + p.h, sides)))
+    jumps = np.max(np.abs(momentum[:, :times.size]
+                          - momentum[:, times.size:]), axis=0)
+    k = int(np.argmax(jumps))
+    return float(jumps[k]), float(times[k])
 
 
 def _expansion_spots(p: DelayProblem,
@@ -506,10 +536,13 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
         return AnalysisReport(euler=None, overall="ERROR",
                               stage_errors=(("euler", str(exc)),))
     if not euler.extremal:
+        reason = (f"Euler residual {euler.max_residual} at "
+                  f"t={euler.argmax_t}"
+                  if not euler.max_residual <= euler.tolerance else
+                  f"momentum jump {euler.max_jump} at t={euler.jump_t}")
         return AnalysisReport(euler=euler, overall="NOT_EXTREMAL", notes=(
-            f"Euler residual {euler.max_residual} at t={euler.argmax_t} "
-            f"exceeds {euler.tolerance}: not an extremal; later stages "
-            f"skipped",))
+            f"{reason} exceeds {euler.tolerance}: not an extremal; later "
+            f"stages skipped",))
 
     try:
         scan = conditions.weierstrass_scan(p, cand, settings)

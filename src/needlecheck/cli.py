@@ -29,7 +29,7 @@ from .config import build_candidate, build_problem
 from .needle import NeedleError, NeedleSpec, window_for
 from .problem import CandidateExtremal, DelayProblem
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 _ERRORS = (ValueError, ArithmeticError)
 

@@ -1,8 +1,8 @@
 """Plain-text run configuration: parsing, validation, builders.
 
 Format: `[section]` headers, `key = value` lines, `#` comments.  Values
-are numbers, double-quoted expression strings, or parenthesized tuples of
-those.  The `history` key (problem section) and `segment` key (candidate
+are Python literals: numbers, double-quoted strings, parenthesized tuples
+of those.  The `history` key (problem section) and `segment` key (candidate
 section) may repeat; each holds `(t_start, t_end, "expr1", ...)` with one
 expression per component.  Everything else appears at most once.
 
@@ -10,10 +10,11 @@ Parsing fills in the analysis defaults, so a report always echoes the
 exact settings it ran with.
 """
 
+import ast
 import math
-import re
+import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -74,86 +75,44 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # value parsing
 
-_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+def _read_value(value: str, err) -> Value:
+    """One `key = value` value, read by Python's literal parser: a tuple of
+    values, a number (an int or float literal under at most one sign) or a
+    double-quoted string.  err(message, k) is the error at character k."""
+    text = value.lstrip(" \t")
+    lead = len(value) - len(text)
+    if not text:
+        raise err("missing value", lead)
+    try:
+        raw = text.encode()  # the node offsets count UTF-8 bytes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an invalid escape is an error
+            tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:  # its offset may be None, 0 or past the end
+        offset = min(max(exc.offset or 1, 1), len(text) + 1) - 1
+        raise err(exc.msg.partition(" (detected")[0], lead + offset) from exc
+    except (RecursionError, UnicodeError) as exc:  # ~3000 signs; a surrogate
+        raise err(f"unreadable value: {exc}", lead) from exc
 
+    def read(node: ast.expr) -> Value:
+        source = raw[node.col_offset:node.end_col_offset].decode()
+        at = lead + len(raw[:node.col_offset].decode())
+        match node:
+            case ast.Tuple(elts=items):
+                return tuple(read(item) for item in items)
+            case ast.Constant(value=str(string)) if source[0] == "\"":
+                return string
+            case ast.Constant(value=int() | float() as number) | ast.UnaryOp(
+                    op=ast.UAdd() | ast.USub(),
+                    operand=ast.Constant(value=int() | float() as number)
+                    ) if not isinstance(number, bool):
+                number = float(str(number))  # a huge int: inf, no raise
+                if not math.isfinite(number):
+                    raise err(f"number {source} is out of range", at)
+                return -number if source[0] == "-" else number
+        raise err(f"expected a number, string or tuple, got {source!r}", at)
 
-class _ValueParser:
-    def __init__(self, text: str, source: str, line: int, col0: int):
-        self.text = text
-        self.i = 0
-        self.source = source
-        self.line = line
-        self.col0 = col0
-
-    def error(self, message: str) -> ConfigError:
-        return ConfigError(message, self.source, self.line, self.col0 + self.i)
-
-    def _skip_ws(self) -> None:
-        while self.i < len(self.text) and self.text[self.i] in " \t":
-            self.i += 1
-
-    def _peek(self) -> str:
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def parse(self) -> Value:
-        self._skip_ws()
-        v = self._value()
-        self._skip_ws()
-        if self.i != len(self.text):
-            raise self.error(f"trailing characters after value: "
-                             f"{self.text[self.i:]!r}")
-        return v
-
-    def _value(self) -> Value:
-        self._skip_ws()
-        c = self._peek()
-        if c == "(":
-            return self._tuple()
-        if c == "\"":
-            return self._string()
-        if c == "":
-            raise self.error("missing value")
-        return self._number()
-
-    def _tuple(self) -> Tuple[Value, ...]:
-        self.i += 1
-        items: List[Value] = []
-        while True:
-            self._skip_ws()
-            if self._peek() == ")":
-                self.i += 1
-                return tuple(items)
-            if self._peek() == "":
-                raise self.error("unclosed '(' in value")
-            items.append(self._value())
-            self._skip_ws()
-            if self._peek() == ",":
-                self.i += 1
-                continue
-            if self._peek() == ")":
-                self.i += 1
-                return tuple(items)
-            raise self.error("expected ',' or ')' in tuple")
-
-    def _string(self) -> str:
-        self.i += 1
-        end = self.text.find("\"", self.i)
-        if end < 0:
-            raise self.error("unterminated string")
-        s = self.text[self.i:end]
-        self.i = end + 1
-        return s
-
-    def _number(self) -> float:
-        m = _NUMBER_RE.match(self.text, self.i)
-        if not m:
-            raise self.error(f"expected a number, string or tuple, got "
-                             f"{self.text[self.i:].split()[0]!r}")
-        value = float(m.group(0))
-        if not math.isfinite(value):
-            raise self.error(f"number {m.group(0)} is out of range")
-        self.i = m.end()
-        return value
+    return read(tree.body)
 
 
 def _strip_comment(line: str) -> str:
@@ -258,7 +217,8 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         if key not in _KEYS[section]:
             raise ConfigError(f"unknown key '{key}' in [{section}]",
                               source, line_no, 1)
-        value = _ValueParser(value_part, source, line_no, col0).parse()
+        value = _read_value(value_part, lambda msg, k: ConfigError(
+            msg, source, line_no, col0 + k))
         slot = (section, key)
         if slot not in _REPEATABLE and slot in seen:
             raise ConfigError(

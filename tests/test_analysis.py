@@ -1,5 +1,8 @@
 """Degeneracy findings, the numbered condition checks, and the pipeline."""
 
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,8 @@ from needlecheck.conditions import (ExcessPoint, SettingsError,
                                    paired_slope, weierstrass_scan)
 from needlecheck.exprs import ExprAst
 from needlecheck.needle import NeedleError, NeedleSpec
-from needlecheck.problem import CandidateExtremal
+from needlecheck.config import build_candidate, build_problem, parse_config
+from needlecheck.problem import CandidateExtremal, eval_S
 from needlecheck.trajectory import Trajectory
 
 from conftest import SAMPLE_L, make_candidate, make_problem
@@ -589,6 +593,69 @@ def test_euler_stage_reports_an_unbounded_second_derivative():
     assert stage.argmax_t == 0.0
     assert not stage.extremal
 
+
+
+def _tent(p):
+    return CandidateExtremal.from_interior(p, Trajectory.from_segments(
+        [(0.0, 1.5, ["t"]), (1.5, 3.0, ["3 - t"])]))
+
+
+def test_a_momentum_jump_rejects_a_candidate_with_zero_residual():
+    # each piece of the tent solves the Euler equation, but the momentum
+    # P = Ldx1(t) + Ldy1(t+1) = 4*xdot(t) for t <= 2 jumps from 4 to -4 at
+    # the corner; the tent is no minimum: S = 5 against 0 at x = 0
+    p = make_problem("dx1^2 + dy1^2")
+    cand = _tent(p)
+    assert eval_S(p, cand.traj) == pytest.approx(5.0, abs=1e-12)
+    stage = euler_stage(p, cand, AnalysisSettings())
+    assert stage.max_residual == 0.0
+    assert (stage.max_jump, stage.jump_t) == (8.0, 1.5)
+    assert not stage.extremal
+    report = full_report(p, cand)
+    assert report.overall == "NOT_EXTREMAL"
+    assert report.notes[0].startswith("momentum jump 8.0 at t=1.5 exceeds ")
+
+
+def test_momentum_is_continuous_across_a_break_of_an_extremal():
+    # the sinh extremal split at t = 1.3: its momentum times 1.3 +- 1 and
+    # 1 (the history joint plus h) all read a jump of exactly 0
+    p = make_problem("1000.0*(dx1^2 + x1^2)", phi=[SINH], x1=[np.sinh(3.0)])
+    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments(
+        [(0.0, 1.3, [SINH]), (1.3, 3.0, [SINH])]))
+    stage = euler_stage(p, cand, AnalysisSettings())
+    assert stage.max_jump == 0.0 and stage.extremal
+    assert full_report(p, cand).overall == "CONSISTENT"
+
+
+def test_a_candidate_without_breakpoints_in_range_reports_no_jump_time():
+    # the only break of the spliced candidate is t0, and t0 + h = t1 - h
+    # is left out until the t1 gate is side-aware, so no time is checked
+    p = make_problem("dx1^2", t1=2.0)
+    stage = euler_stage(p, make_candidate(p), AnalysisSettings())
+    assert (stage.max_jump, stage.jump_t) == (0.0, None)
+    assert stage.extremal
+
+
+def test_the_workload_candidates_have_no_momentum_jump(sample_problem,
+                                                      sample_cand):
+    stage = euler_stage(sample_problem, sample_cand, AnalysisSettings())
+    assert (stage.max_jump, stage.jump_t) == (0.0, 1.0)
+    assert full_report(sample_problem, sample_cand).overall == "FAILS_WEAK"
+    cfg = parse_config(_workloads().convex5_config(0))
+    p = build_problem(cfg)
+    cand = build_candidate(cfg, p)
+    stage = euler_stage(p, cand, cfg.analysis)
+    assert (stage.max_jump, stage.jump_t) == (0.0, 1.0)
+    assert full_report(p, cand, cfg.analysis).overall == "CONSISTENT"
+
+
+def _workloads():
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 def test_settings_defaults():
     s = AnalysisSettings()

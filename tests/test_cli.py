@@ -41,7 +41,7 @@ def test_validate_bundled_config():
     code, payload = run_json("validate", CFG)
     assert code == 0
     assert sorted(payload) == PAYLOAD_KEYS
-    assert payload["schema_version"] == "2"
+    assert payload["schema_version"] == "3"
     assert payload["tool"] == "needlecheck"
     assert payload["command"] == "validate"
     assert payload["status"] == "pass"
@@ -69,6 +69,36 @@ def test_euler_passes_on_extremal():
     assert abs(r["max_residual"]) <= 1e-8
     assert r["tolerance"] == 2e-8  # 1e-8 * (1 + |L| scale 1)
 
+
+
+TENT_CFG = """\
+[problem]
+t0 = 0.0
+t1 = 3.0
+h = 1.0
+dim = 1
+lagrangian = "dx1^2 + dy1^2"
+x1 = (0.0)
+history = (-1.0, 0.0, "0")
+
+[candidate]
+segment = (0.0, 1.5, "t")
+segment = (1.5, 3.0, "3 - t")
+"""
+
+
+def test_verdict_rejects_a_momentum_jump(tmp_path):
+    # a zero Euler residual on each piece, and a momentum jump of 8 at the
+    # corner: not an extremal, with the jump named in the payload
+    path = tmp_path / "tent.cfg"
+    path.write_text(TENT_CFG)
+    code, payload = run_json("verdict", str(path))
+    assert code == 2 and payload["status"] == "fail"
+    r = payload["result"]
+    assert r["overall"] == "NOT_EXTREMAL"
+    assert r["euler"]["max_residual"] == 0.0
+    assert (r["euler"]["max_jump"], r["euler"]["jump_t"]) == (8.0, 1.5)
+    assert r["euler"]["extremal"] is False
 
 def test_weierstrass_scan_clean():
     code, payload = run_json("weierstrass", CFG)
@@ -685,7 +715,7 @@ def test_usage_error_bytes():
   "result": {
     "error": "Invalid value for '--side': 'up' is not one of 'right', 'left'."
   },
-  "schema_version": "2",
+  "schema_version": "3",
   "status": "error",
   "tool": "needlecheck"
 }

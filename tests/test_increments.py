@@ -384,3 +384,36 @@ def test_batched_first_variation_on_a_kinked_candidate():
     for spec, e, value in zip(NEEDLES, eps, got.tolist()):
         want = first_variation(p, cand, vary(zero, spec, e))
         assert abs(value - want) <= 1e-12 * abs(want), spec
+
+
+# Along the bundled zero candidate, a paired-regime needle (right with
+# theta + eps <= t1 - h, left with theta <= t1 - h) has its support and its
+# +h shift inside [t0, t1] and disjoint: the dy^2 term over the shift is
+# the integral of (1 + q)*q_dot^2 over the support, the cross term
+# vanishes, and Delta S(eps) = -2 * int q*q_dot^2 = -+xi^3*lam^2*eps^2/(1-lam),
+# with - for a right needle and + for a left one.  Not covered: the right
+# needle at theta = t1 - h, whose sweep fits (1, -1/4) while the prediction
+# is (0, -1/2) because the delayed slot at t1 is read as live.
+@pytest.mark.parametrize("theta, side, lam, xi", [
+    (theta, side, lam, xi) for theta in (0.3, 1.0, 1.7)
+    for side in ("right", "left")
+    for lam, xi in ((0.5, 1.0), (0.25, -0.5), (0.75, 2.0), (0.6, -1.5))
+] + [(2.0, "left", 0.5, 1.0), (2.0, "left", 0.3, -2.0)])
+def test_paired_needles_of_the_bundled_problem_follow_the_closed_form(
+        sample_problem, sample_cand, theta, side, lam, xi):
+    p, cand = sample_problem, sample_cand
+    spec = NeedleSpec(theta=theta, lam=lam, xi=np.array([xi]), side=side)
+    c2 = (-1.0 if side == "right" else 1.0) * xi ** 3 * lam ** 2 / (1 - lam)
+    [(c1_pred, c2_pred)] = expansion_prediction(p, cand, [spec])
+    assert abs(c1_pred) <= 1e-12
+    assert abs(c2_pred - c2) <= 1e-12 * (1 + abs(c2))
+    [record] = verify_expansion(p, cand, [spec])
+    assert record.passed
+    assert abs(record.c2_fitted - c2) <= 1e-9 * (1 + abs(c2))
+    assert abs(record.c1_fitted) <= 1e-10
+    # every sweep level, to 1e-8 relative above a rounding floor: the
+    # integrands are O(xi^2) and the four pieces are differenced
+    eps = np.array(record.sweep.eps)
+    direct = delta_S_direct(p, cand, [spec], [eps])[0]
+    assert np.all(np.abs(direct - c2 * eps ** 2)
+                  <= 1e-8 * abs(c2) * eps ** 2 + 1e-14 * xi ** 2)

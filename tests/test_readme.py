@@ -23,3 +23,15 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     assert [line.split()[-1] for line in out[-4:-2]] == ["True", "True"]
     assert abs(float(out[-2]) + 0.03125) <= 1e-12
     assert abs(float(out[-1])) <= 1e-10
+
+
+def test_readme_config_format_block_is_the_bundled_example():
+    from needlecheck.config import load_config, parse_config
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("\n## Config format\n"):]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    bundled = load_config(os.path.join(
+        ROOT, "src", "needlecheck", "configs", "example_7_1.cfg"))
+    assert parse_config(block, source="README.md") == bundled
