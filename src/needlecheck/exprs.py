@@ -1,12 +1,10 @@
 """Expression language for Lagrangians and trajectory segments.
 
-Grammar (whitespace-insensitive infix):
-
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := '-' factor | power
-    power  := atom ('^' factor)?        # exponent must fold to a numeric constant
-    atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
+The grammar is Python's expression grammar, read by Python's own parser,
+restricted to numbers, variables, the binary operators + - * /, unary -,
+`^` for power (`**` too) with an exponent that folds to a numeric
+constant, parentheses and one-argument calls of the admitted functions.
+Spaces and tabs separate tokens.
 
 Admitted variables for a Lagrangian of dimension n are
 t, x1..xn, y1..yn, dx1..dxn, dy1..dyn (1-based indices); trajectory
@@ -17,11 +15,12 @@ identical inputs give bit-identical outputs.  Hot paths use compiled()
 to obtain a numpy-broadcast callable with the same operation order.
 """
 
+import ast
 import functools
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+import warnings
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +50,9 @@ class ExprError(ValueError):
 
 
 class ParseError(ExprError):
-    """Syntax error with source position and the expected tokens."""
+    """Error in expression text at a character index of its source, with
+    the expected tokens where there is a short list of them; a syntax
+    error carries Python's message."""
 
     def __init__(self, message: str, source: str, position: int,
                  expected: Tuple[str, ...] = ()):
@@ -90,6 +91,8 @@ class DifferentiationError(ExprError):
 
 class Node:
     __slots__ = ()
+    # binding strength: 1 for + -, 2 for * /, 3 for unary -, 4 for ^, 5 atoms
+    prec = 5
 
     def eval(self, env: Dict[str, float]) -> float:
         raise NotImplementedError
@@ -97,20 +100,27 @@ class Node:
     def diff(self, var: str) -> "Node":
         raise NotImplementedError
 
+    def text(self, code: bool) -> str:
+        """Source text, parenthesized only where precedence needs it: the
+        kernel source (`**`, repr constants) when code, else display text
+        (`^`, integral constants without `.0`)."""
+        raise NotImplementedError
+
     def emit(self) -> str:
         """Source fragment for the compiled callable (numpy namespace)."""
-        raise NotImplementedError
-
-    def precedence(self) -> int:
-        raise NotImplementedError
+        return self.text(True)
 
     def __str__(self) -> str:
-        raise NotImplementedError
+        return self.text(False)
+
+
+def _group(text: str, parens: bool) -> str:
+    return f"({text})" if parens else text
 
 
 def _fmt_const(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
+    if value.is_integer() and abs(value) < 1e16:
+        return f"{value:.0f}"  # keeps the sign of -0.0
     return repr(value)
 
 
@@ -126,14 +136,12 @@ class Const(Node):
     def diff(self, var):
         return Const(0.0)
 
-    def emit(self):
-        return repr(self.value)
+    @property
+    def prec(self):
+        return 3 if math.copysign(1.0, self.value) < 0.0 else 5
 
-    def precedence(self):
-        return 5 if self.value >= 0 else 3
-
-    def __str__(self):
-        return _fmt_const(self.value)
+    def text(self, code):
+        return repr(self.value) if code else _fmt_const(self.value)
 
 
 class Var(Node):
@@ -148,48 +156,30 @@ class Var(Node):
     def diff(self, var):
         return Const(1.0) if var == self.name else Const(0.0)
 
-    def emit(self):
-        return self.name
-
-    def precedence(self):
-        return 5
-
-    def __str__(self):
+    def text(self, code):
         return self.name
 
 
 class _Binary(Node):
+    """Left-associative: a right child of equal precedence keeps its
+    parentheses, as float + and * are not associative either."""
+
     __slots__ = ("a", "b")
     op = ""
-    _prec = 0
 
     def __init__(self, a: Node, b: Node):
         self.a = a
         self.b = b
 
-    def precedence(self):
-        return self._prec
-
-    def _wrap(self, child: Node, right: bool) -> str:
-        p = child.precedence()
-        if p < self._prec:
-            return f"({child})"
-        # left-associative: parenthesize a right child of equal precedence
-        # under the non-commutative operators
-        if right and p == self._prec and self.op in ("-", "/"):
-            return f"({child})"
-        return str(child)
-
-    def __str__(self):
-        return f"{self._wrap(self.a, False)} {self.op} {self._wrap(self.b, True)}"
-
-    def _emit_wrap(self) -> Tuple[str, str]:
-        return f"({self.a.emit()})", f"({self.b.emit()})"
+    def text(self, code):
+        return (f"{_group(self.a.text(code), self.a.prec < self.prec)} "
+                f"{self.op} "
+                f"{_group(self.b.text(code), self.b.prec <= self.prec)}")
 
 
 class Add(_Binary):
     op = "+"
-    _prec = 1
+    prec = 1
 
     def eval(self, env):
         return self.a.eval(env) + self.b.eval(env)
@@ -197,14 +187,10 @@ class Add(_Binary):
     def diff(self, var):
         return add(self.a.diff(var), self.b.diff(var))
 
-    def emit(self):
-        ea, eb = self._emit_wrap()
-        return f"{ea} + {eb}"
-
 
 class Sub(_Binary):
     op = "-"
-    _prec = 1
+    prec = 1
 
     def eval(self, env):
         return self.a.eval(env) - self.b.eval(env)
@@ -212,14 +198,10 @@ class Sub(_Binary):
     def diff(self, var):
         return sub(self.a.diff(var), self.b.diff(var))
 
-    def emit(self):
-        ea, eb = self._emit_wrap()
-        return f"{ea} - {eb}"
-
 
 class Mul(_Binary):
     op = "*"
-    _prec = 2
+    prec = 2
 
     def eval(self, env):
         return self.a.eval(env) * self.b.eval(env)
@@ -227,14 +209,10 @@ class Mul(_Binary):
     def diff(self, var):
         return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
 
-    def emit(self):
-        ea, eb = self._emit_wrap()
-        return f"{ea} * {eb}"
-
 
 class Div(_Binary):
     op = "/"
-    _prec = 2
+    prec = 2
 
     def eval(self, env):
         denom = self.b.eval(env)
@@ -247,15 +225,12 @@ class Div(_Binary):
         return sub(div(self.a.diff(var), self.b),
                    div(mul(self.a, self.b.diff(var)), mul(self.b, self.b)))
 
-    def emit(self):
-        ea, eb = self._emit_wrap()
-        return f"{ea} / {eb}"
-
 
 class Pow(Node):
     """base ^ exponent with a numeric-constant exponent."""
 
     __slots__ = ("base", "exponent")
+    prec = 4
 
     def __init__(self, base: Node, exponent: float):
         self.base = base
@@ -276,24 +251,16 @@ class Pow(Node):
             return Const(0.0)
         return mul(mul(Const(p), powc(self.base, p - 1.0)), self.base.diff(var))
 
-    def emit(self):
-        return f"({self.base.emit()}) ** {repr(self.exponent)}"
-
-    def precedence(self):
-        return 4
-
-    def __str__(self):
-        b = str(self.base)
-        if self.base.precedence() < 5:
-            b = f"({b})"
-        e = _fmt_const(self.exponent)
-        if self.exponent < 0:
-            e = f"({e})"
-        return f"{b}^{e}"
+    def text(self, code):
+        exponent = Const(self.exponent)
+        return (_group(self.base.text(code), self.base.prec < 5)
+                + (" ** " if code else "^")
+                + _group(exponent.text(code), exponent.prec < 5))
 
 
 class Neg(Node):
     __slots__ = ("a",)
+    prec = 3
 
     def __init__(self, a: Node):
         self.a = a
@@ -304,17 +271,8 @@ class Neg(Node):
     def diff(self, var):
         return neg(self.a.diff(var))
 
-    def emit(self):
-        return f"-({self.a.emit()})"
-
-    def precedence(self):
-        return 3
-
-    def __str__(self):
-        s = str(self.a)
-        if self.a.precedence() < 3:
-            s = f"({s})"
-        return f"-{s}"
+    def text(self, code):
+        return "-" + _group(self.a.text(code), self.a.prec < 3)
 
 
 class Call(Node):
@@ -352,14 +310,8 @@ class Call(Node):
             "abs is admitted for modeling only; it is not differentiable "
             "and cannot appear in an expression that is differentiated")
 
-    def emit(self):
-        return f"{self.fn}({self.a.emit()})"
-
-    def precedence(self):
-        return 5
-
-    def __str__(self):
-        return f"{self.fn}({self.a})"
+    def text(self, code):
+        return f"{self.fn}({self.a.text(code)})"
 
 
 # ---------------------------------------------------------------------------
@@ -443,46 +395,7 @@ def neg(a: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / parser
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[+\-*/^()]))")
-
-_VAR_RE = re.compile(r"^(t|(dx|dy|x|y)([0-9]+))$")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | ident | op | end
-    text: str
-    pos: int
-
-
-def _tokenize(source: str) -> List[_Token]:
-    tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            bad = n - len(stripped)
-            raise ParseError(f"unexpected character {source[bad]!r}", source, bad)
-        if m.group("num") is not None:
-            tokens.append(_Token("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(_Token("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(_Token("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(_Token("end", "", n))
-    return tokens
-
+# Reader
 
 # variable blocks after t, in argument order; y = x(t-h), dy = xdot(t-h)
 BLOCKS = ("x", "y", "dx", "dy")
@@ -498,123 +411,82 @@ def admitted_variables(dim: int) -> Tuple[str, ...]:
     return tuple(names)
 
 
-class _Parser:
-    def __init__(self, source: str, variables: Tuple[str, ...], dim: Optional[int]):
-        self.source = source
-        self.variables = frozenset(variables)
-        self.dim = dim
-        self.tokens = _tokenize(source)
-        self.i = 0
+_OUTSIDE_ALPHABET = re.compile(r"[^A-Za-z0-9_.+\-*/^() \t]")
+_BINARY = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: Div}
+_INDEXED_RE = re.compile(r"(?:dx|dy|x|y)([0-9]+)")
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _read(source: str, variables: Tuple[str, ...], dim: Optional[int]) -> Node:
+    """The tree of source, read by Python's expression parser with `^` for
+    `**`, node for node and unfolded; every error is a ParseError at a
+    character index of source."""
+    bad = _OUTSIDE_ALPHABET.search(source)  # `#` would start a comment
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", source,
+                         bad.start())
+    text = source.lstrip(" \t")
+    code = text.replace("^", "**")
 
-    def expect_op(self, text: str) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"unexpected token {tok.text!r}" if tok.kind != "end"
-                             else "unexpected end of input",
-                             self.source, tok.pos, expected=(repr(text),))
-        self.advance()
+    def at(k: int) -> int:
+        """The index in source of character k of code (a `^` is two)."""
+        table = [i for i in range(len(source) - len(text), len(source))
+                 for _ in range(1 + (source[i] == "^"))] + [len(source)]
+        return table[min(max(k, 0), len(code))]
 
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected token {tok.text!r}", self.source, tok.pos,
-                             expected=("operator", "end of input"))
-        return node
+    def err(message: str, k: int, cls=ParseError, expected=()) -> ParseError:
+        return cls(message, source, at(k), expected)
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
-            else:
-                return node
+    def walk(node: ast.expr) -> Node:
+        k = node.col_offset
+        match node:
+            case ast.BinOp(left=a, op=ast.Pow(), right=b):
+                base = walk(a)
+                exponent = _const_val(walk(b))
+                if exponent is None:
+                    raise err("exponent must be a numeric constant",
+                              b.col_offset, expected=("number",))
+                return Pow(base, exponent)
+            case ast.BinOp(left=a, op=op, right=b) if type(op) in _BINARY:
+                return _BINARY[type(op)](walk(a), walk(b))
+            case ast.UnaryOp(op=ast.USub(), operand=a):
+                return Neg(walk(a))
+            case ast.Constant(value=int() | float() as v) if not isinstance(
+                    v, bool):
+                value = float(str(v))  # a huge int is inf, not an error
+                if not math.isfinite(value):
+                    raise err(f"number {segment(node)} is out of range", k)
+                return Const(value)
+            case ast.Call(func=ast.Name(id=fn, col_offset=c), args=args,
+                          keywords=[]) if c == k:  # not `(sin)(t)`
+                if fn not in FUNCTIONS:
+                    raise err(f"unknown function {fn!r}", k,
+                              UnknownIdentifierError, FUNCTIONS)
+                if len(args) == 1:
+                    return Call(fn, walk(args[0]))
+            case ast.Name(id=name) if name in variables:
+                return Var(name)
+            case ast.Name(id=name):
+                m = _INDEXED_RE.fullmatch(name)
+                if m and dim is not None and not 1 <= int(m[1]) <= dim:
+                    raise err(f"variable {name!r} out of range for dimension "
+                              f"{dim}", k, IndexOutOfRangeError)
+                raise err(f"unknown identifier {name!r}", k,
+                          UnknownIdentifierError, tuple(sorted(variables)))
+        raise err(f"unexpected {segment(node)!r}", k)
 
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if tok.text == "*" else Div(node, rhs)
-            else:
-                return node
+    def segment(node: ast.expr) -> str:
+        return source[at(node.col_offset):at(node.end_col_offset)]
 
-    def factor(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            exp_tok = self.peek()
-            exponent = self.factor()
-            value = _const_val(exponent)
-            if value is None:
-                raise ParseError("exponent must be a numeric constant",
-                                 self.source, exp_tok.pos, expected=("number",))
-            return Pow(base, value)
-        return base
-
-    def atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Const(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "(":
-                if tok.text not in FUNCTIONS:
-                    raise UnknownIdentifierError(
-                        f"unknown function {tok.text!r}", self.source, tok.pos,
-                        expected=FUNCTIONS)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(tok.text, arg)
-            return self.variable(tok)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected token {tok.text!r}" if tok.kind != "end"
-                         else "unexpected end of input",
-                         self.source, tok.pos,
-                         expected=("number", "identifier", "'('", "'-'"))
-
-    def variable(self, tok: _Token) -> Node:
-        name = tok.text
-        if name in self.variables:
-            return Var(name)
-        m = _VAR_RE.match(name)
-        if m and self.dim is not None and m.group(3) is not None:
-            index = int(m.group(3))
-            if index < 1 or index > self.dim:
-                raise IndexOutOfRangeError(
-                    f"variable {name!r} out of range for dimension {self.dim}",
-                    self.source, tok.pos)
-        raise UnknownIdentifierError(
-            f"unknown identifier {name!r}", self.source, tok.pos,
-            expected=tuple(sorted(self.variables)))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as `1if t else 2` warns
+            tree = ast.parse(code, mode="eval")
+        return walk(tree.body)
+    except SyntaxError as exc:  # an offset of 0 or None: at the end
+        raise err(exc.msg, exc.offset - 1 if exc.offset else len(code)) \
+            from exc
+    except RecursionError as exc:
+        raise err("expression nested too deeply", 0) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +513,13 @@ class ExprAst:
     def compiled(self) -> Callable:
         """Numpy-broadcast callable with positional args in variables order."""
         if self._compiled is None:
-            self._compiled = _compile(self.root, self.variables)
+            try:
+                self._compiled = _compile_source(self.variables,
+                                                 self.root.emit())
+            except (RecursionError, SyntaxError) as exc:  # 200 parentheses
+                raise ExprError("expression nested too deeply to compile") \
+                    from exc
         return self._compiled
-
-
-def _compile(root: Node, params: Iterable[str]) -> Callable:
-    return _compile_source(tuple(params), root.emit())
 
 
 # Distinct expression objects often emit the same source.  In the benchmark
@@ -665,8 +538,7 @@ def _compile_source(params: Tuple[str, ...], body: str) -> Callable:
 def parse_expr(source: str, variables: Tuple[str, ...],
                dim: Optional[int] = None) -> ExprAst:
     """Parse an expression admitting exactly the given variables."""
-    root = _Parser(source, variables, dim).parse()
-    return ExprAst(root, variables)
+    return ExprAst(_read(source, variables, dim), variables)
 
 
 def eval_expr(expr: ExprAst, point: Dict[str, float]) -> float:
@@ -682,7 +554,11 @@ def differentiate(expr: ExprAst, var: str) -> ExprAst:
     if var not in expr.variables:
         raise ExprError(f"cannot differentiate with respect to {var!r}; "
                         f"admitted: {', '.join(expr.variables)}")
-    return ExprAst(expr.root.diff(var), expr.variables)
+    try:
+        return ExprAst(expr.root.diff(var), expr.variables)
+    except RecursionError as exc:
+        raise ExprError("expression nested too deeply to differentiate") \
+            from exc
 
 
 class LagrangianExpr:

@@ -1,9 +1,11 @@
 """Test-only reference helpers: a constant history, the central finite
-difference that the symbolic partials are checked against, the first
-variation of a variation trajectory that the needle's is checked against
-(with its own quadrature driver of a function of time), the Q_1/excess
-equivalence of Remark 6.1, and the plain-JSON conversion whose json.dumps
-text the CLI's report writer is checked against."""
+difference that the symbolic partials are checked against, the kernel
+source with every operand parenthesized that the printer's is checked
+against, the first variation of a variation trajectory that the needle's
+is checked against (with its own quadrature driver of a function of
+time), the Q_1/excess equivalence of Remark 6.1, and the plain-JSON
+conversion whose json.dumps text the CLI's report writer is checked
+against."""
 
 import dataclasses
 import math
@@ -16,7 +18,8 @@ from needlecheck.analysis import AnalysisError, _validate_point_args
 from needlecheck.conditions import (AnalysisSettings, ConditionsError,
                                     ExcessPoint, _dot, paired_slope, q_k,
                                     xi_sample_set)
-from needlecheck.exprs import Const, ExprAst, eval_expr
+from needlecheck.exprs import (Call, Const, ExprAst, Neg, Node, Pow, Var,
+                               eval_expr)
 from needlecheck.problem import (CandidateExtremal, DelayProblem, along,
                                  partials_vec)
 from needlecheck.quadrature import panel_nodes, panel_plan
@@ -43,6 +46,24 @@ def fd_partial(expr: ExprAst, var: str, point: Dict[str, float]) -> float:
     hi[var] = point[var] + h
     lo[var] = point[var] - h
     return (eval_expr(expr, hi) - eval_expr(expr, lo)) / (2.0 * h)
+
+
+def emit_parenthesized(node: Node) -> str:
+    """Kernel source of node with every operand in parentheses: the printer
+    must give the same Python AST, so the same evaluation order."""
+    match node:
+        case Const(value=v):
+            return repr(v)
+        case Var(name=name):
+            return name
+        case Pow(base=base, exponent=p):
+            return f"({emit_parenthesized(base)}) ** {p!r}"
+        case Neg(a=a):
+            return f"-({emit_parenthesized(a)})"
+        case Call(fn=fn, a=a):
+            return f"{fn}({emit_parenthesized(a)})"
+    a, b = emit_parenthesized(node.a), emit_parenthesized(node.b)
+    return f"({a}) {node.op} ({b})"
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

@@ -312,6 +312,46 @@ def test_abs_error_names_the_line_of_its_key(tmp_path, old, new, line, key):
         f"{cfg}:{line}: key '{key}': abs is admitted for modeling only")
 
 
+BUNDLED_L = '"(1 - x1)*dx1^2 - (1 + y1)*dy1^2 + dx1*dy1"'
+
+
+def _with_lagrangian(tmp_path, lagrangian: str) -> str:
+    import importlib.resources as res
+    cfg = tmp_path / "lag.cfg"
+    cfg.write_text((res.files("needlecheck") / "configs" / CFG)
+                   .read_text(encoding="utf-8")
+                   .replace(BUNDLED_L, f'"{lagrangian}"'))
+    return str(cfg)
+
+
+def test_out_of_range_constant_names_the_line_of_its_key(tmp_path):
+    # the literal reads as inf; the kernel source would name an undefined inf
+    cfg = _with_lagrangian(tmp_path, "1e400*dx1^2")
+    code, payload = run_json("validate", cfg)
+    assert code == 1 and payload["status"] == "error"
+    assert payload["result"]["error"] == (
+        f"{cfg}:11: key 'lagrangian': number 1e400 is out of range at "
+        f"position 0: '1e400*dx1^2'")
+
+
+def test_a_long_sum_validates(tmp_path):
+    # one parenthesis per term in the kernel source gave up at 200 terms
+    cfg = _with_lagrangian(tmp_path, " + ".join(["0.01*dx1^2"] * 500))
+    code, payload = run_json("validate", cfg)
+    assert code == 0 and payload["result"]["cost"] == 0.0
+
+
+@pytest.mark.parametrize("lagrangian", [
+    " + ".join(["0.01*dx1^2"] * 1000),
+    "-" * 1200 + "dx1^2",
+    "dx1^2 + 0.001" + "*x1" * 400,  # its partial in x1 nests 400 deep
+], ids=["sum-1000", "negation-1200", "product-400"])
+def test_a_too_deep_expression_is_a_tool_error(tmp_path, lagrangian):
+    code, payload = run_json("verdict", _with_lagrangian(tmp_path, lagrangian))
+    assert code == 1 and payload["status"] == "error"
+    assert "nested too deeply" in payload["result"]["error"]
+
+
 def test_unknown_subcommand_is_a_tool_error():
     code, payload = run_json("frobnicate", CFG)
     assert code == 1
