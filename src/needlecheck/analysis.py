@@ -5,7 +5,9 @@ minimum where the scan degenerates: where the excess sum vanishes both in a
 direction eta and in its paired direction (lam/(lam-1))*eta.  At such
 points second-order information takes over.  This module locates the
 degeneracies and applies the equality and inequality conditions that a
-strong or weak local minimum must then satisfy.
+strong or weak local minimum must then satisfy.  Detection and every check
+certify a degeneracy alike (_certifies): the paired direction is evaluated
+only where eta itself degenerates.
 
 Checks are labeled by the condition identifiers used throughout the report
 schema: 5.1 for a degeneracy interval (parts (i) strong / (ii) weak), 6.1
@@ -44,11 +46,12 @@ class AnalysisError(ValueError):
     pass
 
 
-def _eq_tol(tol_eq: Optional[float], magnitude: float) -> float:
-    """Equality tolerance: explicit, or 1e-7 scaled by the tested magnitude."""
-    if tol_eq is not None:
-        return tol_eq
-    return DEFAULT_TOL_EQ * (1.0 + abs(magnitude))
+def _judged(value: float, tol_eq: Optional[float], sign: int = 0):
+    """(value, tol, violated, None) of a quantity that must be = 0 (sign
+    0), >= 0 (sign 1) or <= 0 (sign -1) within tol: tol_eq, or 1e-7 scaled
+    by |value|."""
+    tol = DEFAULT_TOL_EQ * (1.0 + abs(value)) if tol_eq is None else tol_eq
+    return value, tol, (-sign * value if sign else abs(value)) > tol, None
 
 
 # ---------------------------------------------------------------------------
@@ -81,28 +84,23 @@ class DegeneracyFinding:
         return 0.5 * (self.t_lo + self.t_hi)
 
 
-def _certifies(pt: ExcessPoint, etas, lams: Sequence[float],
-               tol_deg: float, every_pair: bool = True
+def _certifies(pt: ExcessPoint, etas, lams: Sequence[float], tol_deg: float
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Degeneracy certification at every time of pt of every eta (rows of
     etas) paired under every lam: (ok, |E(eta)|, |E(pair)|), each of shape
     (times, etas, lams).  A cell certifies only where |E(eta)| <= tol_deg
-    too, so without every_pair the paired slopes are evaluated only for
-    the etas that are degenerate at some time of pt; the others certify
-    nowhere, and their |E(pair)| reads inf."""
+    too, so the paired slopes are evaluated only for the etas that are
+    degenerate at some time of pt; the others certify nowhere, and their
+    |E(pair)| reads inf."""
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     lams = np.asarray(lams, dtype=float)
     pairs = paired_slope(lams[None, :, None], etas[:, None, :]).reshape(
         -1, etas.shape[1])
-    if every_pair:
-        vals = np.abs(pt.e_sum(np.concatenate((etas, pairs))))
-        e_eta, e_pair = vals[:, :len(etas)], vals[:, len(etas):]
-    else:
-        e_eta = np.abs(pt.e_sum(etas))
-        paired = np.repeat((e_eta <= tol_deg).any(axis=0), len(lams))
-        e_pair = np.full((len(e_eta), len(pairs)), np.inf)
-        if paired.any():
-            e_pair[:, paired] = np.abs(pt.e_sum(pairs[paired]))
+    e_eta = np.abs(pt.e_sum(etas))
+    paired = np.repeat((e_eta <= tol_deg).any(axis=0), len(lams))
+    e_pair = np.full((len(e_eta), len(pairs)), np.inf)
+    if paired.any():
+        e_pair[:, paired] = np.abs(pt.e_sum(pairs[paired]))
     e1 = np.repeat(e_eta[:, :, None], len(lams), axis=2)
     e2 = e_pair.reshape(len(e_eta), len(etas), len(lams))
     return (e1 <= tol_deg) & (e2 <= tol_deg), e1, e2
@@ -129,9 +127,8 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
     merge into one finding carrying all of them.  Isolated single-point
     runs become point findings tagged with the sides that certify.  The
     paired slopes of a direction are evaluated only when its excess sum
-    vanishes somewhere on the grid (_certifies without every_pair): a
-    direction that is nowhere degenerate certifies nowhere, whatever its
-    pairs give.
+    vanishes somewhere on the grid (_certifies): a direction that is
+    nowhere degenerate certifies nowhere, whatever its pairs give.
     """
     s = settings.resolved(p, cand)
     td = s.tol_deg
@@ -139,8 +136,7 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
     directions = direction_set(p.dim, s.seed)
     pairs = [(eta, float(lam)) for eta in directions for lam in s.lambdas]
     ok, e1, e2 = (a.reshape(len(grid), len(pairs)) for a in _certifies(
-        ExcessPoint(p, cand, grid, "right"), directions, s.lambdas, td,
-        every_pair=False))
+        ExcessPoint(p, cand, grid, "right"), directions, s.lambdas, td))
 
     # maximal certified runs of each pair, grouped by their exact grid
     # extent; edges[k, i] is +1 where a run of pair k starts at grid index
@@ -159,23 +155,15 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
         ev = (max(c[2] for c in certified), max(c[3] for c in certified))
         pairs_out = tuple((tuple(float(c) for c in e), l)
                           for e, l, _, _ in certified)
-        if i1 > i0:
-            findings.append(DegeneracyFinding(
-                kind="interval", t_lo=grid[i0], t_hi=grid[i1], side="both",
-                direction=eta, lam=lam, evidence=ev, tol_deg=td,
-                certified_pairs=pairs_out))
-            continue
-        # the grid certified theta from the right, and a grid row equals
-        # the one-time point bit for bit: only the left side is open
-        theta = grid[i0]
-        both = _in_range(p, theta, "left") and _certifies(
-            ExcessPoint(p, cand, [theta], "left"), eta, [lam], td,
-            every_pair=False)[0][0, 0, 0]
-        side = "both" if both else "right"
+        # an interval is "both"; the grid certified a point from the right,
+        # and a grid row equals the one-time point bit for bit: only the
+        # left side is open
+        both = i1 > i0 or (_in_range(p, grid[i0], "left") and _certifies(
+            ExcessPoint(p, cand, grid[i0], "left"), eta, [lam], td)[0].all())
         findings.append(DegeneracyFinding(
-            kind="point", t_lo=theta, t_hi=theta, side=side,
-            direction=eta, lam=lam, evidence=ev, tol_deg=td,
-            certified_pairs=pairs_out))
+            kind="interval" if i1 > i0 else "point", t_lo=grid[i0],
+            t_hi=grid[i1], side="both" if both else "right", direction=eta,
+            lam=lam, evidence=ev, tol_deg=td, certified_pairs=pairs_out))
     return findings
 
 
@@ -247,6 +235,40 @@ def _judge_ladder(theorems: Tuple[str, str], quantities: Tuple[str, str],
         note=note)
 
 
+def _rungs(pt: ExcessPoint, lam: float, eta: np.ndarray,
+           settings: AnalysisSettings, judge) -> List[_Rung]:
+    """The rungs of eta and of eta at every ladder scale, paired under lam,
+    on the rows (time, side) of pt.  A direction certifies where every row
+    certifies it (_certifies: a pair is evaluated only where its direction
+    degenerates), else it fails at its first failing row.  judge runs once,
+    on the certified directions, and gives each (value, tol, violated,
+    failure), failure naming a further hypothesis that fails, else None.
+    eta itself must pass, else AnalysisError carries its failure."""
+    ladder = _ladder(settings)
+    etas = np.array([eta] + [k * eta for k in ladder])
+    td = settings.tol_deg
+    ok, e1, e2 = (a[..., 0] for a in _certifies(pt, etas, [lam], td))
+    sides = np.broadcast_to(np.asarray(pt.sides), pt.ts.shape)
+    live = ok.all(axis=0)
+    judged = iter(judge(etas[live]) if live[0] else ())
+    rungs = []
+    for j, k in enumerate([1.0] + ladder):
+        if live[j]:
+            value, tol, violated, failure = next(judged)
+        else:
+            r = int(np.argmin(ok[:, j]))
+            what = (f"|E(eta)| = {e1[r, j]}" if not e1[r, j] <= td
+                    else f"|E(pair)| = {e2[r, j]}")
+            failure = (f"degeneracy not certified at theta={pt.ts[r]} from "
+                       f"the {sides[r]}: {what} exceeds {td}")
+        if failure is not None:
+            if j == 0:
+                raise AnalysisError(failure)
+            value, tol, violated = math.nan, math.nan, False
+        rungs.append(_Rung(k, failure is None, violated, value, tol))
+    return rungs
+
+
 def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
                       finding: DegeneracyFinding,
                       settings: AnalysisSettings = AnalysisSettings()
@@ -254,96 +276,59 @@ def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
     """Interval-degeneracy conditions: the M sum must vanish on the interval.
 
     Part (i) tests the equality D(t) = M_x + M_y = 0 with the finding's
-    (eta, lam) on interval_points interior points; any violation beyond
-    tolerance rejects a strong local minimum.  Part (ii) rescales eta by
-    the scale ladder, re-certifying degeneracy at each scale, and is
-    judged by _judge_ladder.  A finding whose interval fails
-    re-certification is rejected with an error rather than judged.
+    (eta, lam) on interval_points interior points, from the right; any
+    violation beyond tolerance rejects a strong local minimum.  Part (ii)
+    tests eta down the scale ladder, judged by _judge_ladder.  Both come
+    from one _rungs call; a finding whose interval fails re-certification
+    is rejected with an error rather than judged.
     """
     if finding.kind != "interval":
         raise AnalysisError("an interval finding is required")
     s = settings.resolved(p, cand)
-    eta, lam, td = finding.direction, finding.lam, s.tol_deg
-    ts = np.linspace(finding.t_lo, finding.t_hi,
-                     s.interval_points + 2)[1:-1].tolist()
-    ladder = _ladder(s)
-    # one stack: the finding's own direction, then the ladder
-    s_etas = np.array([eta] + [k * eta for k in ladder])
-    pts = ExcessPoint(p, cand, ts, "right")
+    lam = finding.lam
+    pts = ExcessPoint(p, cand, np.linspace(
+        finding.t_lo, finding.t_hi, s.interval_points + 2)[1:-1], "right")
 
-    # certification per point (rows) and direction (columns)
-    ok, e1, e2 = (a[..., 0] for a in _certifies(pts, s_etas, [lam], td))
-    if not ok[:, 0].all():
-        i = int(np.argmin(ok[:, 0]))
-        raise AnalysisError(
-            f"interval not degenerate for the finding's direction at "
-            f"t={ts[i]}: |E sums| = ({e1[i, 0]}, {e2[i, 0]}) exceed {td}")
-    certified = ok.all(axis=0)
-
-    # the worst D(t) = M_x + M_y of every certified direction
-    d_vals = iter(pts.m_sum(lam, s_etas[certified]).T.tolist())
-    rungs = []
-    for k, cert in zip([1.0] + ladder, certified.tolist()):
-        worst = max(next(d_vals), key=abs) if cert else math.nan
-        tol = _eq_tol(s.tol_eq, worst)
-        rungs.append(_Rung(k, cert, abs(worst) > tol, worst, tol))
+    def judge(etas: np.ndarray):
+        # the worst D(t) = M_x + M_y of each direction
+        return [_judged(max(d, key=abs), s.tol_eq)
+                for d in pts.m_sum(lam, etas).T.tolist()]
 
     return _judge_ladder(
         ("5.1(i)", "5.1(ii)"),
         ("max |M_x + M_y| over the degeneracy interval",
          "max |M_x + M_y| over the interval at the smallest certified scale"),
-        (finding.t_lo, finding.t_hi), rungs)
+        (finding.t_lo, finding.t_hi), _rungs(pts, lam, finding.direction, s,
+                                             judge))
 
 
-def _point_quantity(p: DelayProblem, cand: CandidateExtremal, theta: float,
-                    side: str, lam: float, etas: np.ndarray, td: float,
+def _point_quantity(pt: ExcessPoint, theta: float, side: str, lam: float,
                     tol_eq: Optional[float]):
-    """Shared engine of the 6.1-style point checks, for every direction of
-    the stack etas (k, n) at once, on one ExcessPoint with a row per side.
-
-    Returns (quantity description, one (value, tol, violated, failure) per
-    direction).  failure is None when the direction certifies, else the
-    message of the first hypothesis that fails at it, in this order:
-    degeneracy certification from each side, then, at a two-sided point,
-    agreement of the one-sided M sums and stationarity of both excess-sum
-    maps.  Each quantity is evaluated only at the directions that passed
-    every check before it.
+    """(description, judge for _rungs) of the 6.1-style point checks at
+    theta, on pt (one row per side).  One-sided: the second-order bracket
+    and its sign rule.  Two-sided: the M sum must vanish, where the
+    one-sided M sums agree and then where both excess-sum maps are
+    stationary, each hypothesis tested only at the directions still live.
     """
-    rows = ("right", "left") if side == "both" else (side,)
-    pt = ExcessPoint(p, cand, [theta] * len(rows), rows)
-    ok, e1, e2 = (a[..., 0].T.tolist()
-                  for a in _certifies(pt, etas, [lam], td))
-    failure = [next((f"degeneracy not certified at theta={theta} from the "
-                     f"{s}: |E sums| = ({a}, {b}) exceed {td}"
-                     for s, c, a, b in zip(rows, *cols) if not c), None)
-               for cols in zip(ok, e1, e2)]
-    out = [(math.nan, math.nan, False)] * len(etas)
-
-    def live() -> List[int]:
-        return [j for j, f in enumerate(failure) if f is None]
-
-    js = live()
     if side != "both":
         # the one-sided bracket: twice the eps^2 coefficient of the needle,
         # with the left one's sign flipped
-        brackets = pt.second_order(lam, etas[js])[0].tolist() if js else []
-        for j, bracket in zip(js, brackets):
-            tol = _eq_tol(tol_eq, bracket)
-            violated = (bracket < -tol) if side == "right" else (bracket > tol)
-            out[j] = (bracket, tol, violated)
-        desc = (f"lam*(M_x+M_y) + d/dt(Q_2 sum) from the {side} "
-                f"({'>= 0' if side == 'right' else '<= 0'} required)")
-    else:
+        sign = 1 if side == "right" else -1
+        return (f"lam*(M_x+M_y) + d/dt(Q_2 sum) from the {side} "
+                f"({'>= 0' if sign > 0 else '<= 0'} required)",
+                lambda etas: [_judged(b, tol_eq, sign) for b in
+                              pt.second_order(lam, etas)[0].tolist()])
+
+    def judge(etas: np.ndarray):
         # interior two-sided point: equality of the M sum
-        m_sums = pt.m_sum(lam, etas[js]).T.tolist() if js else []
-        for j, (m_r, m_l) in zip(js, m_sums):
-            tol = _eq_tol(tol_eq, m_r)
-            out[j] = (m_r, tol, abs(m_r) > tol)
-            if abs(m_r - m_l) > tol:
-                failure[j] = (
-                    f"one-sided M sums disagree at theta={theta} ({m_r} vs "
-                    f"{m_l}): two-sided smoothness hypothesis fails")
-        js = live()
+        out = []
+        for m_r, m_l in pt.m_sum(lam, etas).T.tolist():
+            value, tol, violated, _ = _judged(m_r, tol_eq)
+            out.append((value, tol, violated, None if abs(m_r - m_l) <= tol
+                        else f"one-sided M sums disagree at theta={theta} "
+                        f"({m_r} vs {m_l}): two-sided smoothness hypothesis "
+                        f"fails"))
+        js = [j for j, o in enumerate(out) if o[3] is None]
         # excess-sum rates per side: rows 0..len(js)-1 at the live etas,
         # the rest at their paired slopes
         rate = pt.e_sum_rate(np.concatenate(
@@ -354,14 +339,13 @@ def _point_quantity(p: DelayProblem, cand: CandidateExtremal, theta: float,
             # both excess-sum maps are minimized, so their one-sided time
             # derivatives vanish
             fermat_tol = 100.0 * out[j][1]
-            failure[j] = next((
+            out[j] = out[j][:3] + (next((
                 f"excess sum map not stationary at theta={theta} from the "
                 f"{s} (slope {v}): interior-minimum hypothesis fails"
                 for d in (rate[i], rate[len(js) + i])
-                for s, v in zip(rows, d) if abs(v) > fermat_tol), None)
-        desc = "M_x + M_y at the interior degenerate point (= 0 required)"
-    return desc, [o + (None,) if f is None else (math.nan, math.nan, False, f)
-                  for o, f in zip(out, failure)]
+                for s, v in zip(pt.sides, d) if abs(v) > fermat_tol), None),)
+        return out
+    return "M_x + M_y at the interior degenerate point (= 0 required)", judge
 
 
 def _validate_point_args(p: DelayProblem, theta: float, side: str,
@@ -392,7 +376,7 @@ def theorem_6_2_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
                       settings: AnalysisSettings = AnalysisSettings()
                       ) -> Tuple[Verdict, Verdict]:
     """Point-degeneracy conditions at theta and their small-ball versions,
-    (6.1 verdict, 6.2 verdict), from one engine call on eta and the ladder.
+    (6.1 verdict, 6.2 verdict), from one _rungs call on eta and the ladder.
 
     side "right"/"left" (part (i)): the one-sided second-order bracket
     lam*(M_x+M_y) + d/dt(Q_2 sum) must be >= 0 from the right, <= 0 from
@@ -400,26 +384,19 @@ def theorem_6_2_check(p: DelayProblem, cand: CandidateExtremal, theta: float,
     from both sides, the M sum must vanish; one-sided M sums must agree
     and the excess-sum maps must be stationary.  6.1 tests eta itself,
     which must meet these hypotheses, else an error is raised instead of
-    a verdict.  6.2 tests eta scaled down the ladder, re-certifying the
-    hypotheses at each scale, and is judged by _judge_ladder.
+    a verdict; 6.2 tests eta down the ladder (_judge_ladder).
     """
     eta = _validate_point_args(p, theta, side, lam_bar, eta)
     s = settings.resolved(p, cand)
-    ladder = _ladder(s)
-    desc, results = _point_quantity(
-        p, cand, theta, side, lam_bar,
-        np.array([eta] + [k * eta for k in ladder]), s.tol_deg, s.tol_eq)
-    if results[0][3] is not None:
-        raise AnalysisError(results[0][3])
+    rows = ("right", "left") if side == "both" else (side,)
+    pt = ExcessPoint(p, cand, [theta] * len(rows), rows)
+    desc, judge = _point_quantity(pt, theta, side, lam_bar, s.tol_eq)
     part = "(ii)" if side == "both" else "(i)"
     tail = ("tail regime: delayed-slot contributions vanish beyond t1"
             if theta > p.t1 - p.h + BREAK_TOL else "")
     return _judge_ladder(
         ("6.1" + part, "6.2" + part), (desc, desc + " across the scale ladder"),
-        (theta, theta),
-        [_Rung(k, failure is None, violated, value, tol)
-         for k, (value, tol, violated, failure) in zip([1.0] + ladder, results)],
-        tail)
+        (theta, theta), _rungs(pt, lam_bar, eta, s, judge), tail)
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,10 @@ class Pow(Node):
             raise EvalDomainError("zero base with negative exponent", str(self))
         if b < 0.0 and p != int(p):
             raise EvalDomainError("negative base with fractional exponent", str(self))
-        return b ** p
+        try:
+            return b ** p
+        except OverflowError:
+            raise EvalDomainError("overflow", str(self)) from None
 
     def diff(self, var):
         p = self.exponent
@@ -292,7 +295,13 @@ class Call(Node):
             if v < 0.0:
                 raise EvalDomainError("sqrt of negative value", str(self))
             return math.sqrt(v)
-        return _MATH_FUNCS[self.fn](v)
+        try:
+            return _MATH_FUNCS[self.fn](v)
+        except OverflowError:
+            raise EvalDomainError(f"{self.fn} out of range", str(self)) from None
+        except ValueError:  # sin or cos of an infinity
+            raise EvalDomainError(f"{self.fn} undefined at {v!r}",
+                                  str(self)) from None
 
     def diff(self, var):
         inner = self.a.diff(var)
@@ -530,7 +539,8 @@ class ExprAst:
 @functools.lru_cache(maxsize=1024)
 def _compile_source(params: Tuple[str, ...], body: str) -> Callable:
     src = f"def _compiled({', '.join(params)}):\n    return {body}\n"
-    namespace = dict(_NUMPY_FUNCS)
+    # a folded constant may print as inf or nan
+    namespace = dict(_NUMPY_FUNCS, inf=math.inf, nan=math.nan)
     exec(src, namespace)  # noqa: S102 - generated from the validated AST only
     return namespace["_compiled"]
 

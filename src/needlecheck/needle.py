@@ -27,9 +27,6 @@ from .exprs import Const, ExprAst, Var, mul, sub, add
 from .problem import CandidateExtremal, DelayProblem
 from .trajectory import BREAK_TOL, Segment, Trajectory
 
-# corner snapping tolerance, matching trajectory breakpoint comparisons
-_CORNER_TOL = 1e-12
-
 
 class NeedleError(ValueError):
     """An inadmissible needle or point.  A message about one value begins
@@ -122,14 +119,14 @@ def perturbation(spec: NeedleSpec, eps: float, ts,
     (t - anchor) and slope on the inner branch (xi, anchored at theta) and
     the outer one (outer_slope, at theta +- eps), zero outside the support.
     Each time takes the branch of its one-sided limit from its side (one
-    side, or one per time); within _CORNER_TOL of a corner it snaps on."""
+    side, or one per time); within BREAK_TOL of a corner it snaps on."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     corners = spec.corners(eps)
     edges = np.array(corners)
     # piece 1 is [c0, c1], piece 2 is [c1, c2]; 0 and 3 lie outside
     piece = np.where(np.asarray(sides) == "right",
-                     np.searchsorted(edges - _CORNER_TOL, ts, "right"),
-                     np.searchsorted(edges + _CORNER_TOL, ts, "left"))
+                     np.searchsorted(edges - BREAK_TOL, ts, "right"),
+                     np.searchsorted(edges + BREAK_TOL, ts, "left"))
     inner, zero = (spec.theta, spec.xi), (0.0, np.zeros(spec.dim))
     if spec.side == "right":
         pieces = (zero, inner, (corners[2], spec.outer_slope), zero)

@@ -13,12 +13,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .trajectory import BREAK_TOL
+
 DEFAULT_ORDER = 10
 # eps^1 .. eps^4 in the sweep fit
 _FIT_TERMS = 4
-
-# panels thinner than this are dropped as duplicate breakpoints
-_PANEL_TOL = 1e-12
 
 
 class QuadratureError(ValueError):
@@ -50,14 +49,15 @@ def gauss_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def panel_plan(a: float, b: float, breaks: Sequence[float]) -> List[Tuple[float, float]]:
-    """Ordered panels covering [a, b], split at every interior breakpoint."""
+    """Ordered panels covering [a, b], split at every interior breakpoint;
+    a breakpoint within BREAK_TOL of a panel edge is a duplicate."""
     if b < a:
         raise QuadratureError(f"integration bounds reversed: [{a}, {b}]")
     if b == a:
         return []
     edges = [a]
     for p in sorted(float(x) for x in breaks):
-        if a + _PANEL_TOL < p < b - _PANEL_TOL and p - edges[-1] > _PANEL_TOL:
+        if a + BREAK_TOL < p < b - BREAK_TOL and p - edges[-1] > BREAK_TOL:
             edges.append(p)
     edges.append(b)
     return list(zip(edges[:-1], edges[1:]))

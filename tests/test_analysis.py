@@ -256,8 +256,12 @@ def test_interval_check_rejects_corrupted_finding(sample_problem, sample_cand):
         kind="interval", t_lo=2.2, t_hi=2.8, side="both",
         direction=np.array([1.0]), lam=0.5, evidence=(0.0, 0.0),
         tol_deg=1e-9, certified_pairs=())
-    with pytest.raises(AnalysisError, match="not degenerate"):
+    # the shared certification message, from the first interior point
+    with pytest.raises(AnalysisError) as info:
         theorem_5_1_check(sample_problem, sample_cand, fake)
+    assert str(info.value) == (
+        "degeneracy not certified at theta=2.211764705882353 from the right: "
+        "|E(eta)| = 1.0 exceeds 2e-09")
     point = DegeneracyFinding(
         kind="point", t_lo=1.0, t_hi=1.0, side="both",
         direction=np.array([1.0]), lam=0.5, evidence=(0.0, 0.0), tol_deg=1e-9)
@@ -885,20 +889,39 @@ def test_paired_slopes_are_evaluated_only_where_a_direction_degenerates(
 
 
 def test_lazy_pairs_certify_as_every_pair_does():
-    # the same cells certify with and without every pair evaluated, and a
-    # certified cell reads the same |E(pair)|
+    # the same cells certify as with every pair evaluated, and a certified
+    # cell reads the same |E(pair)|
     p = make_problem(QUARTIC_WELL_L)
     pt = ExcessPoint(p, make_candidate(p), np.linspace(0.0, 2.0, 9), "right")
     etas = np.array([[1.0], [-1.0], [0.5], [2.0]])
     lams = [0.5, 0.25]
-    ok, e1, e2 = analysis._certifies(pt, etas, lams, 1e-9)
-    lazy_ok, lazy_e1, lazy_e2 = analysis._certifies(pt, etas, lams, 1e-9,
-                                                    every_pair=False)
+    pairs = paired_slope(np.array(lams)[None, :, None], etas[:, None, :])
+    e1 = np.repeat(np.abs(pt.e_sum(etas))[:, :, None], len(lams), axis=2)
+    e2 = np.abs(pt.e_sum(pairs.reshape(-1, 1))).reshape(e1.shape)
+    ok = (e1 <= 1e-9) & (e2 <= 1e-9)
+    lazy_ok, lazy_e1, lazy_e2 = analysis._certifies(pt, etas, lams, 1e-9)
     assert ok.any() and not ok.all()
     assert np.array_equal(ok, lazy_ok) and np.array_equal(e1, lazy_e1)
     assert np.array_equal(e2[ok], lazy_e2[ok])
     # the nowhere-degenerate etas 0.5 and 2 had no pair evaluated
     assert np.isinf(lazy_e2[:, 2:]).all() and np.isfinite(lazy_e2[:, :2]).all()
+
+
+def test_a_ladder_rung_nowhere_degenerate_skips_its_pair():
+    # E along zero vanishes at dx1 = 0 and +-1, so eta = 1 certifies on the
+    # interval [0, 2] and 2*eta nowhere; the pair of 2*eta under lam = 0.5
+    # is -2, outside the domain of sqrt(1.5 + dx1).  L >= 0 = L(0), so the
+    # zero candidate is a minimum and every verdict holds
+    p = make_problem("dx1^2*(dx1^2 - 1)^2 + x1^2*sqrt(1.5 + dx1)")
+    report = full_report(p, make_candidate(p), AnalysisSettings(
+        radii=(0.25, 0.5, 1.0), lambdas=(0.5,), scales=(2.0, 1.0, 0.5)))
+    assert report.overall == "CONSISTENT" and report.stage_errors == ()
+    assert [v.theorem for v in report.verdicts] == [
+        "5.1(i)", "5.1(ii)", "6.1(ii)", "6.2(ii)"]
+    assert all(v.conclusion == "CONSISTENT" for v in report.verdicts)
+    assert report.verdicts[1].note == (
+        "degeneracy not certified in small ball; scale 2: not certified; "
+        "scale 1: holds; scale 0.5: not certified")
 
 
 def test_verdict_integrates_its_needles_in_one_batch(monkeypatch):

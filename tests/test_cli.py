@@ -352,6 +352,30 @@ def test_a_too_deep_expression_is_a_tool_error(tmp_path, lagrangian):
     assert "nested too deeply" in payload["result"]["error"]
 
 
+def test_a_folded_infinity_is_a_tool_error(tmp_path):
+    # the partial in x1 folds 1e300*1e300 to inf, which the kernel must
+    # know by name; the non-finite value is then the Euler stage's error
+    cfg = _with_lagrangian(tmp_path, "1e300*x1*1e300 + dx1^2")
+    code, payload = run_json("validate", cfg)
+    assert code == 0
+    for command, prefix in (("euler", ""), ("verdict", "euler: ")):
+        code, payload = run_json(command, cfg)
+        assert code == 1 and payload["status"] == "error"
+        assert payload["result"]["error"] == (
+            prefix + "non-finite value in subexpression 'inf'")
+
+
+def test_an_overflow_names_its_subexpression(tmp_path):
+    cfg = _with_lagrangian(tmp_path, "exp(1000*dx1) + dx1^2")
+    code, payload = run_json("verdict", cfg)
+    assert code == 1 and payload["result"]["error"] == (
+        "euler: exp out of range in subexpression 'exp(1000 * dx1)'")
+    code, payload = run_json("increment", CFG, "--theta", "1", "--side",
+                             "left", "--xi", "1e300", "--sweep")
+    assert code == 1 and payload["result"]["error"] == (
+        "overflow in subexpression 'dx1^2'")
+
+
 def test_unknown_subcommand_is_a_tool_error():
     code, payload = run_json("frobnicate", CFG)
     assert code == 1
@@ -401,7 +425,10 @@ NEEDLE_COMMANDS = [
                                "got 1.5"),
     (("{}=3",), "{}=3.0 outside the admissible range for side 'right'"),
     (("{}=nan",), "{} must be finite, got nan"),
-], ids=["xi", "lambda", "range", "nan"])
+    (("{}=1", "--xi", "1", "--xi", "2"),
+     "--xi dimension 2 != problem dimension 1"),
+    (("{}=1", "--xi=nan"), "--xi must be finite, got [nan]"),
+], ids=["xi", "lambda", "range", "nan", "xi-dim", "xi-nan"])
 def test_needle_errors_name_the_flag(capsys, argv, point, flags, error):
     # one rule in every command: the needle's message, with the flag of
     # the rejected value in place of its name
@@ -685,9 +712,9 @@ def test_console_script_installed():
 
 def test_a_nowhere_degenerate_direction_skips_its_pair(tmp_path):
     # every scan slope keeps 2.5 + dx1 >= 0.5, but the pair of eta = 1
-    # under lam = 0.75 is -3.  No direction degenerates, so detection never
-    # evaluates that pair; the point checks still evaluate every pair and
-    # report the domain error with both |E| values out of reach
+    # under lam = 0.75 is -3.  No direction degenerates, so neither
+    # detection nor the point checks evaluate that pair: the point check
+    # reports the failed certification of eta itself
     cfg = tmp_path / "sqrt.cfg"
     cfg.write_text(POW_CFG.replace("(1 + dx1)^1.5", "sqrt(2.5 + dx1)"))
     code, payload = run_json("degeneracy", str(cfg))
@@ -696,7 +723,8 @@ def test_a_nowhere_degenerate_direction_skips_its_pair(tmp_path):
                              "right", "--xi", "1", "--lambda", "0.75")
     assert code == 1
     assert payload["result"]["error"] == (
-        "sqrt of negative value in subexpression 'sqrt(2.5 + dx1)'")
+        "degeneracy not certified at theta=1.0 from the right: "
+        "|E(eta)| = 0.026537902714057038 exceeds 2.8708286933869707e-09")
 
 
 def test_a_command_never_imports_locale():

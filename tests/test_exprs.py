@@ -116,6 +116,27 @@ def test_eval_domain_errors_name_subexpression():
         eval_expr(parse_expr("1/t", vs), {"t": 0.0})
 
 
+def test_float_overflow_names_its_subexpression():
+    # OverflowError and ValueError of float math, at the node that raised
+    vs = ("t",)
+    cases = [("t^2", 1e300, "overflow in subexpression 't^2'"),
+             ("exp(1000*t)", 1.0,
+              "exp out of range in subexpression 'exp(1000 * t)'"),
+             ("sin(t)", math.inf, "sin undefined at inf in subexpression "
+              "'sin(t)'")]
+    for source, t, message in cases:
+        with pytest.raises(EvalDomainError) as info:
+            eval_expr(parse_expr(source, vs), {"t": t})
+        assert str(info.value) == message
+
+
+def test_a_folded_infinity_compiles():
+    # 1e300*1e300 folds to inf, which the kernel source prints as inf
+    expr = differentiate(parse_expr("1e300*t*1e300", ("t",)), "t")
+    assert str(expr) == "inf"
+    assert expr.compiled()(0.5) == math.inf
+
+
 def test_differentiate_rejects_bad_cases():
     vs = admitted_variables(1)
     expr = parse_expr("x1^2", vs, dim=1)
