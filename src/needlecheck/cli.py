@@ -29,7 +29,7 @@ from .config import build_candidate, build_problem
 from .needle import NeedleError, NeedleSpec, window_for
 from .problem import CandidateExtremal, DelayProblem
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 _ERRORS = (ValueError, ArithmeticError)
 
@@ -244,7 +244,7 @@ def weierstrass(config: str) -> None:
     """Pointwise excess scan over the time grid and slope sample set."""
     def body(cfg, p, cand):
         scan = conditions.weierstrass_scan(p, cand, cfg.analysis)
-        return scan, scan.has_violation
+        return scan.table(), scan.has_violation
     _run("weierstrass", config, body)
 
 
@@ -392,7 +392,13 @@ def verdict(config: str) -> None:
             raise AnalysisError(
                 "; ".join(f"{stage}: {msg}"
                           for stage, msg in report.stage_errors))
-        return report, report.overall != "CONSISTENT"
+        # the report's fields, with the scan's summary in place of the
+        # scan; the weierstrass command prints its table
+        result = {f.name: getattr(report, f.name)
+                  for f in dataclasses.fields(report)}
+        if report.weierstrass is not None:
+            result["weierstrass"] = report.weierstrass.summary()
+        return result, report.overall != "CONSISTENT"
     _run("verdict", config, body)
 
 

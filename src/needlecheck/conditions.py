@@ -215,13 +215,13 @@ def direction_set(dim: int, seed: int = 0) -> List[np.ndarray]:
     """Deterministic low-discrepancy unit directions: +-1 for dim 1, evenly
     spaced angles for dim 2, a Fibonacci sphere for dim 3, and a Kronecker
     sequence pushed through the normal quantile for higher dimensions.
-    Each (dim, seed) is computed once per process; the arrays are
-    read-only and shared, the list is new on every call."""
+    Each (dim, seed) is computed once per process, as one read-only
+    (m, dim) array; the list of its rows is new on every call."""
     return list(_directions(dim, seed))
 
 
 @functools.lru_cache(maxsize=32)
-def _directions(dim: int, seed: int) -> Tuple[np.ndarray, ...]:
+def _directions(dim: int, seed: int) -> np.ndarray:
     count = 64 if dim <= 3 else 32 * dim
     if dim == 1:
         out = [np.array([1.0]), np.array([-1.0])]
@@ -252,17 +252,20 @@ def _directions(dim: int, seed: int) -> Tuple[np.ndarray, ...]:
                           for v in u])
             length = float(np.linalg.norm(g))
             out.append(g / (length if length > 0 else 1.0))
-    for d in out:
-        d.flags.writeable = False
-    return tuple(out)
+    out = np.array(out)
+    out.flags.writeable = False
+    return out
 
 
 def xi_sample_set(dim: int, radii: Sequence[float],
-                  seed: int = 0) -> List[np.ndarray]:
-    """Directions crossed with radii; the radius sweep catches excess
-    functions that are not homogeneous in xi."""
-    dirs = direction_set(dim, seed)
-    return [r * d for r in radii for d in dirs]
+                  seed: int = 0) -> np.ndarray:
+    """The sample slopes of the scan, shape (len(radii) * m, dim): the m
+    directions of direction_set scaled by each radius in turn, radius by
+    radius.  The radius sweep catches excess functions that are not
+    homogeneous in xi."""
+    dirs = _directions(dim, seed)
+    return (np.asarray(radii, dtype=float)[:, None, None] * dirs).reshape(
+        -1, dim)
 
 
 @dataclass(frozen=True)
@@ -277,12 +280,113 @@ class ScanEntry:
 
 
 @dataclass(frozen=True)
-class WeierstrassScanReport:
-    entries: Tuple[ScanEntry, ...]
+class DegenerateSlope:
+    """A sample slope with |E_sum| <= tol_deg at some scan row: at how many
+    rows (cells), and the times of the first and the last."""
+
+    slope: Tuple[float, ...]
+    cells: int
+    t_first: float
+    t_last: float
+
+
+@dataclass(frozen=True)
+class ScanSummary:
+    """What a verdict reports of the scan: the smallest excess sum and
+    where it is (time, side, sample slope), the entry of every violating
+    row, every slope that is degenerate somewhere, and the tolerances."""
+
+    overall_min: float
+    min_t: float
+    min_side: str
+    min_xi: Tuple[float, ...]
+    has_violation: bool
+    violations: Tuple[ScanEntry, ...]
+    degenerate_slopes: Tuple[DegenerateSlope, ...]
     tol_w: float
     tol_deg: float
-    overall_min: float
-    has_violation: bool
+
+
+class WeierstrassScanReport:
+    """The excess sum at every scan row (time, side) and sample slope,
+    reduced to arrays: overall_min and has_violation are read off them.
+    entries, one ScanEntry per row, is built on first use; table() is the
+    weierstrass command's report of them, and summary() the verdict's,
+    which builds the entries of the violating rows only."""
+
+    __slots__ = ("ts", "sides", "regimes", "stack", "mins", "unit_mins",
+                 "violating", "degenerate", "tol_w", "tol_deg", "overall_min",
+                 "has_violation", "_argmin", "_entries")
+
+    def __init__(self, ts: List[float], sides: List[str], regimes: List[str],
+                 stack: np.ndarray, vals: np.ndarray, tol_w: float,
+                 tol_deg: float):
+        """vals holds the excess sum at each row (ts, sides, regimes) and
+        each slope of stack, shape (len(ts), len(stack))."""
+        self.ts, self.sides, self.regimes = ts, sides, regimes
+        self.stack, self.tol_w, self.tol_deg = stack, tol_w, tol_deg
+        self.mins, cols = _first_min(vals)
+        unit = np.abs(np.linalg.norm(stack, axis=1) - 1.0) <= 1e-12
+        self.unit_mins = _first_min(vals[:, unit])[0] if unit.any() \
+            else self.mins
+        self.violating = self.mins < -tol_w
+        self.degenerate = np.abs(vals) <= tol_deg
+        k = int(np.argmin(self.mins))
+        self._argmin = (k, int(cols[k]))
+        self.overall_min = float(self.mins[k])
+        self.has_violation = bool(self.violating.any())
+        self._entries = None
+
+    def _entries_of(self, rows: np.ndarray) -> Tuple[ScanEntry, ...]:
+        """The entries of the given rows, in order."""
+        slopes = [tuple(x) for x in self.stack.tolist()]
+        at, cols = (a.tolist() for a in np.nonzero(self.degenerate[rows]))
+        ends = np.searchsorted(at, np.arange(len(rows) + 1)).tolist()
+        mins, unit_mins, violating = (a[rows].tolist() for a in (
+            self.mins, self.unit_mins, self.violating))
+        return tuple(ScanEntry(
+            t=self.ts[k], side=self.sides[k], regime=self.regimes[k],
+            min_excess=mins[i], min_excess_unit=unit_mins[i],
+            violation=violating[i],
+            degenerate_directions=tuple(slopes[j]
+                                        for j in cols[ends[i]:ends[i + 1]]))
+            for i, k in enumerate(rows.tolist()))
+
+    @property
+    def entries(self) -> Tuple[ScanEntry, ...]:
+        if self._entries is None:
+            self._entries = self._entries_of(np.arange(len(self.ts)))
+        return self._entries
+
+    def table(self) -> dict:
+        """The full scan report: every entry, with the overall minimum,
+        whether some row violates, and the tolerances."""
+        return {"entries": self.entries, "has_violation": self.has_violation,
+                "overall_min": self.overall_min, "tol_deg": self.tol_deg,
+                "tol_w": self.tol_w}
+
+    def summary(self) -> ScanSummary:
+        row, col = self._argmin
+        cells = self.degenerate.sum(axis=0)
+        first = np.argmax(self.degenerate, axis=0)
+        last = len(self.ts) - 1 - np.argmax(self.degenerate[::-1], axis=0)
+        return ScanSummary(
+            overall_min=self.overall_min, min_t=self.ts[row],
+            min_side=self.sides[row], min_xi=tuple(self.stack[col].tolist()),
+            has_violation=self.has_violation,
+            violations=self._entries_of(np.flatnonzero(self.violating)),
+            degenerate_slopes=tuple(
+                DegenerateSlope(tuple(self.stack[j].tolist()), int(cells[j]),
+                                self.ts[first[j]], self.ts[last[j]])
+                for j in np.flatnonzero(cells).tolist()),
+            tol_w=self.tol_w, tol_deg=self.tol_deg)
+
+
+def _first_min(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The minimum of each row of a and its column: the first one, as
+    Python's min() picks between 0.0 and -0.0."""
+    cols = np.argmin(a, axis=1)
+    return a[np.arange(len(a)), cols], cols
 
 
 def lagrangian_scale(p: DelayProblem, cand: CandidateExtremal) -> float:
@@ -374,10 +478,17 @@ class AnalysisSettings:
 def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
                      settings: AnalysisSettings = AnalysisSettings()
                      ) -> WeierstrassScanReport:
-    """Minimum of the paired excess over the sample set (directions crossed
-    with radii) at every point of the scan grid on [t0, t1], both sides at
-    candidate breakpoints; flags violations below -tol_w and records
-    directions with |E_sum| <= tol_deg."""
+    """The paired excess sum over the sample set (xi_sample_set: the
+    directions crossed with the radii) at every point of the scan grid on
+    [t0, t1], both sides at candidate breakpoints; flags violations below
+    -tol_w and records slopes with |E_sum| <= tol_deg.
+
+    When L is a polynomial of degree at most 2 in the slopes of each slot
+    (LagrangianExpr.degree of dx and of dy), E_sum(t, r*xi) = r^2 *
+    E_sum(t, xi) exactly, so the directions are evaluated once and each
+    radius block is r*r times them; a block with a non-finite cell is
+    evaluated directly, so that a domain error names its subexpression.
+    Otherwise the whole sample set is evaluated."""
     s = settings.resolved(p, cand)
     bps = set(cand.traj.breakpoints)
     tasks = []
@@ -393,29 +504,23 @@ def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
             sides = ("right",)
         for side in sides:
             tasks.append((t, side))
+    ts, sides = [t for t, _ in tasks], [side for _, side in tasks]
 
-    stack = np.array(xi_sample_set(p.dim, s.radii, s.seed))
-    unit = np.abs(np.linalg.norm(stack, axis=1) - 1.0) <= 1e-12
-    vals = ExcessPoint(p, cand, [t for t, _ in tasks],
-                       [side for _, side in tasks]).e_sum(stack)
-
-    def row_mins(a: np.ndarray) -> List[float]:
-        # the first minimum, as Python's min() picks between 0.0 and -0.0
-        return a[np.arange(len(a)), np.argmin(a, axis=1)].tolist()
-
-    mins = row_mins(vals)
-    unit_mins = row_mins(vals[:, unit]) if unit.any() else mins
-    degen = np.abs(vals) <= s.tol_deg
-    entries = tuple(ScanEntry(
-        t=t, side=side,
-        regime="paired" if t <= p.t1 - p.h + BREAK_TOL else "single",
-        min_excess=mins[k],
-        min_excess_unit=unit_mins[k],
-        violation=mins[k] < -s.tol_w,
-        degenerate_directions=tuple(tuple(stack[j].tolist())
-                                    for j in np.flatnonzero(degen[k])))
-        for k, (t, side) in enumerate(tasks))
-    overall = min(e.min_excess for e in entries)
-    return WeierstrassScanReport(
-        entries=entries, tol_w=s.tol_w, tol_deg=s.tol_deg,
-        overall_min=overall, has_violation=any(e.violation for e in entries))
+    dirs = _directions(p.dim, s.seed)
+    stack = xi_sample_set(p.dim, s.radii, s.seed)
+    pt = ExcessPoint(p, cand, ts, sides)
+    if max(p.lagrangian.degree("dx"), p.lagrangian.degree("dy")) <= 2:
+        at_dirs = pt.e_sum(dirs)
+        blocks = []
+        for r in s.radii:
+            with np.errstate(over="ignore"):
+                block = (r * r) * at_dirs
+            blocks.append(block if np.isfinite(block).all()
+                          else pt.e_sum(r * dirs))
+        vals = np.hstack(blocks)
+    else:
+        vals = pt.e_sum(stack)
+    regimes = ["paired" if t <= p.t1 - p.h + BREAK_TOL else "single"
+               for t in ts]
+    return WeierstrassScanReport(ts, sides, regimes, stack, vals, s.tol_w,
+                                 s.tol_deg)

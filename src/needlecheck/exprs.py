@@ -571,6 +571,32 @@ def differentiate(expr: ExprAst, var: str) -> ExprAst:
             from exc
 
 
+def _degree(node: Node, names: frozenset) -> float:
+    """The polynomial degree of node in the variables names, math.inf
+    where node is no polynomial in them: a quotient by, a function of, or a
+    power other than a non-negative integer one of an expression that
+    depends on them."""
+    match node:
+        case Var(name=name):
+            return float(name in names)
+        case Add(a=a, b=b) | Sub(a=a, b=b):
+            return max(_degree(a, names), _degree(b, names))
+        case Mul(a=a, b=b):
+            return _degree(a, names) + _degree(b, names)
+        case Div(a=a, b=b):
+            return _degree(a, names) if _degree(b, names) == 0 else math.inf
+        case Pow(base=base, exponent=p):
+            d = _degree(base, names)
+            if d == 0 or p == 0:
+                return 0.0
+            return p * d if p > 0 and p.is_integer() else math.inf
+        case Neg(a=a):
+            return _degree(a, names)
+        case Call(a=a):
+            return 0.0 if _degree(a, names) == 0 else math.inf
+    return 0.0  # a constant
+
+
 class LagrangianExpr:
     """Parsed Lagrangian with its symbolic partials.
 
@@ -584,21 +610,33 @@ class LagrangianExpr:
     enforces.  A config's problem gets its one LagrangianExpr from
     config.build_problem, through parse_lagrangian; parsing the config
     differentiates the body only once, in t, to place an abs error.
+    degree(block) is the body's polynomial degree in one variable block.
     """
 
-    __slots__ = ("dim", "source", "body", "partials")
+    __slots__ = ("dim", "source", "body", "partials", "_degrees")
 
     def __init__(self, dim: int, source: str, body: ExprAst):
         self.dim = dim
         self.source = source
         self.body = body
         self.partials: Dict[object, ExprAst] = {}
+        self._degrees: Dict[str, float] = {}
         for var in self.variables[1:]:
             self.partial(var)
 
     @property
     def variables(self) -> Tuple[str, ...]:
         return self.body.variables
+
+    def degree(self, block: str) -> float:
+        """The polynomial degree of the body in the variables of block (one
+        of BLOCKS: dx for the slopes an x-slot excess perturbs, dy for the
+        y slot's), math.inf where the body is no polynomial in them; one
+        walk of the body per block."""
+        if block not in self._degrees:
+            names = frozenset(f"{block}{i}" for i in range(1, self.dim + 1))
+            self._degrees[block] = _degree(self.body.root, names)
+        return self._degrees[block]
 
     def partial(self, *names: str) -> ExprAst:
         key = names if len(names) > 1 else names[0]

@@ -48,13 +48,13 @@ def _intervals(p: DelayProblem, specs: Sequence[NeedleSpec], eps,
         raise NeedleError(f"{given} eps entries for {len(specs)} needles")
     intervals = []
     for spec, levels in zip(specs, eps.reshape(len(specs), -1).tolist()):
+        bump = functools.partial(perturbation, spec)
         for e in levels:
             check_eps(p, spec, e)
             c0, _, c2 = corners = spec.corners(e)
             extra = corners + tuple(c + p.h for c in corners)
-            bump = functools.partial(perturbation, spec, e)
             for lo, hi in ((c0, c2), (c0 + p.h, c2 + p.h)):
-                intervals.append(problem.Interval(lo, hi, extra, bump))
+                intervals.append(problem.Interval(lo, hi, extra, bump, e))
                 if base:
                     intervals.append(problem.Interval(lo, hi, extra))
     return intervals, eps.shape

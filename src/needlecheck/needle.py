@@ -113,27 +113,28 @@ def check_eps(p: DelayProblem, spec: NeedleSpec, eps: float) -> None:
 # ---------------------------------------------------------------------------
 # the perturbation as numbers
 
-def perturbation(spec: NeedleSpec, eps: float, ts,
+def perturbation(spec: NeedleSpec, eps, ts,
                  sides) -> Tuple[np.ndarray, np.ndarray]:
-    """(q, q_dot) at each time of ts, each of shape (n, len(ts)): slope *
-    (t - anchor) and slope on the inner branch (xi, anchored at theta) and
-    the outer one (outer_slope, at theta +- eps), zero outside the support.
-    Each time takes the branch of its one-sided limit from its side (one
-    side, or one per time); within BREAK_TOL of a corner it snaps on."""
+    """(q, q_dot) at each time of ts, each of shape (n, len(ts)), of the
+    needle of width eps (one width, or one per time): slope * (t - anchor)
+    and slope on the inner branch (xi, anchored at theta) and the outer
+    one (outer_slope, at theta +- eps), zero outside the support.  Each
+    time takes the branch of its one-sided limit from its side (one side,
+    or one per time); within BREAK_TOL of a corner it snaps on."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    corners = spec.corners(eps)
-    edges = np.array(corners)
-    # piece 1 is [c0, c1], piece 2 is [c1, c2]; 0 and 3 lie outside
-    piece = np.where(np.asarray(sides) == "right",
-                     np.searchsorted(edges - BREAK_TOL, ts, "right"),
-                     np.searchsorted(edges + BREAK_TOL, ts, "left"))
-    inner, zero = (spec.theta, spec.xi), (0.0, np.zeros(spec.dim))
+    corners = spec.corners(np.asarray(eps, dtype=float))
+    # piece 1 is [c0, c1], piece 2 is [c1, c2]; 0 and 3 lie outside: the
+    # corners a time has passed, from its side
+    right = np.asarray(sides) == "right"
+    piece = sum(np.where(right, ts >= c - BREAK_TOL, ts > c + BREAK_TOL)
+                for c in corners)
     if spec.side == "right":
-        pieces = (zero, inner, (corners[2], spec.outer_slope), zero)
+        inner, outer, outer_anchor = piece == 1, piece == 2, corners[2]
     else:
-        pieces = (zero, (corners[0], spec.outer_slope), inner, zero)
-    anchor = np.array([a for a, _ in pieces])[piece]
-    slope = np.array([s for _, s in pieces])[piece].T
+        inner, outer, outer_anchor = piece == 2, piece == 1, corners[0]
+    anchor = np.where(inner, spec.theta, np.where(outer, outer_anchor, 0.0))
+    slope = np.where(inner, spec.xi[:, None],
+                     np.where(outer, spec.outer_slope[:, None], 0.0))
     return (ts - anchor) * slope, slope
 
 

@@ -289,13 +289,16 @@ def rates(p: DelayProblem, cand: CandidateExtremal, args: np.ndarray,
 
 class Interval(NamedTuple):
     """L over [lo, hi], clipped to [t0, t1], on panels split also at
-    breaks.  bump, if any, maps times and one side per time to an additive
-    (q, q_dot) of the trajectory, each (n, len(times)), zero off its support."""
+    breaks.  bump, if any, maps a width per time (the interval's eps at its
+    nodes), times and one side per time to an additive (q, q_dot) of the
+    trajectory, each (n, len(times)), zero off its support; intervals that
+    share a bump differ only in eps."""
 
     lo: float
     hi: float
     breaks: Tuple[float, ...] = ()
     bump: Optional[Callable] = None
+    eps: float = 0.0
 
 
 def integrate_nodes(p: DelayProblem, traj: Trajectory,
@@ -338,14 +341,21 @@ def integrate_nodes(p: DelayProblem, traj: Trajectory,
         x_rows = np.r_[_rows(p, "x"), _rows(p, "dx")]
         sides = np.where(t < np.repeat(mids, m), "right", "left")
         at_node = np.repeat(owner, m)
+        eps = np.array([iv.eps for iv in intervals])[at_node]
+        users = {}
         for k, iv in enumerate(intervals):
-            if iv.bump is None:
-                continue
-            at = np.flatnonzero(at_node == k)
-            for times, rows in ((t, x_rows), (td, x_rows + p.dim)):
-                q = np.vstack(iv.bump(times[at], sides[at]))
-                live = q.any(0)
-                bumps[np.ix_(rows, at[live])] = q[:, live]
+            if iv.bump is not None:
+                users.setdefault(iv.bump, []).append(k)
+        for bump, ks in users.items():
+            # one call per bump, at t and at t - h of every node it moves
+            at = np.flatnonzero(np.isin(at_node, ks))
+            q = np.vstack(bump(np.tile(eps[at], 2),
+                               np.concatenate((t[at], td[at])),
+                               np.tile(sides[at], 2)))
+            for part, rows in ((q[:, :at.size], x_rows),
+                               (q[:, at.size:], x_rows + p.dim)):
+                live = part.any(0)
+                bumps[np.ix_(rows, at[live])] = part[:, live]
         vals = np.reshape(integrand(args, bumps), grid.shape)
         for k, ws, v in zip(owner.tolist(), weights, vals):
             sums[k].append(float(np.dot(ws, v)))

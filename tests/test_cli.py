@@ -41,7 +41,7 @@ def test_validate_bundled_config():
     code, payload = run_json("validate", CFG)
     assert code == 0
     assert sorted(payload) == PAYLOAD_KEYS
-    assert payload["schema_version"] == "3"
+    assert payload["schema_version"] == "4"
     assert payload["tool"] == "needlecheck"
     assert payload["command"] == "validate"
     assert payload["status"] == "pass"
@@ -551,18 +551,80 @@ def test_default_direction_is_the_seeded_one(tmp_path):
     assert payload["result"] == right
 
 
+def _summary_of(table, slopes):
+    """The verdict's scan summary, built from the weierstrass command's
+    table and the sample slopes in scan order, but for where the minimum
+    is: the table names its row, not its slope."""
+    first = next(e for e in table["entries"]
+                 if e["min_excess"] == table["overall_min"])
+    seen = {}
+    for e in table["entries"]:
+        for d in e["degenerate_directions"]:
+            seen.setdefault(tuple(d), []).append(e["t"])
+    return {
+        "overall_min": table["overall_min"], "min_t": first["t"],
+        "min_side": first["side"], "has_violation": table["has_violation"],
+        "violations": [e for e in table["entries"] if e["violation"]],
+        "degenerate_slopes": [
+            {"slope": list(x), "cells": len(seen[x]), "t_first": seen[x][0],
+             "t_last": seen[x][-1]} for x in map(tuple, slopes) if x in seen],
+        "tol_w": table["tol_w"], "tol_deg": table["tol_deg"]}
+
+
+def _scan_agrees(cfg, summary):
+    """The verdict's scan summary of a dim-1 cfg with the default samples
+    against its weierstrass table: the summary built from the table, and
+    an excess sum of min_xi at the minimum's row equal to overall_min.
+    Returns the table."""
+    from needlecheck.conditions import AnalysisSettings, xi_sample_set
+    table = run_json("weierstrass", cfg)[1]["result"]
+    slopes = xi_sample_set(1, AnalysisSettings().radii).tolist()
+    assert summary["min_xi"] in slopes
+    assert {k: v for k, v in summary.items() if k != "min_xi"} \
+        == _summary_of(table, slopes)
+    at_min = run_json("excess", cfg, "--point", repr(summary["min_t"]),
+                      "--side", summary["min_side"],
+                      *(f"--xi={x!r}" for x in summary["min_xi"]))
+    assert at_min[1]["result"]["e_sum"] == summary["overall_min"]
+    return table
+
+
 def test_stage_commands_agree_with_verdict():
     # each stage command reads the same settings as the verdict pipeline
     _, verdict = run_json("verdict", CFG)
     report = verdict["result"]
-    for command in ("euler", "weierstrass"):
-        assert run_json(command, CFG)[1]["result"] == report[command]
+    assert run_json("euler", CFG)[1]["result"] == report["euler"]
+    _scan_agrees(CFG, report["weierstrass"])
     assert run_json("degeneracy", CFG)[1]["result"]["findings"] \
         == report["findings"]
     _, theorem5 = run_json("theorem5", CFG)
     assert theorem5["result"]["verdicts"] == [
         v for v in report["verdicts"] if v["theorem"].startswith("5.1")]
     assert len(theorem5["result"]["verdicts"]) == 2
+
+
+def test_scan_summary_shows_every_violation_and_degenerate_slope(tmp_path):
+    # E_sum = (2 - t)*xi^2 up to t1 - h = 2 and (1 - t)*xi^2 beyond: every
+    # slope degenerates at t = 2 and every row after it violates
+    cfg = tmp_path / "turning.cfg"
+    cfg.write_text(
+        "[problem]\nt0 = 0.0\nt1 = 3.0\nh = 1.0\ndim = 1\n"
+        'lagrangian = "(1 - t)*dx1^2 + dy1^2"\nx1 = (0.0)\n'
+        'history = (-1.0, 0.0, "0")\n[candidate]\nsegment = (0.0, 3.0, "0")\n'
+        "[analysis]\nscan_grid = 31\n")
+    summary = run_json("verdict", str(cfg))[1]["result"]["weierstrass"]
+    table = _scan_agrees(str(cfg), summary)
+    violating = [e for e in table["entries"] if e["violation"]]
+    assert [e["t"] for e in violating] == [e["t"] for e in table["entries"]
+                                           if e["t"] > 2.0]
+    assert summary["violations"] == violating and summary["has_violation"]
+    degenerate = {tuple(d) for e in table["entries"]
+                  for d in e["degenerate_directions"]}
+    assert len(degenerate) == 8
+    assert {tuple(d["slope"]) for d in summary["degenerate_slopes"]} \
+        == degenerate
+    assert all((d["cells"], d["t_first"], d["t_last"]) == (1, 2.0, 2.0)
+               for d in summary["degenerate_slopes"])
 
 
 @pytest.mark.parametrize("side, sign", [("right", 2.0), ("left", -2.0)])
@@ -783,7 +845,7 @@ def test_usage_error_bytes():
   "result": {
     "error": "Invalid value for '--side': 'up' is not one of 'right', 'left'."
   },
-  "schema_version": "3",
+  "schema_version": "4",
   "status": "error",
   "tool": "needlecheck"
 }

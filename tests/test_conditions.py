@@ -526,6 +526,109 @@ def test_weierstrass_scan_flags_violation():
         -max(AnalysisSettings().radii) ** 2, abs=1e-12)
 
 
+# set tolerances: no |L| scale is evaluated
+TOLS = {"tol_w": 1e-9, "tol_deg": 1e-9, "tol_euler": 1e-8}
+
+
+def _scan_cells(monkeypatch, p, cand, settings):
+    """The scan of settings, and the cells of its kernel calls on a slope
+    stack (a 2-D batch): the perturbed evaluations, counted as
+    test_grid_stages_make_the_same_kernel_calls_at_any_grid_size counts
+    calls."""
+    from needlecheck.exprs import ExprAst
+    cells = []
+    compiled = ExprAst.compiled
+
+    def counting(expr):
+        kernel = compiled(expr)
+
+        def count(*args):
+            shape = np.broadcast_shapes(*map(np.shape, args))
+            if len(shape) == 2:
+                cells.append(shape[0] * shape[1])
+            return kernel(*args)
+        return count
+
+    with monkeypatch.context() as m:
+        m.setattr(ExprAst, "compiled", counting)
+        report = weierstrass_scan(p, cand, settings)
+    return report, sum(cells)
+
+
+def _direct_values(p, cand, report, settings):
+    """The excess sum of every scan row at every sample slope, evaluated
+    on the whole stack at once."""
+    return ExcessPoint(p, cand, [e.t for e in report.entries],
+                       [e.side for e in report.entries]).e_sum(
+        xi_sample_set(p.dim, settings.radii, settings.seed))
+
+
+@pytest.mark.parametrize("lag", ["dx1^4 + dx1^2 + dy1^2",
+                                 "exp(dx1) - dx1 + dy1^2"])
+def test_scan_of_a_non_quadratic_l_evaluates_every_radius(monkeypatch, lag):
+    p = make_problem(lag)
+    cand = make_candidate(p)
+    s = AnalysisSettings(scan_grid=21, **TOLS)
+    report, cells = _scan_cells(monkeypatch, p, cand, s)
+    # the x slot at every row, the y slot at the rows with t + h <= t1,
+    # each at every sample slope
+    live_y = sum(e.t + 1.0 <= 3.0 for e in report.entries)
+    assert cells == (21 + live_y) * len(xi_sample_set(1, s.radii))
+    vals = _direct_values(p, cand, report, s)
+    assert [e.min_excess for e in report.entries] == vals.min(1).tolist()
+    assert report.overall_min == vals.min()
+
+
+def test_a_quadratic_dim5_scan_evaluates_one_radius(monkeypatch):
+    # E_sum(t, r*xi) = r^2 * E_sum(t, xi): the directions are evaluated
+    # once, a quarter of the cells of the four default radii
+    n = 5
+    lag = ("(2 + sin(t))*(" + " + ".join(f"dx{i}^2" for i in range(1, n + 1))
+           + ") + exp(0.1*y1)*(dy1^2 + dy5^2) + dx2*dy2 - x3^2")
+    p = make_problem(lag, dim=n)
+    cand = make_candidate(p, [f"0.1*t*(3 - t)*{i}" for i in range(n)])
+    s = AnalysisSettings(scan_grid=15, **TOLS)
+    report, cells = _scan_cells(monkeypatch, p, cand, s)
+    m = len(direction_set(n))
+    live_y = sum(e.t + 1.0 <= 3.0 for e in report.entries)
+    assert cells == (len(report.entries) + live_y) * m
+    vals = _direct_values(p, cand, report, s)
+    assert cells * 4 == (len(report.entries) + live_y) * vals.shape[1]
+    mins = np.array([e.min_excess for e in report.entries])
+    assert np.all(np.abs(mins - vals.min(1)) <= 1e-12 * (1 + np.abs(mins)))
+
+
+def test_scaled_and_direct_scan_values_agree_on_a_moving_candidate():
+    # radii that are not powers of two, on a candidate whose slope is not
+    # zero: r*r*E(xi) and E(r*xi) differ only by rounding
+    p = make_problem("(1 + x1^2)*dx1^2 + 0.5*dx1*dy1 + (2 + t)*dy1^2")
+    cand = make_candidate(p, ["0.2*t*(3 - t)"])
+    s = AnalysisSettings(scan_grid=40, radii=(0.3, 0.7, 1.0, 1.7),
+                         tol_w=1e-9, tol_deg=1e-9)
+    report = weierstrass_scan(p, cand, s)
+    vals = _direct_values(p, cand, report, s)
+    unit = np.abs(np.linalg.norm(xi_sample_set(1, s.radii), axis=1) - 1) \
+        <= 1e-12
+    for e, row in zip(report.entries, vals):
+        assert abs(e.min_excess - row.min()) <= 1e-12 * (1 + abs(row.min()))
+        assert e.min_excess_unit == row[unit].min()
+    assert abs(report.overall_min - vals.min()) \
+        <= 1e-12 * (1 + abs(vals.min()))
+
+
+def test_a_scaled_block_that_overflows_is_evaluated_directly():
+    # E_sum(t, xi) = 1e308 at the unit slopes, and 4 times that overflows:
+    # the radius-2 block is evaluated, and its L overflows there too; the
+    # tail rows, with the y slot dead, give the smallest value 5e307 / 16
+    from needlecheck.exprs import EvalDomainError
+    p = make_problem("5e307*dx1^2 + 5e307*dy1^2")
+    with pytest.raises(EvalDomainError, match="non-finite value"):
+        weierstrass_scan(p, make_candidate(p),
+                         AnalysisSettings(scan_grid=5, **TOLS))
+    s = AnalysisSettings(scan_grid=5, radii=(0.25, 1.0), **TOLS)
+    assert weierstrass_scan(p, make_candidate(p), s).overall_min == 3.125e306
+
+
 def test_weierstrass_scan_validates_inputs():
     # the scan grid and the sample radii come from the settings, which
     # reject an empty grid and a zero radius (a zero slope sample)

@@ -226,3 +226,21 @@ def test_higher_partials_are_built_once():
 def test_parse_lagrangian_rejects_out_of_range_index():
     with pytest.raises(IndexOutOfRangeError):
         parse_lagrangian("dx2^2", 1)
+
+
+@pytest.mark.parametrize("source, dx, dy", [
+    ("(dx1 + x1)^2", 2.0, 0.0),
+    ("exp(x1)*dx1*dx2", 2.0, 0.0),
+    ("dx1^3", 3.0, 0.0),
+    ("dx1^2.5", math.inf, 0.0),
+    ("1/dx1", math.inf, 0.0),
+    ("sqrt(dx1^2)", math.inf, 0.0),
+    ("dx1/(1 + x1)", 1.0, 0.0),
+    ("sin(t)*dy2^2 - dx1*dy1 + 4", 1.0, 2.0),
+    ("(dx1 - dy1)^0 + exp(dy1)", 0.0, math.inf),
+])
+def test_degree_in_a_slope_block(source, dx, dy):
+    # the polynomial degree in dx1, dx2 (and in dy1, dy2): what the scan
+    # reads to evaluate one radius and scale the others by r^2
+    lag = parse_lagrangian(source, 2)
+    assert (lag.degree("dx"), lag.degree("dy")) == (dx, dy)

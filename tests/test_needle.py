@@ -89,6 +89,32 @@ def test_perturbation_shapes():
     assert q.shape == q_dot.shape == (2, 1)
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_a_width_per_time_reads_as_each_width_alone(side):
+    # one call with a width per time, as integrate_nodes makes for a
+    # needle's eps sweep, gives what one call per width gives, bit for bit,
+    # corners and their BREAK_TOL snaps included
+    spec = NeedleSpec(theta=1.0, lam=0.3, xi=np.array([2.0, -1.0]),
+                      side=side)
+    levels = [0.4, 0.2, 0.1]
+    times, widths, sides, q_want, qd_want = [], [], [], [], []
+    for eps in levels:
+        corners = np.array(spec.corners(eps))
+        ts = np.concatenate((np.linspace(0.5, 1.5, 41), corners,
+                             corners + 5e-13, corners - 5e-13))
+        for one_side in ("right", "left"):
+            q, q_dot = perturbation(spec, eps, ts, one_side)
+            times.append(ts)
+            widths.append(np.full(ts.size, eps))
+            sides += [one_side] * ts.size
+            q_want.append(q)
+            qd_want.append(q_dot)
+    q, q_dot = perturbation(spec, np.concatenate(widths),
+                            np.concatenate(times), sides)
+    assert q.tobytes() == np.hstack(q_want).tobytes()
+    assert q_dot.tobytes() == np.hstack(qd_want).tobytes()
+
+
 def test_right_needle_shape():
     spec = NeedleSpec(theta=1.0, lam=0.5, xi=np.array([2.0]), side="right")
     eps = 0.5

@@ -177,12 +177,14 @@ def test_intervals_integrate_alone_or_batched_alike():
     p = make_problem(SAMPLE_L)
     cand = make_candidate(p, ["0.1*t*(3 - t)"])
 
-    def bump(ts, sides):
-        q = np.where((ts > 0.5) & (ts < 0.8), (ts - 0.5) * (0.8 - ts), 0.0)
+    def bump(eps, ts, sides):
+        end = 0.5 + eps
+        q = np.where((ts > 0.5) & (ts < end), (ts - 0.5) * (end - ts), 0.0)
         return q[None], np.zeros((1, ts.size))
 
-    batch = [Interval(0.0, 3.0), Interval(0.2, 1.7, (0.5, 0.8), bump),
-             Interval(1.4, 1.9, (1.5, 1.8), bump), Interval(2.0, 2.0, (), bump)]
+    batch = [Interval(0.0, 3.0), Interval(0.2, 1.7, (0.5, 0.8), bump, 0.3),
+             Interval(1.4, 1.9, (1.5, 1.8), bump, 0.3),
+             Interval(2.0, 2.0, (), bump, 0.3)]
     alone = [integrate_L(p, cand.traj, [iv])[0] for iv in batch]
     assert integrate_L(p, cand.traj, batch) == alone
     assert alone[0] == eval_S(p, cand.traj)
