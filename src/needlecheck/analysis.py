@@ -84,19 +84,22 @@ class DegeneracyFinding:
         return 0.5 * (self.t_lo + self.t_hi)
 
 
-def _certifies(pt: ExcessPoint, etas, lams: Sequence[float], tol_deg: float
+def _certifies(pt: ExcessPoint, etas, lams: Sequence[float], tol_deg: float,
+               e_eta: Optional[np.ndarray] = None
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Degeneracy certification at every time of pt of every eta (rows of
     etas) paired under every lam: (ok, |E(eta)|, |E(pair)|), each of shape
-    (times, etas, lams).  A cell certifies only where |E(eta)| <= tol_deg
-    too, so the paired slopes are evaluated only for the etas that are
-    degenerate at some time of pt; the others certify nowhere, and their
-    |E(pair)| reads inf."""
+    (times, etas, lams).  e_eta is |E(eta)| at pt when it has been
+    evaluated already, else it is evaluated here.  A cell certifies only
+    where |E(eta)| <= tol_deg too, so the paired slopes are evaluated only
+    for the etas that are degenerate at some time of pt; the others certify
+    nowhere, and their |E(pair)| reads inf."""
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     lams = np.asarray(lams, dtype=float)
     pairs = paired_slope(lams[None, :, None], etas[:, None, :]).reshape(
         -1, etas.shape[1])
-    e_eta = np.abs(pt.e_sum(etas))
+    if e_eta is None:
+        e_eta = np.abs(pt.e_sum(etas))
     paired = np.repeat((e_eta <= tol_deg).any(axis=0), len(lams))
     e_pair = np.full((len(e_eta), len(pairs)), np.inf)
     if paired.any():
@@ -116,27 +119,34 @@ def _in_range(p: DelayProblem, theta: float, side: str) -> bool:
 
 
 def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
-                      settings: AnalysisSettings = AnalysisSettings()
+                      settings: AnalysisSettings = AnalysisSettings(),
+                      scan: Optional[WeierstrassScanReport] = None
                       ) -> List[DegeneracyFinding]:
-    """Scan the degeneracy grid on [t0, t1-h] for paired-direction
-    degeneracies of the excess sum, over the seeded unit directions and
-    the lambdas.
+    """Scan the right-side rows of the scan grid on [t0, t1-h] (t1-h is
+    one) for paired-direction degeneracies of the excess sum, over the
+    seeded unit directions and the lambdas.  The excess sums at the unit
+    directions are read from scan, weierstrass_scan(p, cand, settings),
+    or without it evaluated on the scan grid alone, with no radius block.
 
     Contiguous grid runs certified by the same (eta, lam) merge into
     interval findings; distinct certified pairs sharing the exact same run
     merge into one finding carrying all of them.  Isolated single-point
     runs become point findings tagged with the sides that certify.  The
-    paired slopes of a direction are evaluated only when its excess sum
-    vanishes somewhere on the grid (_certifies): a direction that is
-    nowhere degenerate certifies nowhere, whatever its pairs give.
+    paired slopes of a direction are evaluated, on those rows only, when
+    its excess sum vanishes somewhere on them (_certifies): a direction
+    that is nowhere degenerate certifies nowhere, whatever its pairs give.
     """
     s = settings.resolved(p, cand)
     td = s.tol_deg
-    grid = np.linspace(p.t0, p.t1 - p.h, s.degeneracy_grid).tolist()
+    pt, unit = (scan.pt, scan.unit) if scan is not None \
+        else conditions._excess_grid(p, cand, s)
+    rows = np.flatnonzero((pt.ts <= p.t1 - p.h + BREAK_TOL)
+                          & (np.asarray(pt.sides) == "right"))
+    grid = pt.ts[rows].tolist()
     directions = direction_set(p.dim, s.seed)
     pairs = [(eta, float(lam)) for eta in directions for lam in s.lambdas]
     ok, e1, e2 = (a.reshape(len(grid), len(pairs)) for a in _certifies(
-        ExcessPoint(p, cand, grid, "right"), directions, s.lambdas, td))
+        pt.rows(rows), directions, s.lambdas, td, np.abs(unit[rows])))
 
     # maximal certified runs of each pair, grouped by their exact grid
     # extent; edges[k, i] is +1 where a run of pair k starts at grid index
@@ -535,7 +545,7 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
             "skipped (its hypotheses require the condition to hold)")
     else:
         try:
-            findings = detect_degeneracy(p, cand, settings)
+            findings = detect_degeneracy(p, cand, settings, scan)
         except (ValueError, ArithmeticError) as exc:
             errors.append(("degeneracy", str(exc)))
 

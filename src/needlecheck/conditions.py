@@ -8,13 +8,14 @@ the delay-shifted term at t+h, and the shifted term vanishes for t+h > t1
 by the extended-zero convention, which collapses the two regimes
 (t <= t1-h paired, t > t1-h single-term) into one code path.
 
-ExcessPoint is the one way to evaluate the excess machinery: a scan grid,
-a degeneracy grid and a single point (one row per side) are all grids of
-times, and every stack of slopes (scaled directions, their paired slopes)
-is evaluated at once.  It gives the slot excesses, their sum, the M
-functionals, the exact time rate of the excess sum and the second-order
-bracket lam*(M sum) + d/dt(Q_2 sum); q_k is the one Q_k rule,
-lam^k * E(xi) + (1-lam^k) * E(pair).
+ExcessPoint is the one way to evaluate the excess machinery: the scan grid
+(whose rows degeneracy detection reads too), an interval's interior points
+and a single point (one row per side) are all grids of times, and every
+stack of slopes (scaled directions, their paired slopes) is evaluated at
+once.  It gives the slot excesses, their sum, the M functionals, the exact
+time rate of the excess sum and the second-order bracket lam*(M sum) +
+d/dt(Q_2 sum); q_k is the one Q_k rule, lam^k * E(xi) + (1-lam^k) *
+E(pair).
 
 AnalysisSettings holds what every stage reads (grids, slope samples,
 lambdas, scale ladder, tolerances, eps sweep) and every range rule; its
@@ -107,6 +108,20 @@ class ExcessPoint:
         self.grad = {s: partials_vec(p, SLOTS[s][0], a)
                      for s, a in self.args.items()}
         self._rates = None
+
+    def rows(self, index) -> "ExcessPoint":
+        """The rows index (an integer array) of this grid as a grid of its
+        own, with their argument sets, L and slope gradients: nothing is
+        evaluated again."""
+        out = object.__new__(ExcessPoint)
+        out.p, out.cand, out.ts, out._rates = (self.p, self.cand,
+                                               self.ts[index], None)
+        out.sides = np.broadcast_to(self.sides, self.ts.shape)[index].tolist()
+        out.args, out.L, out.grad = ({s: v[..., index] for s, v in d.items()}
+                                     for d in (self.args, self.L, self.grad))
+        out.live = {s: np.flatnonzero(live_times(self.p, a[0]))
+                    for s, a in out.args.items()}
+        return out
 
     def _blocks(self, slot: str, width: int) -> List[np.ndarray]:
         """Indices of the live times of slot, in blocks of at most
@@ -310,25 +325,29 @@ class ScanSummary:
 class WeierstrassScanReport:
     """The excess sum at every scan row (time, side) and sample slope,
     reduced to arrays: overall_min and has_violation are read off them.
-    entries, one ScanEntry per row, is built on first use; table() is the
-    weierstrass command's report of them, and summary() the verdict's,
-    which builds the entries of the violating rows only."""
+    pt is the scan grid and unit its excess sums at the unit directions
+    (direction_set), which degeneracy detection reads.  entries, one
+    ScanEntry per row, is built on first use; table() is the weierstrass
+    command's report of them, and summary() the verdict's, which builds
+    the entries of the violating rows only."""
 
-    __slots__ = ("ts", "sides", "regimes", "stack", "mins", "unit_mins",
-                 "violating", "degenerate", "tol_w", "tol_deg", "overall_min",
-                 "has_violation", "_argmin", "_entries")
+    __slots__ = ("pt", "unit", "ts", "sides", "regimes", "stack", "mins",
+                 "unit_mins", "violating", "degenerate", "tol_w", "tol_deg",
+                 "overall_min", "has_violation", "_argmin", "_entries")
 
-    def __init__(self, ts: List[float], sides: List[str], regimes: List[str],
-                 stack: np.ndarray, vals: np.ndarray, tol_w: float,
-                 tol_deg: float):
-        """vals holds the excess sum at each row (ts, sides, regimes) and
-        each slope of stack, shape (len(ts), len(stack))."""
-        self.ts, self.sides, self.regimes = ts, sides, regimes
-        self.stack, self.tol_w, self.tol_deg = stack, tol_w, tol_deg
+    def __init__(self, pt: ExcessPoint, unit: np.ndarray, stack: np.ndarray,
+                 vals: np.ndarray, tol_w: float, tol_deg: float):
+        """vals holds the excess sum at each row of pt and each slope of
+        stack, shape (len(pt.ts), len(stack)); unit its values at the unit
+        directions, one column per direction."""
+        p = pt.p
+        self.pt, self.unit, self.stack = pt, unit, stack
+        self.ts, self.sides = pt.ts.tolist(), list(pt.sides)
+        self.regimes = ["paired" if t <= p.t1 - p.h + BREAK_TOL else "single"
+                        for t in self.ts]
+        self.tol_w, self.tol_deg = tol_w, tol_deg
         self.mins, cols = _first_min(vals)
-        unit = np.abs(np.linalg.norm(stack, axis=1) - 1.0) <= 1e-12
-        self.unit_mins = _first_min(vals[:, unit])[0] if unit.any() \
-            else self.mins
+        self.unit_mins = _first_min(unit)[0]
         self.violating = self.mins < -tol_w
         self.degenerate = np.abs(vals) <= tol_deg
         k = int(np.argmin(self.mins))
@@ -421,7 +440,6 @@ class AnalysisSettings:
 
     euler_grid: int = 100
     scan_grid: int = 200
-    degeneracy_grid: int = 200
     interval_points: int = 50
     radii: Tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
     lambdas: Tuple[float, ...] = (0.5, 0.25, 0.75)
@@ -436,7 +454,7 @@ class AnalysisSettings:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("euler_grid", "scan_grid", "degeneracy_grid"):
+        for key in ("euler_grid", "scan_grid"):
             if getattr(self, key) < 1:
                 raise SettingsError(key, "grid size must be >= 1")
         if self.interval_points < 3:
@@ -475,52 +493,61 @@ class AnalysisSettings:
                                 for k in unset})
 
 
+def _excess_grid(p: DelayProblem, cand: CandidateExtremal,
+                 settings: AnalysisSettings
+                 ) -> Tuple[ExcessPoint, np.ndarray]:
+    """The scan grid and its excess sums at the unit directions
+    (direction_set), shape (rows, directions).  The grid is scan_grid
+    times on [t0, t1], plus t1-h when no grid time lies within BREAK_TOL of
+    it; a time is evaluated from the right, at t1 from the left, and from
+    both sides at a candidate breakpoint and at t1-h, where the paired
+    regime ends."""
+    edge = p.t1 - p.h
+    grid = np.linspace(p.t0, p.t1, settings.scan_grid).tolist()
+    if all(abs(t - edge) > BREAK_TOL for t in grid):
+        grid = sorted(grid + [edge])
+    bps = set(cand.traj.breakpoints) | {edge}
+    ts, sides = [], []
+    for t in grid:
+        if abs(t - p.t0) <= BREAK_TOL:
+            at = ("right",)
+        elif abs(t - p.t1) <= BREAK_TOL:
+            at = ("left",)
+        else:
+            at = ("right", "left") if any(abs(t - b) <= BREAK_TOL
+                                          for b in bps) else ("right",)
+        ts += [t] * len(at)
+        sides += at
+    pt = ExcessPoint(p, cand, ts, sides)
+    return pt, pt.e_sum(_directions(p.dim, settings.seed))
+
+
 def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
                      settings: AnalysisSettings = AnalysisSettings()
                      ) -> WeierstrassScanReport:
     """The paired excess sum over the sample set (xi_sample_set: the
-    directions crossed with the radii) at every point of the scan grid on
-    [t0, t1], both sides at candidate breakpoints; flags violations below
-    -tol_w and records slopes with |E_sum| <= tol_deg.
+    directions crossed with the radii) at every row of the scan grid
+    (_excess_grid); flags violations below -tol_w and records slopes with
+    |E_sum| <= tol_deg.
 
-    When L is a polynomial of degree at most 2 in the slopes of each slot
-    (LagrangianExpr.degree of dx and of dy), E_sum(t, r*xi) = r^2 *
-    E_sum(t, xi) exactly, so the directions are evaluated once and each
-    radius block is r*r times them; a block with a non-finite cell is
-    evaluated directly, so that a domain error names its subexpression.
-    Otherwise the whole sample set is evaluated."""
+    The unit directions are evaluated once, and each radius block is built
+    from them where it can be: the radius-1 block is that evaluation
+    itself; when L is a polynomial of degree at most 2 in the slopes of
+    each slot (LagrangianExpr.degree of dx and of dy), E_sum(t, r*xi) =
+    r^2 * E_sum(t, xi) exactly, so a block is r*r times it.  Any other
+    block, and a scaled block with a non-finite cell (so that a domain
+    error names its subexpression), is evaluated directly."""
     s = settings.resolved(p, cand)
-    bps = set(cand.traj.breakpoints)
-    tasks = []
-    for t in np.linspace(p.t0, p.t1, s.scan_grid).tolist():
-        at_bp = any(abs(t - b) <= BREAK_TOL for b in bps)
-        if abs(t - p.t0) <= BREAK_TOL:
-            sides = ("right",)
-        elif abs(t - p.t1) <= BREAK_TOL:
-            sides = ("left",)
-        elif at_bp:
-            sides = ("right", "left")
-        else:
-            sides = ("right",)
-        for side in sides:
-            tasks.append((t, side))
-    ts, sides = [t for t, _ in tasks], [side for _, side in tasks]
-
+    pt, unit = _excess_grid(p, cand, s)
     dirs = _directions(p.dim, s.seed)
+    quadratic = max(p.lagrangian.degree("dx"),
+                    p.lagrangian.degree("dy")) <= 2
+    blocks = []
+    for r in s.radii:
+        with np.errstate(over="ignore"):
+            block = unit if r == 1.0 else (r * r) * unit if quadratic else None
+        blocks.append(block if block is not None and np.isfinite(block).all()
+                      else pt.e_sum(r * dirs))
     stack = xi_sample_set(p.dim, s.radii, s.seed)
-    pt = ExcessPoint(p, cand, ts, sides)
-    if max(p.lagrangian.degree("dx"), p.lagrangian.degree("dy")) <= 2:
-        at_dirs = pt.e_sum(dirs)
-        blocks = []
-        for r in s.radii:
-            with np.errstate(over="ignore"):
-                block = (r * r) * at_dirs
-            blocks.append(block if np.isfinite(block).all()
-                          else pt.e_sum(r * dirs))
-        vals = np.hstack(blocks)
-    else:
-        vals = pt.e_sum(stack)
-    regimes = ["paired" if t <= p.t1 - p.h + BREAK_TOL else "single"
-               for t in ts]
-    return WeierstrassScanReport(ts, sides, regimes, stack, vals, s.tol_w,
+    return WeierstrassScanReport(pt, unit, stack, np.hstack(blocks), s.tol_w,
                                  s.tol_deg)

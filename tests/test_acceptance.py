@@ -54,12 +54,12 @@ def test_bundled_sample_full_verdict(bundled):
     tail = [e for e in scan.entries if 2.0 < e.t < 3.0]
     assert tail and all(e.min_excess_unit >= 0.999 for e in tail)
 
-    # (c) one interval finding covering (0, 2) within grid resolution
+    # (c) one interval finding covering [0, 2]: the scan grid, whose rows
+    # detection reads, holds both t0 and t1 - h
     intervals = [f for f in report.findings if f.kind == "interval"]
     assert len(intervals) == 1
     f = intervals[0]
-    step = 2.0 / (cfg.analysis.degeneracy_grid - 1)
-    assert f.t_lo <= 0.0 + step and f.t_hi >= 2.0 - step
+    assert (f.t_lo, f.t_hi) == (0.0, 2.0)
     assert abs(float(f.direction[0])) == pytest.approx(1.0, abs=1e-12)
     assert f.lam == 0.5
 

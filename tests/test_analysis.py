@@ -51,7 +51,7 @@ def _cert(pt, eta, lam, tol):
 
 def test_detect_interval_on_sample(sample_problem, sample_cand):
     findings = detect_degeneracy(sample_problem, sample_cand,
-                                 AnalysisSettings(degeneracy_grid=21))
+                                 AnalysisSettings(scan_grid=31))
     assert len(findings) == 1
     f = findings[0]
     assert f.kind == "interval"
@@ -68,7 +68,7 @@ def test_detect_interval_on_sample(sample_problem, sample_cand):
 def test_detect_nothing_on_strictly_convex():
     p = make_problem("dx1^2 + dy1^2")
     cand = make_candidate(p)
-    settings = AnalysisSettings(degeneracy_grid=21)
+    settings = AnalysisSettings(scan_grid=31)
     assert detect_degeneracy(p, cand, settings) == []
 
 
@@ -76,7 +76,7 @@ def test_detect_interior_point_finding():
     # excess sum (t-1)^2 xi^2 vanishes at t = 1 only
     p = make_problem("(t - 1)^2*dx1^2")
     cand = make_candidate(p)
-    findings = detect_degeneracy(p, cand, AnalysisSettings(degeneracy_grid=21))
+    findings = detect_degeneracy(p, cand, AnalysisSettings(scan_grid=31))
     assert len(findings) == 1
     f = findings[0]
     assert f.kind == "point"
@@ -88,7 +88,7 @@ def test_detect_edge_point_finding():
     # excess sum t*xi^2 vanishes at t = 0 only; only the right side exists
     p = make_problem("t*dx1^2")
     cand = make_candidate(p)
-    findings = detect_degeneracy(p, cand, AnalysisSettings(degeneracy_grid=21))
+    findings = detect_degeneracy(p, cand, AnalysisSettings(scan_grid=31))
     assert len(findings) == 1
     assert findings[0].kind == "point"
     assert findings[0].t_lo == findings[0].t_hi == pytest.approx(0.0)
@@ -96,17 +96,20 @@ def test_detect_edge_point_finding():
 
 
 def test_detect_validates_inputs(sample_problem, sample_cand):
-    # the grid on [t0, t1 - h] and the unit directions are built from the
-    # settings, which reject an empty grid and lambdas outside (0, 1)
-    with pytest.raises(SettingsError, match="key 'degeneracy_grid'"):
-        AnalysisSettings(degeneracy_grid=0)
+    # the scan grid's rows on [t0, t1 - h] and the unit directions are
+    # built from the settings, which reject an empty grid and lambdas
+    # outside (0, 1)
+    with pytest.raises(SettingsError, match="key 'scan_grid'"):
+        AnalysisSettings(scan_grid=0)
     with pytest.raises(SettingsError, match="key 'lambdas': must all be"):
         AnalysisSettings(lambdas=(0.5, 1.5))
     with pytest.raises(SettingsError, match="key 'lambdas': must be nonempty"):
         AnalysisSettings(lambdas=())
+    # a one-time scan grid is t0 alone, and t1 - h joins it
     [f] = detect_degeneracy(sample_problem, sample_cand,
-                            AnalysisSettings(degeneracy_grid=1))
-    assert (f.kind, f.t_lo, f.side) == ("point", 0.0, "right")
+                            AnalysisSettings(scan_grid=1))
+    assert (f.kind, f.t_lo, f.t_hi, f.side) == ("interval", 0.0, 2.0,
+                                                "both")
 
 
 def test_grid_stages_make_the_same_kernel_calls_at_any_grid_size(monkeypatch):
@@ -130,7 +133,7 @@ def test_grid_stages_make_the_same_kernel_calls_at_any_grid_size(monkeypatch):
 
     def kernel_calls(stage, n):
         del calls[:]
-        stage(p, cand, AnalysisSettings(scan_grid=n, degeneracy_grid=n))
+        stage(p, cand, AnalysisSettings(scan_grid=n))
         return len(calls)
 
     for stage in (weierstrass_scan, detect_degeneracy):
@@ -161,7 +164,7 @@ def test_certification_closed_under_pairing(quartic_well):
 
 def test_interval_check_on_sample(sample_problem, sample_cand):
     finding = detect_degeneracy(sample_problem, sample_cand,
-                                AnalysisSettings(degeneracy_grid=21))[0]
+                                AnalysisSettings(scan_grid=31))[0]
     v1, v2 = theorem_5_1_check(sample_problem, sample_cand, finding)
     assert v1.theorem == "5.1(i)" and v2.theorem == "5.1(ii)"
     assert v1.conclusion == "FAILS_STRONG"
@@ -375,7 +378,7 @@ def test_point_certified_from_one_side_only():
     p = make_problem("dx1^2*(dx1^2 - 1)^2")
     cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
         (0.0, 1.0, ["t"]), (1.0, 3.0, ["1 - 0.25*(t - 1)^2"])]))
-    [finding] = detect_degeneracy(p, cand, AnalysisSettings(degeneracy_grid=3))
+    [finding] = detect_degeneracy(p, cand, AnalysisSettings(scan_grid=4))
     assert (finding.kind, finding.t_lo, finding.side) == ("point", 1.0,
                                                           "right")
     assert finding.certified_pairs == (((1.0,), 0.5), ((-1.0,), 0.5))
@@ -473,7 +476,7 @@ def test_small_ball_check_requires_scales(sample_problem, sample_cand):
                              AnalysisSettings(scales=(0.25, 1.0, 0.25)))
     assert v.note == "scale 1: violated; scale 0.25: violated"
     [finding] = detect_degeneracy(p, cand,
-                                  AnalysisSettings(degeneracy_grid=21))
+                                  AnalysisSettings(scan_grid=31))
     _, v = theorem_5_1_check(p, cand, finding,
                              AnalysisSettings(scales=(0.25, 1.0, 0.25)))
     assert v.note == "scale 1: violated; scale 0.25: violated"
@@ -665,7 +668,7 @@ def test_settings_defaults():
     s = AnalysisSettings()
     assert s.euler_grid == 100
     assert s.scan_grid == 200
-    assert s.degeneracy_grid == 200
+    assert not hasattr(s, "degeneracy_grid")
     assert s.interval_points == 50
     assert s.scales == (1.0, 0.5, 0.25, 0.125)
     assert s.sweep_levels == 8 and s.sweep_ratio == 0.5
@@ -715,7 +718,7 @@ def test_verdict_builds_second_partials_only_in_moving_arguments():
         f"(2 + sin(t))*dx{i}^2 + dy{i}^2 + x{i}^2 + 0.25*dx{i}*dy{i}"
         for i in range(1, n + 1)), dim=n)
     full_report(p, make_candidate(p), AnalysisSettings(
-        euler_grid=10, scan_grid=20, degeneracy_grid=10))
+        euler_grid=10, scan_grid=20))
     built = [k for k in p.lagrangian.partials if isinstance(k, tuple)]
     assert all(k[-1] == "t" for k in built)
     assert len(p.lagrangian.partials) == 4 * n + 1 + 2 * n
@@ -875,17 +878,86 @@ def _paired_slope_cells(monkeypatch, p, cand, settings):
 
 def test_paired_slopes_are_evaluated_only_where_a_direction_degenerates(
         monkeypatch):
-    settings = AnalysisSettings(degeneracy_grid=20, lambdas=(0.25, 0.75))
+    settings = AnalysisSettings(scan_grid=31, lambdas=(0.25, 0.75))
     # strictly convex: no direction degenerates anywhere, no pair is built
     p = make_problem("dx1^2 + dx2^2 + 0.5*dy1^2 + dy2^2 + 0.1*dx1*dy2",
                      dim=2)
     assert _paired_slope_cells(monkeypatch, p, make_candidate(p),
                                settings) == 0
-    # bundled: both directions degenerate on (0, 2), so every pair is
-    # evaluated at every grid time in both slots
+    # bundled: both directions degenerate on [0, 2], so every pair is
+    # evaluated in both slots at every right-side scan row there, the 21
+    # times 0.1*k, and nowhere else
     p = make_problem(SAMPLE_L)
     assert _paired_slope_cells(monkeypatch, p, make_candidate(p),
-                               settings) == 2 * 20 * 2 * 2
+                               settings) == 2 * 21 * 2 * 2
+
+
+def test_full_report_evaluates_the_unit_directions_once(monkeypatch):
+    # the scan evaluates the unit directions at each of its rows, and its
+    # other radii are scaled from them (L is quadratic in the slopes);
+    # detection reads those values and adds only the cells of the paired
+    # slopes (norm 1/3 or 3 under lam 0.25 and 0.75) at the 21 right-side
+    # rows on [0, 2], in both slots
+    from needlecheck import conditions
+    cells = {}
+    stage = [None]
+    compiled = ExprAst.compiled
+
+    def counting(expr):
+        kernel = compiled(expr)
+
+        def count(*args):
+            if len(args) != 5:  # a segment of the candidate, of t alone
+                return kernel(*args)
+            shape = np.broadcast_shapes(*map(np.shape, args))
+            # zero candidate: the dx and dy rows hold the perturbation
+            norm = np.abs(np.broadcast_to(args[3], shape)) \
+                + np.abs(np.broadcast_to(args[4], shape))
+            for kind, hit in (("base", norm == 0.0),
+                              ("unit", np.isclose(norm, 1.0)),
+                              ("paired", np.isclose(norm, 1 / 3)
+                               | np.isclose(norm, 3.0))):
+                cells[stage[0], kind] = cells.get((stage[0], kind), 0) \
+                    + int(hit.sum())
+            cells[stage[0], "all"] = cells.get((stage[0], "all"), 0) \
+                + norm.size
+            return kernel(*args)
+        return count
+
+    def during(name, fn):
+        def run(*args):
+            stage[0] = name
+            try:
+                return fn(*args)
+            finally:
+                stage[0] = None
+        return run
+
+    p = make_problem(SAMPLE_L)
+    cand = make_candidate(p)
+    monkeypatch.setattr(ExprAst, "compiled", counting)
+    monkeypatch.setattr(conditions, "weierstrass_scan",
+                        during("scan", conditions.weierstrass_scan))
+    monkeypatch.setattr(analysis, "detect_degeneracy",
+                        during("detect", analysis.detect_degeneracy))
+    settings = AnalysisSettings(scan_grid=31, lambdas=(0.25, 0.75))
+    report = full_report(p, cand, settings)
+    assert report.overall == "FAILS_WEAK"
+    rows = len(report.weierstrass.ts)
+    live_y = sum(t + 1.0 <= 3.0 for t in report.weierstrass.ts)
+    assert (rows, live_y) == (32, 22)
+    # the scan: the base arguments and the unit directions, once
+    assert cells["scan", "unit"] == (rows + live_y) * 2
+    assert cells["scan", "all"] == cells["scan", "base"] \
+        + cells["scan", "unit"]
+    # detection: the paired slopes, and nothing else
+    assert cells["detect", "paired"] == cells["detect", "all"] \
+        == 2 * 21 * 2 * 2
+    # the same findings as detection with a scan grid of its own
+    [alone] = detect_degeneracy(p, cand, settings.resolved(p, cand))
+    [f] = report.findings
+    assert (f.kind, f.t_lo, f.t_hi, f.side, f.certified_pairs) == (
+        alone.kind, alone.t_lo, alone.t_hi, alone.side, alone.certified_pairs)
 
 
 def test_lazy_pairs_certify_as_every_pair_does():

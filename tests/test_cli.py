@@ -100,12 +100,52 @@ def test_verdict_rejects_a_momentum_jump(tmp_path):
     assert (r["euler"]["max_jump"], r["euler"]["jump_t"]) == (8.0, 1.5)
     assert r["euler"]["extremal"] is False
 
+def test_verdict_sees_a_violation_at_t1_minus_h(tmp_path):
+    # E_sum(t, xi) = xi^2 * (2 - 3*exp(-((t - 2)/0.002)^2)) on [0, 2]: -xi^2
+    # at t1 - h = 2 and positive a grid step away, so only a scan row at
+    # t1 - h sees the violation (at radius 2, -4)
+    path = tmp_path / "window.cfg"
+    path.write_text(TENT_CFG.replace(
+        '"dx1^2 + dy1^2"', '"dx1^2*(1 - 3*exp(-((t - 2)/0.002)^2)) + dy1^2"')
+        .replace('segment = (0.0, 1.5, "t")\nsegment = (1.5, 3.0, "3 - t")',
+                 'segment = (0.0, 3.0, "0")'))
+    code, payload = run_json("verdict", str(path))
+    assert code == 2 and payload["status"] == "fail"
+    r = payload["result"]
+    assert r["overall"] == "FAILS_STRONG"
+    scan = r["weierstrass"]
+    assert (scan["overall_min"], scan["min_t"]) == (-4.0, 2.0)
+    assert [v["t"] for v in scan["violations"]] == [2.0, 2.0]
+
+
+def test_retired_degeneracy_grid_key_is_read_and_dropped(tmp_path):
+    # degeneracy detection reads the scan grid's rows; a config that still
+    # sets degeneracy_grid runs as one without it, the key absent from the
+    # echo, and the key is still range-checked at its line
+    import importlib.resources as res
+    text = (res.files("needlecheck") / "configs" / CFG).read_text(
+        encoding="utf-8")
+    path = tmp_path / "retired.cfg"
+    path.write_text(text + "degeneracy_grid = 10\n")
+    code, payload = run_json("validate", str(path))
+    _, bundled = run_json("validate", CFG)
+    assert code == 0 and payload == bundled
+    assert "degeneracy_grid" not in payload["config"]["analysis"]
+    path.write_text(text + "degeneracy_grid = 0\n")
+    code, payload = run_json("validate", str(path))
+    assert code == 1
+    assert f"retired.cfg:{text.count(chr(10)) + 1}: key 'degeneracy_grid': " \
+        "grid size must be >= 1" in payload["result"]["error"]
+
+
 def test_weierstrass_scan_clean():
     code, payload = run_json("weierstrass", CFG)
     assert code == 0
     r = payload["result"]
     assert r["has_violation"] is False
-    assert len(r["entries"]) == 200
+    # the 200 grid times, and t1 - h = 2 (between grid times) from both
+    # sides
+    assert len(r["entries"]) == 202
     assert r["overall_min"] >= -r["tol_w"]
     entry = r["entries"][0]
     for key in ("t", "side", "regime", "min_excess", "min_excess_unit",
@@ -605,7 +645,8 @@ def test_stage_commands_agree_with_verdict():
 
 def test_scan_summary_shows_every_violation_and_degenerate_slope(tmp_path):
     # E_sum = (2 - t)*xi^2 up to t1 - h = 2 and (1 - t)*xi^2 beyond: every
-    # slope degenerates at t = 2 and every row after it violates
+    # slope degenerates at t = 2, on its two rows (the scan reads t1 - h
+    # from both sides), and every row after it violates
     cfg = tmp_path / "turning.cfg"
     cfg.write_text(
         "[problem]\nt0 = 0.0\nt1 = 3.0\nh = 1.0\ndim = 1\n"
@@ -623,7 +664,7 @@ def test_scan_summary_shows_every_violation_and_degenerate_slope(tmp_path):
     assert len(degenerate) == 8
     assert {tuple(d["slope"]) for d in summary["degenerate_slopes"]} \
         == degenerate
-    assert all((d["cells"], d["t_first"], d["t_last"]) == (1, 2.0, 2.0)
+    assert all((d["cells"], d["t_first"], d["t_last"]) == (2, 2.0, 2.0)
                for d in summary["degenerate_slopes"])
 
 

@@ -499,7 +499,10 @@ def test_weierstrass_scan_clean_problem(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
     radii = AnalysisSettings().radii
     report = weierstrass_scan(p, cand, AnalysisSettings(scan_grid=31))
-    assert [e.t for e in report.entries] == np.linspace(0.0, 3.0, 31).tolist()
+    # the grid time t1 - h = 2 is read from both sides
+    grid = np.linspace(0.0, 3.0, 31).tolist()
+    assert [e.t for e in report.entries] == grid[:21] + grid[20:]
+    assert [e.side for e in report.entries[20:22]] == ["right", "left"]
     assert not report.has_violation
     assert [e for e in report.entries if e.violation] == []
     assert report.overall_min == pytest.approx(0.0, abs=1e-12)
@@ -516,12 +519,23 @@ def test_weierstrass_scan_clean_problem(sample_problem, sample_cand):
     assert report.entries[-1].side == "left"
 
 
+def test_min_excess_unit_reads_the_unit_directions(sample_problem,
+                                                  sample_cand):
+    # past t1 - h, E_sum(t, xi) = xi^2: 1 at the unit directions, which are
+    # evaluated whatever the radii, and 0.25 at the smallest radius
+    report = weierstrass_scan(sample_problem, sample_cand,
+                              AnalysisSettings(radii=(0.5, 2.0)))
+    [e] = [e for e in report.entries if e.t == 2.2613065326633164]
+    assert (e.min_excess, e.min_excess_unit) == (0.25, 1.0)
+
+
 def test_weierstrass_scan_flags_violation():
     p = make_problem("-dx1^2")
     cand = make_candidate(p)
     report = weierstrass_scan(p, cand, AnalysisSettings(scan_grid=11))
     assert report.has_violation
-    assert sum(e.violation for e in report.entries) == 11
+    # the 11 grid times, and t1 - h = 2 (between grid times) from both sides
+    assert sum(e.violation for e in report.entries) == 13
     assert report.overall_min == pytest.approx(
         -max(AnalysisSettings().radii) ** 2, abs=1e-12)
 
@@ -570,10 +584,12 @@ def test_scan_of_a_non_quadratic_l_evaluates_every_radius(monkeypatch, lag):
     cand = make_candidate(p)
     s = AnalysisSettings(scan_grid=21, **TOLS)
     report, cells = _scan_cells(monkeypatch, p, cand, s)
-    # the x slot at every row, the y slot at the rows with t + h <= t1,
-    # each at every sample slope
+    # the x slot at every row (the 21 grid times, and t1 - h = 2 from both
+    # sides), the y slot at the rows with t + h <= t1, each at the unit
+    # directions, which are the radius-1 block, and at the other radii
+    assert len(report.entries) == 23
     live_y = sum(e.t + 1.0 <= 3.0 for e in report.entries)
-    assert cells == (21 + live_y) * len(xi_sample_set(1, s.radii))
+    assert cells == (23 + live_y) * len(xi_sample_set(1, s.radii))
     vals = _direct_values(p, cand, report, s)
     assert [e.min_excess for e in report.entries] == vals.min(1).tolist()
     assert report.overall_min == vals.min()
