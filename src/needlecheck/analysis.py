@@ -118,6 +118,14 @@ def _in_range(p: DelayProblem, theta: float, side: str) -> bool:
     return True
 
 
+def _right_rows(pt: ExcessPoint, lo: float, hi: float) -> np.ndarray:
+    """The indices of the right-side rows of pt with lo - BREAK_TOL <= t <=
+    hi + BREAK_TOL."""
+    return np.flatnonzero((np.asarray(pt.sides) == "right")
+                          & (pt.ts >= lo - BREAK_TOL)
+                          & (pt.ts <= hi + BREAK_TOL))
+
+
 def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
                       settings: AnalysisSettings = AnalysisSettings(),
                       scan: Optional[WeierstrassScanReport] = None
@@ -126,7 +134,8 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
     one) for paired-direction degeneracies of the excess sum, over the
     seeded unit directions and the lambdas.  The excess sums at the unit
     directions are read from scan, weierstrass_scan(p, cand, settings),
-    or without it evaluated on the scan grid alone, with no radius block.
+    or without it evaluated on those rows of the scan grid alone, with no
+    radius block.
 
     Contiguous grid runs certified by the same (eta, lam) merge into
     interval findings; distinct certified pairs sharing the exact same run
@@ -138,15 +147,14 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
     """
     s = settings.resolved(p, cand)
     td = s.tol_deg
-    pt, unit = (scan.pt, scan.unit) if scan is not None \
-        else conditions._excess_grid(p, cand, s)
-    rows = np.flatnonzero((pt.ts <= p.t1 - p.h + BREAK_TOL)
-                          & (np.asarray(pt.sides) == "right"))
+    pt = conditions._excess_grid(p, cand, s) if scan is None else scan.pt
+    rows = _right_rows(pt, p.t0, p.t1 - p.h)
     grid = pt.ts[rows].tolist()
     directions = direction_set(p.dim, s.seed)
     pairs = [(eta, float(lam)) for eta in directions for lam in s.lambdas]
     ok, e1, e2 = (a.reshape(len(grid), len(pairs)) for a in _certifies(
-        pt.rows(rows), directions, s.lambdas, td, np.abs(unit[rows])))
+        pt.rows(rows), directions, s.lambdas, td,
+        None if scan is None else np.abs(scan.unit[rows])))
 
     # maximal certified runs of each pair, grouped by their exact grid
     # extent; edges[k, i] is +1 where a run of pair k starts at grid index
@@ -281,23 +289,31 @@ def _rungs(pt: ExcessPoint, lam: float, eta: np.ndarray,
 
 def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
                       finding: DegeneracyFinding,
-                      settings: AnalysisSettings = AnalysisSettings()
+                      settings: AnalysisSettings = AnalysisSettings(),
+                      scan: Optional[WeierstrassScanReport] = None
                       ) -> Tuple[Verdict, Verdict]:
     """Interval-degeneracy conditions: the M sum must vanish on the interval.
 
     Part (i) tests the equality D(t) = M_x + M_y = 0 with the finding's
-    (eta, lam) on interval_points interior points, from the right; any
-    violation beyond tolerance rejects a strong local minimum.  Part (ii)
-    tests eta down the scale ladder, judged by _judge_ladder.  Both come
-    from one _rungs call; a finding whose interval fails re-certification
-    is rejected with an error rather than judged.
+    (eta, lam) on the right-side rows of the scan grid (scan.pt, else
+    conditions._excess_grid) in [t_lo, t_hi], both ends included: the rows
+    that detection certified.  Any violation beyond tolerance rejects a
+    strong local minimum.  Part (ii) tests eta down the scale ladder,
+    judged by _judge_ladder.  Both come from one _rungs call; a finding
+    whose interval fails re-certification, or holds no grid row, is
+    rejected with an error rather than judged.
     """
     if finding.kind != "interval":
         raise AnalysisError("an interval finding is required")
     s = settings.resolved(p, cand)
     lam = finding.lam
-    pts = ExcessPoint(p, cand, np.linspace(
-        finding.t_lo, finding.t_hi, s.interval_points + 2)[1:-1], "right")
+    pt = conditions._excess_grid(p, cand, s) if scan is None else scan.pt
+    rows = _right_rows(pt, finding.t_lo, finding.t_hi)
+    if not rows.size:
+        raise AnalysisError(
+            f"no scan grid row lies in the interval [{finding.t_lo}, "
+            f"{finding.t_hi}] (scan_grid = {s.scan_grid})")
+    pts = pt.rows(rows)
 
     def judge(etas: np.ndarray):
         # the worst D(t) = M_x + M_y of each direction
@@ -446,21 +462,24 @@ class AnalysisReport:
 
 
 def euler_stage(p: DelayProblem, cand: CandidateExtremal,
-                settings: AnalysisSettings = AnalysisSettings()) -> EulerStage:
-    """The Euler residual on the grid, and the momentum jumps at the times
-    where the momentum can jump.  An extremal needs both within
-    tol_euler: the integral form of the Euler equation makes the momentum
-    P(t) = Ldx(t) + Ldy(t+h) continuous on (t0, t1)."""
-    ts = np.linspace(p.t0, p.t1, settings.euler_grid)
-    # one batch: every grid point from the right, the endpoint t1 from the left
-    sides = ["right" if t < p.t1 - BREAK_TOL else "left" for t in ts]
-    vals = np.max(np.abs(conditions.euler_residual(p, cand, ts, sides)), axis=0)
+                settings: AnalysisSettings = AnalysisSettings(),
+                grid: Optional[ExcessPoint] = None) -> EulerStage:
+    """The Euler residual at every row (time, side) of the scan grid (grid,
+    else conditions._excess_grid), in one batch on its argument sets, and
+    the momentum jumps at the times where the momentum can jump.  An
+    extremal needs both within tol_euler: the integral form of the Euler
+    equation makes the momentum P(t) = Ldx(t) + Ldy(t+h) continuous on
+    (t0, t1)."""
+    if grid is None:
+        grid = conditions._excess_grid(p, cand, settings)
+    vals = np.max(np.abs(conditions._residual(p, grid.args,
+                                              grid.rate_sets())), axis=0)
     worst = int(np.argmax(vals))
     tol = settings.resolved(p, cand).tol_euler
     jump, jump_t = _momentum_jump(p, cand)
-    return EulerStage(grid_size=settings.euler_grid,
+    return EulerStage(grid_size=settings.scan_grid,
                       max_residual=float(vals[worst]),
-                      argmax_t=float(ts[worst]),
+                      argmax_t=float(grid.ts[worst]),
                       tolerance=tol, max_jump=jump, jump_t=jump_t,
                       extremal=float(vals[worst]) <= tol and jump <= tol)
 
@@ -502,9 +521,10 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
                 ) -> AnalysisReport:
     """Run every stage in order and collect the evidence.
 
-    Pipeline: Euler residual grid -> pointwise excess scan -> degeneracy
+    Pipeline: Euler residual -> pointwise excess scan -> degeneracy
     detection -> interval and point condition checks -> increment
-    expansion spot checks.  A non-extremal candidate stops the pipeline
+    expansion spot checks.  Every grid stage reads the one scan grid,
+    built once.  A non-extremal candidate stops the pipeline
     after the first stage; a pointwise excess violation records the
     strong-minimum failure and skips the degeneracy machinery, whose
     hypotheses no longer hold.  Deterministic for fixed settings.
@@ -518,7 +538,8 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
     try:
         # the |L| scale behind every unset tolerance, resolved once
         settings = settings.resolved(p, cand)
-        euler = euler_stage(p, cand, settings)
+        grid = conditions._excess_grid(p, cand, settings)
+        euler = euler_stage(p, cand, settings, grid)
     except (ValueError, ArithmeticError) as exc:
         return AnalysisReport(euler=None, overall="ERROR",
                               stage_errors=(("euler", str(exc)),))
@@ -532,7 +553,7 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
             f"stages skipped",))
 
     try:
-        scan = conditions.weierstrass_scan(p, cand, settings)
+        scan = conditions.weierstrass_scan(p, cand, settings, grid)
     except (ValueError, ArithmeticError) as exc:
         return AnalysisReport(euler=euler, overall="ERROR",
                               stage_errors=(("weierstrass", str(exc)),))
@@ -556,7 +577,7 @@ def full_report(p: DelayProblem, cand: CandidateExtremal,
             if finding.kind == "interval":
                 try:
                     verdicts.extend(
-                        theorem_5_1_check(p, cand, finding, settings))
+                        theorem_5_1_check(p, cand, finding, settings, scan))
                 except (ValueError, ArithmeticError) as exc:
                     errors.append(("theorem5", str(exc)))
             try:

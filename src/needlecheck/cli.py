@@ -96,7 +96,8 @@ def _emit(command: str, config_echo, result, status: str, code: int) -> None:
     json.dumps(payload, indent=2, sort_keys=True) once the payload is
     converted to plain JSON values, written in one pass by _write: with an
     indent, json runs its pure-Python encoder, which with the conversion
-    took about 2.5 times as long on the bundled verdict's 107 kB."""
+    took about twice as long on the bundled config's 93 kB weierstrass
+    table (18 ms against 8 ms in a freshly forked process)."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "tool": "needlecheck",

@@ -9,20 +9,21 @@ by the extended-zero convention, which collapses the two regimes
 (t <= t1-h paired, t > t1-h single-term) into one code path.
 
 ExcessPoint is the one way to evaluate the excess machinery: the scan grid
-(whose rows degeneracy detection reads too), an interval's interior points
-and a single point (one row per side) are all grids of times, and every
-stack of slopes (scaled directions, their paired slopes) is evaluated at
-once.  It gives the slot excesses, their sum, the M functionals, the exact
-time rate of the excess sum and the second-order bracket lam*(M sum) +
-d/dt(Q_2 sum); q_k is the one Q_k rule, lam^k * E(xi) + (1-lam^k) *
-E(pair).
+(whose rows the Euler residual, degeneracy detection and the interval
+checks read too) and a single point (one row per side) are both grids of
+times, and every stack of slopes (scaled directions, their paired slopes)
+is evaluated at once.  It gives the slot excesses, their sum, the M
+functionals, the exact time rate of the excess sum and the second-order
+bracket lam*(M sum) + d/dt(Q_2 sum); q_k is the one Q_k rule, lam^k *
+E(xi) + (1-lam^k) * E(pair).
 
-AnalysisSettings holds what every stage reads (grids, slope samples,
-lambdas, scale ladder, tolerances, eps sweep) and every range rule; its
-resolved() is the one tolerance rule.
+AnalysisSettings holds what every stage reads (the scan grid, slope
+samples, lambdas, scale ladder, tolerances, eps sweep) and every range
+rule; its resolved() is the one tolerance rule.
 
 euler_residual is the exact time rate of the momentum Ldx(t)+Ldy(t+h)
-minus the force Lx(t)+Ly(t+h).
+minus the force Lx(t)+Ly(t+h), from the two slots' argument sets and
+their rate sets (_residual).
 
 The slope-slot perturbation notation: a value "at (t, xi)" evaluates the
 functional with xdot(t) replaced by xdot(t)+xi (xdot slot) or with
@@ -85,7 +86,7 @@ class ExcessPoint:
     (sides: one side, or one per time); a point is a grid of one row, or of
     two, ExcessPoint(p, cand, [theta, theta], ["right", "left"]).  Caches
     per slot the argument set, L and its slope gradient, shared by every
-    slope, and on first use of e_sum_rate the rate sets.  Slot "x" perturbs
+    slope, and on first use of rate_sets the rate sets.  Slot "x" perturbs
     xdot(t) at t; slot "y" perturbs xdot(t-h) at nu = t+h.  Every method
     takes a stack of slopes (m, n), or one slope (n,), and returns shape
     (len(ts), m): one row per time, one value per slope.  The kernel runs
@@ -122,6 +123,13 @@ class ExcessPoint:
         out.live = {s: np.flatnonzero(live_times(self.p, a[0]))
                     for s, a in out.args.items()}
         return out
+
+    def rate_sets(self) -> dict:
+        """The exact time derivative of each slot's argument set
+        (_rate_sets), built on first use and kept."""
+        if self._rates is None:
+            self._rates = _rate_sets(self.p, self.cand, self.args, self.sides)
+        return self._rates
 
     def _blocks(self, slot: str, width: int) -> List[np.ndarray]:
         """Indices of the live times of slot, in blocks of at most
@@ -178,13 +186,10 @@ class ExcessPoint:
         shifted arguments move at the base rate and the chain rule runs
         through base and shifted columns alike."""
         xis = self._slopes(xis)
-        if self._rates is None:
-            self._rates = {s: rates(self.p, self.cand, a, self.sides)
-                           for s, a in self.args.items()}
         # column 0 is the unshifted base, the others carry one slope each
         stack = np.vstack((np.zeros(self.p.dim), xis))
         out = np.zeros((len(self.ts), len(xis)))
-        for slot, rate in self._rates.items():
+        for slot, rate in self.rate_sets().items():
             for b in self._blocks(slot, len(stack)):
                 args = self._shifted(slot, b, stack)
                 r = [v[:, None] for v in rate[:, b]]
@@ -207,6 +212,22 @@ class ExcessPoint:
 # ---------------------------------------------------------------------------
 # the Euler residual
 
+def _rate_sets(p: DelayProblem, cand: CandidateExtremal, args: dict,
+               sides) -> dict:
+    """The rate set (problem.rates) of each slot's argument set."""
+    return {s: rates(p, cand, a, sides) for s, a in args.items()}
+
+
+def _residual(p: DelayProblem, args: dict, rate: dict) -> np.ndarray:
+    """The Euler residual d/dt[Ldx(t)+Ldy(t+h)] - [Lx(t)+Ly(t+h)] from the
+    argument sets args["x"] (at t) and args["y"] (at t+h) and their rate
+    sets, shape (n, len(t))."""
+    force = partials_vec(p, "x", args["x"]) + partials_vec(p, "y", args["y"])
+    drho = (partials_vec(p, "dx", args["x"], rate["x"])
+            + partials_vec(p, "dy", args["y"], rate["y"]))
+    return drho - force
+
+
 def euler_residual(p: DelayProblem, cand: CandidateExtremal, t,
                    side="right") -> np.ndarray:
     """d/dt[Ldx(t)+Ldy(t+h)] - [Lx(t)+Ly(t+h)] at one time t, shape (n,),
@@ -216,11 +237,9 @@ def euler_residual(p: DelayProblem, cand: CandidateExtremal, t,
     one-sided first and second derivatives.  The extended-zero convention
     supplies the single-term regime on (t1-h, t1] with the same formula."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    at_t, at_th = along(p, cand, ts, side), along(p, cand, ts + p.h, side)
-    force = partials_vec(p, "x", at_t) + partials_vec(p, "y", at_th)
-    drho = (partials_vec(p, "dx", at_t, rates(p, cand, at_t, side))
-            + partials_vec(p, "dy", at_th, rates(p, cand, at_th, side)))
-    return drho - force if np.ndim(t) else (drho - force)[:, 0]
+    args = {"x": along(p, cand, ts, side), "y": along(p, cand, ts + p.h, side)}
+    res = _residual(p, args, _rate_sets(p, cand, args, side))
+    return res if np.ndim(t) else res[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +452,14 @@ _TOL_FLOORS = {"tol_w": 1e-9, "tol_deg": 1e-9, "tol_euler": 1e-8}
 
 @dataclass(frozen=True)
 class AnalysisSettings:
-    """Grids, samples, scale ladder, tolerances and sweep of every stage:
-    the [analysis] table of a config, with its defaults.  Each stage builds
-    what it needs from these, and every range rule is checked here, for
-    config files and library callers alike."""
+    """The grid, samples, scale ladder, tolerances and sweep of every
+    stage: the [analysis] table of a config, with its defaults.  scan_grid
+    sizes the one grid of times (_excess_grid) that the Euler residual,
+    the scan, degeneracy detection and the interval checks read.  Each
+    stage builds what it needs from these, and every range rule is checked
+    here, for config files and library callers alike."""
 
-    euler_grid: int = 100
     scan_grid: int = 200
-    interval_points: int = 50
     radii: Tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
     lambdas: Tuple[float, ...] = (0.5, 0.25, 0.75)
     scales: Tuple[float, ...] = (1.0, 0.5, 0.25, 0.125)
@@ -454,11 +473,8 @@ class AnalysisSettings:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("euler_grid", "scan_grid"):
-            if getattr(self, key) < 1:
-                raise SettingsError(key, "grid size must be >= 1")
-        if self.interval_points < 3:
-            raise SettingsError("interval_points", "must be >= 3")
+        if self.scan_grid < 1:
+            raise SettingsError("scan_grid", "grid size must be >= 1")
         for key in ("tol_w", "tol_deg", "tol_eq", "tol_euler"):
             v = getattr(self, key)
             if v is not None and not v > 0:  # NaN too
@@ -494,14 +510,13 @@ class AnalysisSettings:
 
 
 def _excess_grid(p: DelayProblem, cand: CandidateExtremal,
-                 settings: AnalysisSettings
-                 ) -> Tuple[ExcessPoint, np.ndarray]:
-    """The scan grid and its excess sums at the unit directions
-    (direction_set), shape (rows, directions).  The grid is scan_grid
-    times on [t0, t1], plus t1-h when no grid time lies within BREAK_TOL of
-    it; a time is evaluated from the right, at t1 from the left, and from
-    both sides at a candidate breakpoint and at t1-h, where the paired
-    regime ends."""
+                 settings: AnalysisSettings) -> ExcessPoint:
+    """The scan grid, the one grid of times of every grid stage: the Euler
+    residual, the scan, degeneracy detection and the interval checks.  It
+    is scan_grid times on [t0, t1], plus t1-h when no grid time lies within
+    BREAK_TOL of it; a time is evaluated from the right, at t1 from the
+    left, and from both sides at a candidate breakpoint and at t1-h, where
+    the paired regime ends."""
     edge = p.t1 - p.h
     grid = np.linspace(p.t0, p.t1, settings.scan_grid).tolist()
     if all(abs(t - edge) > BREAK_TOL for t in grid):
@@ -518,17 +533,17 @@ def _excess_grid(p: DelayProblem, cand: CandidateExtremal,
                                           for b in bps) else ("right",)
         ts += [t] * len(at)
         sides += at
-    pt = ExcessPoint(p, cand, ts, sides)
-    return pt, pt.e_sum(_directions(p.dim, settings.seed))
+    return ExcessPoint(p, cand, ts, sides)
 
 
 def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
-                     settings: AnalysisSettings = AnalysisSettings()
+                     settings: AnalysisSettings = AnalysisSettings(),
+                     grid: Optional[ExcessPoint] = None
                      ) -> WeierstrassScanReport:
     """The paired excess sum over the sample set (xi_sample_set: the
     directions crossed with the radii) at every row of the scan grid
-    (_excess_grid); flags violations below -tol_w and records slopes with
-    |E_sum| <= tol_deg.
+    (grid, else _excess_grid); flags violations below -tol_w and records
+    slopes with |E_sum| <= tol_deg.
 
     The unit directions are evaluated once, and each radius block is built
     from them where it can be: the radius-1 block is that evaluation
@@ -538,8 +553,9 @@ def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
     block, and a scaled block with a non-finite cell (so that a domain
     error names its subexpression), is evaluated directly."""
     s = settings.resolved(p, cand)
-    pt, unit = _excess_grid(p, cand, s)
+    pt = _excess_grid(p, cand, s) if grid is None else grid
     dirs = _directions(p.dim, s.seed)
+    unit = pt.e_sum(dirs)
     quadratic = max(p.lagrangian.degree("dx"),
                     p.lagrangian.degree("dy")) <= 2
     blocks = []

@@ -181,8 +181,7 @@ _KEYS = {
                 "dim": _as_int, "lagrangian": _as_string,
                 "x1": _as_float_tuple, "history": _as_segment},
     "candidate": {"segment": _as_segment},
-    "analysis": {"euler_grid": _as_int, "scan_grid": _as_int,
-                 "interval_points": _as_int, "radii": _as_float_tuple,
+    "analysis": {"scan_grid": _as_int, "radii": _as_float_tuple,
                  "lambdas": _as_float_tuple, "scales": _as_float_tuple,
                  "tol_w": _as_float, "tol_deg": _as_float,
                  "tol_eq": _as_float, "tol_euler": _as_float,
@@ -192,11 +191,13 @@ _KEYS = {
 # keys that may repeat; each keeps its (value, line) pairs in file order
 _REPEATABLE = (("problem", "history"), ("candidate", "segment"))
 # retired keys, with their converters: read and range-checked, then
-# dropped.  degeneracy_grid went when degeneracy detection moved onto the
-# scan grid's rows; the SMALL_GRIDS fixture of perfbench/test_perfbench.py
-# still sets it, until ROADMAP item 4 drops it there and makes the key an
-# error that names scan_grid.
-_RETIRED = {("analysis", "degeneracy_grid"): _as_grid_size}
+# dropped.  degeneracy_grid and euler_grid went when degeneracy detection
+# and the Euler residual moved onto the scan grid's rows; the SMALL_GRIDS
+# fixture of perfbench/test_perfbench.py still sets both, until ROADMAP
+# item 4 drops them there and makes each key an error that names
+# scan_grid.
+_RETIRED = {("analysis", "degeneracy_grid"): _as_grid_size,
+            ("analysis", "euler_grid"): _as_grid_size}
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:

@@ -42,8 +42,8 @@ def test_bundled_sample_full_verdict(bundled):
     elapsed = time.perf_counter() - start
     assert elapsed <= 10.0
 
-    # (a) extremality on the 100-point grid
-    assert report.euler.grid_size == 100
+    # (a) extremality on the 200-point scan grid
+    assert report.euler.grid_size == 200
     assert report.euler.max_residual <= 1e-8
 
     # (b) excess scan: nonnegative everywhere, strictly positive with unit

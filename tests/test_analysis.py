@@ -18,7 +18,7 @@ from needlecheck.analysis import (
     theorem_6_1_check,
     theorem_6_2_check,
 )
-from needlecheck.conditions import (ExcessPoint, SettingsError,
+from needlecheck.conditions import (ExcessPoint, SettingsError, euler_residual,
                                    paired_slope, weierstrass_scan)
 from needlecheck.exprs import ExprAst
 from needlecheck.needle import NeedleError, NeedleSpec
@@ -114,8 +114,9 @@ def test_detect_validates_inputs(sample_problem, sample_cand):
 
 def test_grid_stages_make_the_same_kernel_calls_at_any_grid_size(monkeypatch):
     # one block holds a 50- or a 200-point grid of the bundled problem, so
-    # the scan and degeneracy detection make the same compiled-kernel
-    # calls for both; a per-time evaluation would scale with the grid
+    # the Euler residual, the scan, degeneracy detection and the interval
+    # check make the same compiled-kernel calls for both; a per-time
+    # evaluation would scale with the grid
     calls = []
     compiled = ExprAst.compiled
 
@@ -136,7 +137,12 @@ def test_grid_stages_make_the_same_kernel_calls_at_any_grid_size(monkeypatch):
         stage(p, cand, AnalysisSettings(scan_grid=n))
         return len(calls)
 
-    for stage in (weierstrass_scan, detect_degeneracy):
+    finding = DegeneracyFinding(
+        kind="interval", t_lo=0.0, t_hi=2.0, side="both",
+        direction=np.array([1.0]), lam=0.5, evidence=(0.0, 0.0),
+        tol_deg=1e-9, certified_pairs=(((1.0,), 0.5),))
+    for stage in (euler_stage, weierstrass_scan, detect_degeneracy,
+                  lambda p, cand, s: theorem_5_1_check(p, cand, finding, s)):
         assert kernel_calls(stage, 50) == kernel_calls(stage, 200) > 0
 
 
@@ -254,6 +260,30 @@ def test_interval_and_point_ladders_are_judged_alike():
         "scale 0.125: not certified")
 
 
+def test_interval_check_reads_the_scan_grid_rows(sample_problem, sample_cand):
+    # with the scan, 5.1 reads its grid's right-side rows in [t_lo, t_hi],
+    # both ends included, exactly as it does on a grid of its own
+    p, cand = sample_problem, sample_cand
+    scan = weierstrass_scan(p, cand)
+    [finding] = detect_degeneracy(p, cand, scan=scan)
+    assert (finding.t_lo, finding.t_hi) == (0.0, 2.0)
+    assert theorem_5_1_check(p, cand, finding, scan=scan) \
+        == theorem_5_1_check(p, cand, finding)
+
+
+def test_interval_check_rejects_an_interval_without_grid_rows(sample_problem,
+                                                             sample_cand):
+    # the scan grid's step is 3/199 (0.015): no row lies in [1.001, 1.002]
+    narrow = DegeneracyFinding(
+        kind="interval", t_lo=1.001, t_hi=1.002, side="both",
+        direction=np.array([1.0]), lam=0.5, evidence=(0.0, 0.0),
+        tol_deg=1e-9, certified_pairs=(((1.0,), 0.5),))
+    with pytest.raises(AnalysisError) as info:
+        theorem_5_1_check(sample_problem, sample_cand, narrow)
+    assert str(info.value) == ("no scan grid row lies in the interval "
+                               "[1.001, 1.002] (scan_grid = 200)")
+
+
 def test_interval_check_rejects_corrupted_finding(sample_problem, sample_cand):
     fake = DegeneracyFinding(
         kind="interval", t_lo=2.2, t_hi=2.8, side="both",
@@ -263,7 +293,7 @@ def test_interval_check_rejects_corrupted_finding(sample_problem, sample_cand):
     with pytest.raises(AnalysisError) as info:
         theorem_5_1_check(sample_problem, sample_cand, fake)
     assert str(info.value) == (
-        "degeneracy not certified at theta=2.211764705882353 from the right: "
+        "degeneracy not certified at theta=2.201005025125628 from the right: "
         "|E(eta)| = 1.0 exceeds 2e-09")
     point = DegeneracyFinding(
         kind="point", t_lo=1.0, t_hi=1.0, side="both",
@@ -545,9 +575,22 @@ def test_equivalence_validates_like_the_point_checks(sample_problem,
 
 def test_euler_stage_on_sample(sample_problem, sample_cand):
     stage = euler_stage(sample_problem, sample_cand, AnalysisSettings())
-    assert stage.grid_size == 100
+    assert stage.grid_size == 200
     assert stage.extremal
     assert stage.max_residual <= 1e-8
+
+
+def test_euler_stage_reads_the_scan_grid():
+    # x = sin(pi t / 3) off the extremal x = 0 of dx1^2: the residual
+    # 2x'' peaks at t = 1.5, a time of the 31-point scan grid, where the
+    # stage finds it
+    p = make_problem("dx1^2")
+    cand = make_candidate(p, ["sin(1.0471975511965976*t)"])
+    stage = euler_stage(p, cand, AnalysisSettings(scan_grid=31))
+    assert not stage.extremal and stage.grid_size == 31
+    assert stage.argmax_t == np.linspace(0.0, 3.0, 31)[15] == 1.5
+    assert stage.max_residual == np.max(np.abs(
+        euler_residual(p, cand, np.array([1.5]))))
 
 
 SINH = "0.5*(exp(t) - exp(-t))"
@@ -666,10 +709,8 @@ def _workloads():
 
 def test_settings_defaults():
     s = AnalysisSettings()
-    assert s.euler_grid == 100
     assert s.scan_grid == 200
     assert not hasattr(s, "degeneracy_grid")
-    assert s.interval_points == 50
     assert s.scales == (1.0, 0.5, 0.25, 0.125)
     assert s.sweep_levels == 8 and s.sweep_ratio == 0.5
 
@@ -710,6 +751,25 @@ def test_full_report_resolves_the_lagrangian_scale_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_full_report_builds_the_argument_rows_of_each_grid_once(
+        sample_problem, sample_cand, monkeypatch):
+    # the candidate's argument rows (problem.along): one call for the |L|
+    # scale, and a pair (at t and t + h) for each of the scan grid, which
+    # the Euler residual, the scan, detection and 5.1 share, the momentum
+    # jump's times, the 6.1/6.2 point and the expansion needles' point
+    from needlecheck import conditions, problem
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return problem.along(*args)
+    for module in (conditions, analysis):
+        monkeypatch.setattr(module, "along", counting)
+    report = full_report(sample_problem, sample_cand)
+    assert report.overall == "FAILS_WEAK"
+    assert len(calls) == 9
+
+
 def test_verdict_builds_second_partials_only_in_moving_arguments():
     # zero candidate and zero history: only t moves along the candidate, so
     # every time rate needs d/dt of L and of its slope partials, nothing else
@@ -717,8 +777,7 @@ def test_verdict_builds_second_partials_only_in_moving_arguments():
     p = make_problem(" + ".join(
         f"(2 + sin(t))*dx{i}^2 + dy{i}^2 + x{i}^2 + 0.25*dx{i}*dy{i}"
         for i in range(1, n + 1)), dim=n)
-    full_report(p, make_candidate(p), AnalysisSettings(
-        euler_grid=10, scan_grid=20))
+    full_report(p, make_candidate(p), AnalysisSettings(scan_grid=20))
     built = [k for k in p.lagrangian.partials if isinstance(k, tuple)]
     assert all(k[-1] == "t" for k in built)
     assert len(p.lagrangian.partials) == 4 * n + 1 + 2 * n

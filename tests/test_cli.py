@@ -65,7 +65,7 @@ def test_euler_passes_on_extremal():
     assert code == 0
     r = payload["result"]
     assert r["extremal"] is True
-    assert r["grid_size"] == 100
+    assert r["grid_size"] == 200
     assert abs(r["max_residual"]) <= 1e-8
     assert r["tolerance"] == 2e-8  # 1e-8 * (1 + |L| scale 1)
 
@@ -118,23 +118,25 @@ def test_verdict_sees_a_violation_at_t1_minus_h(tmp_path):
     assert [v["t"] for v in scan["violations"]] == [2.0, 2.0]
 
 
-def test_retired_degeneracy_grid_key_is_read_and_dropped(tmp_path):
-    # degeneracy detection reads the scan grid's rows; a config that still
-    # sets degeneracy_grid runs as one without it, the key absent from the
-    # echo, and the key is still range-checked at its line
+@pytest.mark.parametrize("key", ["degeneracy_grid", "euler_grid"])
+def test_retired_degeneracy_grid_key_is_read_and_dropped(tmp_path, key):
+    # degeneracy detection and the Euler residual read the scan grid's
+    # rows; a config that still sets degeneracy_grid or euler_grid runs as
+    # one without it, the key absent from the echo, and the key is still
+    # range-checked at its line
     import importlib.resources as res
     text = (res.files("needlecheck") / "configs" / CFG).read_text(
         encoding="utf-8")
     path = tmp_path / "retired.cfg"
-    path.write_text(text + "degeneracy_grid = 10\n")
+    path.write_text(text + f"{key} = 10\n")
     code, payload = run_json("validate", str(path))
     _, bundled = run_json("validate", CFG)
     assert code == 0 and payload == bundled
-    assert "degeneracy_grid" not in payload["config"]["analysis"]
-    path.write_text(text + "degeneracy_grid = 0\n")
+    assert key not in payload["config"]["analysis"]
+    path.write_text(text + f"{key} = 0\n")
     code, payload = run_json("validate", str(path))
     assert code == 1
-    assert f"retired.cfg:{text.count(chr(10)) + 1}: key 'degeneracy_grid': " \
+    assert f"retired.cfg:{text.count(chr(10)) + 1}: key '{key}': " \
         "grid size must be >= 1" in payload["result"]["error"]
 
 

@@ -34,8 +34,7 @@ def test_parse_minimal_fills_defaults():
     assert len(cfg.problem.history) == 1
     assert cfg.problem.history[0].exprs == ("0",)
     assert len(cfg.candidate.segments) == 1
-    assert cfg.analysis.euler_grid == 100       # defaults filled
-    assert cfg.analysis.scan_grid == 200
+    assert cfg.analysis.scan_grid == 200       # defaults filled
     assert cfg.analysis.tol_w is None
     assert cfg.analysis.tol_euler is None
 
@@ -43,7 +42,6 @@ def test_parse_minimal_fills_defaults():
 def test_round_trip_with_analysis_overrides():
     text = MINIMAL + """
 [analysis]
-euler_grid = 50
 scan_grid = 80
 degeneracy_grid = 64
 radii = (0.5, 1.0)
@@ -53,7 +51,7 @@ sweep_levels = 6
 seed = 3
 """
     cfg = parse_config(text)
-    assert cfg.analysis.euler_grid == 50
+    assert cfg.analysis.scan_grid == 80
     assert cfg.analysis.radii == (0.5, 1.0)
     assert cfg.analysis.lambdas == (0.5,)
     assert cfg.analysis.tol_eq == 1e-6
@@ -100,6 +98,9 @@ def test_unknown_section_and_key():
         parse_config("[misc]\nx = 1\n")
     with pytest.raises(ConfigError, match="unknown key 'colour'"):
         parse_config(MINIMAL + "colour = 1\n")
+    with pytest.raises(ConfigError, match=r":14:1: unknown key "
+                       r"'interval_points' in \[analysis\]"):
+        parse_config(MINIMAL + "\n[analysis]\ninterval_points = 50\n")
     with pytest.raises(ConfigError, match="outside any"):
         parse_config("t0 = 0.0\n")
     with pytest.raises(ConfigError, match="key = value"):
