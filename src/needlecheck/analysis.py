@@ -121,7 +121,7 @@ def _in_range(p: DelayProblem, theta: float, side: str) -> bool:
 def _right_rows(pt: ExcessPoint, lo: float, hi: float) -> np.ndarray:
     """The indices of the right-side rows of pt with lo - BREAK_TOL <= t <=
     hi + BREAK_TOL."""
-    return np.flatnonzero((np.asarray(pt.sides) == "right")
+    return np.flatnonzero(np.array([s == "right" for s in pt.sides], bool)
                           & (pt.ts >= lo - BREAK_TOL)
                           & (pt.ts <= hi + BREAK_TOL))
 
@@ -157,15 +157,19 @@ def detect_degeneracy(p: DelayProblem, cand: CandidateExtremal,
         None if scan is None else np.abs(scan.unit[rows])))
 
     # maximal certified runs of each pair, grouped by their exact grid
-    # extent; edges[k, i] is +1 where a run of pair k starts at grid index
-    # i and -1 where one ends just before it
-    edges = np.diff(np.pad(ok.T.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    # extent; a run of pair k starts at grid index i where run[k, i] holds
+    # and run[k, i - 1] does not, and ends at j where run[k, j + 1] does not
+    run = ok.T
+    first, last = run.copy(), run.copy()
+    first[:, 1:] &= ~run[:, :-1]
+    last[:, :-1] &= ~run[:, 1:]
+    ks, starts = (a.tolist() for a in np.nonzero(first))
     extents = {}
-    for (k, i), (_, j) in zip(np.argwhere(edges == 1).tolist(),
-                              np.argwhere(edges == -1).tolist()):
+    for k, i, j in zip(ks, starts, np.nonzero(last)[1].tolist()):
         eta, lam = pairs[k]
-        extents.setdefault((i, j - 1), []).append(
-            (eta, lam, float(e1[i:j, k].max()), float(e2[i:j, k].max())))
+        extents.setdefault((i, j), []).append(
+            (eta, lam, float(e1[i:j + 1, k].max()),
+             float(e2[i:j + 1, k].max())))
 
     findings = []
     for (i0, i1), certified in sorted(extents.items()):
@@ -266,7 +270,6 @@ def _rungs(pt: ExcessPoint, lam: float, eta: np.ndarray,
     etas = np.array([eta] + [k * eta for k in ladder])
     td = settings.tol_deg
     ok, e1, e2 = (a[..., 0] for a in _certifies(pt, etas, [lam], td))
-    sides = np.broadcast_to(np.asarray(pt.sides), pt.ts.shape)
     live = ok.all(axis=0)
     judged = iter(judge(etas[live]) if live[0] else ())
     rungs = []
@@ -278,7 +281,7 @@ def _rungs(pt: ExcessPoint, lam: float, eta: np.ndarray,
             what = (f"|E(eta)| = {e1[r, j]}" if not e1[r, j] <= td
                     else f"|E(pair)| = {e2[r, j]}")
             failure = (f"degeneracy not certified at theta={pt.ts[r]} from "
-                       f"the {sides[r]}: {what} exceeds {td}")
+                       f"the {pt.sides[r]}: {what} exceeds {td}")
         if failure is not None:
             if j == 0:
                 raise AnalysisError(failure)

@@ -83,10 +83,11 @@ _BLOCK_CELLS = 2 ** 14
 
 class ExcessPoint:
     """The excess machinery over an array of times ts, each with its side
-    (sides: one side, or one per time); a point is a grid of one row, or of
-    two, ExcessPoint(p, cand, [theta, theta], ["right", "left"]).  Caches
-    per slot the argument set, L and its slope gradient, shared by every
-    slope, and on first use of rate_sets the rate sets.  Slot "x" perturbs
+    (sides: one side, or one per time; kept as a list with one per time);
+    a point is a grid of one row, or of two, ExcessPoint(p, cand, [theta,
+    theta], ["right", "left"]).  Caches per slot the argument set, and on
+    first use L and its slope gradient (base), shared by every slope, and
+    the rate sets (rate_sets).  Slot "x" perturbs
     xdot(t) at t; slot "y" perturbs xdot(t-h) at nu = t+h.  Every method
     takes a stack of slopes (m, n), or one slope (n,), and returns shape
     (len(ts), m): one row per time, one value per slope.  The kernel runs
@@ -95,34 +96,51 @@ class ExcessPoint:
     as the gate would make it.  The live rows are swept in blocks of at
     most _BLOCK_CELLS cells per kernel call."""
 
-    __slots__ = ("p", "cand", "ts", "sides", "args", "live", "L", "grad",
+    __slots__ = ("p", "cand", "ts", "sides", "args", "live", "_base",
                  "_rates")
 
     def __init__(self, p: DelayProblem, cand: CandidateExtremal, ts, sides):
         self.ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        self.p, self.cand, self.sides = p, cand, sides
+        self.p, self.cand = p, cand
+        self.sides = ([sides] * len(self.ts) if isinstance(sides, str)
+                      else list(sides))
         self.args = {"x": along(p, cand, self.ts, sides),
                      "y": along(p, cand, self.ts + p.h, sides)}
         self.live = {s: np.flatnonzero(live_times(p, a[0]))
                      for s, a in self.args.items()}
-        self.L = {s: eval_L(p, a) for s, a in self.args.items()}
-        self.grad = {s: partials_vec(p, SLOTS[s][0], a)
-                     for s, a in self.args.items()}
-        self._rates = None
+        self._base, self._rates = {}, None
 
     def rows(self, index) -> "ExcessPoint":
         """The rows index (an integer array) of this grid as a grid of its
-        own, with their argument sets, L and slope gradients: nothing is
-        evaluated again."""
+        own, with their argument sets and whatever L and slope gradients
+        are built: nothing is evaluated again."""
         out = object.__new__(ExcessPoint)
         out.p, out.cand, out.ts, out._rates = (self.p, self.cand,
                                                self.ts[index], None)
-        out.sides = np.broadcast_to(self.sides, self.ts.shape)[index].tolist()
-        out.args, out.L, out.grad = ({s: v[..., index] for s, v in d.items()}
-                                     for d in (self.args, self.L, self.grad))
+        out.sides = [self.sides[i] for i in index.tolist()]
+        out.args = {s: a[:, index] for s, a in self.args.items()}
+        out._base = {s: (L[index], grad[:, index])
+                     for s, (L, grad) in self._base.items()}
         out.live = {s: np.flatnonzero(live_times(self.p, a[0]))
                     for s, a in out.args.items()}
         return out
+
+    def base(self, slot: str) -> Tuple[np.ndarray, np.ndarray]:
+        """L and its slope gradient at every row of slot, shapes (T,) and
+        (n, T), built on first use and kept: a caller that reads only the
+        argument and rate sets (the Euler residual) never evaluates them.
+        They are evaluated on the live rows only; a dead row reads +0.0,
+        as the gate would make it."""
+        if slot not in self._base:
+            live = self.live[slot]
+            L = np.zeros(len(self.ts))
+            grad = np.zeros((self.p.dim, len(self.ts)))
+            if live.size:
+                a = self.args[slot][:, live]
+                L[live] = eval_L(self.p, a)
+                grad[:, live] = partials_vec(self.p, SLOTS[slot][0], a)
+            self._base[slot] = (L, grad)
+        return self._base[slot]
 
     def rate_sets(self) -> dict:
         """The exact time derivative of each slot's argument set
@@ -154,10 +172,12 @@ class ExcessPoint:
         """L(..., slope+xi, ...) - L - Lslope^T xi in one slot; 0 beyond t1."""
         xis = self._slopes(xis)
         out = np.zeros((len(self.ts), len(xis)))
-        for b in self._blocks(slot, len(xis)):
+        blocks = self._blocks(slot, len(xis))
+        if blocks:
+            L, grad = self.base(slot)
+        for b in blocks:
             L_pert = eval_L(self.p, self._shifted(slot, b, xis))
-            out[b] = L_pert - self.L[slot][b, None] \
-                - _dot(self.grad[slot][:, b, None], xis)
+            out[b] = L_pert - L[b, None] - _dot(grad[:, b, None], xis)
         return out
 
     def e_sum(self, xis) -> np.ndarray:
@@ -173,8 +193,9 @@ class ExcessPoint:
         for b in self._blocks(slot, len(both)):
             base = partials_vec(self.p, state, self.args[slot][:, b])
             moved = partials_vec(self.p, state, self._shifted(slot, b, both))
-            at_xi, at_pair = np.split(moved - base[..., None], 2, axis=2)
-            out[b] = lam * _dot(at_xi, xis) + (1.0 - lam) * _dot(at_pair, xis)
+            diff = moved - base[..., None]
+            out[b] = (lam * _dot(diff[..., :len(xis)], xis)
+                      + (1.0 - lam) * _dot(diff[..., len(xis):], xis))
         return out
 
     def m_sum(self, lam: float, xis) -> np.ndarray:
@@ -204,9 +225,8 @@ class ExcessPoint:
         eps^2 bracket of a needle's increment and the 6.1(i) quantity."""
         xis = self._slopes(xis)
         m = self.m_sum(lam, xis)
-        at_xi, at_pair = np.split(self.e_sum_rate(
-            np.concatenate((xis, paired_slope(lam, xis)))), 2, axis=1)
-        return lam * m + q_k(2, lam, at_xi, at_pair)
+        rate = self.e_sum_rate(np.concatenate((xis, paired_slope(lam, xis))))
+        return lam * m + q_k(2, lam, rate[:, :len(xis)], rate[:, len(xis):])
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +304,7 @@ def _directions(dim: int, seed: int) -> np.ndarray:
             u = [((k + 1 + seed) * a) % 1.0 for a in alphas]
             g = np.array([nd.inv_cdf(min(max(v, 1e-12), 1.0 - 1e-12))
                           for v in u])
-            length = float(np.linalg.norm(g))
+            length = math.sqrt(g @ g)
             out.append(g / (length if length > 0 else 1.0))
     out = np.array(out)
     out.flags.writeable = False
@@ -345,30 +365,36 @@ class WeierstrassScanReport:
     """The excess sum at every scan row (time, side) and sample slope,
     reduced to arrays: overall_min and has_violation are read off them.
     pt is the scan grid and unit its excess sums at the unit directions
-    (direction_set), which degeneracy detection reads.  entries, one
-    ScanEntry per row, is built on first use; table() is the weierstrass
-    command's report of them, and summary() the verdict's, which builds
-    the entries of the violating rows only."""
+    (direction_set), which degeneracy detection reads.  The values at the
+    whole sample stack are never kept: weierstrass_scan reduces each
+    radius block as it is made, to the row minima (mins) with their first
+    columns and the boolean mask of degenerate cells (degenerate, one
+    column per slope of stack).  entries, one ScanEntry per row, is built
+    on first use; table() is the weierstrass command's report of them, and
+    summary() the verdict's, which builds the entries of the violating
+    rows only."""
 
     __slots__ = ("pt", "unit", "ts", "sides", "regimes", "stack", "mins",
                  "unit_mins", "violating", "degenerate", "tol_w", "tol_deg",
                  "overall_min", "has_violation", "_argmin", "_entries")
 
     def __init__(self, pt: ExcessPoint, unit: np.ndarray, stack: np.ndarray,
-                 vals: np.ndarray, tol_w: float, tol_deg: float):
-        """vals holds the excess sum at each row of pt and each slope of
-        stack, shape (len(pt.ts), len(stack)); unit its values at the unit
-        directions, one column per direction."""
+                 mins: np.ndarray, cols: np.ndarray, degenerate: np.ndarray,
+                 tol_w: float, tol_deg: float):
+        """mins holds the smallest excess sum of each row of pt over the
+        slopes of stack and cols its first column; degenerate, shape
+        (len(pt.ts), len(stack)), marks the cells with |E_sum| <= tol_deg;
+        unit holds the values at the unit directions, one column per
+        direction."""
         p = pt.p
         self.pt, self.unit, self.stack = pt, unit, stack
         self.ts, self.sides = pt.ts.tolist(), list(pt.sides)
         self.regimes = ["paired" if t <= p.t1 - p.h + BREAK_TOL else "single"
                         for t in self.ts]
         self.tol_w, self.tol_deg = tol_w, tol_deg
-        self.mins, cols = _first_min(vals)
+        self.mins, self.degenerate = mins, degenerate
         self.unit_mins = _first_min(unit)[0]
         self.violating = self.mins < -tol_w
-        self.degenerate = np.abs(vals) <= tol_deg
         k = int(np.argmin(self.mins))
         self._argmin = (k, int(cols[k]))
         self.overall_min = float(self.mins[k])
@@ -551,19 +577,33 @@ def weierstrass_scan(p: DelayProblem, cand: CandidateExtremal,
     each slot (LagrangianExpr.degree of dx and of dy), E_sum(t, r*xi) =
     r^2 * E_sum(t, xi) exactly, so a block is r*r times it.  Any other
     block, and a scaled block with a non-finite cell (so that a domain
-    error names its subexpression), is evaluated directly."""
+    error names its subexpression), is evaluated directly.
+
+    One radius block, (rows x directions), is held at a time: each is
+    reduced as it is made to its row minima and their first columns, and
+    its degenerate cells are written into the report's mask.  A later
+    block replaces a row's minimum only where it is strictly smaller (or
+    a number replaces a NaN), so a tie keeps the earlier column, as an
+    argmin over the whole row of the sample stack does."""
     s = settings.resolved(p, cand)
     pt = _excess_grid(p, cand, s) if grid is None else grid
     dirs = _directions(p.dim, s.seed)
     unit = pt.e_sum(dirs)
     quadratic = max(p.lagrangian.degree("dx"),
                     p.lagrangian.degree("dy")) <= 2
-    blocks = []
-    for r in s.radii:
+    m = len(dirs)
+    mins, cols = np.full(len(pt.ts), np.inf), np.zeros(len(pt.ts), int)
+    degenerate = np.empty((len(pt.ts), len(s.radii) * m), dtype=bool)
+    for j, r in enumerate(s.radii):
         with np.errstate(over="ignore"):
             block = unit if r == 1.0 else (r * r) * unit if quadratic else None
-        blocks.append(block if block is not None and np.isfinite(block).all()
-                      else pt.e_sum(r * dirs))
+        if block is None or not np.isfinite(block).all():
+            block = pt.e_sum(r * dirs)
+        b_mins, b_cols = _first_min(block)
+        better = (b_mins < mins) | ((b_mins != b_mins) & (mins == mins))
+        mins = np.where(better, b_mins, mins)
+        cols = np.where(better, b_cols + j * m, cols)
+        degenerate[:, j * m:(j + 1) * m] = np.abs(block) <= s.tol_deg
     stack = xi_sample_set(p.dim, s.radii, s.seed)
-    return WeierstrassScanReport(pt, unit, stack, np.hstack(blocks), s.tol_w,
-                                 s.tol_deg)
+    return WeierstrassScanReport(pt, unit, stack, mins, cols, degenerate,
+                                 s.tol_w, s.tol_deg)

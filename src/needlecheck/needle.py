@@ -114,18 +114,22 @@ def check_eps(p: DelayProblem, spec: NeedleSpec, eps: float) -> None:
 # the perturbation as numbers
 
 def perturbation(spec: NeedleSpec, eps, ts,
-                 sides) -> Tuple[np.ndarray, np.ndarray]:
+                 right) -> Tuple[np.ndarray, np.ndarray]:
     """(q, q_dot) at each time of ts, each of shape (n, len(ts)), of the
     needle of width eps (one width, or one per time): slope * (t - anchor)
     and slope on the inner branch (xi, anchored at theta) and the outer
     one (outer_slope, at theta +- eps), zero outside the support.  Each
-    time takes the branch of its one-sided limit from its side (one side,
-    or one per time); within BREAK_TOL of a corner it snaps on."""
+    time takes the branch of its one-sided limit from its side, given as
+    a boolean right-mask (True from the right, False from the left; one
+    for every time, or one per time); within BREAK_TOL of a corner it
+    snaps on."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    right = np.asarray(right)
+    if right.dtype != bool:
+        raise NeedleError(f"side mask must be boolean, got {right.dtype}")
     corners = spec.corners(np.asarray(eps, dtype=float))
     # piece 1 is [c0, c1], piece 2 is [c1, c2]; 0 and 3 lie outside: the
     # corners a time has passed, from its side
-    right = np.asarray(sides) == "right"
     piece = sum(np.where(right, ts >= c - BREAK_TOL, ts > c + BREAK_TOL)
                 for c in corners)
     if spec.side == "right":

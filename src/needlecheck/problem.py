@@ -290,7 +290,8 @@ def rates(p: DelayProblem, cand: CandidateExtremal, args: np.ndarray,
 class Interval(NamedTuple):
     """L over [lo, hi], clipped to [t0, t1], on panels split also at
     breaks.  bump, if any, maps a width per time (the interval's eps at its
-    nodes), times and one side per time to an additive (q, q_dot) of the
+    nodes), times and a right-mask (True where a time is read from the
+    right, False from the left) to an additive (q, q_dot) of the
     trajectory, each (n, len(times)), zero off its support; intervals that
     share a bump differ only in eps."""
 
@@ -317,7 +318,14 @@ def integrate_nodes(p: DelayProblem, traj: Trajectory,
     -0.0, so that args + bumps is args there bit for bit (x + -0.0 is x
     for every x) and a rate of time_rate drops it.  integrand returns one
     value per node; it is not called when no interval has a panel.  An
-    integral is the fsum of its panels' Gauss sums."""
+    integral is the fsum of its panels' Gauss sums.
+
+    Each bump is called once, on the nodes of its intervals (a boolean
+    mask per interval, read at each node's owner) at t and at t - h, with
+    each node's side as a boolean right-mask, and its values are
+    scattered into the rows by broadcast integer indices: nothing here
+    reaches for numpy's set or index-trick routines, which a cold command
+    would pay for on first use."""
     own = [b for bp in traj.breakpoints for b in (bp, bp + p.h)]
     panels = []
     for k, iv in enumerate(intervals):
@@ -337,9 +345,10 @@ def integrate_nodes(p: DelayProblem, traj: Trajectory,
                           traj.on_segments("value", td, seg_y),
                           traj.on_segments("deriv", t, seg_x),
                           traj.on_segments("deriv", td, seg_y)))
-        bumps = np.full_like(args, -0.0)
-        x_rows = np.r_[_rows(p, "x"), _rows(p, "dx")]
-        sides = np.where(t < np.repeat(mids, m), "right", "left")
+        bumps = np.full(args.shape, -0.0)
+        x, dx = _rows(p, "x"), _rows(p, "dx")
+        x_rows = np.array([*range(x.start, x.stop), *range(dx.start, dx.stop)])
+        right = t < np.repeat(mids, m)
         at_node = np.repeat(owner, m)
         eps = np.array([iv.eps for iv in intervals])[at_node]
         users = {}
@@ -348,14 +357,16 @@ def integrate_nodes(p: DelayProblem, traj: Trajectory,
                 users.setdefault(iv.bump, []).append(k)
         for bump, ks in users.items():
             # one call per bump, at t and at t - h of every node it moves
-            at = np.flatnonzero(np.isin(at_node, ks))
-            q = np.vstack(bump(np.tile(eps[at], 2),
+            mine = np.zeros(len(intervals), dtype=bool)
+            mine[ks] = True
+            at = np.flatnonzero(mine[at_node])
+            q = np.vstack(bump(np.concatenate((eps[at], eps[at])),
                                np.concatenate((t[at], td[at])),
-                               np.tile(sides[at], 2)))
+                               np.concatenate((right[at], right[at]))))
             for part, rows in ((q[:, :at.size], x_rows),
                                (q[:, at.size:], x_rows + p.dim)):
                 live = part.any(0)
-                bumps[np.ix_(rows, at[live])] = part[:, live]
+                bumps[rows[:, None], at[live]] = part[:, live]
         vals = np.reshape(integrand(args, bumps), grid.shape)
         for k, ws, v in zip(owner.tolist(), weights, vals):
             sums[k].append(float(np.dot(ws, v)))

@@ -8,6 +8,8 @@ panel_plan and panel_nodes are the panels and nodes of the one quadrature
 along a trajectory, problem.integrate_nodes.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -116,6 +118,10 @@ def fit_expansion(sweep: EpsSweep) -> Tuple[float, float, float]:
     and the residual is 0.  The columns are powers of u = eps/eps_max, so
     they stay in (0, 1].  The residual is the largest relative deviation of
     the fitted model over all levels.
+
+    The fit is a Householder QR of the (levels x 4) design in plain numpy
+    (_solve_qr), with elementwise sums throughout: a cold command pays for
+    neither LAPACK nor a BLAS matrix product on 32 numbers.
     """
     if len(sweep.eps) < _FIT_TERMS:
         raise QuadratureError(f"need >= {_FIT_TERMS} sweep levels, "
@@ -124,9 +130,34 @@ def fit_expansion(sweep: EpsSweep) -> Tuple[float, float, float]:
     vals = np.asarray(sweep.values, dtype=float)
     emax = float(np.max(eps))
     A = (eps / emax)[:, None] ** np.arange(1, _FIT_TERMS + 1)
-    coef, _, rank, _ = np.linalg.lstsq(A, vals, rcond=None)
-    if rank < _FIT_TERMS:
-        raise QuadratureError("ill-conditioned expansion fit (degenerate eps grid)")
-    residual = np.abs(vals - A @ coef) / np.maximum(np.abs(vals), 1e-15)
+    coef = _solve_qr(A, vals)
+    residual = (np.abs(vals - (A * coef).sum(axis=1))
+                / np.maximum(np.abs(vals), 1e-15))
     return (float(coef[0] / emax), float(coef[1] / emax ** 2),
             float(np.max(residual)))
+
+
+def _solve_qr(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least-squares solution of A c = b, A of shape (rows, cols) with
+    rows >= cols: one Householder reflection per column, then back
+    substitution on R.  A diagonal entry of R at or below rows * eps *
+    max|R| is rank loss, numpy.linalg.lstsq's default rcond rule, and
+    raises QuadratureError."""
+    R, y = A.copy(), b.copy()
+    rows, cols = R.shape
+    for j in range(cols):
+        v = R[j:, j].copy()
+        alpha = -math.copysign(math.sqrt(float((v * v).sum())), v[0])
+        v[0] -= alpha
+        vv = float((v * v).sum())
+        if vv > 0.0:
+            R[j:, j:] -= v[:, None] * ((2.0 / vv) * (v[:, None] * R[j:, j:])
+                                       .sum(axis=0))
+            y[j:] -= v * ((2.0 / vv) * float((v * y[j:]).sum()))
+    floor = rows * sys.float_info.epsilon * float(np.abs(R[:cols]).max())
+    if not np.abs(R.diagonal()).min() > floor:
+        raise QuadratureError("ill-conditioned expansion fit (degenerate eps grid)")
+    coef = np.zeros(cols)
+    for j in range(cols - 1, -1, -1):
+        coef[j] = (y[j] - float((R[j, j + 1:] * coef[j + 1:]).sum())) / R[j, j]
+    return coef

@@ -190,29 +190,30 @@ def test_needle_geometry_properties(bundled):
         outer_peak = (c1 - c2) * spec.outer_slope if side == "right" \
             else (c1 - c0) * spec.outer_slope
         assert float(np.max(np.abs(inner_peak - outer_peak))) <= 1e-13
-        from_left, _ = perturbation(spec, eps, [c0, c1, c2], "left")
-        from_right, _ = perturbation(spec, eps, [c0, c1, c2], "right")
+        from_left, _ = perturbation(spec, eps, [c0, c1, c2], False)
+        from_right, _ = perturbation(spec, eps, [c0, c1, c2], True)
         assert float(np.max(np.abs(from_left - from_right))) <= 1e-13
         assert float(np.max(np.abs(from_left[:, [0, 2]]))) <= 1e-13
 
         # integral of the slope over the support is exactly zero
         for comp in range(2):
             total = integrate(
-                lambda ts: perturbation(spec, eps, ts, "right")[1][comp],
+                lambda ts: perturbation(spec, eps, ts, True)[1][comp],
                 c0, c2, breaks=[c1])
             assert abs(total) <= 1e-13
 
         # support containment is exact
         outside = [c0 - 0.05, c2 + 0.05, p.t0 - 0.5, p.t1 + 0.5]
         for one_side in ("right", "left"):
-            q, q_dot = perturbation(spec, eps, outside, one_side)
+            q, q_dot = perturbation(spec, eps, outside,
+                                    one_side == "right")
             assert not q.any() and not q_dot.any()
 
         # the sup norms, on the corners and a dense grid of the support
         ts = np.concatenate(([c0, c1, c2], np.linspace(c0, c2, 1001)))
         xi_norm = float(np.linalg.norm(xi))
         for one_side in ("right", "left"):
-            q, q_dot = perturbation(spec, eps, ts, one_side)
+            q, q_dot = perturbation(spec, eps, ts, one_side == "right")
             sup_q = float(np.max(np.linalg.norm(q, axis=0)))
             sup_qdot = float(np.max(np.linalg.norm(q_dot, axis=0)))
             assert abs(sup_q - lam * eps * xi_norm) <= 1e-13

@@ -146,6 +146,38 @@ def test_grid_stages_make_the_same_kernel_calls_at_any_grid_size(monkeypatch):
         assert kernel_calls(stage, 50) == kernel_calls(stage, 200) > 0
 
 
+def test_euler_stage_never_evaluates_l(monkeypatch):
+    # the residual reads the grid's argument and rate sets only (and the
+    # momentum jump its slope partials at the breakpoints); L and the slope
+    # gradients of the grid are built when an excess is first asked for,
+    # which the euler command and a NOT_EXTREMAL verdict never do
+    bodies = []
+    compiled = ExprAst.compiled
+
+    def counting(expr):
+        kernel = compiled(expr)
+
+        def count(*args):
+            bodies.append(expr)
+            return kernel(*args)
+        return count
+
+    p = make_problem(SAMPLE_L)
+    cand = make_candidate(p)
+    lag = p.lagrangian
+    # set tolerances: no |L| scale is evaluated
+    settings = AnalysisSettings(tol_w=1e-9, tol_deg=1e-9, tol_euler=1e-8)
+    monkeypatch.setattr(ExprAst, "compiled", counting)
+    stage = euler_stage(p, cand, settings)
+    assert stage.extremal and bodies
+    assert not any(e is lag.body for e in bodies)
+    # the excess does build them, once per slot
+    grid = analysis.conditions._excess_grid(p, cand, settings)
+    del bodies[:]
+    grid.e_sum(np.array([[1.0]]))
+    assert sum(e is lag.body for e in bodies) == 4
+
+
 def test_certification_closed_under_pairing(quartic_well):
     # if (eta, lam) certifies then so does (paired eta, 1 - lam); the
     # pairing map is an involution across the lambda complement

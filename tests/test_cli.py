@@ -781,6 +781,18 @@ def test_verdict_matches_golden_bytes():
     assert proc.returncode == 2
 
 
+def test_golden_fits_are_the_closed_form():
+    # the bundled needles at theta = 1 have Delta S = -+ eps^2 / 2 exactly
+    # (right, then left): the fitted coefficients differ from the closed
+    # form in their last bits only
+    with open(GOLDEN, "rb") as fh:
+        checks = json.loads(fh.read())["result"]["expansion_checks"]
+    assert [c["spec"]["side"] for c in checks] == ["right", "left"]
+    for check, c2 in zip(checks, (-0.5, 0.5)):
+        assert abs(check["c1_fitted"]) <= 1e-14
+        assert abs(check["c2_fitted"] - c2) <= 1e-14
+
+
 def test_default_quadrature_order_never_imports_numpy_polynomial():
     # the default Gauss rule is a built-in table; numpy.polynomial is a
     # lazy import worth milliseconds of every cold command
@@ -804,6 +816,68 @@ def test_default_quadrature_order_never_imports_numpy_polynomial():
     # both commands ran to a report: the increment passes, the verdict fails
     assert '"status": "pass"' in proc.stdout.decode("utf-8")
     assert '"status": "fail"' in proc.stdout.decode("utf-8")
+
+
+CONVEX5_CFG = """\
+[problem]
+t0 = 0.0
+t1 = 3.0
+h = 1.0
+dim = 5
+lagrangian = "(2 + sin(t))*(dx1^2 + 1.5*dx2^2 + dx3^2 + 0.8*dx4^2 + 1.2*dx5^2)\
+ + exp(0.1*y1)*(dy1^2 + 1.6*dy2^2 + dy3^2 + 1.2*dy4^2 + 1.3*dy5^2)\
+ + x1^2 + 0.5*x2^2 + 0.3*x3^2 + 0.7*x4^2 + 0.6*x5^2 - 0.25*dx1*dy1\
+ + 0.4*dx2*dy2"
+x1 = (0.0, 0.0, 0.0, 0.0, 0.0)
+history = (-1.0, 0.0, "0", "0", "0", "0", "0")
+
+[candidate]
+segment = (0.0, 3.0, "0", "0", "0", "0", "0")
+"""
+
+
+def test_commands_keep_to_numpys_array_core(tmp_path):
+    # a cold command pays on first use for numpy.linalg (LAPACK), the set
+    # routines and the index tricks; no op path may call them, so each is
+    # replaced by a stub that records the call and raises
+    cfg = tmp_path / "convex5.cfg"
+    cfg.write_text(CONVEX5_CFG)
+    script = (
+        "import numpy\n"
+        "from numpy import linalg\n"
+        "called = []\n"
+        "def refuse(name):\n"
+        "    def stub(*args, **kwargs):\n"
+        "        called.append(name)\n"
+        "        raise AssertionError(name)\n"
+        "    return stub\n"
+        "class Refuse:\n"
+        "    __getitem__ = staticmethod(refuse('r_'))\n"
+        "for name in ('isin', 'ix_', 'tile', 'split', 'pad'):\n"
+        "    setattr(numpy, name, refuse(name))\n"
+        "numpy.r_ = Refuse()\n"
+        "linalg.lstsq = refuse('linalg.lstsq')\n"
+        "linalg.norm = refuse('linalg.norm')\n"
+        "from needlecheck.cli import main\n"
+        "for argv in (['verdict', %r], ['verdict', %r],\n"
+        "             ['increment', %r, '--theta', '1', '--side', 'right',\n"
+        "              '--sweep']):\n"
+        "    try:\n"
+        "        main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        print('exit', exc.code)\n"
+        "print('called', called)\n") % (CFG, str(cfg), CFG)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode("utf-8").splitlines()
+    assert lines[-1] == "called []"
+    # bundled fails weak, convex5 is consistent, the needle passes
+    assert [ln for ln in lines if ln.startswith("exit ")] == [
+        "exit 2", "exit 0", "exit 0"]
+    assert proc.stdout.decode("utf-8").count('"overall": "CONSISTENT"') == 1
 
 
 def test_console_script_installed():

@@ -73,7 +73,7 @@ def test_window_for_and_check_eps(prob):
 
 def _at(spec, eps, t, side="right"):
     """(q, q_dot) at one time as two vectors."""
-    q, q_dot = perturbation(spec, eps, [t], side)
+    q, q_dot = perturbation(spec, eps, [t], side == "right")
     return q[:, 0], q_dot[:, 0]
 
 
@@ -81,12 +81,20 @@ def test_perturbation_shapes():
     spec = NeedleSpec(theta=1.0, lam=0.25, xi=np.array([3.0, -4.0]),
                       side="right")
     ts = np.linspace(0.5, 2.0, 7)
-    q, q_dot = perturbation(spec, 0.4, ts, "right")
+    q, q_dot = perturbation(spec, 0.4, ts, True)
     assert q.shape == q_dot.shape == (2, 7)
-    q, q_dot = perturbation(spec, 0.4, ts, ["left"] * 7)
+    q, q_dot = perturbation(spec, 0.4, ts, [False] * 7)
     assert q.shape == q_dot.shape == (2, 7)
-    q, q_dot = perturbation(spec, 0.4, 1.1, "left")
+    q, q_dot = perturbation(spec, 0.4, 1.1, False)
     assert q.shape == q_dot.shape == (2, 1)
+
+
+def test_perturbation_sides_are_a_boolean_mask():
+    # a side name would read as True, a right side, whatever it says
+    spec = NeedleSpec(theta=1.0, lam=0.25, xi=np.array([1.0]), side="right")
+    for sides in ("left", ["left", "right"]):
+        with pytest.raises(NeedleError, match="side mask must be boolean"):
+            perturbation(spec, 0.4, [1.0, 1.1], sides)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -103,10 +111,10 @@ def test_a_width_per_time_reads_as_each_width_alone(side):
         ts = np.concatenate((np.linspace(0.5, 1.5, 41), corners,
                              corners + 5e-13, corners - 5e-13))
         for one_side in ("right", "left"):
-            q, q_dot = perturbation(spec, eps, ts, one_side)
+            q, q_dot = perturbation(spec, eps, ts, one_side == "right")
             times.append(ts)
             widths.append(np.full(ts.size, eps))
-            sides += [one_side] * ts.size
+            sides += [one_side == "right"] * ts.size
             q_want.append(q)
             qd_want.append(q_dot)
     q, q_dot = perturbation(spec, np.concatenate(widths),
@@ -174,8 +182,8 @@ def test_left_needle_mirrors_right():
         ts = np.concatenate((np.linspace(theta - eps - 0.1, theta + 0.1, 37),
                              left.corners(eps)))
         for side in ("right", "left"):
-            q_l, q_dot_l = perturbation(left, eps, ts, side)
-            q_r, q_dot_r = perturbation(mirrored, eps, ts, side)
+            q_l, q_dot_l = perturbation(left, eps, ts, side == "right")
+            q_r, q_dot_r = perturbation(mirrored, eps, ts, side == "right")
             np.testing.assert_allclose(q_l, q_r, atol=1e-13)
             np.testing.assert_allclose(q_dot_l, q_dot_r, rtol=1e-13)
 
@@ -227,7 +235,7 @@ def test_norm_formulas():
         c0, c1, c2 = spec.corners(eps)
         ts = np.concatenate(([c0, c1, c2], np.linspace(c0, c2, 1001)))
         for side in ("right", "left"):
-            q, q_dot = perturbation(spec, eps, ts, side)
+            q, q_dot = perturbation(spec, eps, ts, side == "right")
             assert np.max(np.linalg.norm(q, axis=0)) == pytest.approx(
                 lam * eps * np.linalg.norm(xi), abs=1e-15)
             assert np.max(np.linalg.norm(q_dot, axis=0)) == pytest.approx(

@@ -177,7 +177,7 @@ def test_intervals_integrate_alone_or_batched_alike():
     p = make_problem(SAMPLE_L)
     cand = make_candidate(p, ["0.1*t*(3 - t)"])
 
-    def bump(eps, ts, sides):
+    def bump(eps, ts, right):
         end = 0.5 + eps
         q = np.where((ts > 0.5) & (ts < end), (ts - 0.5) * (end - ts), 0.0)
         return q[None], np.zeros((1, ts.size))

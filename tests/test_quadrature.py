@@ -143,6 +143,71 @@ def test_fit_requires_enough_levels():
         fit_expansion(EpsSweep(eps=(0.1, 0.05, 0.025), values=(1.0, 0.5, 0.25)))
 
 
+def _lstsq_fit(sweep):
+    """(c1, c2) and the scale 1 + max|c| of the same least-squares fit by
+    numpy.linalg.lstsq, with c the coefficients of the columns u^k, u =
+    eps/eps_max."""
+    eps, vals = np.array(sweep.eps), np.array(sweep.values)
+    emax = eps.max()
+    A = (eps / emax)[:, None] ** np.arange(1, 5)
+    coef, _, rank, _ = np.linalg.lstsq(A, vals, rcond=None)
+    assert rank == 4
+    return coef[0] / emax, coef[1] / emax ** 2, 1.0 + np.abs(coef).max(), emax
+
+
+def _assert_matches_lstsq(sweep):
+    c1, c2, _ = fit_expansion(sweep)
+    r1, r2, scale, emax = _lstsq_fit(sweep)
+    # 1e-12 * (1 + |c|) on the coefficients of u^1 and u^2
+    assert abs(c1 - r1) * emax <= 1e-12 * scale
+    assert abs(c2 - r2) * emax ** 2 <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_matches_lstsq_on_polynomial_sweeps(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        levels = int(rng.integers(4, 13))
+        ratio = float(rng.uniform(0.3, 0.8))
+        c = rng.uniform(-2.0, 2.0, 4)
+        [sweep] = geometric_sweeps(
+            lambda e: sum(c[k] * e ** (k + 1) for k in range(4)),
+            [float(rng.uniform(0.01, 0.25))], levels, ratio)
+        _assert_matches_lstsq(sweep)
+
+
+@pytest.mark.parametrize("levels", [4, 8, 12])
+@pytest.mark.parametrize("ratio", [0.3, 0.5, 0.8])
+def test_fit_matches_lstsq_on_the_sinh_closed_form(levels, ratio):
+    # K*(dx^2 + x^2) along x = sinh t: Delta S = K xi^2 (eps lam/(1-lam)
+    # + lam^2 eps^3/3), |c1| up to 1.2e4 and c2 = 0
+    K = 1000.0
+    for lam in (0.25, 0.5, 0.75):
+        for xi in (0.5, 2.0):
+            [sweep] = geometric_sweeps(
+                lambda e: K * xi ** 2 * (e * lam / (1.0 - lam)
+                                         + lam ** 2 * e ** 3 / 3.0),
+                [0.25], levels, ratio)
+            _assert_matches_lstsq(sweep)
+            c1, c2, _ = fit_expansion(sweep)
+            assert c1 == pytest.approx(K * xi ** 2 * lam / (1.0 - lam),
+                                       rel=1e-12)
+            assert abs(c2) <= 1e-9 * abs(c1)
+
+
+@pytest.mark.parametrize("levels", [4, 8, 12])
+def test_fit_rejects_near_coincident_levels(levels):
+    # distinct levels a few ulps apart: the columns u, ..., u^4 are equal
+    # to rounding, and the rank test refuses the fit, as lstsq's rank does
+    for gap in (1e-15, 1e-13, 1e-10):
+        eps = tuple(0.1 * (1.0 - k * gap) for k in range(levels))
+        sweep = EpsSweep(eps=eps, values=tuple(e * e for e in eps))
+        A = (np.array(eps) / max(eps))[:, None] ** np.arange(1, 5)
+        assert np.linalg.lstsq(A, np.ones(levels), rcond=None)[2] < 4
+        with pytest.raises(QuadratureError, match="ill-conditioned"):
+            fit_expansion(sweep)
+
+
 def test_default_order_is_ten():
     # degree-19 polynomial is the exactness edge for the default rule
     assert DEFAULT_ORDER == 10
