@@ -13,8 +13,7 @@ from .analysis import (AnalysisError, AnalysisReport, DegeneracyFinding,
                        Verdict, detect_degeneracy, full_report,
                        theorem_5_1_check, theorem_6_1_check,
                        theorem_6_2_check)
-from .conditions import (AnalysisSettings, ConditionsError, euler_residual,
-                         weierstrass_scan)
+from .conditions import AnalysisSettings, ConditionsError, weierstrass_scan
 from .config import (ConfigError, RunConfig, build_candidate, build_problem,
                      load_config, parse_config)
 from .exprs import ExprError, parse_expr, parse_lagrangian
@@ -35,9 +34,9 @@ __all__ = [
     "IncrementRecord", "NeedleError", "NeedleSpec", "ProblemError",
     "QuadratureError", "RunConfig", "Segment", "Trajectory",
     "TrajectoryError", "Verdict", "build_candidate", "build_problem",
-    "delta_S_direct", "detect_degeneracy", "euler_residual", "eval_S",
-    "expansion_prediction", "fit_expansion", "full_report", "load_config",
-    "needle_first_variation", "parse_config", "parse_expr",
-    "parse_lagrangian", "theorem_5_1_check", "theorem_6_1_check",
-    "theorem_6_2_check", "verify_expansion", "weierstrass_scan",
+    "delta_S_direct", "detect_degeneracy", "eval_S", "expansion_prediction",
+    "fit_expansion", "full_report", "load_config", "needle_first_variation",
+    "parse_config", "parse_expr", "parse_lagrangian", "theorem_5_1_check",
+    "theorem_6_1_check", "theorem_6_2_check", "verify_expansion",
+    "weierstrass_scan",
 ]

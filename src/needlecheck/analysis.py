@@ -36,8 +36,6 @@ from .needle import (NeedleError, NeedleSpec, check_point_range,
 from .problem import CandidateExtremal, DelayProblem, along, partials_vec
 from .trajectory import BREAK_TOL
 
-DEFAULT_TOL_EQ = 1e-7
-
 _RANK = {"CONSISTENT": 0, "INCONCLUSIVE": 1, "FAILS_STRONG": 2,
          "FAILS_WEAK": 3}
 
@@ -46,11 +44,9 @@ class AnalysisError(ValueError):
     pass
 
 
-def _judged(value: float, tol_eq: Optional[float], sign: int = 0):
+def _judged(value: float, tol: float, sign: int = 0):
     """(value, tol, violated, None) of a quantity that must be = 0 (sign
-    0), >= 0 (sign 1) or <= 0 (sign -1) within tol: tol_eq, or 1e-7 scaled
-    by |value|."""
-    tol = DEFAULT_TOL_EQ * (1.0 + abs(value)) if tol_eq is None else tol_eq
+    0), >= 0 (sign 1) or <= 0 (sign -1) within tol, a resolved tol_eq."""
     return value, tol, (-sign * value if sign else abs(value)) > tol, None
 
 
@@ -332,7 +328,7 @@ def theorem_5_1_check(p: DelayProblem, cand: CandidateExtremal,
 
 
 def _point_quantity(pt: ExcessPoint, theta: float, side: str, lam: float,
-                    tol_eq: Optional[float]):
+                    tol_eq: float):
     """(description, judge for _rungs) of the 6.1-style point checks at
     theta, on pt (one row per side).  One-sided: the second-order bracket
     and its sign rule.  Two-sided: the M sum must vanish, where the

@@ -39,10 +39,11 @@ _STR = json.encoder.encode_basestring_ascii
 
 @functools.lru_cache(maxsize=None)
 def _fields(cls) -> Optional[Tuple[str, ...]]:
-    """The field names of a dataclass type, sorted, else None."""
+    """The compared field names of a dataclass type, sorted, else None: a
+    field with compare=False (where a config was read) is no result."""
     if not dataclasses.is_dataclass(cls):
         return None
-    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+    return tuple(sorted(f.name for f in dataclasses.fields(cls) if f.compare))
 
 
 def _write(obj, out: list, pad: str) -> None:

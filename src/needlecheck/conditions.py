@@ -21,10 +21,6 @@ AnalysisSettings holds what every stage reads (the scan grid, slope
 samples, lambdas, scale ladder, tolerances, eps sweep) and every range
 rule; its resolved() is the one tolerance rule.
 
-euler_residual is the exact time rate of the momentum Ldx(t)+Ldy(t+h)
-minus the force Lx(t)+Ly(t+h), from the two slots' argument sets and
-their rate sets (_residual).
-
 The slope-slot perturbation notation: a value "at (t, xi)" evaluates the
 functional with xdot(t) replaced by xdot(t)+xi (xdot slot) or with
 xdot(t-h) replaced by xdot(t-h)+xi (ydot slot, evaluated at nu = t+h).
@@ -248,20 +244,6 @@ def _residual(p: DelayProblem, args: dict, rate: dict) -> np.ndarray:
     return drho - force
 
 
-def euler_residual(p: DelayProblem, cand: CandidateExtremal, t,
-                   side="right") -> np.ndarray:
-    """d/dt[Ldx(t)+Ldy(t+h)] - [Lx(t)+Ly(t+h)] at one time t, shape (n,),
-    or at each time of an array t, shape (n, len(t)), one batch; side is
-    one side or one per time.  The time derivative is exact: the chain rule
-    through the symbolic second partials of L and the candidate's exact
-    one-sided first and second derivatives.  The extended-zero convention
-    supplies the single-term regime on (t1-h, t1] with the same formula."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    args = {"x": along(p, cand, ts, side), "y": along(p, cand, ts + p.h, side)}
-    res = _residual(p, args, _rate_sets(p, cand, args, side))
-    return res if np.ndim(t) else res[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # direction sampling and the Weierstrass scan
 
@@ -472,8 +454,9 @@ class SettingsError(ConditionsError):
         self.key, self.rule = key, rule
 
 
-# the tolerances that scale as floor * (1 + |L| scale), with their floors
-_TOL_FLOORS = {"tol_w": 1e-9, "tol_deg": 1e-9, "tol_euler": 1e-8}
+# every tolerance scales as floor * (1 + |L| scale); their floors
+_TOL_FLOORS = {"tol_w": 1e-9, "tol_deg": 1e-9, "tol_eq": 1e-7,
+               "tol_euler": 1e-8}
 
 
 @dataclass(frozen=True)
@@ -524,9 +507,9 @@ class AnalysisSettings:
     def resolved(self, p: DelayProblem,
                  cand: CandidateExtremal) -> "AnalysisSettings":
         """The one tolerance rule: these settings with every unset
-        |L|-scaled tolerance set to its floor * (1 + |L| scale along the
-        candidate).  The scale is computed once, and only when some of
-        those tolerances is unset."""
+        tolerance set to its floor * (1 + |L| scale along the candidate).
+        The scale is computed once, and only when some tolerance is
+        unset."""
         unset = [k for k in _TOL_FLOORS if getattr(self, k) is None]
         if not unset:
             return self

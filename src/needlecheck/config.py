@@ -1,4 +1,4 @@
-"""Plain-text run configuration: parsing, validation, builders.
+"""Plain-text run configuration: the reader and the builders.
 
 Format: `[section]` headers, `key = value` lines, `#` comments.  Values
 are Python literals: numbers, double-quoted strings, parenthesized tuples
@@ -6,23 +6,31 @@ of those.  The `history` key (problem section) and `segment` key (candidate
 section) may repeat; each holds `(t_start, t_end, "expr1", ...)` with one
 expression per component.  Everything else appears at most once.
 
-Parsing fills in the analysis defaults, so a report always echoes the
-exact settings it ran with.
+parse_config reads what belongs to one value: sections, keys, literals
+and their types, duplicates, required keys, dim >= 1, the retired keys,
+and the [analysis] table through AnalysisSettings, which fills in the
+defaults, so a report always echoes the exact settings it ran with.  It
+records the source and the lines of each key on the RunConfig.
+
+build_problem and build_candidate build the model once, segment by
+segment.  Every rule that relates values (h > 0, t1 - t0 > h, the
+dimensions, segment order and joins, the candidate's ends, and what an
+expression may be) belongs to the model's constructors and the
+expression reader; the builders re-raise each of their errors as a
+ConfigError at the line of its key.
 """
 
 import ast
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
-
-import numpy as np
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .conditions import AnalysisSettings, SettingsError
-from .exprs import (ExprError, admitted_variables, differentiate,
-                    parse_expr, parse_lagrangian)
-from .problem import CandidateExtremal, DelayProblem
-from .trajectory import HistorySpec, Trajectory
+from .exprs import ExprError, parse_expr, parse_lagrangian
+from .problem import CandidateExtremal, DelayProblem, ProblemError
+from .trajectory import HistorySpec, Segment, Trajectory, TrajectoryError
 
 
 class ConfigError(ValueError):
@@ -70,6 +78,12 @@ class RunConfig:
     problem: ProblemConfig
     candidate: CandidateConfig
     analysis: AnalysisSettings
+    # where it was read: the source, and the lines of each key in file
+    # order, for the builders' errors; not part of the run, so neither
+    # echoed in reports nor compared
+    source: str = field(default="<config>", compare=False)
+    lines: Mapping[str, Tuple[int, ...]] = field(default_factory=dict,
+                                                 compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +148,13 @@ def _as_int(value: Value, key: str, err) -> int:
     return int(value)
 
 
+def _as_dim(value: Value, key: str, err) -> int:
+    dim = _as_int(value, key, err)
+    if dim < 1:
+        raise err(f"dim must be >= 1, got {dim}")
+    return dim
+
+
 def _as_grid_size(value: Value, key: str, err) -> int:
     size = _as_int(value, key, err)
     if size < 1:
@@ -178,7 +199,7 @@ def _as_segment(value: Value, key: str, err) -> SegmentSpec:
 # the ranges.
 _KEYS = {
     "problem": {"t0": _as_float, "t1": _as_float, "h": _as_float,
-                "dim": _as_int, "lagrangian": _as_string,
+                "dim": _as_dim, "lagrangian": _as_string,
                 "x1": _as_float_tuple, "history": _as_segment},
     "candidate": {"segment": _as_segment},
     "analysis": {"scan_grid": _as_int, "radii": _as_float_tuple,
@@ -188,7 +209,7 @@ _KEYS = {
                  "sweep_levels": _as_int, "sweep_ratio": _as_float,
                  "quad_order": _as_int, "seed": _as_int},
 }
-# keys that may repeat; each keeps its (value, line) pairs in file order
+# keys that may repeat; each keeps its values in file order
 _REPEATABLE = (("problem", "history"), ("candidate", "segment"))
 # retired keys, with their converters: read and range-checked, then
 # dropped.  degeneracy_grid and euler_grid went when degeneracy detection
@@ -201,9 +222,11 @@ _RETIRED = {("analysis", "degeneracy_grid"): _as_grid_size,
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse and validate; errors carry source:line:column."""
+    """Read a config; errors carry source:line[:column].  The rules that
+    relate values are checked by the builders."""
     section = None
-    seen: Dict[Tuple[str, str], int] = {}
+    headers: Dict[str, int] = {}  # the line of each section's header
+    lines: Dict[str, List[int]] = {}
     values: Dict[str, dict] = {name: {} for name in _KEYS}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -219,6 +242,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             if name not in _KEYS:
                 raise ConfigError(f"unknown section [{name}]", source, line_no, 1)
             section = name
+            headers.setdefault(name, line_no)
             continue
         if "=" not in stripped:
             raise ConfigError("expected 'key = value'", source, line_no, 1)
@@ -234,83 +258,36 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
                               source, line_no, 1)
         value = _read_value(value_part, lambda msg, k: ConfigError(
             msg, source, line_no, col0 + k))
-        if slot not in _REPEATABLE and slot in seen:
+        if slot not in _REPEATABLE and key in lines:
             raise ConfigError(
                 f"duplicate key '{key}' in [{section}] "
-                f"(first at line {seen[slot]})", source, line_no, 1)
+                f"(first at line {lines[key][0]})", source, line_no, 1)
         value = convert(value, key,
                         lambda msg: ConfigError(msg, source, line_no))
+        lines.setdefault(key, []).append(line_no)
         if slot in _REPEATABLE:
-            values[section].setdefault(key, []).append((value, line_no))
-        else:
-            seen[slot] = line_no
-            if slot not in _RETIRED:
-                values[section][key] = value
+            values[section].setdefault(key, []).append(value)
+        elif slot not in _RETIRED:
+            values[section][key] = value
 
     for sec in ("problem", "candidate"):
         for key in _KEYS[sec]:
             if key not in values[sec]:
                 raise ConfigError(f"[{sec}] missing required key '{key}'",
-                                  source)
-
-    pv = values["problem"]
-    t0, t1, h, dim, x1 = pv["t0"], pv["t1"], pv["h"], pv["dim"], pv["x1"]
-    if h <= 0:
-        raise ConfigError(f"h must be positive, got {h}", source,
-                          seen[("problem", "h")])
-    if not t1 - t0 > h:
-        raise ConfigError(
-            f"t1 - t0 must exceed h, got t1-t0={t1 - t0}, h={h}", source,
-            seen[("problem", "h")])
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}", source,
-                          seen[("problem", "dim")])
-    if len(x1) != dim:
-        raise ConfigError(
-            f"x1 has {len(x1)} components, expected dim={dim}", source,
-            seen[("problem", "x1")])
-    # a derivative in t raises for an abs exactly where the partials built
-    # with the problem and candidate would (each visits the same nodes), so
-    # the error carries the key's line
-    try:
-        differentiate(parse_expr(pv["lagrangian"], admitted_variables(dim),
-                                 dim=dim), "t")
-    except ExprError as exc:
-        raise ConfigError(f"key 'lagrangian': {exc}", source,
-                          seen[("problem", "lagrangian")]) from exc
-    for sec, key in _REPEATABLE:
-        for spec, ln in values[sec][key]:
-            _check_segment_spec(spec, dim, key, source, ln)
+                                  source, headers.get(sec))
 
     try:
         analysis = AnalysisSettings(**values["analysis"])
     except SettingsError as exc:
-        raise ConfigError(str(exc), source,
-                          seen.get(("analysis", exc.key))) from exc
+        raise ConfigError(str(exc), source, lines[exc.key][0]) from exc
 
+    pv = values["problem"]
     return RunConfig(
-        problem=ProblemConfig(**dict(
-            pv, history=tuple(s for s, _ in pv["history"]))),
-        candidate=CandidateConfig(segments=tuple(
-            s for s, _ in values["candidate"]["segment"])),
-        analysis=analysis)
-
-
-def _check_segment_spec(spec: SegmentSpec, dim: int, key: str, source: str,
-                        line: int) -> None:
-    if spec.t_end <= spec.t_start:
-        raise ConfigError(
-            f"key '{key}': t_end must exceed t_start, got "
-            f"({spec.t_start}, {spec.t_end})", source, line)
-    if len(spec.exprs) != dim:
-        raise ConfigError(
-            f"key '{key}': {len(spec.exprs)} component expressions, "
-            f"expected dim={dim}", source, line)
-    for e in spec.exprs:
-        try:
-            differentiate(parse_expr(e, ("t",)), "t")
-        except ExprError as exc:
-            raise ConfigError(f"key '{key}': {exc}", source, line) from exc
+        problem=ProblemConfig(**dict(pv, history=tuple(pv["history"]))),
+        candidate=CandidateConfig(
+            segments=tuple(values["candidate"]["segment"])),
+        analysis=analysis, source=source,
+        lines={key: tuple(at) for key, at in lines.items()})
 
 
 def load_config(path: str) -> RunConfig:
@@ -325,20 +302,57 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # builders
 
+# the config key of each field path a ProblemError names
+_FIELD_KEYS = {"h": "h", "lagrangian": "lagrangian", "hist.phi": "history",
+               "hist.x1": "x1"}
+
+
+@contextmanager
+def _building(cfg: RunConfig, key: str, k: int = -1, first: int = 0):
+    """Re-raise each model error of the body as a ConfigError prefixed
+    `key '…': `, at the line of the k-th occurrence of key (by default its
+    last, where a candidate's far end is).  A ProblemError that names a
+    field is that field's key's; a TrajectoryError that names segment i
+    is at occurrence i - first."""
+    try:
+        yield
+    except (ExprError, ProblemError, TrajectoryError) as exc:
+        key = _FIELD_KEYS.get(getattr(exc, "field", None), key)
+        if getattr(exc, "segment", None) is not None:
+            k = exc.segment - first
+        at = cfg.lines.get(key, ())
+        line = at[k] if -len(at) <= k < len(at) else None
+        raise ConfigError(f"key '{key}': {exc}", cfg.source, line) from exc
+
+
+def _segments(cfg: RunConfig, key: str,
+              specs: Tuple[SegmentSpec, ...]) -> List[Segment]:
+    """The Segment of each occurrence of key, each built at its line."""
+    segments = []
+    for k, spec in enumerate(specs):
+        with _building(cfg, key, k):
+            segments.append(Segment(spec.t_start, spec.t_end, tuple(
+                parse_expr(e, ("t",)) for e in spec.exprs)))
+    return segments
+
+
 def build_problem(cfg: RunConfig) -> DelayProblem:
-    """The problem of a parsed config.  Its LagrangianExpr is built here,
-    the one place the config's partials of L are built; parse_config has
-    already rejected a body that cannot be differentiated."""
+    """The problem of a read config.  Its LagrangianExpr is built here,
+    the one place the config's partials of L are built."""
     pc = cfg.problem
-    lag = parse_lagrangian(pc.lagrangian, pc.dim)
-    phi = Trajectory.from_segments(
-        [(s.t_start, s.t_end, list(s.exprs)) for s in pc.history])
-    hist = HistorySpec(phi=phi, x1=np.asarray(pc.x1, dtype=float))
-    return DelayProblem(t0=pc.t0, t1=pc.t1, h=pc.h, dim=pc.dim,
-                        lagrangian=lag, hist=hist)
+    with _building(cfg, "lagrangian"):
+        lag = parse_lagrangian(pc.lagrangian, pc.dim)
+    phi = _segments(cfg, "history", pc.history)
+    with _building(cfg, "history"):
+        hist = HistorySpec(phi=Trajectory(phi), x1=pc.x1)
+        return DelayProblem(t0=pc.t0, t1=pc.t1, h=pc.h, dim=pc.dim,
+                            lagrangian=lag, hist=hist)
 
 
 def build_candidate(cfg: RunConfig, p: DelayProblem) -> CandidateExtremal:
-    interior = Trajectory.from_segments(
-        [(s.t_start, s.t_end, list(s.exprs)) for s in cfg.candidate.segments])
-    return CandidateExtremal.from_interior(p, interior)
+    """The candidate of a read config: its segments after the history's,
+    one trajectory."""
+    head = p.hist.phi.segments
+    tail = _segments(cfg, "segment", cfg.candidate.segments)
+    with _building(cfg, "segment", first=len(head)):
+        return CandidateExtremal(p, Trajectory(head + tuple(tail)))

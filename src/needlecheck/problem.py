@@ -38,12 +38,17 @@ import numpy as np
 
 from .exprs import (BLOCKS, EvalDomainError, ExprAst, LagrangianExpr,
                     eval_expr)
-from .trajectory import (BREAK_TOL, HistorySpec, Trajectory, splice_history)
+from .trajectory import BREAK_TOL, HistorySpec, Trajectory
 from . import quadrature
 
 
 class ProblemError(ValueError):
-    pass
+    """field, where a DelayProblem rule is broken, is the path of the value
+    it rejects: "h", "lagrangian", "hist.phi" or "hist.x1"."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -57,21 +62,28 @@ class DelayProblem:
 
     def __post_init__(self):
         if self.h <= 0:
-            raise ProblemError(f"delay h must be positive, got {self.h}")
+            raise ProblemError(f"delay h must be positive, got {self.h}", "h")
         if not self.t1 - self.t0 > self.h:
             raise ProblemError(
-                f"t1 - t0 must exceed h, got t1-t0={self.t1 - self.t0}, h={self.h}")
+                f"t1 - t0 must exceed h, got t1-t0={self.t1 - self.t0}, "
+                f"h={self.h}", "h")
         if self.lagrangian.dim != self.dim:
             raise ProblemError(
-                f"Lagrangian dimension {self.lagrangian.dim} != problem dim {self.dim}")
+                f"Lagrangian dimension {self.lagrangian.dim} != problem dim "
+                f"{self.dim}", "lagrangian")
         if self.hist.phi.dim != self.dim:
             raise ProblemError(
-                f"history dimension {self.hist.phi.dim} != problem dim {self.dim}")
+                f"history dimension {self.hist.phi.dim} != problem dim "
+                f"{self.dim}", "hist.phi")
+        if self.hist.x1.size != self.dim:
+            raise ProblemError(
+                f"terminal dimension {self.hist.x1.size} != problem dim "
+                f"{self.dim}", "hist.x1")
         if abs(self.hist.phi.a - (self.t0 - self.h)) > BREAK_TOL or \
                 abs(self.hist.phi.b - self.t0) > BREAK_TOL:
             raise ProblemError(
                 f"history domain [{self.hist.phi.a}, {self.hist.phi.b}] must be "
-                f"[t0-h, t0] = [{self.t0 - self.h}, {self.t0}]")
+                f"[t0-h, t0] = [{self.t0 - self.h}, {self.t0}]", "hist.phi")
 
 
 class CandidateExtremal:
@@ -100,13 +112,6 @@ class CandidateExtremal:
                 f"vs x1={problem.hist.x1.tolist()} (gap {gap1:g})")
         self.problem = problem
         self.traj = traj
-
-    @classmethod
-    def from_interior(cls, problem: DelayProblem,
-                      interior: Trajectory) -> "CandidateExtremal":
-        """Build the admissible trajectory by splicing the history onto an
-        interior trajectory on [t0, t1]."""
-        return cls(problem, splice_history(problem.hist, interior))
 
 
 # ---------------------------------------------------------------------------

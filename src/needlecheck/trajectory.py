@@ -12,11 +12,11 @@ the input: one time gives (dim,), an array of times (dim, len(ts)).
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exprs import ExprAst, differentiate, parse_expr
+from .exprs import ExprAst, differentiate
 
 # absolute tolerance for comparing times against breakpoints
 BREAK_TOL = 1e-12
@@ -25,7 +25,12 @@ CONT_TOL = 1e-12
 
 
 class TrajectoryError(ValueError):
-    pass
+    """segment, where the error is one segment's or a join's, is the index
+    of that segment (of the later one at a join) in its trajectory."""
+
+    def __init__(self, message: str, segment: Optional[int] = None):
+        super().__init__(message)
+        self.segment = segment
 
 
 class Segment:
@@ -67,9 +72,6 @@ class Segment:
                               for f in self._fns(which)])
 
 
-SegmentSpec = Tuple[float, float, Sequence[Union[str, ExprAst]]]
-
-
 class Trajectory:
     """Piecewise-smooth vector function on [a, b] with interior breakpoints."""
 
@@ -79,8 +81,11 @@ class Trajectory:
         if not segments:
             raise TrajectoryError("trajectory needs at least one segment")
         self.dim = segments[0].dim
-        if any(seg.dim != self.dim for seg in segments):
-            raise TrajectoryError("segments disagree on dimension")
+        for k, seg in enumerate(segments):
+            if seg.dim != self.dim:
+                raise TrajectoryError(
+                    f"segment dimension {seg.dim} != first segment "
+                    f"dimension {self.dim}", k)
         self.segments = tuple(segments)
         self.a = segments[0].t_start
         self.b = segments[-1].t_end
@@ -95,28 +100,20 @@ class Trajectory:
             if abs(prev.t_end - nxt.t_start) > BREAK_TOL:
                 raise TrajectoryError(
                     f"segments not contiguous: [{prev.t_start}, {prev.t_end}] "
-                    f"then [{nxt.t_start}, {nxt.t_end}]")
+                    f"then [{nxt.t_start}, {nxt.t_end}]", k + 1)
             left, right = v[:, 2 * k + 1], v[:, 2 * k + 2]
             scale = 1.0 + float(np.max(np.abs(left)))
             gap = float(np.max(np.abs(left - right)))
             if gap > CONT_TOL * scale:
                 raise TrajectoryError(
                     f"value discontinuity at t={prev.t_end}: "
-                    f"left {left.tolist()} vs right {right.tolist()} (gap {gap:g})")
-        bad = ~(np.isfinite(v).all(0) & np.isfinite(d).all(0))
-        if bad.any():
+                    f"left {left.tolist()} vs right {right.tolist()} (gap {gap:g})",
+                    k + 1)
+        bad = np.flatnonzero(~(np.isfinite(v).all(0) & np.isfinite(d).all(0)))
+        if bad.size:
             raise TrajectoryError(
-                f"non-finite segment value/derivative at t={ends[bad][0]}")
-
-    @classmethod
-    def from_segments(cls, specs: Sequence[SegmentSpec]) -> "Trajectory":
-        segments = []
-        for t_start, t_end, comps in specs:
-            parsed = tuple(
-                c if isinstance(c, ExprAst) else parse_expr(c, ("t",))
-                for c in comps)
-            segments.append(Segment(t_start, t_end, parsed))
-        return cls(segments)
+                f"non-finite segment value/derivative at t={ends[bad[0]]}",
+                int(idx[bad[0]]))
 
     # -- location -----------------------------------------------------------
 
@@ -213,7 +210,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class HistorySpec:
-    """Boundary data: C1 history phi on [t0-h, t0] and the terminal point x1."""
+    """Boundary data: C1 history phi on [t0-h, t0] and the terminal point
+    x1.  Their dimensions are the problem's, which DelayProblem checks."""
 
     phi: Trajectory
     x1: np.ndarray
@@ -221,22 +219,7 @@ class HistorySpec:
     def __post_init__(self):
         object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float).reshape(-1))
         if self.phi.breakpoints:
-            raise TrajectoryError("history must be C1 (no interior breakpoints)")
-        if self.phi.dim != self.x1.size:
             raise TrajectoryError(
-                f"history dimension {self.phi.dim} != terminal dimension {self.x1.size}")
+                "history must be C1 (no interior breakpoints)", 1)
         if not np.all(np.isfinite(self.x1)):
             raise TrajectoryError("terminal point x1 not finite")
-
-
-def splice_history(hist: HistorySpec, interior: Trajectory) -> Trajectory:
-    """Concatenate history and interior into one trajectory, t0 becoming
-    a breakpoint.  The interior must start at t0.  Its values at t0 and t1
-    are checked where the result is used: Trajectory's continuity check
-    at the t0 join, and CandidateExtremal's x = phi on [t0-h, t0] (read
-    at t0 from the interior) and x(t1) = x1, both within 1e-9*(1+|x1|)."""
-    t0 = hist.phi.b
-    if abs(interior.a - t0) > BREAK_TOL:
-        raise TrajectoryError(
-            f"interior domain starts at {interior.a}, history ends at {t0}")
-    return Trajectory(list(hist.phi.segments) + list(interior.segments))

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from needlecheck.exprs import parse_lagrangian
-from needlecheck.problem import CandidateExtremal, DelayProblem
-from needlecheck.trajectory import HistorySpec, Trajectory
+from needlecheck.problem import DelayProblem
+from needlecheck.trajectory import HistorySpec
+
+from reference import from_interior, from_segments
 
 SAMPLE_L = "(1 - x1)*dx1^2 - (1 + y1)*dy1^2 + dx1*dy1"
 
@@ -21,15 +23,15 @@ SAMPLE_L = "(1 - x1)*dx1^2 - (1 + y1)*dy1^2 + dx1*dy1"
 def make_problem(lag_src, dim=1, t0=0.0, t1=3.0, h=1.0, phi=None, x1=None):
     lag = parse_lagrangian(lag_src, dim)
     phi_exprs = list(phi) if phi is not None else ["0"] * dim
-    hist_traj = Trajectory.from_segments([(t0 - h, t0, phi_exprs)])
+    hist_traj = from_segments([(t0 - h, t0, phi_exprs)])
     x1_vec = np.zeros(dim) if x1 is None else np.asarray(x1, dtype=float)
     return DelayProblem(t0, t1, h, dim, lag, HistorySpec(hist_traj, x1_vec))
 
 
 def make_candidate(p, interior=None):
     exprs_ = list(interior) if interior is not None else ["0"] * p.dim
-    inter = Trajectory.from_segments([(p.t0, p.t1, exprs_)])
-    return CandidateExtremal.from_interior(p, inter)
+    inter = from_segments([(p.t0, p.t1, exprs_)])
+    return from_interior(p, inter)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
-"""Test-only reference helpers: a constant history, the central finite
-difference that the symbolic partials are checked against, the kernel
-source with every operand parenthesized that the printer's is checked
-against, the first variation of a variation trajectory that the needle's
-is checked against (with its own quadrature driver of a function of
-time), the Q_1/excess equivalence of Remark 6.1, and the plain-JSON
-conversion whose json.dumps text the CLI's report writer is checked
-against."""
+"""Test-only reference helpers: a constant history, a trajectory from
+expression text and a candidate from an interior trajectory, the central
+finite difference that the symbolic partials are checked against, the
+Euler residual from its own along pair that the Euler stage is checked
+against, the kernel source with every operand parenthesized that the
+printer's is checked against, the first variation of a variation
+trajectory that the needle's is checked against (with its own quadrature
+driver of a function of time), the Q_1/excess equivalence of Remark 6.1,
+and the plain-JSON conversion whose json.dumps text the CLI's report
+writer is checked against."""
 
 import dataclasses
 import math
@@ -19,9 +21,9 @@ from needlecheck.conditions import (AnalysisSettings, ConditionsError,
                                     ExcessPoint, _dot, paired_slope, q_k,
                                     xi_sample_set)
 from needlecheck.exprs import (Call, Const, ExprAst, Neg, Node, Pow, Var,
-                               eval_expr)
+                               eval_expr, parse_expr)
 from needlecheck.problem import (CandidateExtremal, DelayProblem, along,
-                                 partials_vec)
+                                 partials_vec, rates)
 from needlecheck.quadrature import panel_nodes, panel_plan
 from needlecheck.trajectory import BREAK_TOL, HistorySpec, Segment, Trajectory
 
@@ -38,6 +40,21 @@ def constant_history(t_start: float, t_end: float,
     return HistorySpec(phi=phi, x1=np.asarray(values, dtype=float))
 
 
+def from_segments(specs) -> Trajectory:
+    """The trajectory of (t_start, t_end, [component text, ...]) specs,
+    each component read as an expression in t."""
+    return Trajectory([Segment(a, b, tuple(parse_expr(c, ("t",))
+                                           for c in comps))
+                       for a, b, comps in specs])
+
+
+def from_interior(p: DelayProblem, interior: Trajectory) -> CandidateExtremal:
+    """The candidate of p whose trajectory is p's history followed by the
+    segments of interior, one trajectory on [t0-h, t1]."""
+    return CandidateExtremal(p, Trajectory(p.hist.phi.segments
+                                           + interior.segments))
+
+
 def fd_partial(expr: ExprAst, var: str, point: Dict[str, float]) -> float:
     """Central finite difference in var with step cbrt(eps)*(1+|value|)."""
     h = _FD_STEP_BASE * (1.0 + abs(point[var]))
@@ -46,6 +63,24 @@ def fd_partial(expr: ExprAst, var: str, point: Dict[str, float]) -> float:
     hi[var] = point[var] + h
     lo[var] = point[var] - h
     return (eval_expr(expr, hi) - eval_expr(expr, lo)) / (2.0 * h)
+
+
+def euler_residual(p: DelayProblem, cand: CandidateExtremal, t,
+                   side="right") -> np.ndarray:
+    """d/dt[Ldx(t)+Ldy(t+h)] - [Lx(t)+Ly(t+h)] at one time t, shape (n,),
+    or at each time of an array t, shape (n, len(t)); side is one side or
+    one per time.  It builds its own along pair, at t and at t+h, and the
+    exact rates of each: the chain rule through the symbolic second
+    partials of L and the candidate's exact one-sided first and second
+    derivatives.  The extended-zero convention supplies the single-term
+    regime on (t1-h, t1] with the same formula."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    at_t, at_th = along(p, cand, ts, side), along(p, cand, ts + p.h, side)
+    force = partials_vec(p, "x", at_t) + partials_vec(p, "y", at_th)
+    drho = (partials_vec(p, "dx", at_t, rates(p, cand, at_t, side))
+            + partials_vec(p, "dy", at_th, rates(p, cand, at_th, side)))
+    res = drho - force
+    return res if np.ndim(t) else res[:, 0]
 
 
 def emit_parenthesized(node: Node) -> str:
@@ -182,14 +217,14 @@ def remark_6_1_equivalence(p: DelayProblem, cand: CandidateExtremal,
 
 
 def _jsonable(obj):
-    """obj as plain JSON values: a dataclass as the dict of its fields, a
-    numpy array as nested lists, numpy scalars as numbers, tuples as lists,
-    dict keys as strings, and a non-finite float as the string of its
-    repr.  The CLI prints json.dumps(_jsonable(payload), indent=2,
+    """obj as plain JSON values: a dataclass as the dict of its compared
+    fields (compare=False marks where a config was read), a numpy array as
+    nested lists, numpy scalars as numbers, tuples as lists, dict keys as
+    strings, and a non-finite float as the string of its repr.  The CLI prints json.dumps(_jsonable(payload), indent=2,
     sort_keys=True), byte for byte."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+                for f in dataclasses.fields(obj) if f.compare}
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):

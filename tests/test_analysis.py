@@ -18,16 +18,16 @@ from needlecheck.analysis import (
     theorem_6_1_check,
     theorem_6_2_check,
 )
-from needlecheck.conditions import (ExcessPoint, SettingsError, euler_residual,
-                                   paired_slope, weierstrass_scan)
+from needlecheck.conditions import (ExcessPoint, SettingsError, paired_slope,
+                                   weierstrass_scan)
 from needlecheck.exprs import ExprAst
 from needlecheck.needle import NeedleError, NeedleSpec
 from needlecheck.config import build_candidate, build_problem, parse_config
-from needlecheck.problem import CandidateExtremal, eval_S
-from needlecheck.trajectory import Trajectory
+from needlecheck.problem import eval_S
 
 from conftest import SAMPLE_L, make_candidate, make_problem
-from reference import remark_6_1_equivalence
+from reference import (euler_residual, from_interior, from_segments,
+                       remark_6_1_equivalence)
 
 # E = xi^2 (xi^2 - 1)^2 along zero: degenerate only at |xi| = 1, which pins
 # lam to 1/2; the M sum is -1 there, and the degeneracy does not survive
@@ -166,7 +166,8 @@ def test_euler_stage_never_evaluates_l(monkeypatch):
     cand = make_candidate(p)
     lag = p.lagrangian
     # set tolerances: no |L| scale is evaluated
-    settings = AnalysisSettings(tol_w=1e-9, tol_deg=1e-9, tol_euler=1e-8)
+    settings = AnalysisSettings(tol_w=1e-9, tol_deg=1e-9, tol_eq=1e-7,
+                                tol_euler=1e-8)
     monkeypatch.setattr(ExprAst, "compiled", counting)
     stage = euler_stage(p, cand, settings)
     assert stage.extremal and bodies
@@ -207,7 +208,8 @@ def test_interval_check_on_sample(sample_problem, sample_cand):
     assert v1.theorem == "5.1(i)" and v2.theorem == "5.1(ii)"
     assert v1.conclusion == "FAILS_STRONG"
     assert v1.value == pytest.approx(-2.0, abs=1e-9)
-    assert v1.tolerance == pytest.approx(3e-7, rel=1e-6)
+    # tol_eq's floor 1e-7 times 1 + |L| scale, which is 1 here
+    assert v1.tolerance == pytest.approx(2e-7, rel=1e-6)
     assert v1.location == (finding.t_lo, finding.t_hi)
     assert v2.conclusion == "FAILS_WEAK"
     assert v2.value == pytest.approx(-2.0 * 0.125 ** 3, abs=1e-9)
@@ -416,7 +418,7 @@ def test_one_sided_bracket_is_twice_the_needle_c2(lag, theta, eta):
 def test_point_check_two_sided_hypotheses():
     # one-sided M sums that differ across the candidate's kink at 1
     p = make_problem(SAMPLE_L + " + x1*dx1^3")
-    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
+    cand = from_interior(p, from_segments([
         (0.0, 1.0, ["0.3*t*(1 - t)"]), (1.0, 3.0, ["0.2*(t - 1)*(3 - t)"])]))
     with pytest.raises(AnalysisError, match="M sums disagree at theta=1.0"):
         theorem_6_1_check(p, cand, 1.0, "both", 0.5, np.array([1.0]))
@@ -438,7 +440,7 @@ def test_point_certified_from_one_side_only():
     # at d = 1 the excess of xi = 1 is 36, so nothing certifies from the
     # left, nor at the grid times 0 (d = 1) and 2 (d = -1/2)
     p = make_problem("dx1^2*(dx1^2 - 1)^2")
-    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
+    cand = from_interior(p, from_segments([
         (0.0, 1.0, ["t"]), (1.0, 3.0, ["1 - 0.25*(t - 1)^2"])]))
     [finding] = detect_degeneracy(p, cand, AnalysisSettings(scan_grid=4))
     assert (finding.kind, finding.t_lo, finding.side) == ("point", 1.0,
@@ -678,7 +680,7 @@ def test_euler_stage_reports_an_unbounded_second_derivative():
 
 
 def _tent(p):
-    return CandidateExtremal.from_interior(p, Trajectory.from_segments(
+    return from_interior(p, from_segments(
         [(0.0, 1.5, ["t"]), (1.5, 3.0, ["3 - t"])]))
 
 
@@ -702,7 +704,7 @@ def test_momentum_is_continuous_across_a_break_of_an_extremal():
     # the sinh extremal split at t = 1.3: its momentum times 1.3 +- 1 and
     # 1 (the history joint plus h) all read a jump of exactly 0
     p = make_problem("1000.0*(dx1^2 + x1^2)", phi=[SINH], x1=[np.sinh(3.0)])
-    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments(
+    cand = from_interior(p, from_segments(
         [(0.0, 1.3, [SINH]), (1.3, 3.0, [SINH])]))
     stage = euler_stage(p, cand, AnalysisSettings())
     assert stage.max_jump == 0.0 and stage.extremal

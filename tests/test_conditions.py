@@ -16,7 +16,6 @@ from needlecheck.conditions import (
     ExcessPoint,
     SettingsError,
     direction_set,
-    euler_residual,
     paired_slope,
     weierstrass_scan,
     xi_sample_set,
@@ -25,11 +24,11 @@ from needlecheck.analysis import _certifies
 from needlecheck.exprs import eval_expr
 from needlecheck.increments import needle_first_variation
 from needlecheck.needle import NeedleError, NeedleSpec, vary
-from needlecheck.problem import CandidateExtremal, eval_S
-from needlecheck.trajectory import Trajectory
+from needlecheck.problem import eval_S
 
 from conftest import SAMPLE_L, make_candidate, make_problem
-from reference import first_variation, remark_6_1_equivalence
+from reference import (euler_residual, first_variation, from_interior,
+                       from_segments, remark_6_1_equivalence)
 
 
 def test_paired_slope():
@@ -109,7 +108,7 @@ def test_batched_slots_match_tree_walk_on_named_arguments():
     # interior), so a slot or block offset mix-up changes the values
     p = make_problem(LAYOUT_L, dim=3, phi=["0.5*t", "sin(t)", "t^2"],
                      x1=[2.25, 0.375, 0.75])
-    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
+    cand = from_interior(p, from_segments([
         (0.0, 1.5, ["t", "0.3*t^2", "-t"]),
         (1.5, 3.0, ["1.5 + 0.5*(t - 1.5)", "0.675 - 0.2*(t - 1.5)",
                     "-1.5 + (t - 1.5)^2"])]))
@@ -142,7 +141,7 @@ def test_grid_matches_one_time_points_bit_for_bit():
     # span several blocks
     p = make_problem(LAYOUT_L, dim=3, phi=["0.5*t", "sin(t)", "t^2"],
                      x1=[2.25, 0.375, 0.75])
-    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
+    cand = from_interior(p, from_segments([
         (0.0, 1.5, ["t", "0.3*t^2", "-t"]),
         (1.5, 3.0, ["1.5 + 0.5*(t - 1.5)", "0.675 - 0.2*(t - 1.5)",
                     "-1.5 + (t - 1.5)^2"])]))
@@ -180,7 +179,7 @@ def test_point_ladder_stacks_match_one_slope_points_bit_for_bit():
     # gradient, a candidate kinked at 1.5; theta at a smooth paired point,
     # at the kink, with the y slot at the kink (0.5), and in the tail
     p = make_problem(POINT_L, dim=2, phi=["0.5*t", "sin(t)"], x1=[1.0, 0.2])
-    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
+    cand = from_interior(p, from_segments([
         (0.0, 1.5, ["t", "0.3*t^2"]),
         (1.5, 3.0, ["1.5 - (t - 1.5)/3", "0.675 - 0.95*(t - 1.5)/3"])]))
     eta, lam, td = np.array([0.8, -0.6]), 0.3, 1e-3
@@ -256,7 +255,7 @@ def test_m_term_closed_forms(sample_problem, sample_cand):
 
 def test_first_variation_zero_on_extremal(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
-    delta = Trajectory.from_segments([(0.0, 3.0, ["t*(3 - t)"])])
+    delta = from_segments([(0.0, 3.0, ["t*(3 - t)"])])
     assert abs(first_variation(p, cand, delta)) <= 1e-12
 
 
@@ -264,7 +263,7 @@ def test_first_variation_matches_fd_oracle():
     # dS(x + s*delta)/ds at s=0 along a non-extremal candidate
     p = make_problem(SAMPLE_L)
     cand = make_candidate(p, ["0.1*t*(3 - t)"])
-    delta = Trajectory.from_segments([(0.0, 3.0, ["t*(3 - t)"])])
+    delta = from_segments([(0.0, 3.0, ["t*(3 - t)"])])
     got = first_variation(p, cand, delta)
 
     def big_s(shift):
@@ -279,10 +278,10 @@ def test_first_variation_matches_fd_oracle():
 
 def test_first_variation_rejects_inadmissible_variations(sample_problem, sample_cand):
     p, cand = sample_problem, sample_cand
-    not_zero_at_end = Trajectory.from_segments([(0.0, 3.0, ["t"])])
+    not_zero_at_end = from_segments([(0.0, 3.0, ["t"])])
     with pytest.raises(ConditionsError, match="t1"):
         first_variation(p, cand, not_zero_at_end)
-    short = Trajectory.from_segments([(0.5, 3.0, ["(t - 0.5)*(3 - t)"])])
+    short = from_segments([(0.5, 3.0, ["(t - 0.5)*(3 - t)"])])
     with pytest.raises(ConditionsError, match="domain"):
         first_variation(p, cand, short)
 
@@ -290,9 +289,9 @@ def test_first_variation_rejects_inadmissible_variations(sample_problem, sample_
 def test_first_variation_names_the_first_nonzero_history_time(
         sample_problem, sample_cand):
     # nonzero at the check times -0.5 and -0.25 of [-1, 0]
-    delta = Trajectory.from_segments([(-1.0, -0.75, ["0"]),
-                                      (-0.75, 0.0, ["(t + 0.75)*(-t)"]),
-                                      (0.0, 3.0, ["0"])])
+    delta = from_segments([(-1.0, -0.75, ["0"]),
+                           (-0.75, 0.0, ["(t + 0.75)*(-t)"]),
+                           (0.0, 3.0, ["0"])])
     with pytest.raises(ConditionsError) as err:
         first_variation(sample_problem, sample_cand, delta)
     assert str(err.value) == ("variation must vanish on the history "
@@ -439,9 +438,8 @@ def test_time_slopes_match_sympy_chain_rule(theta, side):
     # tail, where the y slot is gated off
     p = make_problem(CHAIN_L, phi=[CHAIN_PIECES[0][2]],
                      x1=[0.455 + 0.8 * 1.7 - 0.2 * 1.7 ** 2])
-    cand = CandidateExtremal.from_interior(
-        p, Trajectory.from_segments([(float(a), float(b), [f])
-                                     for a, b, f in CHAIN_PIECES[1:]]))
+    cand = from_interior(p, from_segments([(float(a), float(b), [f])
+                                           for a, b, f in CHAIN_PIECES[1:]]))
     lam, xi = 0.3, 0.8
     want_e, want_q2, want_r = _sympy_time_slopes(theta, side, lam, xi)
     rel = pytest.approx
@@ -541,7 +539,7 @@ def test_weierstrass_scan_flags_violation():
 
 
 # set tolerances: no |L| scale is evaluated
-TOLS = {"tol_w": 1e-9, "tol_deg": 1e-9, "tol_euler": 1e-8}
+TOLS = {"tol_w": 1e-9, "tol_deg": 1e-9, "tol_eq": 1e-7, "tol_euler": 1e-8}
 
 
 def _scan_cells(monkeypatch, p, cand, settings):
@@ -686,7 +684,7 @@ def test_rows_beyond_t1_never_reach_the_kernel(monkeypatch):
     from needlecheck.exprs import ExprAst
     p = make_problem(LAYOUT_L, dim=3, phi=["0.5*t", "sin(t)", "t^2"],
                      x1=[2.25, 0.375, 0.75])
-    cand = CandidateExtremal.from_interior(p, Trajectory.from_segments([
+    cand = from_interior(p, from_segments([
         (0.0, 3.0, ["0.75*t", "0.125*t", "0.25*t"])]))
     ts = [0.5, 2.2, 1.5, 2.9]
     pt = ExcessPoint(p, cand, ts, "right")

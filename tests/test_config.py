@@ -26,6 +26,12 @@ segment = (0.0, 3.0, "0")
 """
 
 
+def _build(text: str, source: str = "<config>"):
+    """Read text, then build its problem and candidate."""
+    cfg = parse_config(text, source)
+    return build_candidate(cfg, build_problem(cfg))
+
+
 def test_parse_minimal_fills_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.problem.t0 == 0.0 and cfg.problem.t1 == 3.0
@@ -68,8 +74,10 @@ def test_comments_and_blank_lines_ignored():
 def test_hash_inside_quotes_is_not_a_comment():
     text = MINIMAL.replace('segment = (0.0, 3.0, "0")',
                            'segment = (0.0, 3.0, "0*1 # 0")')
-    with pytest.raises(ConfigError):
-        parse_config(text)  # '#' reaches the expression parser and fails
+    parse_config(text)  # a string value reads
+    with pytest.raises(ConfigError, match=":11: key 'segment': unexpected "
+                       "character '#'"):
+        _build(text)  # '#' reaches the expression reader and fails
 
 
 def test_missing_required_key_named():
@@ -81,10 +89,12 @@ def test_missing_required_key_named():
 
 
 def test_delay_must_fit_inside_interval():
-    with pytest.raises(ConfigError, match="exceed"):
-        parse_config(MINIMAL.replace("h = 1.0", "h = 3.0"))  # h == t1 - t0
-    with pytest.raises(ConfigError, match="positive"):
-        parse_config(MINIMAL.replace("h = 1.0", "h = -1.0"))
+    # the rules are DelayProblem's, reported at the line of h
+    with pytest.raises(ConfigError, match=":4: key 'h': t1 - t0 must exceed"):
+        _build(MINIMAL.replace("h = 1.0", "h = 3.0"))  # h == t1 - t0
+    with pytest.raises(ConfigError, match=":4: key 'h': delay h must be "
+                       "positive"):
+        _build(MINIMAL.replace("h = 1.0", "h = -1.0"))
 
 
 def test_duplicate_key_rejected_with_first_line():
@@ -139,27 +149,29 @@ def test_unterminated_string_reported():
 
 def test_component_count_must_match_dim():
     bad = MINIMAL.replace('x1 = (0.0)', 'x1 = (0.0, 0.0)')
-    with pytest.raises(ConfigError, match="components"):
-        parse_config(bad)
+    with pytest.raises(ConfigError, match=":7: key 'x1': terminal dimension "
+                       "2 != problem dim 1"):
+        _build(bad)
     bad = MINIMAL.replace('segment = (0.0, 3.0, "0")',
                           'segment = (0.0, 3.0, "0", "0")')
-    with pytest.raises(ConfigError, match="component|dim"):
-        parse_config(bad)
+    with pytest.raises(ConfigError, match=":11: key 'segment': segment "
+                       "dimension 2"):
+        _build(bad)
 
 
 def test_segment_needs_increasing_interval():
     bad = MINIMAL.replace('segment = (0.0, 3.0, "0")',
                           'segment = (3.0, 0.0, "0")')
-    with pytest.raises(ConfigError):
-        parse_config(bad)
+    with pytest.raises(ConfigError, match=":11: key 'segment'"):
+        _build(bad)
 
 
 def test_lagrangian_must_parse():
     bad = MINIMAL.replace(
         'lagrangian = "(1 - x1)*dx1^2 - (1 + y1)*dy1^2 + dx1*dy1"',
         'lagrangian = "dz7 + *"')
-    with pytest.raises(ConfigError, match="lagrangian"):
-        parse_config(bad)
+    with pytest.raises(ConfigError, match=":6: key 'lagrangian'"):
+        _build(bad)
 
 
 def test_analysis_range_validation():

@@ -22,12 +22,11 @@ from needlecheck.increments import (
     verify_expansion,
 )
 from needlecheck.needle import NeedleError, NeedleSpec, vary, window_for
-from needlecheck.problem import CandidateExtremal, Interval, integrate_L
+from needlecheck.problem import Interval, integrate_L
 from needlecheck.quadrature import geometric_sweeps
-from needlecheck.trajectory import Trajectory
 
 from conftest import make_candidate, make_problem
-from reference import first_variation
+from reference import first_variation, from_interior, from_segments
 
 RIGHT = NeedleSpec(theta=1.0, lam=0.5, xi=np.array([1.0]), side="right")
 LEFT = NeedleSpec(theta=1.5, lam=0.5, xi=np.array([1.0]), side="left")
@@ -248,7 +247,7 @@ def _kinked_candidate(p):
             for j, k in zip(jumps[:i], KINKS):
                 comps[c] += f" + {j[c]!r}*(t - {k!r})"
         specs.append((a, b, comps))
-    return CandidateExtremal.from_interior(p, Trajectory.from_segments(specs))
+    return from_interior(p, from_segments(specs))
 
 
 def _symbolic_increment(p, cand, spec, eps):

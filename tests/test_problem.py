@@ -18,10 +18,9 @@ from needlecheck.problem import (
     shift_slopes,
     time_rate,
 )
-from needlecheck.trajectory import Trajectory
 
 from conftest import SAMPLE_L, make_candidate, make_problem
-from reference import constant_history
+from reference import constant_history, from_interior, from_segments
 
 
 def test_problem_validation():
@@ -39,17 +38,16 @@ def test_problem_validation():
 
 def test_candidate_admissibility():
     p = make_problem("dx1^2")
-    wrong_domain = Trajectory.from_segments([(0.0, 3.0, ["0"])])
+    wrong_domain = from_segments([(0.0, 3.0, ["0"])])
     with pytest.raises(ProblemError, match="domain"):
         CandidateExtremal(p, wrong_domain)
-    off_history = Trajectory.from_segments([(0.0, 3.0, ["0.5*t*(3 - t) + 1"])])
+    off_history = from_segments([(0.0, 3.0, ["0.5*t*(3 - t) + 1"])])
     with pytest.raises((ProblemError, Exception)):
-        CandidateExtremal.from_interior(p, off_history)
-    misses_terminal = Trajectory.from_segments([(0.0, 3.0, ["t"])])
+        from_interior(p, off_history)
+    misses_terminal = from_segments([(0.0, 3.0, ["t"])])
     with pytest.raises(Exception, match="t1|terminal"):
-        CandidateExtremal.from_interior(p, misses_terminal)
-    ok = CandidateExtremal.from_interior(
-        p, Trajectory.from_segments([(0.0, 3.0, ["0.1*t*(3 - t)"])]))
+        from_interior(p, misses_terminal)
+    ok = from_interior(p, from_segments([(0.0, 3.0, ["0.1*t*(3 - t)"])]))
     assert ok.traj.a == -1.0 and ok.traj.b == 3.0
 
 
@@ -57,7 +55,7 @@ def test_candidate_names_the_first_time_it_leaves_the_history():
     # a bump on (-0.5, -0.3125) is nonzero at two of the 17 check times,
     # -0.4375 and -0.375: the error names the earlier one and its gap
     p = make_problem("dx1^2")
-    traj = Trajectory.from_segments([
+    traj = from_segments([
         (-1.0, -0.5, ["0"]),
         (-0.5, -0.3125, ["(t + 0.5)^2*(-0.3125 - t)"]),
         (-0.3125, 3.0, ["0"])])
@@ -69,15 +67,15 @@ def test_candidate_names_the_first_time_it_leaves_the_history():
 
 def test_candidate_must_reach_the_terminal_point():
     p = make_problem("dx1^2")
-    traj = Trajectory.from_segments([(-1.0, 0.0, ["0"]), (0.0, 3.0, ["t"])])
+    traj = from_segments([(-1.0, 0.0, ["0"]), (0.0, 3.0, ["t"])])
     with pytest.raises(ProblemError) as err:
         CandidateExtremal(p, traj)
     assert str(err.value) == ("candidate misses terminal point: x(t1)=[3.0] "
                               "vs x1=[0.0] (gap 3)")
     # the same rule holds the spliced candidate's end
-    interior = Trajectory.from_segments([(0.0, 3.0, ["t"])])
+    interior = from_segments([(0.0, 3.0, ["t"])])
     with pytest.raises(ProblemError, match="misses terminal point"):
-        CandidateExtremal.from_interior(p, interior)
+        from_interior(p, interior)
 
 
 def test_extended_zero_past_t1(sample_problem):

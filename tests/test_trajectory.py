@@ -8,11 +8,11 @@ from needlecheck.trajectory import (
     Segment,
     Trajectory,
     TrajectoryError,
-    splice_history,
 )
-from needlecheck.exprs import parse_expr
+from needlecheck.exprs import parse_expr, parse_lagrangian
+from needlecheck.problem import DelayProblem, ProblemError
 
-from reference import constant_history
+from reference import constant_history, from_segments
 
 
 def _seg(a, b, *srcs):
@@ -115,8 +115,8 @@ def test_split_at_preserves_values():
 
 
 def test_from_segments_parses_strings():
-    traj = Trajectory.from_segments([(0.0, 1.0, ["t", "sin(t)"]),
-                                     (1.0, 2.0, ["t", "sin(t)"])])
+    traj = from_segments([(0.0, 1.0, ["t", "sin(t)"]),
+                          (1.0, 2.0, ["t", "sin(t)"])])
     assert traj.dim == 2
     np.testing.assert_allclose(traj.value(1.5), [1.5, np.sin(1.5)], atol=1e-14)
 
@@ -128,26 +128,29 @@ def test_history_spec_must_be_smooth():
 
 
 def test_history_dimension_must_match_terminal():
-    phi = Trajectory([_seg(-1.0, 0.0, "0")])
-    with pytest.raises(TrajectoryError, match="dimension"):
-        HistorySpec(phi, np.array([0.0, 0.0]))
+    # the problem owns the dimension rule of its boundary data
+    hist = HistorySpec(Trajectory([_seg(-1.0, 0.0, "0")]), np.array([0, 0]))
+    with pytest.raises(ProblemError, match="terminal dimension 2") as err:
+        DelayProblem(0.0, 3.0, 1.0, 1, parse_lagrangian("dx1^2", 1), hist)
+    assert err.value.field == "hist.x1"
 
 
-def test_splice_history_joins_and_validates():
-    hist = constant_history(-1.0, 0.0, [0.0])
-    interior = Trajectory([_seg(0.0, 3.0, "t*(3 - t)*0")])
-    full = splice_history(hist, interior)
+def test_history_and_interior_join_as_one_trajectory():
+    # a candidate is the history's segments followed by the interior's;
+    # the joined trajectory's join rules hold at t0, and the error names
+    # the interior's segment
+    hist = constant_history(-1.0, 0.0, [0.0]).phi.segments
+    full = Trajectory(hist + (_seg(0.0, 3.0, "t*(3 - t)*0"),))
     assert full.a == -1.0 and full.b == 3.0
     assert 0.0 in full.breakpoints
-
-    # a gap at t0 is the joined trajectory's value discontinuity; x(t1) is
-    # checked by CandidateExtremal
-    bad_start = Trajectory([_seg(0.0, 3.0, "1 + t*0")])
-    with pytest.raises(TrajectoryError, match="value discontinuity at t=0.0"):
-        splice_history(hist, bad_start)
-    shifted = Trajectory([_seg(0.5, 3.0, "0")])
-    with pytest.raises(TrajectoryError, match="starts"):
-        splice_history(hist, shifted)
+    # x(t1) is checked by CandidateExtremal
+    with pytest.raises(TrajectoryError, match="value discontinuity at t=0.0") \
+            as err:
+        Trajectory(hist + (_seg(0.0, 3.0, "1 + t*0"),))
+    assert err.value.segment == 1
+    with pytest.raises(TrajectoryError, match="not contiguous") as err:
+        Trajectory(hist + (_seg(0.5, 3.0, "0"),))
+    assert err.value.segment == 1
 
 
 def test_constant_history_values():
